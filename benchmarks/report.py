@@ -51,7 +51,6 @@ REPEATS = 5
 #: Machine-readable records the benchmark scripts emit at the repo
 #: root, with the script that regenerates each.
 BENCH_FILES = {
-    "BENCH_parallel.json": "benchmarks/bench_parallel_scaling.py",
     "BENCH_tcube.json": "benchmarks/bench_tcube_brush.py",
     "BENCH_serve.json": "benchmarks/bench_serve_throughput.py",
     "BENCH_store.json": "benchmarks/bench_store_outofcore.py",
@@ -591,38 +590,6 @@ def main() -> None:
         f"~{25_000 / ms_append * 1000 / 1e6:.0f}M rows/s and window "
         f"queries are {ms_history / ms_window:.1f}x cheaper than "
         f"re-aggregating the history.")
-
-    # -- E13: multi-core scaling of the point pass ----------------------
-    print("E13 parallel scaling...")
-    from bench_parallel_scaling import run_scaling
-
-    payload = run_scaling(taxi[800_000], neighborhoods, resolution=512,
-                          repeats=3)
-    bench_out = ROOT / "BENCH_parallel.json"
-    bench_out.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {bench_out}")
-    rows = [(r["workers"], f"{r['median_ms']:.1f} ms",
-             f"{r['speedup']:.2f}x",
-             "yes" if r["count_bitwise_equal"] else "NO")
-            for r in payload["results"]]
-    cores = payload["machine"]["cpu_count"]
-    best = max(payload["results"], key=lambda r: r["speedup"])
-    report.add(
-        "E13 — multi-core scaling of the bounded raster join",
-        "The point pass data-parallelizes across worker processes via "
-        "shared-memory canvases; with the polygon raster cached, "
-        "latency should drop near-linearly up to the core count and "
-        "results must stay bitwise-identical to serial.",
-        _table(("workers", "median latency", "speedup vs serial",
-                "bitwise equal"), rows)
-        + f"\n\n800,000 taxi rows, 71 neighborhoods, 512px canvas, "
-          f"{cores} core(s) available. Machine-readable record in "
-          f"`BENCH_parallel.json`.",
-        f"Best speedup {best['speedup']:.2f}x at {best['workers']} "
-        f"workers on {cores} core(s); all runs bitwise-equal to "
-        f"serial. On a single-core host fork overhead makes parallel "
-        f"runs slower — the planner's serial threshold exists exactly "
-        f"for that regime.")
 
     # -- E14: temporal canvas cube brush latency -------------------------
     print("E14 tcube brush...")

@@ -559,9 +559,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "planner (default)")
     qry.add_argument("--resolution", type=int, default=512)
     qry.add_argument("--workers", type=int, default=None,
-                     help="worker processes for large inputs "
-                          "(default: all cores; small inputs always "
-                          "run serial)")
+                     help="worker processes for polygon rasterization "
+                          "(large region sets, tiled joins; default: "
+                          "all cores) - point passes always run serial")
     _add_kernel_arg(qry)
     qry.add_argument("--trace", action="store_true",
                      help="record and print a hierarchical span tree "
@@ -580,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "'bounded,grid,cube,auto'")
     cmp_.add_argument("--resolution", type=int, default=512)
     cmp_.add_argument("--workers", type=int, default=None,
-                      help="worker processes for large inputs")
+                      help="worker processes for polygon rasterization")
     _add_kernel_arg(cmp_)
     cmp_.set_defaults(func=_cmd_compare)
 
@@ -590,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     ses.add_argument("--regions", required=True)
     ses.add_argument("--resolution", type=int, default=512)
     ses.add_argument("--workers", type=int, default=None,
-                     help="worker processes for large inputs")
+                     help="worker processes for polygon rasterization")
     ses.add_argument("--method", default="bounded", choices=METHODS,
                      help="backend for every gesture (or 'auto')")
     ses.add_argument("--no-tcube", dest="tcube", action="store_false",
@@ -623,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--port", type=int, default=8750)
     srv.add_argument("--resolution", type=int, default=512)
     srv.add_argument("--workers", type=int, default=None,
-                     help="worker processes for large inputs")
+                     help="worker processes for polygon rasterization")
     srv.add_argument("--shards", type=int, default=1,
                      help="serve-worker pool size: each worker owns a "
                           "private engine cache + coalescing map, and "
@@ -704,9 +704,10 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=("auto", "bounded", "tiled"))
     stq.add_argument("--resolution", type=int, default=512)
     stq.add_argument("--shards", type=int, default=None,
-                     help="partition-scan shard processes (default: "
-                          "cpu count; the planner still stays serial "
-                          "below the row threshold)")
+                     help="shard processes for tiled scans and cold "
+                          "pyramid blocks (default: cpu count; the "
+                          "bounded scan and anything below the row "
+                          "threshold stay serial)")
     stq.add_argument("--prefetch-depth", type=int, default=1,
                      help="partitions of mmap readahead per shard "
                           "(0 disables)")

@@ -58,10 +58,8 @@ from .multipass import bounded_raster_join_multi
 from .parallel import (
     PARALLEL_POINT_THRESHOLD,
     ParallelConfig,
-    parallel_accurate_raster_join,
     parallel_bounded_raster_join,
     parallel_build_fragment_table,
-    parallel_index_join,
 )
 from .pyramid import (
     DEFAULT_BLOCK,
@@ -142,10 +140,8 @@ __all__ = [
     "infer_bucket_seconds",
     "iter_tiled_partials",
     "make_tiles",
-    "parallel_accurate_raster_join",
     "parallel_bounded_raster_join",
     "parallel_build_fragment_table",
-    "parallel_index_join",
     "parse_query",
     "pixel_region_labels",
     "region_histograms",

@@ -28,6 +28,27 @@ SUPPORTED_AGGREGATES = (COUNT, SUM, AVG, MIN, MAX)
 BOUNDABLE_AGGREGATES = (COUNT, SUM)
 
 
+def canvas_kinds(agg: str, with_mass: bool = True) -> tuple[str, ...]:
+    """The canvas kinds a point pass must produce for ``agg``.
+
+    With ``with_mass`` SUM carries ``mass`` (the ``|v|`` scatter feeding
+    the boundary bounds) as a first-class kind; callers that can prove
+    the values non-negative pass ``False`` and reuse the sum canvas.
+    """
+    if agg not in SUPPORTED_AGGREGATES:
+        raise ValueError(f"unsupported aggregate {agg!r}")
+    kinds = []
+    if agg in (COUNT, AVG):
+        kinds.append("count")
+    if agg in (SUM, AVG):
+        kinds.append("sum")
+    if agg in (MIN, MAX):
+        kinds.append(agg)
+    if with_mass and agg == SUM:
+        kinds.append("mass")
+    return tuple(kinds)
+
+
 def validate_aggregate(agg: str, value_column: str | None) -> None:
     """Check the aggregate name / value-column combination."""
     if agg not in SUPPORTED_AGGREGATES:

@@ -36,9 +36,9 @@ class BackendCapabilities:
     #: Answers arbitrary, never-before-seen region sets.  Pre-aggregated
     #: backends (the cube) only answer what they materialized.
     adhoc_regions: bool = True
-    #: Has a multi-process execution path the planner may engage (see
-    #: :mod:`repro.core.parallel`); the serial/parallel decision is
-    #: recorded in ``plan.decision["parallel"]``.
+    #: Forks around polygon rasterization (see
+    #: :mod:`repro.core.parallel` — point passes never fork); the
+    #: decision is recorded in ``plan.decision["parallel"]``.
     parallelizable: bool = False
 
 

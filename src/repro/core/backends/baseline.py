@@ -14,7 +14,6 @@ from ...baselines.grid_join import grid_index_join
 from ...baselines.naive import naive_join
 from ...baselines.quadtree_join import quadtree_index_join
 from ...baselines.rtree_join import rtree_index_join
-from ..parallel import decision_for, parallel_index_join
 from .base import Backend, BackendCapabilities, ExecutionPlan
 from .registry import register_backend
 
@@ -54,23 +53,14 @@ class GridIndexBackend(Backend):
     """Uniform-grid index join (the paper's index-based baseline)."""
 
     name = "grid"
-    capabilities = BackendCapabilities(exact=True, parallelizable=True)
+    capabilities = BackendCapabilities(exact=True)
 
     def estimate_cost(self, table, regions, plan, ctx=None) -> float:
         return _index_cost(table, regions, ctx, "grid", build_factor=2.0)
 
     def run(self, ctx, plan: ExecutionPlan):
-        index = ctx.grid_index(plan.table)
-        decision = decision_for(ctx, plan)
-        if decision["use"] and len(plan.regions) > 1:
-            return parallel_index_join(plan.table, plan.regions, plan.query,
-                                       index, ctx.parallel,
-                                       method="grid-index-join")
-        result = grid_index_join(plan.table, plan.regions, plan.query,
-                                 index=index)
-        result.stats["parallel"] = {"mode": "serial",
-                                    "reason": decision["reason"]}
-        return result
+        return grid_index_join(plan.table, plan.regions, plan.query,
+                               index=ctx.grid_index(plan.table))
 
 
 @register_backend
@@ -78,24 +68,15 @@ class RTreeIndexBackend(Backend):
     """Point R-tree index join."""
 
     name = "rtree"
-    capabilities = BackendCapabilities(exact=True, parallelizable=True)
+    capabilities = BackendCapabilities(exact=True)
 
     def estimate_cost(self, table, regions, plan, ctx=None) -> float:
         return 1.2 * _index_cost(table, regions, ctx, "rtree",
                                  build_factor=2.5)
 
     def run(self, ctx, plan: ExecutionPlan):
-        index = ctx.rtree_index(plan.table)
-        decision = decision_for(ctx, plan)
-        if decision["use"] and len(plan.regions) > 1:
-            return parallel_index_join(plan.table, plan.regions, plan.query,
-                                       index, ctx.parallel,
-                                       method="rtree-index-join")
-        result = rtree_index_join(plan.table, plan.regions, plan.query,
-                                  index=index)
-        result.stats["parallel"] = {"mode": "serial",
-                                    "reason": decision["reason"]}
-        return result
+        return rtree_index_join(plan.table, plan.regions, plan.query,
+                                index=ctx.rtree_index(plan.table))
 
 
 @register_backend

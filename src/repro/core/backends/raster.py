@@ -16,23 +16,10 @@ import math
 from ..accurate import accurate_raster_join
 from ..bounded import bounded_raster_join
 from ..bounds import resolution_for_epsilon
-from ..parallel import (
-    decision_for,
-    parallel_accurate_raster_join,
-    parallel_bounded_raster_join,
-)
 from ..pyramid import GridViewport, assembled_bounded_join, block_coverage
 from ..tiling import tiled_bounded_raster_join
 from .base import Backend, BackendCapabilities, ExecutionPlan
 from .registry import register_backend
-
-
-def _point_units(table, ctx) -> float:
-    """Effective cost of a linear point pass, parallel-aware: above the
-    serial threshold the planner sees points/workers + fork overhead."""
-    if ctx is None:
-        return float(len(table))
-    return ctx.parallel.point_cost(len(table))
 
 
 def planned_resolution(regions, plan: ExecutionPlan, ctx=None,
@@ -86,11 +73,11 @@ class BoundedRasterBackend(Backend):
 
     name = "bounded"
     capabilities = BackendCapabilities(exact=False, bounded=True,
-                                       uses_canvas=True, parallelizable=True)
+                                       uses_canvas=True)
 
     def estimate_cost(self, table, regions, plan, ctx=None) -> float:
         pixels = planned_pixels(regions, plan, ctx)
-        points = _point_units(table, ctx)
+        points = float(len(table))
         if ctx is not None and isinstance(plan.viewport, GridViewport):
             # Pyramid assembly: cached blocks replace that fraction of
             # the point pass — how ``auto`` prices assembly vs.
@@ -103,27 +90,15 @@ class BoundedRasterBackend(Backend):
     def run(self, ctx, plan):
         viewport = plan.viewport or ctx.plan_viewport(
             plan.regions, plan.resolution, plan.epsilon)
+        fragments = ctx.fragments_for(plan.regions, viewport)
         if isinstance(viewport, GridViewport):
             # Grid-snapped viewports assemble from the block cache;
-            # only the uncovered delta is scattered, so the parallel
-            # point pass has nothing to shard.
-            result = assembled_bounded_join(
+            # only the uncovered delta is scattered.
+            return assembled_bounded_join(
                 ctx, plan.table, plan.regions, plan.query, viewport,
-                fragments=ctx.fragments_for(plan.regions, viewport))
-            result.stats["parallel"] = {"mode": "serial",
-                                        "reason": "pyramid assembly"}
-            return result
-        fragments = ctx.fragments_for(plan.regions, viewport)
-        decision = decision_for(ctx, plan)
-        if decision["use"]:
-            return parallel_bounded_raster_join(
-                plan.table, plan.regions, plan.query, viewport,
-                fragments=fragments, config=ctx.parallel)
-        result = bounded_raster_join(plan.table, plan.regions, plan.query,
-                                     viewport, fragments=fragments)
-        result.stats["parallel"] = {"mode": "serial",
-                                    "reason": decision["reason"]}
-        return result
+                fragments=fragments)
+        return bounded_raster_join(plan.table, plan.regions, plan.query,
+                                   viewport, fragments=fragments)
 
 
 @register_backend
@@ -132,13 +107,12 @@ class AccurateRasterBackend(Backend):
     speed once the polygon pass is cached."""
 
     name = "accurate"
-    capabilities = BackendCapabilities(exact=True, uses_canvas=True,
-                                       parallelizable=True)
+    capabilities = BackendCapabilities(exact=True, uses_canvas=True)
 
     def estimate_cost(self, table, regions, plan, ctx=None) -> float:
         pixels = planned_pixels(regions, plan, ctx)
         avg_vertices = regions.total_vertices / max(1, len(regions))
-        units = _point_units(table, ctx)
+        units = float(len(table))
         # The exact-PIP term is discounted relative to the pre-interval
         # implementation (was 0.2): interval classification confines
         # PIP tests to points in genuinely PARTIAL cells, a small
@@ -150,17 +124,9 @@ class AccurateRasterBackend(Backend):
     def run(self, ctx, plan):
         viewport = plan.viewport or ctx.plan_viewport(
             plan.regions, plan.resolution, plan.epsilon)
-        fragments = ctx.fragments_for(plan.regions, viewport)
-        decision = decision_for(ctx, plan)
-        if decision["use"]:
-            return parallel_accurate_raster_join(
-                plan.table, plan.regions, plan.query, viewport,
-                fragments=fragments, config=ctx.parallel)
-        result = accurate_raster_join(plan.table, plan.regions, plan.query,
-                                      viewport, fragments=fragments)
-        result.stats["parallel"] = {"mode": "serial",
-                                    "reason": decision["reason"]}
-        return result
+        return accurate_raster_join(
+            plan.table, plan.regions, plan.query, viewport,
+            fragments=ctx.fragments_for(plan.regions, viewport))
 
 
 @register_backend
@@ -180,7 +146,7 @@ class TiledRasterBackend(Backend):
 
     def estimate_cost(self, table, regions, plan, ctx=None) -> float:
         pixels = planned_pixels(regions, plan, ctx)
-        return (3.0 * _point_units(table, ctx) + 0.1 * pixels
+        return (3.0 * len(table) + 0.1 * pixels
                 + 8.0 * regions.total_vertices * max(
                     1.0, math.sqrt(pixels) / 1024.0))
 
@@ -190,23 +156,18 @@ class TiledRasterBackend(Backend):
             # tiles: assembly runs the same per-block pixel partition
             # the tiled join would, with the partials cached across
             # gestures instead of recomputed.
-            result = assembled_bounded_join(
+            return assembled_bounded_join(
                 ctx, plan.table, plan.regions, plan.query, plan.viewport,
                 fragments=ctx.fragments_for(plan.regions, plan.viewport))
-            result.stats["parallel"] = {"mode": "serial",
-                                        "reason": "pyramid assembly"}
-            return result
         resolution = plan.resolution
         if resolution is None and plan.epsilon is not None:
             resolution = planned_resolution(plan.regions, plan, ctx,
                                             capped=False)
-        decision = decision_for(ctx, plan)
-        result = tiled_bounded_raster_join(
+        # Per-tile scanline rasterization is the one in-memory pass a
+        # fork pays for; the plan carries the decision.
+        fork = plan.decision["parallel"]["use"]
+        return tiled_bounded_raster_join(
             plan.table, plan.regions, plan.query,
             resolution=resolution or ctx.default_resolution,
-            config=ctx.parallel if decision["use"] else None,
+            config=ctx.parallel if fork else None,
             cancel=plan.cancel)
-        if not decision["use"]:
-            result.stats["parallel"] = {"mode": "serial",
-                                        "reason": decision["reason"]}
-        return result

@@ -5,7 +5,7 @@ planner prices it at O(pixels + active pixels) — but *only* when a
 cached cube can already answer the query (cost is infinite otherwise):
 ``method="auto"`` never pays a cube build speculatively, mirroring the
 ``cube`` backend's contract.  Running it explicitly (or via the
-session's brush gate) does pay the one-time parallel build, which then
+session's brush gate) does pay the one-time build, which then
 amortizes across every subsequent brush step.
 """
 
@@ -34,7 +34,7 @@ class TemporalCanvasCubeBackend(Backend):
 
     name = "tcube-raster"
     capabilities = BackendCapabilities(exact=False, bounded=True,
-                                       uses_canvas=True, parallelizable=True)
+                                       uses_canvas=True)
 
     def estimate_cost(self, table, regions, plan, ctx=None) -> float:
         if ctx is None:
@@ -102,8 +102,7 @@ class TemporalCanvasCubeBackend(Backend):
                 built = True
                 return build_temporal_canvas_cube(
                     plan.table, viewport, tr.column, bucket,
-                    value_column=value_column, residual_filters=residual,
-                    config=ctx.parallel)
+                    value_column=value_column, residual_filters=residual)
 
             cube = ctx.tcube_for(plan.table, spec, build)
             if built:

@@ -125,8 +125,8 @@ def bounded_raster_join(
     (the executor does this when only filters change between queries).
     """
     t0 = time.perf_counter()
-    with span("fragments"):
-        if fragments is None:
+    if fragments is None:
+        with span("fragments"):
             fragments = build_fragment_table(list(regions.geometries),
                                              viewport)
     t_polygons = time.perf_counter() - t0

@@ -14,6 +14,7 @@ from __future__ import annotations
 from .. import kernels
 from ..errors import QueryError
 from ..index import PointGridIndex, QuadTree, RTree
+from ..obs.trace import span
 from ..raster import FragmentTable, Viewport, build_fragment_table
 from ..table import PointTable
 from .bounds import resolution_for_epsilon
@@ -97,10 +98,20 @@ class ExecutionContext:
 
         def build() -> FragmentTable:
             geometries = list(regions.geometries)
-            if self.parallel.decide_regions(len(geometries))["use"]:
-                return parallel_build_fragment_table(geometries, viewport,
-                                                     self.parallel)
-            return build_fragment_table(geometries, viewport)
+            # The span lives here, around the build itself: a cache hit
+            # opens nothing, and a cold query's polygon pass is charged
+            # to ``fragments`` rather than to ``backend.run`` self time.
+            with span("fragments") as sp:
+                build_stats = {"pooled": False}
+                if self.parallel.decide_regions(len(geometries))["use"]:
+                    table = parallel_build_fragment_table(
+                        geometries, viewport, self.parallel,
+                        stats_out=build_stats)
+                else:
+                    table = build_fragment_table(geometries, viewport)
+            sp.set(regions=len(geometries), pixels=viewport.num_pixels,
+                   pooled=build_stats["pooled"])
+            return table
 
         return self.cache.get_or_build(key, build)
 

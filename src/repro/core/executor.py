@@ -34,7 +34,7 @@ from .context import (
     ExecutionContext,
 )
 from .parallel import ParallelConfig
-from .planner import CostBasedPlanner
+from .planner import CostBasedPlanner, parallel_decision
 from .query import SpatialAggregation
 from .regions import RegionSet
 from .result import AggregationResult
@@ -57,7 +57,7 @@ class SpatialAggregationEngine:
                  workers: int | None = None,
                  kernel: str = "auto"):
         # ``workers`` is the one-knob shortcut (CLI ``--workers``);
-        # ``parallel`` carries the full tuning surface.  Given both, the
+        # ``parallel`` carries shards/thresholds too.  Given both, the
         # explicit worker count wins.
         if parallel is None:
             parallel = ParallelConfig(workers=workers)
@@ -181,7 +181,7 @@ class SpatialAggregationEngine:
             plan.decision = {
                 "inputs": self.planner.plan_inputs(self.ctx, plan),
                 "decision": {"chosen": chosen, "planned": False},
-                "parallel": None,
+                "parallel": parallel_decision(self.ctx, chosen, len(table)),
                 "shards": None,
                 "degraded": None,
             }
@@ -223,6 +223,10 @@ class SpatialAggregationEngine:
                                    if pixels else 0.0)
         cache["blocks"] = delta
         result.stats["cache"] = cache
+        # Point passes run serial (docs/raster_join.md §8); only the
+        # paths that fork around polygon rasterization say otherwise.
+        result.stats.setdefault("parallel", {
+            "mode": "serial", "reason": "point passes run serial"})
         result.stats["time_execute_s"] = time.perf_counter() - t0
 
     def execute_multi(

@@ -1,36 +1,36 @@
-"""Shared-memory multi-core execution of the raster-join passes.
+"""Process parallelism — only around polygon rasterization.
 
-The serial pipeline runs every pass — point scatter, scanline fragment
-generation, gather join — on one core.  This module data-parallelizes
-all three across worker *processes*:
+**Point passes are serial.**  The raster join's point pass is one blend
+of the points onto a canvas: a memory-bound NumPy pass of a few
+milliseconds at this repo's sizes.  Forking a pool around it costs
+60+ ms of fork and copy-on-write page-table work and lost 2-17x on
+every workload it was measured on (``docs/raster_join.md`` §8 has the
+table), so no point pass, index join, cube build or store partition
+scan forks: they are the serial code, unconditionally.
 
-* **point pass** — the point table is split into contiguous chunks; each
-  worker filters, projects and scatters its chunk into a per-worker
-  canvas slot of one ``multiprocessing.shared_memory`` block.  Additive
-  canvases (count/sum) merge by a zero-copy ``sum(axis=0)`` over the
-  block; min/max canvases merge by an elementwise reduce.
-* **polygon pass** — regions are sharded across workers; each worker
-  scanline-rasterizes its shard and the parent stitches the resulting
-  :class:`FragmentTable` pieces, offsetting polygon ids back to global.
-* **gather join** — fragments are partitioned by polygon id (contiguous
-  ranges over the by-construction poly-sorted fragment arrays); each
-  worker joins its range and the parent concatenates.
+What a fork does pay for is pure-Python polygon rasterization, where
+each task is hundreds of milliseconds of scanline work.  This module
+keeps what those sites share:
 
-Inputs reach workers for free: pools use the ``fork`` start method, so
-the point table, geometries and canvases are inherited copy-on-write —
-nothing is pickled except tiny task tuples and per-range partials.
-Outputs that workers *write* (the canvas block) live in POSIX shared
-memory mapped before the fork, so writes are visible to the parent
-without any serialization.  On platforms without ``fork`` every entry
-point degrades to an in-process loop over the same chunked code path,
-which keeps results identical and the test matrix portable.
-
-:class:`ParallelConfig` carries the tuning knobs (worker count, chunk
-size, serial-fallback thresholds) and the decision logic the cost-based
-planner and the backends share: small inputs must not pay fork/IPC
-overhead, so below :data:`PARALLEL_POINT_THRESHOLD` points the decision
-is always ``serial`` (recorded with its reason in
-``stats["plan"]["parallel"]``).
+* :func:`_fork_map` — run a task closure over a ``fork`` pool.  Inputs
+  reach workers copy-on-write (nothing is pickled but tiny task tuples
+  and per-task results); without ``fork`` support, with one worker or
+  with one task, the same tasks run in-process, so results are
+  identical and the test matrix stays portable.  It has exactly four
+  callers: :func:`parallel_build_fragment_table` here,
+  :func:`repro.core.tiling.tiled_bounded_raster_join`,
+  :func:`repro.shard.scatter_gather_tiles` and
+  :func:`repro.shard.prescatter_blocks`.
+* :func:`parallel_build_fragment_table` — regions are sharded across
+  workers; each worker scanline-rasterizes its shard and the parent
+  stitches the :class:`FragmentTable` pieces, offsetting polygon ids
+  back to global.
+* :class:`ParallelConfig` — worker/shard counts plus the three
+  decisions that select a fork from something the code observes:
+  region count (:meth:`~ParallelConfig.decide_regions`), point count
+  for the tiled join's tile ranges (:meth:`~ParallelConfig.decide`),
+  surviving rows/partitions for the store's tiled and pyramid paths
+  (:meth:`~ParallelConfig.decide_shards`).
 """
 
 from __future__ import annotations
@@ -40,53 +40,22 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, replace
-from multiprocessing import shared_memory
 
 import numpy as np
 
-from ..raster import (
-    FragmentTable,
-    PixelBuckets,
-    Viewport,
-    build_fragment_table,
-    gather_reduce,
-    gather_sum,
-    scatter_count,
-    scatter_max,
-    scatter_min,
-    scatter_sum,
-)
+from ..raster import FragmentTable, Viewport, build_fragment_table
 from ..table import PointTable
-from .aggregates import (
-    AVG,
-    BOUNDABLE_AGGREGATES,
-    COUNT,
-    MAX,
-    MIN,
-    SUM,
-    PartialAggregate,
-    accumulate_exact,
-)
-from .bounds import boundary_mass_bounds, epsilon_for_viewport
+from .bounded import bounded_raster_join
 from .query import SpatialAggregation
 from .regions import RegionSet
 from .result import AggregationResult
 
-#: Below this many points the planner always chooses serial execution:
-#: a fork + shared-memory round trip costs a few milliseconds, which a
-#: single-core pass over fewer points than this beats outright.
+#: Below this many points (or surviving store rows) nothing forks: a
+#: pool costs tens of milliseconds before its first task runs.
 PARALLEL_POINT_THRESHOLD = 150_000
 
 #: Minimum region count before the polygon (scanline) pass is sharded.
 PARALLEL_REGION_THRESHOLD = 256
-
-#: Minimum fragment-pair count before the gather join is partitioned.
-PARALLEL_FRAGMENT_THRESHOLD = 1_000_000
-
-#: Abstract planner work units charged per worker for fork + IPC setup
-#: (same vocabulary as ``Backend.estimate_cost``, where one unit is
-#: roughly one point visited).
-FORK_OVERHEAD_UNITS = 30_000.0
 
 
 def _fork_available() -> bool:
@@ -95,7 +64,7 @@ def _fork_available() -> bool:
 
 @dataclass(frozen=True)
 class ParallelConfig:
-    """Tuning knobs + serial/parallel decision logic.
+    """Worker/shard counts + the fork decisions.
 
     ``workers=None`` resolves to ``os.cpu_count()``; an explicit number
     is honored even beyond the core count (useful for testing the
@@ -106,8 +75,7 @@ class ParallelConfig:
     chunk_size: int = 250_000
     serial_threshold: int = PARALLEL_POINT_THRESHOLD
     region_threshold: int = PARALLEL_REGION_THRESHOLD
-    fragment_threshold: int = PARALLEL_FRAGMENT_THRESHOLD
-    #: Shard count for the out-of-core scatter-gather coordinator
+    #: Shard count for the store's tiled / pyramid fan-out
     #: (``repro.shard``); ``None`` resolves like ``workers``.
     shards: int | None = None
     #: How many partitions ahead each shard issues ``madvise(WILLNEED)``
@@ -142,7 +110,8 @@ class ParallelConfig:
         return max(1, min(self.resolve_workers(), chunks))
 
     def decide(self, n_points: int) -> dict:
-        """Serial-vs-parallel decision for an ``n_points`` point pass."""
+        """Fork decision for the tiled join over ``n_points`` points
+        (the only in-memory backend declared ``parallelizable``)."""
         workers = self.resolve_workers()
         if workers <= 1:
             return {"use": False, "workers": workers,
@@ -174,23 +143,14 @@ class ParallelConfig:
         return {"use": use, "workers": min(workers, max(1, n_regions)),
                 "threshold": self.region_threshold}
 
-    def decide_fragments(self, n_fragments: int) -> dict:
-        """Decision for partitioning the gather join by polygon id."""
-        workers = self.resolve_workers()
-        use = (workers > 1 and _fork_available()
-               and n_fragments >= self.fragment_threshold)
-        return {"use": use, "workers": workers,
-                "threshold": self.fragment_threshold}
-
     def decide_shards(self, n_partitions: int, n_rows: int) -> dict:
-        """Sharded-vs-serial decision for an out-of-core partition scan.
+        """Sharded-vs-serial decision for the store's tiled and pyramid
+        paths (the bounded partition scan is a point pass: serial).
 
-        Same shape (and pricing philosophy) as :meth:`decide`: forking
-        a shard costs :data:`FORK_OVERHEAD_UNITS`, so below the point
-        threshold — or with fewer than two surviving partitions — the
-        coordinator stays serial.  The effective shard count never
-        exceeds the surviving partition count (empty shards would only
-        pay fork overhead for nothing).
+        Below the row threshold — or with fewer than two surviving
+        partitions — the coordinator stays serial.  The effective shard
+        count never exceeds the surviving partition count (empty shards
+        would only pay fork overhead for nothing).
         """
         shards = self.resolve_shards()
         base = {"shards": shards, "prefetch_depth": self.prefetch_depth,
@@ -213,44 +173,6 @@ class ParallelConfig:
                                        f"partitions across {effective} "
                                        f"shards",
                 **{**base, "shards": effective}}
-
-    def shard_cost(self, n_partitions: int, n_rows: int) -> float:
-        """Effective work units for a sharded partition scan — the
-        serial row count when the decision is serial, otherwise the
-        per-shard span plus fork overhead (mirrors :meth:`point_cost`)."""
-        decision = self.decide_shards(n_partitions, n_rows)
-        if not decision["use"]:
-            return float(n_rows)
-        shards = decision["shards"]
-        return n_rows / shards + FORK_OVERHEAD_UNITS * shards
-
-    # -- cost model --------------------------------------------------------
-
-    def point_cost(self, n_points: int) -> float:
-        """Effective work units for a linear pass over ``n_points``.
-
-        What ``Backend.estimate_cost`` charges for its point term: the
-        serial cost when the decision is serial, otherwise the parallel
-        span (points per worker) plus per-worker fork/IPC overhead.
-        This is how ``method="auto"`` prices parallelism — below the
-        threshold nothing changes, above it the backend gets cheaper in
-        proportion to the workers it can actually feed.
-        """
-        decision = self.decide(n_points)
-        if not decision["use"]:
-            return float(n_points)
-        workers = decision["workers"]
-        return n_points / workers + FORK_OVERHEAD_UNITS * workers
-
-
-def decision_for(ctx, plan) -> dict:
-    """The plan's parallel decision, computing and recording it if the
-    planner has not already (explicit ``method=`` runs)."""
-    decision = plan.decision.get("parallel")
-    if decision is None:
-        decision = ctx.parallel.decide(len(plan.table))
-        plan.decision["parallel"] = decision
-    return decision
 
 
 # -- fork-based task fan-out -------------------------------------------------
@@ -290,179 +212,7 @@ def _even_ranges(n: int, parts: int) -> list[tuple[int, int]]:
     return [(int(bounds[i]), int(bounds[i + 1])) for i in range(parts)]
 
 
-class _SharedCanvasBlock:
-    """A ``(kinds, slots, num_pixels)`` float64 canvas block.
-
-    Backed by POSIX shared memory when worker processes will write it
-    (the mapping is created *before* the fork, so children inherit it
-    and their writes are visible to the parent with zero copies); a
-    plain array for the in-process fallback.
-    """
-
-    def __init__(self, fills: list[float], slots: int, num_pixels: int,
-                 shared: bool):
-        shape = (len(fills), slots, num_pixels)
-        self._shm = None
-        if shared:
-            self._shm = shared_memory.SharedMemory(
-                create=True, size=8 * int(np.prod(shape)))
-            self.array = np.ndarray(shape, dtype=np.float64,
-                                    buffer=self._shm.buf)
-        else:
-            self.array = np.empty(shape, dtype=np.float64)
-        for k, fill in enumerate(fills):
-            self.array[k].fill(fill)
-
-    def close(self) -> None:
-        self.array = None
-        if self._shm is not None:
-            self._shm.close()
-            self._shm.unlink()
-            self._shm = None
-
-
-def _canvas_kinds(agg: str, with_mass: bool) -> tuple[list[str], list[float]]:
-    """Canvas slots ``agg`` needs (+ the |value| mass canvas for SUM
-    bounds) and their neutral fill values."""
-    kinds: list[str] = []
-    if agg in (COUNT, AVG):
-        kinds.append("count")
-    if agg in (SUM, AVG):
-        kinds.append("sum")
-    if agg == MIN:
-        kinds.append("min")
-    if agg == MAX:
-        kinds.append("max")
-    if with_mass and agg == SUM:
-        kinds.append("mass")
-    fills = [np.inf if k == "min" else -np.inf if k == "max" else 0.0
-             for k in kinds]
-    return kinds, fills
-
-
-def _scatter_chunk(block: np.ndarray, kinds: list[str], slot: int,
-                   pixel_ids: np.ndarray, values: np.ndarray | None,
-                   num_pixels: int) -> None:
-    """Blend one chunk's points into its private canvas slot."""
-    for k, kind in enumerate(kinds):
-        if kind == "count":
-            block[k, slot, :] = scatter_count(pixel_ids, num_pixels)
-        elif kind == "sum":
-            block[k, slot, :] = scatter_sum(pixel_ids, values, num_pixels)
-        elif kind == "min":
-            block[k, slot, :] = scatter_min(pixel_ids, values, num_pixels)
-        elif kind == "max":
-            block[k, slot, :] = scatter_max(pixel_ids, values, num_pixels)
-        else:  # mass: absolute value sum for the SUM error bounds
-            block[k, slot, :] = scatter_sum(pixel_ids, np.abs(values),
-                                            num_pixels)
-
-
-def _merge_block(block: np.ndarray, kinds: list[str]
-                 ) -> dict[str, np.ndarray]:
-    """Merge per-worker slots: add for count/sum/mass (zero-copy read of
-    the shared block), elementwise reduce for min/max."""
-    canvases: dict[str, np.ndarray] = {}
-    for k, kind in enumerate(kinds):
-        if kind == "min":
-            canvases[kind] = np.minimum.reduce(block[k], axis=0)
-        elif kind == "max":
-            canvases[kind] = np.maximum.reduce(block[k], axis=0)
-        else:
-            canvases[kind] = block[k].sum(axis=0)
-    return canvases
-
-
-# -- pass 1: parallel point scatter ------------------------------------------
-
-
-def parallel_point_pass(table: PointTable, query: SpatialAggregation,
-                        viewport: Viewport, config: ParallelConfig,
-                        with_mass: bool = False
-                        ) -> tuple[dict[str, np.ndarray], dict]:
-    """Filter + project + scatter the point table across workers.
-
-    Returns the merged canvases and pass statistics (including
-    per-worker chunk timings).
-    """
-    from .bounded import rasterize_points
-
-    n = len(table)
-    workers = config.resolve_workers()
-    chunks = _even_ranges(n, config.effective_workers(n))
-    kinds, fills = _canvas_kinds(query.agg, with_mass)
-    pooled = workers > 1 and len(chunks) > 1 and _fork_available()
-    block = _SharedCanvasBlock(fills, len(chunks), viewport.num_pixels,
-                               shared=pooled)
-    array = block.array
-    num_pixels = viewport.num_pixels
-
-    def chunk_task(slot: int, lo: int, hi: int) -> dict:
-        t0 = time.perf_counter()
-        sub = table.take(np.arange(lo, hi))
-        pixel_ids, values, sub_stats = rasterize_points(sub, query, viewport)
-        _scatter_chunk(array, kinds, slot, pixel_ids, values, num_pixels)
-        return {
-            "slot": slot,
-            "rows": hi - lo,
-            "points_after_filter": sub_stats["points_after_filter"],
-            "points_in_viewport": sub_stats["points_in_viewport"],
-            "time_s": time.perf_counter() - t0,
-        }
-
-    tasks = [(slot, lo, hi) for slot, (lo, hi) in enumerate(chunks)]
-    try:
-        per_worker, pooled = _fork_map(chunk_task, tasks, workers)
-        canvases = _merge_block(array, kinds)
-    finally:
-        block.close()
-    stats = {
-        "chunks": len(chunks),
-        "workers": min(workers, len(chunks)),
-        "pooled": pooled,
-        "points_after_filter": sum(w["points_after_filter"]
-                                   for w in per_worker),
-        "points_in_viewport": sum(w["points_in_viewport"]
-                                  for w in per_worker),
-        "per_worker": sorted(per_worker, key=lambda w: w["slot"]),
-    }
-    return canvases, stats
-
-
-def parallel_blend_canvases(pixel_ids: np.ndarray,
-                            values: np.ndarray | None, agg: str,
-                            num_pixels: int, config: ParallelConfig
-                            ) -> tuple[dict[str, np.ndarray], dict]:
-    """Chunked scatter of already-projected points (the accurate
-    variant's canvas build, where the parent owns the projection)."""
-    n = len(pixel_ids)
-    workers = config.resolve_workers()
-    chunks = _even_ranges(n, config.effective_workers(n))
-    kinds, fills = _canvas_kinds(agg, with_mass=False)
-    pooled = workers > 1 and len(chunks) > 1 and _fork_available()
-    block = _SharedCanvasBlock(fills, len(chunks), num_pixels, shared=pooled)
-    array = block.array
-
-    def chunk_task(slot: int, lo: int, hi: int) -> dict:
-        t0 = time.perf_counter()
-        vals = values[lo:hi] if values is not None else None
-        _scatter_chunk(array, kinds, slot, pixel_ids[lo:hi], vals,
-                       num_pixels)
-        return {"slot": slot, "rows": hi - lo,
-                "time_s": time.perf_counter() - t0}
-
-    tasks = [(slot, lo, hi) for slot, (lo, hi) in enumerate(chunks)]
-    try:
-        per_worker, pooled = _fork_map(chunk_task, tasks, workers)
-        canvases = _merge_block(array, kinds)
-    finally:
-        block.close()
-    return canvases, {"chunks": len(chunks), "pooled": pooled,
-                      "per_worker": sorted(per_worker,
-                                           key=lambda w: w["slot"])}
-
-
-# -- pass 2: sharded polygon rasterization -----------------------------------
+# -- sharded polygon rasterization -------------------------------------------
 
 
 def parallel_build_fragment_table(geometries: list, viewport: Viewport,
@@ -519,87 +269,7 @@ def parallel_build_fragment_table(geometries: list, viewport: Viewport,
     return stitched
 
 
-# -- pass 3: gather join partitioned by polygon id ---------------------------
-
-
-def _poly_offsets(polys: np.ndarray, num_polygons: int) -> np.ndarray:
-    """CSR offsets over a poly-sorted fragment pair array."""
-    return np.searchsorted(polys, np.arange(num_polygons + 1), side="left")
-
-
-def _join_range(fragments: FragmentTable, canvases: dict, agg: str,
-                plo: int, phi: int, int_off: np.ndarray,
-                cov_off: np.ndarray) -> np.ndarray:
-    """The covered-pixel join for polygons ``[plo, phi)`` only.
-
-    Interior and covered-boundary pair lists are each grouped by
-    ascending polygon id at build time, so a polygon range is two
-    contiguous slices.
-    """
-    k = phi - plo
-    i_sl = slice(int_off[plo], int_off[phi])
-    c_sl = slice(cov_off[plo], cov_off[phi])
-
-    def both_sum(canvas):
-        return (gather_sum(canvas, fragments.interior_pixels[i_sl],
-                           fragments.interior_polys[i_sl] - plo, k)
-                + gather_sum(canvas, fragments.covered_boundary_pixels[c_sl],
-                             fragments.covered_boundary_polys[c_sl] - plo, k))
-
-    if agg == COUNT:
-        return both_sum(canvases["count"])
-    if agg == SUM:
-        return both_sum(canvases["sum"])
-    if agg == AVG:
-        sums = both_sum(canvases["sum"])
-        counts = both_sum(canvases["count"])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = sums / counts
-        out[counts == 0] = np.nan
-        return out
-    ufunc, fill = ((np.minimum, np.inf) if agg == MIN
-                   else (np.maximum, -np.inf))
-    canvas = canvases[MIN if agg == MIN else MAX]
-    out = ufunc(
-        gather_reduce(canvas, fragments.interior_pixels[i_sl],
-                      fragments.interior_polys[i_sl] - plo, k, ufunc, fill),
-        gather_reduce(canvas, fragments.covered_boundary_pixels[c_sl],
-                      fragments.covered_boundary_polys[c_sl] - plo, k,
-                      ufunc, fill))
-    out[~np.isfinite(out)] = np.nan
-    return out
-
-
-def parallel_join_covered(fragments: FragmentTable, canvases: dict,
-                          agg: str, config: ParallelConfig,
-                          stats_out: dict | None = None) -> np.ndarray:
-    """Covered-pixel gather join partitioned by polygon id."""
-    n = fragments.num_polygons
-    workers = config.resolve_workers()
-    int_off = _poly_offsets(fragments.interior_polys, n)
-    cov_off = _poly_offsets(fragments.covered_boundary_polys, n)
-    ranges = _even_ranges(n, min(workers, max(1, n)))
-
-    def range_task(plo: int, phi: int):
-        t0 = time.perf_counter()
-        values = _join_range(fragments, canvases, agg, plo, phi,
-                             int_off, cov_off)
-        return values, time.perf_counter() - t0
-
-    results, pooled = _fork_map(range_task, ranges, workers)
-    if stats_out is not None:
-        stats_out.update({
-            "ranges": len(ranges), "pooled": pooled,
-            "per_worker": [{"range": i, "polygons": hi - lo, "time_s": t}
-                           for i, ((lo, hi), (__, t))
-                           in enumerate(zip(ranges, results))],
-        })
-    if n == 0:
-        return np.zeros(0, dtype=np.float64)
-    return np.concatenate([values for values, __ in results])
-
-
-# -- parallel join variants ---------------------------------------------------
+# -- deprecated alias ---------------------------------------------------------
 
 
 def parallel_bounded_raster_join(
@@ -610,331 +280,11 @@ def parallel_bounded_raster_join(
     fragments: FragmentTable | None = None,
     config: ParallelConfig | None = None,
 ) -> AggregationResult:
-    """The bounded raster join with all three passes data-parallel.
+    """Deprecated alias of :func:`~repro.core.bounded.bounded_raster_join`.
 
-    Result semantics match :func:`repro.core.bounded.bounded_raster_join`:
-    COUNT canvases merge exactly; SUM merges can differ from serial only
-    by float addition order (bitwise-equal for integer-valued data); the
-    error bounds remain hard because boundary masses are additive across
-    chunks.
+    ``config`` is ignored: the point pass is serial.  Kept only because
+    the frozen benchmark (``bench/probes.py``) imports the name; it goes
+    when the ``core.parallel.*`` probes are retired.
     """
-    config = config or ParallelConfig()
-    parallel_stats: dict = {
-        "mode": "parallel",
-        "workers": config.resolve_workers(),
-        "chunk_size": config.chunk_size,
-    }
-
-    t0 = time.perf_counter()
-    if fragments is None:
-        polygon_stats: dict = {}
-        if config.decide_regions(len(regions))["use"]:
-            fragments = parallel_build_fragment_table(
-                list(regions.geometries), viewport, config,
-                stats_out=polygon_stats)
-        else:
-            fragments = build_fragment_table(list(regions.geometries),
-                                             viewport)
-            polygon_stats["mode"] = "serial"
-        parallel_stats["polygon_pass"] = polygon_stats
-    else:
-        parallel_stats["polygon_pass"] = {"mode": "cached"}
-    t_polygons = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
-    canvases, point_stats = parallel_point_pass(
-        table, query, viewport, config,
-        with_mass=query.agg in BOUNDABLE_AGGREGATES)
-    parallel_stats["point_pass"] = point_stats
-    t_points = time.perf_counter() - t1
-
-    t2 = time.perf_counter()
-    n_covered = (fragments.num_interior_fragments
-                 + len(fragments.covered_boundary_pixels))
-    join_stats: dict = {}
-    if config.decide_fragments(n_covered)["use"]:
-        estimate = parallel_join_covered(fragments, canvases, query.agg,
-                                         config, stats_out=join_stats)
-    else:
-        from .bounded import _join_covered
-
-        estimate = _join_covered(fragments, canvases, query.agg)
-        join_stats["mode"] = "serial"
-    parallel_stats["join"] = join_stats
-
-    lower = upper = None
-    if query.agg in BOUNDABLE_AGGREGATES:
-        mass = canvases["count"] if query.agg == COUNT else canvases["mass"]
-        lower, upper = boundary_mass_bounds(fragments, estimate, mass)
-    t_join = time.perf_counter() - t2
-
-    stats = {
-        "points_total": len(table),
-        "points_after_filter": point_stats["points_after_filter"],
-        "points_in_viewport": point_stats["points_in_viewport"],
-        "time_polygon_pass_s": t_polygons,
-        "time_point_pass_s": t_points,
-        "time_join_s": t_join,
-        "interior_fragments": fragments.num_interior_fragments,
-        "boundary_fragments": fragments.num_boundary_fragments,
-        "canvas_pixels": viewport.num_pixels,
-        "epsilon_world_units": epsilon_for_viewport(viewport),
-        "parallel": parallel_stats,
-    }
-    return AggregationResult(
-        regions=regions,
-        values=estimate,
-        method="bounded-raster-join",
-        lower=lower,
-        upper=upper,
-        exact=False,
-        stats=stats,
-    )
-
-
-def parallel_accurate_raster_join(
-    table: PointTable,
-    regions: RegionSet,
-    query: SpatialAggregation,
-    viewport: Viewport,
-    fragments: FragmentTable | None = None,
-    config: ParallelConfig | None = None,
-) -> AggregationResult:
-    """The accurate (hybrid) join with the canvas build chunked and the
-    exact boundary pass partitioned by polygon id.
-
-    The per-region exact loop is the variant's Python-level bottleneck,
-    so polygon-id partitioning is where most of the multi-core win
-    lives; results are bit-identical to the serial variant because every
-    (point, region) decision is unchanged, only distributed.
-    """
-    from .accurate import CELL_FULL, CELL_PARTIAL, _cell_classes, \
-        _interior_partial
-
-    config = config or ParallelConfig()
-    parallel_stats: dict = {
-        "mode": "parallel",
-        "workers": config.resolve_workers(),
-        "chunk_size": config.chunk_size,
-    }
-
-    t0 = time.perf_counter()
-    if fragments is None:
-        fragments = build_fragment_table(list(regions.geometries), viewport)
-    t_polygons = time.perf_counter() - t0
-
-    # Point pass: the parent owns the (vectorized) filter + projection;
-    # workers share the scatter through one composed index.
-    t1 = time.perf_counter()
-    mask = query.filter_mask(table)
-    keep = np.flatnonzero(mask)
-    x = table.x[keep]
-    y = table.y[keep]
-    pixel_ids, valid = viewport.pixel_ids_of(x, y)
-    points_after_filter = len(keep)
-    if not valid.all():
-        keep = keep[valid]
-        x = x[valid]
-        y = y[valid]
-        pixel_ids = pixel_ids[valid]
-    values = query.values_for(table)
-    if values is not None:
-        values = values[keep]
-
-    if config.decide(len(pixel_ids))["use"]:
-        canvases, blend_stats = parallel_blend_canvases(
-            pixel_ids, values, query.agg, viewport.num_pixels, config)
-    else:
-        from .bounded import blend_canvases
-
-        canvases = blend_canvases(pixel_ids, values, query.agg,
-                                  viewport.num_pixels)
-        blend_stats = {"mode": "serial"}
-    parallel_stats["point_pass"] = blend_stats
-
-    classes = _cell_classes(fragments)
-    point_classes = classes[pixel_ids]
-    candidate_ids = np.flatnonzero(point_classes == CELL_PARTIAL)
-    pip_points_skipped = int((point_classes == CELL_FULL).sum())
-    # Candidate-local buckets (see the serial join): everything the
-    # exact pass touches scales with the PARTIAL population.
-    buckets = PixelBuckets(pixel_ids[candidate_ids], viewport.num_pixels)
-    t_points = time.perf_counter() - t1
-
-    t2 = time.perf_counter()
-    part = _interior_partial(fragments, canvases, query.agg)
-
-    intervals = fragments.intervals
-    # Batched candidate fetch before the fork: workers inherit the
-    # expanded arrays copy-on-write instead of re-expanding per region.
-    cand_all, cand_off = buckets.points_in_grouped_runs(
-        intervals.partial_starts, intervals.partial_lengths,
-        intervals.partial_offsets)
-    xy_cand = np.column_stack([x[candidate_ids], y[candidate_ids]])
-    geometries = list(regions.geometries)
-    n = len(regions)
-    workers = config.resolve_workers()
-    ranges = _even_ranges(n, min(workers, max(1, n)))
-
-    def exact_task(plo: int, phi: int):
-        t_start = time.perf_counter()
-        local = PartialAggregate.empty(query.agg, phi - plo)
-        tested = 0
-        for gid in range(plo, phi):
-            cand = cand_all[cand_off[gid]:cand_off[gid + 1]]
-            if len(cand) == 0:
-                continue
-            tested += len(cand)
-            inside = geometries[gid].contains_points(xy_cand[cand])
-            if not inside.any():
-                continue
-            matched = candidate_ids[cand[inside]]
-            accumulate_exact(
-                local, gid - plo,
-                values[matched] if values is not None else None,
-                int(len(matched)))
-        return (local.counts, local.sums, local.mins, local.maxs, tested,
-                time.perf_counter() - t_start)
-
-    results, pooled = _fork_map(exact_task, ranges, workers)
-    exact_part = PartialAggregate.empty(query.agg, n)
-    boundary_points_tested = 0
-    for (plo, phi), (counts, sums, mins, maxs, tested, __) in zip(ranges,
-                                                                  results):
-        if exact_part.counts is not None:
-            exact_part.counts[plo:phi] = counts
-        if exact_part.sums is not None:
-            exact_part.sums[plo:phi] = sums
-        if exact_part.mins is not None:
-            exact_part.mins[plo:phi] = mins
-        if exact_part.maxs is not None:
-            exact_part.maxs[plo:phi] = maxs
-        boundary_points_tested += tested
-    part.merge(exact_part)
-    parallel_stats["exact_pass"] = {
-        "ranges": len(ranges), "pooled": pooled,
-        "per_worker": [{"range": i, "polygons": hi - lo, "tested": r[4],
-                        "time_s": r[5]}
-                       for i, ((lo, hi), r) in enumerate(zip(ranges,
-                                                             results))],
-    }
-    result_values = part.finalize()
-    t_join = time.perf_counter() - t2
-
-    stats = {
-        "points_total": len(table),
-        "points_after_filter": points_after_filter,
-        "points_in_viewport": int(len(pixel_ids)),
-        "boundary_points_tested": boundary_points_tested,
-        "time_polygon_pass_s": t_polygons,
-        "time_point_pass_s": t_points,
-        "time_join_s": t_join,
-        "interior_fragments": fragments.num_interior_fragments,
-        "boundary_fragments": fragments.num_boundary_fragments,
-        "canvas_pixels": viewport.num_pixels,
-        "accurate": {
-            "full_pixels": intervals.full_pixels,
-            "partial_pixels": intervals.partial_pixels,
-            "full_runs": intervals.num_full_runs,
-            "partial_runs": intervals.num_partial_runs,
-            "pip_points_tested": boundary_points_tested,
-            "pip_points_skipped": pip_points_skipped,
-        },
-        "parallel": parallel_stats,
-    }
-    return AggregationResult(
-        regions=regions,
-        values=result_values,
-        method="accurate-raster-join",
-        exact=True,
-        stats=stats,
-    )
-
-
-def parallel_index_join(
-    table: PointTable,
-    regions: RegionSet,
-    query: SpatialAggregation,
-    index,
-    config: ParallelConfig,
-    method: str,
-) -> AggregationResult:
-    """Exact index join with the probe/refine loop partitioned by
-    region.  ``index`` only needs ``query_bbox``; the grid and R-tree
-    backends share this one implementation."""
-    t0 = time.perf_counter()
-    mask = query.filter_mask(table)
-    values = query.values_for(table)
-    t_filter = time.perf_counter() - t0
-
-    t2 = time.perf_counter()
-    xy = table.xy
-    geometries = list(regions.geometries)
-    n = len(regions)
-    workers = config.resolve_workers()
-    ranges = _even_ranges(n, min(workers, max(1, n)))
-
-    def range_task(plo: int, phi: int):
-        t_start = time.perf_counter()
-        local = PartialAggregate.empty(query.agg, phi - plo)
-        tested = 0
-        for gid in range(plo, phi):
-            geom = geometries[gid]
-            cand = index.query_bbox(geom.bbox)
-            if len(cand) == 0:
-                continue
-            cand = cand[mask[cand]]
-            if len(cand) == 0:
-                continue
-            tested += len(cand)
-            inside = geom.contains_points(xy[cand])
-            if not inside.any():
-                continue
-            matched = cand[inside]
-            accumulate_exact(
-                local, gid - plo,
-                values[matched] if values is not None else None,
-                int(len(matched)))
-        return (local.counts, local.sums, local.mins, local.maxs, tested,
-                time.perf_counter() - t_start)
-
-    results, pooled = _fork_map(range_task, ranges, workers)
-    part = PartialAggregate.empty(query.agg, n)
-    candidates_tested = 0
-    for (plo, phi), (counts, sums, mins, maxs, tested, __) in zip(ranges,
-                                                                  results):
-        if part.counts is not None:
-            part.counts[plo:phi] = counts
-        if part.sums is not None:
-            part.sums[plo:phi] = sums
-        if part.mins is not None:
-            part.mins[plo:phi] = mins
-        if part.maxs is not None:
-            part.maxs[plo:phi] = maxs
-        candidates_tested += tested
-    t_join = time.perf_counter() - t2
-
-    return AggregationResult(
-        regions=regions,
-        values=part.finalize(),
-        method=method,
-        exact=True,
-        stats={
-            "points_total": len(table),
-            "points_after_filter": int(mask.sum()),
-            "candidates_tested": candidates_tested,
-            "time_filter_s": t_filter,
-            "time_index_build_s": 0.0,
-            "time_join_s": t_join,
-            "parallel": {
-                "mode": "parallel",
-                "workers": min(workers, len(ranges)),
-                "pooled": pooled,
-                "ranges": len(ranges),
-                "per_worker": [
-                    {"range": i, "polygons": hi - lo, "tested": r[4],
-                     "time_s": r[5]}
-                    for i, ((lo, hi), r) in enumerate(zip(ranges, results))],
-            },
-        },
-    )
+    return bounded_raster_join(table, regions, query, viewport,
+                               fragments=fragments)

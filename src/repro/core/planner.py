@@ -10,7 +10,7 @@ payload so every answer explains itself::
 
     {"inputs":   ...statistics the cost model ran on...,
      "decision": {"chosen": ..., "planned": ..., "costs": ...},
-     "parallel": ...the serial/parallel decision...,
+     "parallel": ...the fork decision (serial unless ``tiled``)...,
      "degraded": None | ...deadline-degradation record...}
 
 Capability gates:
@@ -58,6 +58,23 @@ MIN_DEGRADED_RESOLUTION = 64
 
 #: EWMA weight of a fresh observation when recalibrating the rate.
 _OBSERVE_ALPHA = 0.3
+
+
+def parallel_decision(ctx: ExecutionContext, chosen: str,
+                      n_points: int) -> dict:
+    """The ``stats["plan"]["parallel"]`` record for a chosen backend.
+
+    Point passes run serial, so only a backend whose forked task is
+    polygon rasterization declares ``parallelizable`` (``tiled``) and
+    follows the input-cardinality rule; everything else is pinned
+    serial.
+    """
+    if get_backend(chosen).capabilities.parallelizable:
+        return ctx.parallel.decide(n_points)
+    return {"use": False,
+            "workers": ctx.parallel.resolve_workers(),
+            "threshold": ctx.parallel.serial_threshold,
+            "reason": f"backend {chosen!r} is not parallelizable"}
 
 
 class CostBasedPlanner:
@@ -265,17 +282,6 @@ class CostBasedPlanner:
         if plan.deadline_ms is not None:
             inputs, costs, chosen, degraded = self._degrade(
                 ctx, plan, inputs, costs, chosen)
-        # The serial/parallel decision rides along with the backend
-        # choice: parallelizable backends follow the input-cardinality
-        # rule (small inputs never pay fork/IPC overhead), everything
-        # else is pinned serial.
-        if get_backend(chosen).capabilities.parallelizable:
-            parallel = ctx.parallel.decide(inputs["n_points"])
-        else:
-            parallel = {"use": False,
-                        "workers": ctx.parallel.resolve_workers(),
-                        "threshold": ctx.parallel.serial_threshold,
-                        "reason": f"backend {chosen!r} is not parallelizable"}
         plan.decision = {
             "inputs": inputs,
             "decision": {
@@ -283,7 +289,7 @@ class CostBasedPlanner:
                 "planned": True,
                 "costs": costs,
             },
-            "parallel": parallel,
+            "parallel": parallel_decision(ctx, chosen, inputs["n_points"]),
             # Partition sharding is an out-of-core concern; the store
             # execution path overwrites this with a real decision.
             "shards": {"use": False,

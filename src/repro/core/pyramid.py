@@ -53,7 +53,7 @@ from ..raster import (
 )
 from ..raster.pyramid import PYRAMID_OPS, reduce2x2
 from ..table import PointTable
-from .aggregates import AVG, BOUNDABLE_AGGREGATES, COUNT, MAX, MIN, SUM
+from .aggregates import BOUNDABLE_AGGREGATES, COUNT, canvas_kinds
 from .bounded import _join_covered
 from .bounds import boundary_mass_bounds, epsilon_for_viewport
 from .cache import fingerprint
@@ -77,26 +77,6 @@ _FILL = {"count": 0.0, "sum": 0.0, "mass": 0.0,
 #: differ from a fresh scatter by reassociation round-off, breaking the
 #: bitwise contract.
 _ALWAYS_DERIVABLE = frozenset({"count", "min", "max"})
-
-
-def canvas_kinds(agg: str) -> tuple[str, ...]:
-    """The canvas kinds a query's assembly must produce.
-
-    SUM carries ``mass`` (the ``|v|`` scatter feeding the boundary
-    bounds) as a first-class kind so bound canvases enjoy the same
-    block reuse as estimates.
-    """
-    if agg == COUNT:
-        return ("count",)
-    if agg == SUM:
-        return ("sum", "mass")
-    if agg == AVG:
-        return ("count", "sum")
-    if agg == MIN:
-        return ("min",)
-    if agg == MAX:
-        return ("max",)
-    raise ValueError(f"unsupported aggregate {agg!r}")
 
 
 @dataclass(frozen=True)

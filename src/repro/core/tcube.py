@@ -32,11 +32,10 @@ exact in float64 regardless of addition order); SUM matches bitwise
 for integer-valued columns and to float round-off otherwise; AVG
 follows from the two.
 
-Cube construction fans out across :mod:`repro.core.parallel` workers —
-one contiguous bucket shard per worker scattered into a shared-memory
-delta block — so the one-time build amortizes within a few brush steps.
-Appends (streaming) increment the tail bucket in place instead of
-invalidating the cube.
+Cube construction is one ``np.bincount`` per canvas kind plus a cumsum,
+so the one-time build amortizes within a few brush steps.  Appends
+(streaming) increment the tail bucket in place instead of invalidating
+the cube.
 """
 
 from __future__ import annotations
@@ -53,12 +52,6 @@ from ..table import TIMESTAMP, PointTable, TimeRange, combine_filters
 from .aggregates import AVG, COUNT, SUM
 from .bounded import _join_covered
 from .bounds import boundary_mass_bounds, epsilon_for_viewport
-from .parallel import (
-    ParallelConfig,
-    _even_ranges,
-    _fork_map,
-    _SharedCanvasBlock,
-)
 from .query import SpatialAggregation
 from .regions import RegionSet
 from .result import AggregationResult
@@ -659,18 +652,8 @@ def build_temporal_canvas_cube(
     value_column: str | None = None,
     residual_filters=(),
     origin: int | None = None,
-    config: ParallelConfig | None = None,
 ) -> TemporalCanvasCube:
-    """Bucket, scatter, and prefix-sum a table into a cube.
-
-    Workers each scatter one contiguous *bucket shard* into a
-    shared-memory delta block (the table's bucket-sorted columns are
-    inherited copy-on-write through the fork); the parent cumsums the
-    deltas along the bucket axis.  Points are stable-sorted by bucket
-    first, so every (bucket, pixel) cell is one worker's ``bincount``
-    over an order that does not depend on the worker count — results
-    are bitwise-reproducible at any parallelism.
-    """
+    """Bucket, scatter, and prefix-sum a table into a cube."""
     t_start = time.perf_counter()
     bucket_seconds = int(bucket_seconds)
     if bucket_seconds < 1:
@@ -705,14 +688,14 @@ def build_temporal_canvas_cube(
         if not nonneg:
             kinds.append("mass")
 
-    def finish(active, prefix, origin_, num_buckets, build_stats):
-        build_stats.update({
+    def finish(active, prefix, origin_, num_buckets):
+        build_stats = {
             "points_total": len(table),
             "points_in_cube": int(len(pixel_ids)),
             "buckets": num_buckets,
             "active_pixels": int(len(active)),
             "build_s": time.perf_counter() - t_start,
-        })
+        }
         return TemporalCanvasCube(
             viewport=viewport, time_column=time_column,
             bucket_seconds=bucket_seconds, origin=origin_,
@@ -724,7 +707,7 @@ def build_temporal_canvas_cube(
     if len(tvals) == 0:
         active = np.empty(0, dtype=np.int64)
         prefix = {k: np.zeros((1, 0)) for k in kinds}
-        return finish(active, prefix, origin, 0, {"pooled": False})
+        return finish(active, prefix, origin, 0)
 
     if origin is None:
         origin = int(tvals.min()) // bucket_seconds * bucket_seconds
@@ -746,54 +729,20 @@ def build_temporal_canvas_cube(
             f"coarser bucket")
     cols = np.searchsorted(active, pixel_ids)
 
-    # Stable bucket sort: shard boundaries become contiguous row ranges
-    # and within-bucket order is fixed regardless of sharding.
-    order = np.argsort(buckets, kind="stable")
-    bsorted = buckets[order]
-    csorted = cols[order]
-    vsorted = values[order] if values is not None else None
-
-    config = config or ParallelConfig()
-    decision = config.decide(len(bsorted))
-    workers = decision["workers"] if decision["use"] else 1
-    shards = _even_ranges(num_buckets, workers)
-    pooled_wanted = decision["use"] and len(shards) > 1
-    block = _SharedCanvasBlock([0.0] * len(kinds), num_buckets, width,
-                               shared=pooled_wanted)
-    array = block.array
-
-    def shard_task(blo: int, bhi: int) -> dict:
-        ts = time.perf_counter()
-        lo = int(np.searchsorted(bsorted, blo, side="left"))
-        hi = int(np.searchsorted(bsorted, bhi, side="left"))
-        if hi > lo:
-            lin = (bsorted[lo:hi] - blo) * width + csorted[lo:hi]
-            size = (bhi - blo) * width
-            for k, kind in enumerate(kinds):
-                if kind == "count":
-                    w = None
-                elif kind == "sum":
-                    w = vsorted[lo:hi]
-                else:
-                    w = np.abs(vsorted[lo:hi])
-                array[k, blo:bhi, :] = np.bincount(
-                    lin, weights=w, minlength=size).reshape(bhi - blo, width)
-        return {"buckets": bhi - blo, "rows": hi - lo,
-                "time_s": time.perf_counter() - ts}
-
-    try:
-        per_worker, pooled = _fork_map(shard_task, shards, workers)
-        prefix = {}
-        for k, kind in enumerate(kinds):
-            plane = np.zeros((num_buckets + 1, width))
-            np.cumsum(array[k], axis=0, out=plane[1:])
-            prefix[kind] = plane
-    finally:
-        block.close()
-
-    return finish(active, prefix, origin, num_buckets,
-                  {"pooled": pooled, "shards": len(shards),
-                   "per_worker": per_worker})
+    # One bincount per kind over the flattened (bucket, active pixel)
+    # cells: each cell accumulates its points in table order, so the
+    # deltas are bitwise-reproducible.
+    cells = buckets * width + cols
+    prefix = {}
+    for kind in kinds:
+        weights = (None if kind == "count" else values if kind == "sum"
+                   else np.abs(values))
+        delta = np.bincount(cells, weights=weights,
+                            minlength=num_buckets * width)
+        plane = np.zeros((num_buckets + 1, width))
+        np.cumsum(delta.reshape(num_buckets, width), axis=0, out=plane[1:])
+        prefix[kind] = plane
+    return finish(active, prefix, origin, num_buckets)
 
 
 # -- context probes ------------------------------------------------------------

@@ -2,16 +2,14 @@
 
 The exact comparators in the paper's evaluation are index-based joins;
 this package provides the structures they build on: uniform grids for
-points and polygons, an STR-packed R-tree, a PR quadtree and a k-d tree.
+points and polygons, an STR-packed R-tree and a PR quadtree.
 """
 
 from .grid import PointGridIndex, PolygonGridIndex
-from .kdtree import KDTree
 from .quadtree import QuadTree
 from .rtree import RTree
 
 __all__ = [
-    "KDTree",
     "PointGridIndex",
     "PolygonGridIndex",
     "QuadTree",

@@ -1,16 +1,16 @@
-"""The shard coordinator: scatter store partitions, gather partials.
+"""The shard coordinator: fork store scans that rasterize polygons.
 
-Three entry points, one per out-of-core execution path:
+Point passes run serial (``docs/raster_join.md`` §8): the bounded store
+scan streams its partitions through one canvas in-process.  A fork pays
+only where each task is dominated by per-tile or per-block work, so two
+entry points remain:
 
-* :func:`scatter_gather_canvases` — the bounded path.  Survivors are
-  split into contiguous grid-key shards; each forked shard streams its
-  partitions through the *same* filter → project → scatter code the
-  serial scan runs, into a private canvas; the parent merges canvases
-  in shard order (additive kinds add, min/max reduce).
 * :func:`scatter_gather_tiles` — the tiled path.  Tiles (not
-  partitions) shard contiguously; each shard folds its tile range into
-  a private :class:`~repro.core.aggregates.PartialAggregate` + mass
-  vectors, and the parent merges region vectors in shard order.
+  partitions) split into contiguous ranges; each range folds its tiles
+  (per-tile scanline rasterization included) into a private
+  :class:`~repro.core.aggregates.PartialAggregate` + mass vectors, and
+  the parent merges region vectors in range order.  With one range —
+  the serial decision — the same loop runs in-process.
 * :func:`prescatter_blocks` — the pyramid path.  Blocks that neither
   the cache nor a 2x2 child reduction can serve are sharded across
   workers; each returns its freshly scattered planes (the block-cache
@@ -19,14 +19,14 @@ Three entry points, one per out-of-core execution path:
 
 **Equality discipline.**  Within a shard, partitions accumulate in
 manifest order with unbuffered ufunc.at ops — the serial reference
-fold, bit for bit.  Merging per-shard partials in shard order is
-exact for COUNT (integer-valued partials), order-free for MIN/MAX,
-and bitwise for SUM whenever the values are integer-valued; float SUM
-and AVG reassociate within <= 1e-12, the same contract the in-memory
-parallel scan documents.
+fold, bit for bit.  Tiles and blocks partition the pixel grid, so
+merging per-shard partials in shard order is exact for COUNT
+(integer-valued partials), order-free for MIN/MAX, and bitwise for SUM
+whenever the values are integer-valued; float SUM and AVG reassociate
+within <= 1e-12.
 
 Workers fork over the parent's mmap'd partitions (copy-on-write,
-nothing pickled but the task tuples), and each shard runs a
+nothing pickled but the task tuples), and each tile shard runs a
 :class:`~repro.shard.prefetch.PartitionPrefetcher` so the kernel pages
 in partition *i+1* while partition *i* scatters.  Without ``fork``
 support every entry point degrades to an in-process loop over the
@@ -40,83 +40,17 @@ import time
 
 import numpy as np
 
-from ..core.aggregates import BOUNDABLE_AGGREGATES, COUNT, PartialAggregate
+from ..core.aggregates import (
+    BOUNDABLE_AGGREGATES,
+    COUNT,
+    PartialAggregate,
+    canvas_kinds,
+)
 from ..core.parallel import _even_ranges, _fork_map
 from ..core.tiling import fold_tile_join
 from ..errors import QueryCancelled
 from ..obs.trace import graft, span
 from .prefetch import PartitionPrefetcher
-
-
-def _scan_helpers():
-    """The serial scan's primitives (imported lazily: ``repro.store``
-    imports this module, so a top-level import would be circular)."""
-    from ..store.execute import (
-        _accumulate,
-        _empty_canvases,
-        _project_partition,
-    )
-    return _accumulate, _empty_canvases, _project_partition
-
-
-# -- shard assignment --------------------------------------------------------
-
-
-def assign_shards(dataset, survivors, n_shards: int) -> list[list[int]]:
-    """Split surviving manifest indices into contiguous grid-key shards.
-
-    The writer lays partitions out sorted by grid key, so survivors
-    (manifest order) group into runs of equal spatial cell; a cell's
-    partitions are never split across shards — a shard owns whole
-    cells, which keeps its page touches spatially local.  Cells are
-    packed into ``n_shards`` contiguous chunks balanced by row count
-    (a cell is assigned by its row-midpoint, so assignment is
-    monotonic and shards stay contiguous in manifest order).  Shards
-    may come back empty when fewer cells survive than shards asked
-    for — callers must treat an empty shard as an identity merge.
-    """
-    n_shards = max(1, int(n_shards))
-    if not survivors:
-        return [[] for _ in range(n_shards)]
-    infos = dataset.partitions
-    groups: list[tuple[list[int], int]] = []
-    last_cell = object()
-    for index in survivors:
-        info = infos[index]
-        cell = info.key[0] if info.key else None
-        if groups and cell == last_cell:
-            groups[-1][0].append(index)
-            groups[-1] = (groups[-1][0], groups[-1][1] + info.rows)
-        else:
-            groups.append(([index], info.rows))
-        last_cell = cell
-    total = sum(rows for _, rows in groups)
-    shards: list[list[int]] = [[] for _ in range(n_shards)]
-    if total == 0:
-        for (lo, hi), shard in zip(_even_ranges(len(groups), n_shards),
-                                   shards):
-            for indices, _ in groups[lo:hi]:
-                shard.extend(indices)
-        return shards
-    cum = 0
-    for indices, rows in groups:
-        mid = cum + rows / 2.0
-        slot = min(n_shards - 1, int(mid * n_shards / total))
-        shards[slot].extend(indices)
-        cum += rows
-    return shards
-
-
-def merge_canvases(dst: dict, src: dict, kinds) -> None:
-    """Merge one shard's canvases into the accumulator (in shard
-    order): additive kinds add, min/max reduce elementwise."""
-    for kind in kinds:
-        if kind == "min":
-            np.minimum(dst[kind], src[kind], out=dst[kind])
-        elif kind == "max":
-            np.maximum(dst[kind], src[kind], out=dst[kind])
-        else:
-            dst[kind] += src[kind]
 
 
 def _shard_summary(shards, per_shard, pooled, depth) -> dict:
@@ -132,113 +66,35 @@ def _shard_summary(shards, per_shard, pooled, depth) -> dict:
     }
 
 
-# -- bounded path ------------------------------------------------------------
-
-
-def scatter_gather_canvases(dataset, survivors, query, viewport, kinds,
-                            decision, cancel
-                            ) -> tuple[dict, dict, bool]:
-    """Sharded bounded scan: per-shard canvases merged in shard order.
-
-    Returns ``(canvases, stats, pooled)`` shaped like the serial scan's
-    output plus ``stats["shards"]`` (per-shard timings and prefetch
-    counters).
-    """
-    _accumulate, _empty_canvases, _project_partition = _scan_helpers()
-    shards = assign_shards(dataset, survivors, decision["shards"])
-    depth = int(decision.get("prefetch_depth", 1))
-    infos = dataset.partitions
-    parent_pid = os.getpid()
-
-    def run_shard(shard_id: int, indices: list[int]):
-        if os.getpid() != parent_pid:
-            dataset._after_fork()
-        t0 = time.perf_counter()
-        # Fork children inherit the live trace context copy-on-write, so
-        # this span nests under the parent's scan span — but its appends
-        # land in the child's memory.  The subtree rides home serialized
-        # in the merge payload and the parent grafts it (pooled runs
-        # only; in-process it attached to the live tree directly).
-        with span("shard.scan", shard=shard_id) as sp:
-            prefetcher = PartitionPrefetcher(dataset, indices, depth)
-            canvases = _empty_canvases(kinds, viewport.num_pixels)
-            after_filter = in_viewport = rows = 0
-            for pos, index in enumerate(indices):
-                if cancel is not None and cancel.is_set():
-                    raise QueryCancelled(
-                        "sharded scan cancelled between partitions")
-                prefetcher.advance(pos)
-                table = dataset.partition_table(index)
-                pixel_ids, values, n_filter = _project_partition(
-                    table, query, viewport)
-                after_filter += n_filter
-                in_viewport += len(pixel_ids)
-                rows += infos[index].rows
-                _accumulate(canvases, pixel_ids, values)
-        sp.set(partitions=len(indices), rows=rows, pid=os.getpid())
-        return canvases, {
-            "shard": shard_id, "partitions": len(indices), "rows": rows,
-            "points_after_filter": after_filter,
-            "points_in_viewport": in_viewport,
-            "time_s": time.perf_counter() - t0,
-            "prefetch": prefetcher.stats(),
-            "trace": sp.to_dict(),
-        }
-
-    tasks = [(i, indices) for i, indices in enumerate(shards)]
-    # The parent-side map span covers pool setup + the blocking wait,
-    # so the fork/dispatch cost the child spans cannot see still lands
-    # in the trace as a leaf.
-    with span("shard.map", shards=len(tasks)):
-        results, pooled = _fork_map(run_shard, tasks, len(tasks))
-
-    merged = _empty_canvases(kinds, viewport.num_pixels)
-    per_shard = []
-    after_filter = in_viewport = 0
-    for canvases, shard_stats in results:
-        # The child-process span subtree: graft it under the live span
-        # for pooled runs; in-process it already attached (grafting
-        # would double-count), and either way the payload stays out of
-        # the response stats.
-        payload = shard_stats.pop("trace", None)
-        if pooled:
-            graft(payload)
-        merge_canvases(merged, canvases, kinds)
-        after_filter += shard_stats["points_after_filter"]
-        in_viewport += shard_stats["points_in_viewport"]
-        per_shard.append(shard_stats)
-    stats = {
-        "points_after_filter": after_filter,
-        "points_in_viewport": in_viewport,
-        "shards": _shard_summary(shards, per_shard, pooled, depth),
-    }
-    return merged, stats, pooled
-
-
 # -- tiled path --------------------------------------------------------------
 
 
 def scatter_gather_tiles(dataset, survivors, query, regions, viewport,
                          tiles, kinds, decision, cancel):
-    """Sharded tiled scan: contiguous tile ranges per shard, region
+    """The tiled store scan: contiguous tile ranges per shard, region
     vectors merged in shard order.
 
-    Each shard owns a contiguous slice of the tile list; within its
-    slice it runs exactly the serial per-tile loop (bbox-pruned
-    partition stream, manifest order, unbuffered accumulation) and
-    folds into a private :class:`PartialAggregate` + mass vectors.
-    The parent merges partials shard-by-shard — additive for
-    counts/sums/mass, reduce for min/max — the same association the
-    sharded bounded scan uses.
+    Each shard owns a contiguous slice of the tile list and runs the
+    per-tile loop over it (bbox-pruned partition stream, manifest
+    order, unbuffered accumulation), folding into a private
+    :class:`PartialAggregate` + mass vectors.  The parent merges
+    partials shard-by-shard — additive for counts/sums/mass, reduce
+    for min/max.  A serial ``decision`` is one range over every tile,
+    run in-process: this is the only tile loop the store has.
+
+    ``cancel`` is honored between tiles; fork children cannot observe
+    a parent-set token, so the caller rechecks after a pooled run.
 
     Returns ``(part, mass_in, mass_out, stats, pooled)``.
     """
-    _accumulate, _empty_canvases, _project_partition = _scan_helpers()
+    # Lazy: ``repro.store`` imports this module.
+    from ..store.execute import _accumulate, _empty_canvases
+
     agg = query.agg
     geometries = list(regions.geometries)
     geom_boxes = [g.bbox for g in geometries]
     infos = dataset.partitions
-    n_shards = min(int(decision["shards"]), max(1, len(tiles)))
+    n_shards = int(decision["shards"]) if decision["use"] else 1
     ranges = _even_ranges(len(tiles), n_shards)
     depth = int(decision.get("prefetch_depth", 1))
     parent_pid = os.getpid()
@@ -247,8 +103,11 @@ def scatter_gather_tiles(dataset, survivors, query, regions, viewport,
         if os.getpid() != parent_pid:
             dataset._after_fork()
         t0 = time.perf_counter()
-        # See scatter_gather_canvases.run_shard: the span subtree rides
-        # home serialized in the merge payload for pooled runs.
+        # Fork children inherit the live trace context copy-on-write, so
+        # this span nests under the parent's scan span — but its appends
+        # land in the child's memory.  The subtree rides home serialized
+        # in the merge payload and the parent grafts it (pooled runs
+        # only; in-process it attached to the live tree directly).
         with span("shard.scan", shard=shard_id, tiles=hi - lo) as sp:
             part = PartialAggregate.empty(agg, len(regions))
             mass_in = np.zeros(len(regions))
@@ -258,7 +117,7 @@ def scatter_gather_tiles(dataset, survivors, query, regions, viewport,
             for tile_vp, col0, row0 in tiles[lo:hi]:
                 if cancel is not None and cancel.is_set():
                     raise QueryCancelled(
-                        "sharded tiled scan cancelled between tiles")
+                        "tiled store scan cancelled between tiles")
                 local_ids = [gid for gid, gb in enumerate(geom_boxes)
                              if gb.intersects(tile_vp.bbox)]
                 if not local_ids:
@@ -306,6 +165,9 @@ def scatter_gather_tiles(dataset, survivors, query, regions, viewport,
         }
 
     tasks = [(i, lo, hi) for i, (lo, hi) in enumerate(ranges)]
+    # The parent-side map span covers pool setup + the blocking wait,
+    # so the fork/dispatch cost the child spans cannot see still lands
+    # in the trace as a leaf.
     with span("shard.map", shards=len(tasks)):
         results, pooled = _fork_map(run_shard, tasks, len(tasks))
 
@@ -315,6 +177,9 @@ def scatter_gather_tiles(dataset, survivors, query, regions, viewport,
     per_shard = []
     paged = 0
     for shard_part, shard_in, shard_out, shard_stats in results:
+        # Graft the child-process span subtree for pooled runs; in-process
+        # it already attached (grafting would double-count), and either
+        # way the payload stays out of the response stats.
         payload = shard_stats.pop("trace", None)
         if pooled:
             graft(payload)
@@ -325,8 +190,7 @@ def scatter_gather_tiles(dataset, survivors, query, regions, viewport,
         per_shard.append(shard_stats)
     stats = {
         "partitions_paged": paged,
-        "shards": _shard_summary([r for r in ranges], per_shard, pooled,
-                                 depth),
+        "shards": _shard_summary(ranges, per_shard, pooled, depth),
     }
     return part, mass_in, mass_out, stats, pooled
 
@@ -343,13 +207,8 @@ def _blocks_needing_scatter(ctx, table, query, viewport,
     only when its missing kinds can be served neither from the cache
     nor by a 2x2 reduction of four cached children.
     """
-    from ..core.pyramid import (
-        _ALWAYS_DERIVABLE,
-        block_key,
-        canvas_kinds,
-        grid_block_tiles,
-    )
     from ..core.cache import fingerprint
+    from ..core.pyramid import _ALWAYS_DERIVABLE, block_key, grid_block_tiles
 
     grid = viewport.grid
     level = viewport.level
@@ -407,7 +266,7 @@ def prescatter_blocks(ctx, dataset, table, query, viewport, scatter,
         if os.getpid() != parent_pid:
             dataset._after_fork()
         t0 = time.perf_counter()
-        # See scatter_gather_canvases.run_shard: the span subtree rides
+        # See scatter_gather_tiles.run_shard: the span subtree rides
         # home serialized in the merge payload for pooled runs.
         with span("shard.prescatter", shard=shard_id,
                   blocks=hi - lo) as sp:

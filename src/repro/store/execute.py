@@ -15,10 +15,14 @@ manifest order reproduces the exact floating-point fold of one
 bincount over the concatenated table (COUNT partials are
 integer-valued, hence exact under any fold; MIN/MAX are order-free
 reductions).  Everything downstream of the canvases (gather join,
-boundary-mass bounds) is byte-identical shared code.  The parallel
-scan shards *partitions* across fork workers and merges per-worker
-canvases — exact for COUNT/MIN/MAX, and for SUM/AVG within the usual
-<= 1e-12 reassociation tolerance (bitwise when values are
+boundary-mass bounds) is byte-identical shared code.
+
+The partition scan is a point pass, so it is serial (see
+:mod:`repro.core.parallel`).  Forks survive only where a task
+rasterizes polygons or scatters whole blocks — the tiled path's tile
+ranges and the pyramid path's cold blocks (:mod:`repro.shard`) — and
+their per-shard merges are exact for COUNT/MIN/MAX and within the usual
+<= 1e-12 reassociation tolerance for SUM/AVG (bitwise when values are
 integer-valued).
 
 Three paths, mirroring the in-memory backends:
@@ -29,9 +33,8 @@ Three paths, mirroring the in-memory backends:
   touches the tile, then folded through the *same*
   :func:`~repro.core.tiling.fold_tile_join` the in-memory tiled join
   uses;
-* the parallel scan — engaged by the shared
-  :class:`~repro.core.parallel.ParallelConfig` decision once enough
-  rows survive pruning.
+* ``store-pyramid`` — a grid-snapped viewport assembles from cached
+  canvas blocks and streams partitions only for the uncovered ones.
 """
 
 from __future__ import annotations
@@ -41,34 +44,21 @@ import time
 import numpy as np
 
 from .. import kernels
-from ..core.aggregates import (
-    AVG,
-    BOUNDABLE_AGGREGATES,
-    COUNT,
-    MAX,
-    MIN,
-    SUM,
-    PartialAggregate,
-)
+from ..core.aggregates import BOUNDABLE_AGGREGATES, COUNT, SUM, canvas_kinds
 from ..core.bounded import _join_covered
 from ..core.bounds import (
     boundary_mass_bounds,
     epsilon_for_viewport,
     resolution_for_epsilon,
 )
-from ..core.parallel import _even_ranges, _fork_map
 from ..core.pyramid import GridViewport, assembled_bounded_join
 from ..core.result import AggregationResult
-from ..core.tiling import fold_tile_join, make_tiles
+from ..core.tiling import make_tiles
 from ..errors import QueryCancelled, QueryError
 from ..geometry import BBox
 from ..obs.trace import span
 from ..raster import Viewport
-from ..shard import (
-    prescatter_blocks,
-    scatter_gather_canvases,
-    scatter_gather_tiles,
-)
+from ..shard import prescatter_blocks, scatter_gather_tiles
 from .dataset import Dataset
 from .format import zone_min
 from .pruner import PartitionPruner
@@ -87,23 +77,7 @@ MAX_VIRTUAL_RESOLUTION = 1 << 20
 # -- canvas accumulation -----------------------------------------------------
 
 
-def _canvas_kinds(agg: str, with_mass: bool) -> list[str]:
-    kinds: list[str] = []
-    if agg in (COUNT, AVG):
-        kinds.append("count")
-    if agg in (SUM, AVG):
-        kinds.append("sum")
-    if agg == MIN:
-        kinds.append("min")
-    if agg == MAX:
-        kinds.append("max")
-    if with_mass:
-        kinds.append("mass")
-    return kinds
-
-
-def _empty_canvases(kinds: list[str], num_pixels: int
-                    ) -> dict[str, np.ndarray]:
+def _empty_canvases(kinds, num_pixels: int) -> dict[str, np.ndarray]:
     fills = {"min": np.inf, "max": -np.inf}
     return {kind: np.full(num_pixels, fills.get(kind, 0.0))
             for kind in kinds}
@@ -180,9 +154,9 @@ def _sum_values_nonnegative(dataset: Dataset, survivors: list[int],
 
 
 def _scan_canvases(dataset: Dataset, survivors: list[int], query,
-                   viewport: Viewport, kinds: list[str], cancel
+                   viewport: Viewport, kinds, cancel
                    ) -> tuple[dict[str, np.ndarray], dict]:
-    """Serial partition scan: the bitwise-reference accumulation."""
+    """The partition scan: the bitwise-reference accumulation."""
     canvases = _empty_canvases(kinds, viewport.num_pixels)
     after_filter = in_viewport = 0
     for index in survivors:
@@ -197,49 +171,6 @@ def _scan_canvases(dataset: Dataset, survivors: list[int], query,
     stats = {"points_after_filter": after_filter,
              "points_in_viewport": in_viewport}
     return canvases, stats
-
-
-def _scan_canvases_parallel(dataset: Dataset, survivors: list[int], query,
-                            viewport: Viewport, kinds: list[str],
-                            workers: int, cancel
-                            ) -> tuple[dict[str, np.ndarray], dict, bool]:
-    """Partition-sharded scan across fork workers.
-
-    Workers inherit the dataset copy-on-write and mmap their own
-    shards; per-worker canvases merge in shard order (additive kinds
-    add, min/max reduce).  Fork children cannot observe a parent-set
-    cancel token — the caller rechecks after the pool returns.
-    """
-    def shard(lo: int, hi: int):
-        canvases = _empty_canvases(kinds, viewport.num_pixels)
-        after_filter = in_viewport = 0
-        for index in survivors[lo:hi]:
-            table = dataset.partition_table(index)
-            pixel_ids, values, n_filter = _project_partition(
-                table, query, viewport)
-            after_filter += n_filter
-            in_viewport += len(pixel_ids)
-            _accumulate(canvases, pixel_ids, values)
-        return canvases, after_filter, in_viewport
-
-    ranges = _even_ranges(len(survivors), min(workers, len(survivors)))
-    results, pooled = _fork_map(shard, ranges, workers)
-    merged = _empty_canvases(kinds, viewport.num_pixels)
-    after_filter = in_viewport = 0
-    for canvases, n_filter, n_viewport in results:
-        after_filter += n_filter
-        in_viewport += n_viewport
-        for kind in kinds:
-            if kind == "min":
-                np.minimum(merged[kind], canvases[kind], out=merged[kind])
-            elif kind == "max":
-                np.maximum(merged[kind], canvases[kind], out=merged[kind])
-            else:
-                merged[kind] += canvases[kind]
-    stats = {"points_after_filter": after_filter,
-             "points_in_viewport": in_viewport,
-             "shards": len(ranges)}
-    return merged, stats, pooled
 
 
 # -- entry point -------------------------------------------------------------
@@ -308,12 +239,8 @@ def execute_dataset(ctx, plan, method: str = "auto") -> AggregationResult:
     return result
 
 
-def _plan_payload(ctx, plan, dataset, prune, chosen, method,
-                  resolution, parallel_decision,
-                  shard_decision=None) -> dict:
-    if shard_decision is None:
-        shard_decision = ctx.parallel.decide_shards(
-            len(prune.indices), prune.rows_scanned)
+def _plan_payload(ctx, plan, dataset, prune, chosen, resolution,
+                  shard_decision) -> dict:
     return {
         "inputs": {
             "n_points": len(dataset),
@@ -327,8 +254,9 @@ def _plan_payload(ctx, plan, dataset, prune, chosen, method,
             "rows_scanned": prune.rows_scanned,
         },
         "decision": {"chosen": chosen, "planned": False,
-                     "requested": method},
-        "parallel": parallel_decision,
+                     "requested": plan.method},
+        # Partition scans are point passes (see repro.core.parallel).
+        "parallel": {"use": False, "reason": "point passes run serial"},
         "shards": shard_decision,
         "degraded": None,
     }
@@ -348,35 +276,16 @@ def _execute_bounded(ctx, dataset, pruner, plan,
     nonneg = (agg == SUM and _sum_values_nonnegative(
         dataset, survivors, query.value_column))
     with_mass = agg == SUM and not nonneg
-    kinds = _canvas_kinds(agg, with_mass)
+    kinds = canvas_kinds(agg, with_mass)
 
-    decision = ctx.parallel.decide(prune.rows_scanned)
-    shard_decision = ctx.parallel.decide_shards(len(survivors),
-                                                prune.rows_scanned)
-    plan.decision = _plan_payload(ctx, plan, dataset, prune,
-                                  "store-bounded", plan.method, resolution,
-                                  decision, shard_decision)
+    plan.decision = _plan_payload(
+        ctx, plan, dataset, prune, "store-bounded", resolution,
+        {"use": False, "reason": "the bounded scan is a point pass"})
 
     t_points0 = time.perf_counter()
-    pooled = False
-    with span("store.scan") as sp:
-        if shard_decision["use"]:
-            canvases, scan_stats, pooled = scatter_gather_canvases(
-                dataset, survivors, query, viewport, kinds,
-                shard_decision, plan.cancel)
-            if plan.cancel is not None and plan.cancel.is_set():
-                raise QueryCancelled("store scan cancelled")
-        elif decision["use"] and len(survivors) > 1:
-            canvases, scan_stats, pooled = _scan_canvases_parallel(
-                dataset, survivors, query, viewport, kinds,
-                decision["workers"], plan.cancel)
-            if plan.cancel is not None and plan.cancel.is_set():
-                raise QueryCancelled("store scan cancelled")
-        else:
-            canvases, scan_stats = _scan_canvases(
-                dataset, survivors, query, viewport, kinds, plan.cancel)
-    sp.set(mode="parallel" if pooled else "serial",
-           partitions=len(survivors))
+    with span("store.scan", mode="serial", partitions=len(survivors)):
+        canvases, scan_stats = _scan_canvases(
+            dataset, survivors, query, viewport, kinds, plan.cancel)
     t_points = time.perf_counter() - t_points0
 
     t_join0 = time.perf_counter()
@@ -404,11 +313,7 @@ def _execute_bounded(ctx, dataset, pruner, plan,
         "epsilon_world_units": epsilon_for_viewport(viewport),
         "time_point_pass_s": t_points,
         "time_join_s": t_join,
-        "parallel": {"mode": "parallel" if pooled else "serial",
-                     "pooled": pooled,
-                     "workers": (shard_decision["shards"]
-                                 if shard_decision["use"]
-                                 else decision.get("workers", 1))},
+        "parallel": {"mode": "serial", "pooled": False, "workers": 1},
     }
     return AggregationResult(
         regions=regions, values=estimate,
@@ -494,9 +399,9 @@ def _execute_assembled(ctx, dataset, pruner, plan,
     sp.set(scanned=len(prune.indices), pruned=prune.pruned)
     shard_decision = ctx.parallel.decide_shards(len(prune.indices),
                                                 prune.rows_scanned)
-    plan.decision = _plan_payload(
-        ctx, plan, dataset, prune, "store-pyramid", plan.method, resolution,
-        {"use": False, "reason": "pyramid assembly"}, shard_decision)
+    plan.decision = _plan_payload(ctx, plan, dataset, prune,
+                                  "store-pyramid", resolution,
+                                  shard_decision)
 
     scatter, scanned = _store_block_scatter(dataset, prune.indices, query,
                                             viewport)
@@ -546,101 +451,23 @@ def _execute_tiled(ctx, dataset, pruner, plan, resolution,
         prune = pruner.prune(query.filters, viewport)
     sp.set(scanned=len(prune.indices), pruned=prune.pruned)
     survivors = prune.indices
-    plan.decision = _plan_payload(
-        ctx, plan, dataset, prune, "store-tiled", plan.method, resolution,
-        {"use": False, "reason": "store tiled path scans serially"})
 
     tiles = make_tiles(viewport, tile_pixels)
-    geometries = list(regions.geometries)
-    geom_boxes = [g.bbox for g in geometries]
-    kinds = _canvas_kinds(agg, with_mass=(agg == SUM))
-
+    kinds = canvas_kinds(agg)
     shard_decision = ctx.parallel.decide_shards(len(survivors),
                                                 prune.rows_scanned)
     if shard_decision["use"] and len(tiles) <= 1:
         shard_decision = {**shard_decision, "use": False,
                           "reason": "single tile"}
-    plan.decision["shards"] = shard_decision
-    if shard_decision["use"]:
-        return _finish_tiled(ctx, dataset, plan, prune, resolution,
-                             viewport, tiles, tile_pixels, kinds,
-                             shard_decision)
+    plan.decision = _plan_payload(ctx, plan, dataset, prune, "store-tiled",
+                                  resolution, shard_decision)
 
-    part = PartialAggregate.empty(agg, len(regions))
-    mass_in = np.zeros(len(regions))
-    mass_out = np.zeros(len(regions))
-    partitions_paged = 0
-
+    # One tile loop for both decisions: a serial decision is a single
+    # in-process range, a sharded one fans contiguous tile ranges out
+    # across fork workers and merges region vectors in shard order.
     with span("store.scan", mode="tiled", tiles=len(tiles)):
-        for tile_vp, col0, row0 in tiles:
-            if plan.cancel is not None and plan.cancel.is_set():
-                raise QueryCancelled(
-                    "tiled store scan cancelled between tiles")
-            local_ids = [gid for gid, gb in enumerate(geom_boxes)
-                         if gb.intersects(tile_vp.bbox)]
-            if not local_ids:
-                # The in-memory tiled join also folds nothing here.
-                continue
-            canvases = _empty_canvases(kinds, tile_vp.num_pixels)
-            for index in survivors:
-                info = dataset.partitions[index]
-                if info.bbox is not None and \
-                        not info.bbox.intersects(tile_vp.bbox):
-                    continue
-                partitions_paged += 1
-                table = dataset.partition_table(index)
-                mask = query.filter_mask(table)
-                values = query.values_for(table)
-                x = table.x[mask]
-                y = table.y[mask]
-                if values is not None:
-                    values = values[mask]
-                ix, iy = viewport.pixel_of(x, y)
-                sel = ((ix >= col0) & (ix < col0 + tile_vp.width)
-                       & (iy >= row0) & (iy < row0 + tile_vp.height))
-                local_pix = ((iy[sel] - row0) * tile_vp.width
-                             + (ix[sel] - col0))
-                local_vals = values[sel] if values is not None else None
-                _accumulate(canvases, local_pix, local_vals)
-            mass = None
-            if agg in BOUNDABLE_AGGREGATES:
-                mass = (canvases["count"] if agg == COUNT
-                        else canvases["mass"])
-            fold_tile_join(geometries, local_ids, query, tile_vp, canvases,
-                           mass, part, mass_in, mass_out)
-
-    estimate = part.finalize()
-    lower = upper = None
-    if agg in BOUNDABLE_AGGREGATES:
-        lower = estimate - mass_in
-        upper = estimate + mass_out
-
-    stats = {
-        "store": prune.stats(),
-        "points_total": len(dataset),
-        "tiles": len(tiles),
-        "resolution": resolution,
-        "tile_pixels": tile_pixels,
-        "partitions_paged": partitions_paged,
-        "epsilon_world_units": viewport.pixel_diag,
-        "parallel": {"mode": "serial", "pooled": False, "workers": 1},
-    }
-    return AggregationResult(
-        regions=regions, values=estimate,
-        method="store-tiled-bounded-raster-join",
-        lower=lower, upper=upper, exact=False, stats=stats)
-
-
-def _finish_tiled(ctx, dataset, plan, prune, resolution, viewport, tiles,
-                  tile_pixels, kinds, shard_decision) -> AggregationResult:
-    """The tiled path's sharded finish: contiguous tile ranges fan out
-    across fork workers and the per-shard region vectors merge in
-    shard order (see :func:`repro.shard.scatter_gather_tiles`)."""
-    regions, query = plan.regions, plan.query
-    agg = query.agg
-    with span("store.scan", mode="sharded-tiled", tiles=len(tiles)):
         part, mass_in, mass_out, scan_stats, pooled = scatter_gather_tiles(
-            dataset, prune.indices, query, regions, viewport, tiles, kinds,
+            dataset, survivors, query, regions, viewport, tiles, kinds,
             shard_decision, plan.cancel)
     if plan.cancel is not None and plan.cancel.is_set():
         raise QueryCancelled("tiled store scan cancelled")
@@ -649,6 +476,7 @@ def _finish_tiled(ctx, dataset, plan, prune, resolution, viewport, tiles,
     if agg in BOUNDABLE_AGGREGATES:
         lower = estimate - mass_in
         upper = estimate + mass_out
+
     stats = {
         "store": prune.stats(),
         "points_total": len(dataset),
@@ -656,12 +484,13 @@ def _finish_tiled(ctx, dataset, plan, prune, resolution, viewport, tiles,
         "resolution": resolution,
         "tile_pixels": tile_pixels,
         "partitions_paged": scan_stats["partitions_paged"],
-        "shards": scan_stats["shards"],
         "epsilon_world_units": viewport.pixel_diag,
         "parallel": {"mode": "parallel" if pooled else "serial",
                      "pooled": pooled,
-                     "workers": shard_decision["shards"]},
+                     "workers": scan_stats["shards"]["count"]},
     }
+    if shard_decision["use"]:
+        stats["shards"] = scan_stats["shards"]
     return AggregationResult(
         regions=regions, values=estimate,
         method="store-tiled-bounded-raster-join",

@@ -79,8 +79,6 @@ class PointStream:
         # Running (region, bucket) counts; grown as time advances.
         self._matrix = np.zeros((len(regions), 0), dtype=np.float64)
         self._append_seconds = 0.0
-        self._parallel = parallel or (context.parallel if context
-                                      is not None else ParallelConfig())
         # Temporal canvas cubes kept live across appends, keyed by value
         # column (None = count-only).  Event-log order means new points
         # only ever land in the tail bucket onward, so each batch is an
@@ -278,7 +276,7 @@ class PointStream:
             cube = build_temporal_canvas_cube(
                 self.table(), self.viewport, self.time_column,
                 self.bucket_seconds, value_column=value_column,
-                origin=self._origin, config=self._parallel)
+                origin=self._origin)
             self._tcubes[value_column] = cube
         return cube
 

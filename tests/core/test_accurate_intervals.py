@@ -29,7 +29,6 @@ from repro.core import (
     legacy_accurate_raster_join,
 )
 from repro.core.accurate import CELL_EMPTY, CELL_FULL, CELL_PARTIAL, _cell_classes
-from repro.core.parallel import ParallelConfig, parallel_accurate_raster_join
 from repro.geometry import BBox, Polygon
 from repro.kernels import numpy_impl
 from repro.raster import Viewport, build_fragment_table
@@ -216,19 +215,6 @@ class TestBitwiseParity:
         assert _bits(got.values) == _bits(ref.values)
         assert got.exact and ref.exact
 
-    @pytest.mark.parametrize("query", AGGREGATES, ids=AGG_IDS)
-    def test_parallel_accurate_matches_legacy_bitwise(self, setup, query):
-        table, regions, vp, fragments = setup
-        config = ParallelConfig(workers=2, chunk_size=8_192,
-                                serial_threshold=1)
-        got = parallel_accurate_raster_join(table, regions, query, vp,
-                                            fragments=fragments,
-                                            config=config)
-        ref = legacy_accurate_raster_join(table, regions, query, vp,
-                                          fragments=fragments)
-        assert _bits(got.values) == _bits(ref.values)
-        assert got.stats["parallel"]["mode"] == "parallel"
-
     def test_store_backed_bounded_bitwise(self, simple_regions, tmp_path):
         """The kernel-dispatched store scatter keeps the out-of-core
         bounded path bitwise equal to in-memory (COUNT and an
@@ -282,14 +268,3 @@ class TestCounters:
         assert acc["pip_points_tested"] < len(table)
         assert (acc["pip_points_tested"] + acc["pip_points_skipped"]
                 <= len(table))
-
-    def test_parallel_stats_counters(self, simple_regions):
-        table = _table(seed=11)
-        vp = Viewport.fit(simple_regions.bbox, 128)
-        serial = accurate_raster_join(table, simple_regions,
-                                      SpatialAggregation.count(), vp)
-        par = parallel_accurate_raster_join(
-            table, simple_regions, SpatialAggregation.count(), vp,
-            config=ParallelConfig(workers=2, chunk_size=8_192,
-                                  serial_threshold=1))
-        assert par.stats["accurate"] == serial.stats["accurate"]

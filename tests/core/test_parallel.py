@@ -1,11 +1,13 @@
-"""Parallel/serial equivalence for the multi-process execution layer.
+"""Fork/serial equivalence for what still forks, and the serial rule.
 
-The parallel joins must be drop-in replacements: bitwise-equal results
-for COUNT and SUM (the test data uses integer-valued measures, so float
-addition is exact in any merge order), tolerance-equal for AVG/MIN/MAX.
-The suite covers all five aggregates, with and without filters, plus
-the empty-chunk, empty-table, and single-worker edge cases, and the
-planner's serial-fallback threshold.
+Point passes run serial: a multi-worker config must leave the bounded
+join (and its deprecated ``parallel_bounded_raster_join`` alias), the
+accurate join and the grid index join the serial code.  The two
+in-memory fork sites — the sharded fragment build and the tiled join's
+tile ranges — must be drop-in replacements: bitwise-equal for COUNT and
+SUM (the test data uses integer-valued measures, so float addition is
+exact in any merge order), tolerance-equal for AVG/MIN/MAX.
+``tests/core/test_fork_sites.py`` counts the pools.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines.grid_join import grid_index_join
 from repro.core import (
     AVG,
     COUNT,
@@ -24,24 +27,19 @@ from repro.core import (
     SpatialAggregationEngine,
     accurate_raster_join,
     bounded_raster_join,
-    parallel_accurate_raster_join,
     parallel_bounded_raster_join,
     parallel_build_fragment_table,
-    parallel_index_join,
     tiled_bounded_raster_join,
 )
 from repro.core.parallel import ParallelConfig as PC
-from repro.core.parallel import parallel_point_pass
-from repro.index import PointGridIndex
 from repro.raster import Viewport, build_fragment_table
 from repro.table import F, PointTable
 
 AGGREGATES = (COUNT, SUM, AVG, MIN, MAX)
 
-#: Forces the multi-process path even on tiny test inputs.
+#: Forces every surviving fork decision even on tiny test inputs.
 SMALL_CHUNKS = ParallelConfig(workers=3, chunk_size=400,
-                              serial_threshold=100, region_threshold=2,
-                              fragment_threshold=1)
+                              serial_threshold=100, region_threshold=2)
 
 
 def _table(n: int, seed: int = 3) -> PointTable:
@@ -92,6 +90,8 @@ def fragments(simple_regions, viewport):
 
 
 class TestBoundedEquivalence:
+    """The deprecated alias ignores its config and is the serial join."""
+
     @pytest.mark.parametrize("agg", AGGREGATES)
     @pytest.mark.parametrize("filtered", [False, True])
     def test_matches_serial(self, agg, filtered, table, simple_regions,
@@ -107,7 +107,6 @@ class TestBoundedEquivalence:
             np.testing.assert_array_equal(parallel.lower, serial.lower)
             np.testing.assert_array_equal(parallel.upper, serial.upper)
         assert parallel.method == serial.method
-        assert parallel.stats["parallel"]["point_pass"]["pooled"]
 
     def test_single_worker_runs_in_process(self, table, simple_regions,
                                            viewport, fragments):
@@ -119,7 +118,6 @@ class TestBoundedEquivalence:
             table, simple_regions, SpatialAggregation.count(), viewport,
             fragments=fragments, config=config)
         np.testing.assert_array_equal(parallel.values, serial.values)
-        assert not parallel.stats["parallel"]["point_pass"]["pooled"]
 
     def test_empty_table(self, simple_regions, viewport, fragments):
         empty = _table(0)
@@ -150,7 +148,15 @@ class TestBoundedEquivalence:
         np.testing.assert_array_equal(parallel.values, serial.values)
 
 
+def _eager_engine() -> SpatialAggregationEngine:
+    return SpatialAggregationEngine(default_resolution=256,
+                                    parallel=SMALL_CHUNKS)
+
+
 class TestAccurateEquivalence:
+    """Under a config that says yes to every fork decision, the accurate
+    backend still answers with the serial join's bits."""
+
     @pytest.mark.parametrize("agg", AGGREGATES)
     @pytest.mark.parametrize("filtered", [False, True])
     def test_matches_serial(self, agg, filtered, table, simple_regions,
@@ -158,15 +164,30 @@ class TestAccurateEquivalence:
         query = _query(agg, filtered)
         serial = accurate_raster_join(table, simple_regions, query,
                                       viewport, fragments=fragments)
-        parallel = parallel_accurate_raster_join(
-            table, simple_regions, query, viewport, fragments=fragments,
-            config=SMALL_CHUNKS)
-        # Same (point, region) decisions, only distributed — exact for
-        # every aggregate with integer-valued data.
-        _assert_equivalent(agg, serial.values, parallel.values)
-        assert parallel.exact
-        assert (parallel.stats["boundary_points_tested"]
+        got = _eager_engine().execute(table, simple_regions, query,
+                                      method="accurate", viewport=viewport)
+        np.testing.assert_array_equal(got.values, serial.values)
+        assert got.exact
+        assert got.stats["parallel"]["mode"] == "serial"
+        assert (got.stats["boundary_points_tested"]
                 == serial.stats["boundary_points_tested"])
+
+
+class TestIndexJoinEquivalence:
+    """Likewise the grid index join."""
+
+    @pytest.mark.parametrize("agg", AGGREGATES)
+    def test_matches_serial(self, agg, table, simple_regions):
+        query = _query(agg, filtered=True)
+        engine = _eager_engine()
+        serial = grid_index_join(table, simple_regions, query,
+                                 index=engine.ctx.grid_index(table))
+        got = engine.execute(table, simple_regions, query, method="grid")
+        np.testing.assert_array_equal(got.values, serial.values)
+        assert got.method == serial.method
+        assert got.stats["parallel"]["mode"] == "serial"
+        assert (got.stats["candidates_tested"]
+                == serial.stats["candidates_tested"])
 
 
 class TestTiledEquivalence:
@@ -184,23 +205,6 @@ class TestTiledEquivalence:
                                        rtol=1e-12)
             np.testing.assert_allclose(parallel.upper, serial.upper,
                                        rtol=1e-12)
-
-
-class TestIndexJoinEquivalence:
-    @pytest.mark.parametrize("agg", AGGREGATES)
-    def test_matches_serial(self, agg, table, simple_regions):
-        from repro.baselines.grid_join import grid_index_join
-
-        query = _query(agg, filtered=True)
-        index = PointGridIndex(table.x, table.y, table.bbox, nx=32, ny=32)
-        serial = grid_index_join(table, simple_regions, query, index=index)
-        parallel = parallel_index_join(table, simple_regions, query, index,
-                                       SMALL_CHUNKS,
-                                       method="grid-index-join")
-        _assert_equivalent(agg, serial.values, parallel.values)
-        assert parallel.method == serial.method
-        assert (parallel.stats["candidates_tested"]
-                == serial.stats["candidates_tested"])
 
 
 class TestFragmentStitching:
@@ -225,19 +229,6 @@ class TestFragmentStitching:
         assert fragments.covered_pixels is fragments.covered_pixels
 
 
-class TestPointPassStats:
-    def test_per_worker_timings_recorded(self, table, simple_regions,
-                                         viewport):
-        canvases, stats = parallel_point_pass(
-            table, SpatialAggregation.count(), viewport, SMALL_CHUNKS)
-        assert stats["pooled"]
-        assert stats["chunks"] > 1
-        assert len(stats["per_worker"]) == stats["chunks"]
-        assert all(w["time_s"] >= 0 for w in stats["per_worker"])
-        assert sum(w["rows"] for w in stats["per_worker"]) == len(table)
-        assert canvases["count"].sum() == stats["points_in_viewport"]
-
-
 class TestConfigDecisions:
     def test_below_threshold_is_serial(self):
         config = PC(workers=4, serial_threshold=1_000)
@@ -255,15 +246,6 @@ class TestConfigDecisions:
         config = PC(workers=1, serial_threshold=10)
         assert not config.decide(10_000_000)["use"]
 
-    def test_point_cost_serial_below_threshold(self):
-        config = PC(workers=4, serial_threshold=1_000)
-        assert config.point_cost(500) == 500.0
-
-    def test_point_cost_parallel_above_threshold(self):
-        config = PC(workers=4, chunk_size=1_000, serial_threshold=1_000)
-        n = 4_000_000
-        assert config.point_cost(n) < n
-
 
 class TestEngineIntegration:
     def test_workers_kwarg_threads_through(self, simple_regions):
@@ -272,11 +254,12 @@ class TestEngineIntegration:
         result = engine.execute(_table(500), simple_regions,
                                 SpatialAggregation.count(),
                                 method="bounded")
-        # Small input: the backend must record a serial decision.
         assert result.stats["parallel"]["mode"] == "serial"
         assert result.stats["plan"]["parallel"]["use"] is False
 
     def test_engine_parallel_run_matches_serial(self, simple_regions):
+        """A config that used to fork the point pass now runs it
+        serial — same bits, and the stats say so."""
         table = _table(6_000)
         parallel_engine = SpatialAggregationEngine(
             default_resolution=128,
@@ -290,5 +273,5 @@ class TestEngineIntegration:
         rs = serial_engine.execute(table, simple_regions, query,
                                    method="bounded")
         np.testing.assert_array_equal(rp.values, rs.values)
-        assert rp.stats["parallel"]["mode"] == "parallel"
-        assert rp.stats["plan"]["parallel"]["use"] is True
+        assert rp.stats["parallel"]["mode"] == "serial"
+        assert rp.stats["plan"]["parallel"]["use"] is False

@@ -125,8 +125,9 @@ class TestPlanRecording:
 
 
 class TestParallelDecision:
-    """``method="auto"`` records the serial/parallel decision and never
-    pays fork overhead below the documented small-input threshold."""
+    """``method="auto"`` records the fork decision: point passes are
+    pinned serial, and the tiled backend (per-tile polygon
+    rasterization) forks only above the documented threshold."""
 
     def test_small_input_decides_serial(self, simple_regions):
         from repro.core import ParallelConfig
@@ -139,7 +140,7 @@ class TestParallelDecision:
         decision = r.stats["plan"]["parallel"]
         assert decision["use"] is False
         assert decision["threshold"] == 10_000
-        assert "below serial threshold" in decision["reason"]
+        assert "not parallelizable" in decision["reason"]
         assert r.stats["parallel"]["mode"] == "serial"
 
     def test_default_threshold_is_documented_constant(self, simple_regions,
@@ -155,16 +156,21 @@ class TestParallelDecision:
         from repro.core import ParallelConfig
 
         engine = SpatialAggregationEngine(
-            default_resolution=256,
+            default_resolution=256, max_canvas_resolution=1_024,
             parallel=ParallelConfig(workers=4, chunk_size=5_000,
                                     serial_threshold=20_000))
+        # Over the canvas cap: tiled, whose tile ranges fork.
         r = engine.execute(small_table, simple_regions,
-                          SpatialAggregation.count(), epsilon=5.0)
-        assert r.stats["plan"]["decision"]["chosen"] == "bounded"
-        decision = r.stats["plan"]["parallel"]
-        assert decision["use"] is True
+                           SpatialAggregation.count(), resolution=2_048)
+        assert r.stats["plan"]["decision"]["chosen"] == "tiled"
+        assert r.stats["plan"]["parallel"]["use"] is True
         assert r.stats["parallel"]["mode"] == "parallel"
-        assert r.stats["parallel"]["point_pass"]["workers"] > 1
+        # Same input on one canvas: bounded, a point pass — serial.
+        r = engine.execute(small_table, simple_regions,
+                           SpatialAggregation.count(), epsilon=5.0)
+        assert r.stats["plan"]["decision"]["chosen"] == "bounded"
+        assert r.stats["plan"]["parallel"]["use"] is False
+        assert r.stats["parallel"]["mode"] == "serial"
 
     def test_non_parallelizable_backend_pinned_serial(self, simple_regions,
                                                       engine):

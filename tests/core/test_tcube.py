@@ -182,18 +182,25 @@ class TestBuildAndAnswer:
         q_min = brush_query("min", "fare", T0, T0 + HOUR)
         assert not cube.can_answer(q_min, cube.viewport)
 
-    def test_parallel_build_bitwise_identical(self, cube_table, viewport,
-                                              cube):
-        from repro.core import ParallelConfig
-
-        forced = build_temporal_canvas_cube(
-            cube_table, viewport, "t", HOUR, value_column="fare",
-            config=ParallelConfig(workers=4, serial_threshold=1))
-        for kind in cube.prefix:
-            np.testing.assert_array_equal(forced.prefix[kind],
-                                          cube.prefix[kind])
-        np.testing.assert_array_equal(forced.active_pixels,
-                                      cube.active_pixels)
+    def test_build_matches_per_bucket_reference(self, cube_table, viewport,
+                                                cube):
+        """The one-bincount build against the obvious loop: one bincount
+        per time bucket, cumsum'd — bitwise, since each (bucket, pixel)
+        cell folds its points in table order either way."""
+        pixel_ids, valid = viewport.pixel_ids_of(cube_table.x, cube_table.y)
+        cols = np.searchsorted(cube.active_pixels, pixel_ids[valid])
+        buckets = (cube_table.column("t").values[valid] - T0) // HOUR
+        fare = cube_table.column("fare").values[valid]
+        width = len(cube.active_pixels)
+        for kind, weights in (("count", None), ("sum", fare)):
+            plane = np.zeros((SPAN_HOURS + 1, width))
+            for b in range(SPAN_HOURS):
+                rows = buckets == b
+                plane[b + 1] = plane[b] + np.bincount(
+                    cols[rows],
+                    weights=None if weights is None else weights[rows],
+                    minlength=width)
+            np.testing.assert_array_equal(cube.prefix[kind], plane)
 
     def test_empty_table_cube(self, simple_regions, viewport, fragments):
         empty = PointTable.from_arrays(

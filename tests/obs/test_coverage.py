@@ -1,6 +1,6 @@
-"""Instrumentation completeness: a store-backed sharded traced query
-must explain >=90% of its wall time, grafted child-process spans
-included."""
+"""Instrumentation completeness: a cold grid-viewport store query —
+the store path that still forks, through ``prescatter_blocks`` — must
+explain >=90% of its wall time, grafted child-process spans included."""
 
 from __future__ import annotations
 
@@ -37,34 +37,36 @@ def test_sharded_store_trace_covers_wall_time(traced_store, simple_regions):
         default_resolution=256,
         parallel=ParallelConfig(shards=2, prefetch_depth=1,
                                 serial_threshold=100))
-    # Warm one-time costs (partition mounts, canvas grids) so the
-    # traced query measures steady-state execution; a different filter
-    # keeps it a cache miss.
+    gv = engine.plan_grid_viewport(simple_regions, 256)
+    # Warm one-time costs (partition mounts, fragments, canvas grids) so
+    # the traced query measures steady-state execution; a different
+    # filter keeps its blocks cold, so they pre-scatter across shards.
     engine.execute(traced_store, simple_regions,
-                   SpatialAggregation.count(F("fare") > 90))
+                   SpatialAggregation.count(F("fare") > 90), viewport=gv)
 
     root = Tracer().start("query")
     with root:
         result = engine.execute(traced_store, simple_regions,
-                                SpatialAggregation.count(F("fare") > 5))
+                                SpatialAggregation.count(F("fare") > 5),
+                                viewport=gv)
     tree = root.to_dict()
 
     nodes = _walk(tree, [])
     names = {n["name"] for n in nodes}
     assert "store.execute" in names
     assert "store.prune" in names
-    assert "store.scan" in names
     assert "shard.map" in names
+    assert "pyramid.assemble" in names
 
-    shard_spans = [n for n in nodes if n["name"] == "shard.scan"]
-    pooled = (result.stats.get("shards") or {}).get("pooled")
-    if pooled:
+    shard_spans = [n for n in nodes if n["name"] == "shard.prescatter"]
+    assert result.stats["shards"]["blocks_prescattered"] > 0
+    if result.stats["shards"]["pooled"]:
         # Grafted child-process subtrees: one per shard, each recorded
         # in a different worker process.
         pids = {n["attrs"].get("pid") for n in shard_spans}
         assert len(shard_spans) >= 2
         assert os.getpid() not in pids
-    assert shard_spans, "shard scans must appear in the trace"
+    assert shard_spans, "shard scatters must appear in the trace"
 
     coverage = leaf_coverage(tree)
     assert coverage >= 0.9, f"coverage {coverage:.2f}\n{render(tree)}"
@@ -77,11 +79,41 @@ def test_untraced_query_records_nothing(traced_store, simple_regions):
         default_resolution=256,
         parallel=ParallelConfig(shards=2, prefetch_depth=1,
                                 serial_threshold=100))
-    result = engine.execute(traced_store, simple_regions,
-                            SpatialAggregation.count(F("fare") > 40))
+    result = engine.execute(
+        traced_store, simple_regions,
+        SpatialAggregation.count(F("fare") > 40),
+        viewport=engine.plan_grid_viewport(simple_regions, 256))
     assert current_span() is None
     # No trace payload leaks into untraced response stats.
     assert "trace" not in result.stats
-    shards = result.stats.get("shards") or {}
-    for shard in shards.get("per_shard", []):
+    for shard in result.stats["shards"]["per_shard"]:
         assert "trace" not in shard
+
+
+def test_cold_bounded_query_charges_build_to_fragments_span(simple_regions):
+    """The ``fragments`` span wraps the polygon pass itself (inside
+    ``ExecutionContext.fragments_for``), so a cold query's build is not
+    ``backend.run`` self time."""
+    engine = SpatialAggregationEngine(default_resolution=512)
+    table = make_store_table(5_000, seed=3)
+    root = Tracer().start("query")
+    with root:
+        engine.execute(table, simple_regions, SpatialAggregation.count(),
+                       method="bounded")
+    nodes = _walk(root.to_dict(), [])
+    run = next(n for n in nodes if n["name"] == "backend.run")
+    fragments = [n for n in run["children"] if n["name"] == "fragments"]
+    assert len(fragments) == 1
+    assert fragments[0]["attrs"] == {
+        "regions": len(simple_regions),
+        "pixels": engine.plan_viewport(simple_regions, 512, None).num_pixels,
+        "pooled": False}
+    self_s = run["wall_s"] - sum(c["wall_s"] for c in run["children"])
+    assert fragments[0]["wall_s"] > self_s, render(root)
+
+    # Warm: the table comes from the cache and no span is opened.
+    root = Tracer().start("query")
+    with root:
+        engine.execute(table, simple_regions, SpatialAggregation.count(),
+                       method="bounded")
+    assert "fragments" not in {n["name"] for n in _walk(root.to_dict(), [])}

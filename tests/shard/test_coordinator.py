@@ -1,72 +1,11 @@
-"""Shard coordinator unit coverage: assignment, decisions, prefetch."""
+"""Shard coordinator unit coverage: decisions, prefetch."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core import ParallelConfig
-from repro.core.parallel import FORK_OVERHEAD_UNITS
-from repro.shard import PartitionPrefetcher, assign_shards, merge_canvases
-
-
-class TestAssignShards:
-    def test_covers_every_survivor_exactly_once(self, shard_store):
-        survivors = list(range(shard_store.num_partitions))
-        shards = assign_shards(shard_store, survivors, 4)
-        flat = [i for shard in shards for i in shard]
-        assert sorted(flat) == survivors
-
-    def test_manifest_order_within_and_across_shards(self, shard_store):
-        survivors = list(range(shard_store.num_partitions))
-        shards = assign_shards(shard_store, survivors, 3)
-        flat = [i for shard in shards for i in shard]
-        # Contiguous split: concatenating shards reproduces manifest
-        # order, which is what makes shard-order merges a refold of
-        # the serial accumulation.
-        assert flat == survivors
-        for shard in shards:
-            assert shard == sorted(shard)
-
-    def test_grid_cells_never_split(self, shard_store):
-        survivors = list(range(shard_store.num_partitions))
-        shards = assign_shards(shard_store, survivors, 5)
-        owner = {}
-        for shard_id, shard in enumerate(shards):
-            for index in shard:
-                cell = shard_store.partitions[index].key[0]
-                owner.setdefault(cell, shard_id)
-                assert owner[cell] == shard_id, \
-                    f"grid cell {cell} split across shards"
-
-    def test_more_shards_than_partitions_leaves_empties(self, shard_store):
-        survivors = [0, 1]
-        shards = assign_shards(shard_store, survivors, 8)
-        assert len(shards) == 8
-        flat = [i for shard in shards for i in shard]
-        assert sorted(flat) == survivors
-
-    def test_empty_survivors(self, shard_store):
-        shards = assign_shards(shard_store, [], 4)
-        assert len(shards) == 4
-        assert all(shard == [] for shard in shards)
-
-    def test_single_partition(self, shard_store):
-        shards = assign_shards(shard_store, [3], 4)
-        flat = [i for shard in shards for i in shard]
-        assert flat == [3]
-
-    def test_rows_roughly_balanced(self, shard_store):
-        survivors = list(range(shard_store.num_partitions))
-        shards = assign_shards(shard_store, survivors, 4)
-        rows = [sum(shard_store.partitions[i].rows for i in shard)
-                for shard in shards]
-        total = sum(rows)
-        assert total == len(shard_store)
-        # Whole-cell assignment caps skew at one cell's rows; with a
-        # 4x4 grid each shard should land in the same ballpark.
-        assert max(rows) <= total  # sanity
-        assert min(rows) > 0
+from repro.shard import PartitionPrefetcher
 
 
 class TestDecideShards:
@@ -106,14 +45,6 @@ class TestDecideShards:
         assert cfg2.resolve_shards() == 2
         assert cfg2.prefetch_depth == 5
 
-    def test_shard_cost_prices_fork_overhead(self):
-        cfg = ParallelConfig(shards=4, serial_threshold=100)
-        rows = 1_000_000
-        cost = cfg.shard_cost(8, rows)
-        assert cost == rows / 4 + FORK_OVERHEAD_UNITS * 4
-        serial = ParallelConfig(shards=1).shard_cost(8, rows)
-        assert serial == float(rows)
-
 
 class TestPrefetcher:
     def test_advises_ahead_of_scan(self, shard_store):
@@ -147,18 +78,3 @@ class TestPrefetcher:
         stats = prefetcher.stats()
         assert stats["advised"] == stats["issued"] == 1
         assert stats["hit_fraction"] == 1.0
-
-
-class TestMergeCanvases:
-    def test_min_max_reduce_additive_add(self):
-        kinds = ["count", "sum", "min", "max"]
-        dst = {"count": np.array([1.0, 0.0]), "sum": np.array([5.0, 0.0]),
-               "min": np.array([2.0, np.inf]),
-               "max": np.array([2.0, -np.inf])}
-        src = {"count": np.array([2.0, 1.0]), "sum": np.array([1.0, 3.0]),
-               "min": np.array([4.0, 1.0]), "max": np.array([4.0, 1.0])}
-        merge_canvases(dst, src, kinds)
-        assert dst["count"].tolist() == [3.0, 1.0]
-        assert dst["sum"].tolist() == [6.0, 3.0]
-        assert dst["min"].tolist() == [2.0, 1.0]
-        assert dst["max"].tolist() == [4.0, 1.0]

@@ -4,9 +4,10 @@ The acceptance contract of the coordinator: for COUNT/SUM/MIN/MAX the
 per-shard merge is *bitwise* equal to single-process execution (the
 store fixture's value column is integer-valued, the documented regime
 where sharded SUM folds stay exact), AVG within 1e-12 — across the
-bounded, tiled, and pyramid store paths, including the degenerate
-shapes: empty shards, a single partition, and queries that prune
-everything.
+tiled and pyramid store paths.  The bounded scan is a point pass: a
+sharded config must leave it serial and bit-identical, including the
+degenerate shapes (more shards than partitions, a single partition,
+queries that prune everything).
 """
 
 from __future__ import annotations
@@ -50,8 +51,10 @@ class TestBoundedParity:
         assert want.stats["plan"]["shards"]["use"] is False
         got = sharded_engine(shards).execute(shard_store, simple_regions,
                                              query, resolution=256)
-        assert got.stats["plan"]["shards"]["use"] is True
-        assert got.stats["shards"]["count"] >= 1
+        # A point pass: no shard count makes the bounded scan fork.
+        assert got.stats["plan"]["shards"]["use"] is False
+        assert "shards" not in got.stats
+        assert got.stats["parallel"]["mode"] == "serial"
         assert_match(got, want, agg)
 
     def test_avg_within_tolerance(self, shard_store, simple_regions,
@@ -75,8 +78,8 @@ class TestBoundedParity:
 
     def test_prune_everything(self, shard_store, simple_regions,
                               serial_engine):
-        """Zone maps kill every partition: zero survivors, zero shards
-        of work — and identical all-empty answers."""
+        """Zone maps kill every partition: zero survivors — and
+        identical all-empty answers."""
         query = SpatialAggregation(
             "count", None, (Comparison("fare", ">", 1e9),))
         want = serial_engine.execute(shard_store, simple_regions, query,
@@ -88,19 +91,21 @@ class TestBoundedParity:
 
     def test_more_shards_than_partitions(self, shard_store, simple_regions,
                                          serial_engine):
-        """Empty shards merge as identities."""
+        """Shard counts clamp to the tile count on the tiled path."""
         query = SpatialAggregation("sum", "fare")
         want = serial_engine.execute(shard_store, simple_regions, query,
-                                     resolution=256)
+                                     method="tiled", resolution=2_048)
         got = sharded_engine(64).execute(shard_store, simple_regions,
-                                         query, resolution=256)
+                                         query, method="tiled",
+                                         resolution=2_048)
+        assert got.stats["shards"]["count"] == got.stats["tiles"]
         assert_match(got, want, "sum")
 
     def test_prefetch_stats_surface(self, shard_store, simple_regions):
         engine = sharded_engine(2, prefetch_depth=2)
         result = engine.execute(shard_store, simple_regions,
                                 SpatialAggregation.count(),
-                                resolution=256)
+                                method="tiled", resolution=2_048)
         shards = result.stats["shards"]
         assert shards["prefetch_depth"] == 2
         assert shards["prefetch_issued"] > 0
@@ -122,14 +127,17 @@ class TestSinglePartition:
                                       simple_regions, serial_engine):
         query = SpatialAggregation("sum", "fare")
         want = serial_engine.execute(one_partition_store, simple_regions,
-                                     query, resolution=256)
+                                     query, method="tiled",
+                                     resolution=2_048)
         got = sharded_engine(4).execute(one_partition_store,
                                         simple_regions, query,
-                                        resolution=256)
+                                        method="tiled", resolution=2_048)
         # One partition cannot shard; the decision says so and the
-        # serial path answers.
+        # single in-process tile range answers.
         decision = got.stats["plan"]["shards"]
         assert decision["use"] is False
+        assert "surviving partition" in decision["reason"]
+        assert got.stats["parallel"]["mode"] == "serial"
         assert_match(got, want, "sum")
 
 
