@@ -59,7 +59,6 @@ from .parallel import (
     PARALLEL_POINT_THRESHOLD,
     ParallelConfig,
     parallel_bounded_raster_join,
-    parallel_build_fragment_table,
 )
 from .pyramid import (
     DEFAULT_BLOCK,
@@ -141,7 +140,6 @@ __all__ = [
     "iter_tiled_partials",
     "make_tiles",
     "parallel_bounded_raster_join",
-    "parallel_build_fragment_table",
     "parse_query",
     "pixel_region_labels",
     "region_histograms",

@@ -19,7 +19,7 @@ from ..raster import FragmentTable, Viewport, build_fragment_table
 from ..table import PointTable
 from .bounds import resolution_for_epsilon
 from .cache import QueryCache, fingerprint
-from .parallel import ParallelConfig, parallel_build_fragment_table
+from .parallel import ParallelConfig
 from .regions import RegionSet
 
 DEFAULT_RESOLUTION = 512
@@ -102,15 +102,10 @@ class ExecutionContext:
             # opens nothing, and a cold query's polygon pass is charged
             # to ``fragments`` rather than to ``backend.run`` self time.
             with span("fragments") as sp:
-                build_stats = {"pooled": False}
-                if self.parallel.decide_regions(len(geometries))["use"]:
-                    table = parallel_build_fragment_table(
-                        geometries, viewport, self.parallel,
-                        stats_out=build_stats)
-                else:
-                    table = build_fragment_table(geometries, viewport)
+                table = build_fragment_table(geometries, viewport)
             sp.set(regions=len(geometries), pixels=viewport.num_pixels,
-                   pooled=build_stats["pooled"])
+                   runs=(table.intervals.num_full_runs
+                         + table.intervals.num_partial_runs))
             return table
 
         return self.cache.get_or_build(key, build)

@@ -1,4 +1,4 @@
-"""Process parallelism — only around polygon rasterization.
+"""Process parallelism — only around per-tile / per-block rasterization.
 
 **Point passes are serial.**  The raster join's point pass is one blend
 of the points onto a canvas: a memory-bound NumPy pass of a few
@@ -8,27 +8,26 @@ every workload it was measured on (``docs/raster_join.md`` §8 has the
 table), so no point pass, index join, cube build or store partition
 scan forks: they are the serial code, unconditionally.
 
-What a fork does pay for is pure-Python polygon rasterization, where
-each task is hundreds of milliseconds of scanline work.  This module
-keeps what those sites share:
+**So is the polygon pass of one viewport.**  The batched sweep in
+:mod:`repro.raster.fragments` builds a whole region set's fragment
+table in 3-30 ms — less than a pool costs to start — so
+:meth:`ExecutionContext.fragments_for` calls it directly.
+
+What still forks is work that repeats that pass many times: one
+rasterization per canvas tile or per pyramid block.  This module keeps
+what those sites share:
 
 * :func:`_fork_map` — run a task closure over a ``fork`` pool.  Inputs
   reach workers copy-on-write (nothing is pickled but tiny task tuples
   and per-task results); without ``fork`` support, with one worker or
   with one task, the same tasks run in-process, so results are
-  identical and the test matrix stays portable.  It has exactly four
-  callers: :func:`parallel_build_fragment_table` here,
-  :func:`repro.core.tiling.tiled_bounded_raster_join`,
+  identical and the test matrix stays portable.  It has exactly three
+  callers: :func:`repro.core.tiling.tiled_bounded_raster_join`,
   :func:`repro.shard.scatter_gather_tiles` and
   :func:`repro.shard.prescatter_blocks`.
-* :func:`parallel_build_fragment_table` — regions are sharded across
-  workers; each worker scanline-rasterizes its shard and the parent
-  stitches the :class:`FragmentTable` pieces, offsetting polygon ids
-  back to global.
-* :class:`ParallelConfig` — worker/shard counts plus the three
-  decisions that select a fork from something the code observes:
-  region count (:meth:`~ParallelConfig.decide_regions`), point count
-  for the tiled join's tile ranges (:meth:`~ParallelConfig.decide`),
+* :class:`ParallelConfig` — worker/shard counts plus the two decisions
+  that select a fork from something the code observes: point count for
+  the tiled join's tile ranges (:meth:`~ParallelConfig.decide`),
   surviving rows/partitions for the store's tiled and pyramid paths
   (:meth:`~ParallelConfig.decide_shards`).
 """
@@ -38,12 +37,11 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..raster import FragmentTable, Viewport, build_fragment_table
+from ..raster import FragmentTable, Viewport
 from ..table import PointTable
 from .bounded import bounded_raster_join
 from .query import SpatialAggregation
@@ -53,9 +51,6 @@ from .result import AggregationResult
 #: Below this many points (or surviving store rows) nothing forks: a
 #: pool costs tens of milliseconds before its first task runs.
 PARALLEL_POINT_THRESHOLD = 150_000
-
-#: Minimum region count before the polygon (scanline) pass is sharded.
-PARALLEL_REGION_THRESHOLD = 256
 
 
 def _fork_available() -> bool:
@@ -74,7 +69,6 @@ class ParallelConfig:
     workers: int | None = None
     chunk_size: int = 250_000
     serial_threshold: int = PARALLEL_POINT_THRESHOLD
-    region_threshold: int = PARALLEL_REGION_THRESHOLD
     #: Shard count for the store's tiled / pyramid fan-out
     #: (``repro.shard``); ``None`` resolves like ``workers``.
     shards: int | None = None
@@ -134,14 +128,6 @@ class ParallelConfig:
         return {"use": True, "workers": effective,
                 "threshold": self.serial_threshold,
                 "reason": f"{n_points} points across {effective} workers"}
-
-    def decide_regions(self, n_regions: int) -> dict:
-        """Decision for sharding the polygon (scanline) pass."""
-        workers = self.resolve_workers()
-        use = (workers > 1 and _fork_available()
-               and n_regions >= self.region_threshold)
-        return {"use": use, "workers": min(workers, max(1, n_regions)),
-                "threshold": self.region_threshold}
 
     def decide_shards(self, n_partitions: int, n_rows: int) -> dict:
         """Sharded-vs-serial decision for the store's tiled and pyramid
@@ -210,63 +196,6 @@ def _even_ranges(n: int, parts: int) -> list[tuple[int, int]]:
     parts = max(1, min(parts, n)) if n else 1
     bounds = np.linspace(0, n, parts + 1).astype(np.int64)
     return [(int(bounds[i]), int(bounds[i + 1])) for i in range(parts)]
-
-
-# -- sharded polygon rasterization -------------------------------------------
-
-
-def parallel_build_fragment_table(geometries: list, viewport: Viewport,
-                                  config: ParallelConfig,
-                                  stats_out: dict | None = None
-                                  ) -> FragmentTable:
-    """Scanline-rasterize region shards in parallel and stitch the
-    resulting fragment tables (polygon ids offset back to global)."""
-    n = len(geometries)
-    workers = config.resolve_workers()
-    shards = _even_ranges(n, min(workers, max(1, n)))
-
-    def shard_task(lo: int, hi: int):
-        t0 = time.perf_counter()
-        part = build_fragment_table(geometries[lo:hi], viewport)
-        return part, lo, time.perf_counter() - t0
-
-    results, pooled = _fork_map(shard_task, shards, workers)
-
-    def stitch(pix_name: str, poly_name: str
-               ) -> tuple[np.ndarray, np.ndarray]:
-        pix = [getattr(part, pix_name) for part, __, __ in results]
-        polys = [getattr(part, poly_name) + lo for part, lo, __ in results]
-        if not pix:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)
-        return (np.concatenate(pix),
-                np.concatenate(polys).astype(np.int32, copy=False))
-
-    int_pix, int_poly = stitch("interior_pixels", "interior_polys")
-    bnd_pix, bnd_poly = stitch("boundary_pixels", "boundary_polys")
-    cov_pix, cov_poly = stitch("covered_boundary_pixels",
-                               "covered_boundary_polys")
-    if stats_out is not None:
-        stats_out.update({
-            "shards": len(shards),
-            "pooled": pooled,
-            "per_worker": [{"shard": i, "regions": hi - lo, "time_s": t}
-                           for i, ((lo, hi), (__, ___, t))
-                           in enumerate(zip(shards, results))],
-        })
-    stitched = FragmentTable(
-        interior_pixels=int_pix, interior_polys=int_poly,
-        boundary_pixels=bnd_pix, boundary_polys=bnd_poly,
-        covered_boundary_pixels=cov_pix, covered_boundary_polys=cov_poly,
-        num_polygons=n, viewport=viewport,
-    )
-    # Same build-time materialization the serial builder does.  Stitch
-    # order preserves ascending polygon ids and per-polygon pixel sort,
-    # so the interval run encoder's precondition holds.
-    stitched.covered_pixels
-    stitched.covered_polys
-    stitched.intervals
-    stitched.cell_classes
-    return stitched
 
 
 # -- deprecated alias ---------------------------------------------------------

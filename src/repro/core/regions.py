@@ -8,6 +8,8 @@ set the user selects.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from ..errors import GeometryError
@@ -57,8 +59,10 @@ class RegionSet:
                 f"region set {self.name!r} has no region {region_name!r}"
             ) from None
 
-    @property
+    @cached_property
     def bbox(self) -> BBox:
+        """Union of the region bboxes, computed once (the set is
+        immutable; every ``plan_viewport`` reads this)."""
         box = self._geometries[0].bbox
         for geom in self._geometries[1:]:
             box = box.union(geom.bbox)

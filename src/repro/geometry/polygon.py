@@ -63,8 +63,11 @@ class Polygon:
         object.__setattr__(self, "exterior", ext)
         object.__setattr__(self, "holes", hls)
 
-    @property
+    @cached_property
     def bbox(self) -> BBox:
+        """Computed once: geometries are immutable and planners read
+        this per query.  (``cached_property`` writes straight into
+        ``__dict__``, so it composes with the frozen dataclass.)"""
         return BBox.of_points(self.exterior)
 
     @property
@@ -100,9 +103,7 @@ class Polygon:
     @cached_property
     def _ring_edges(self) -> tuple:
         """Edge columns per ring, built once — the accurate join tests
-        the same region geometries against every brush gesture.
-        (``cached_property`` writes straight into ``__dict__``, so it
-        composes with the frozen dataclass.)"""
+        the same region geometries against every brush gesture."""
         return tuple(ring_edges(r) for r in self.rings())
 
     def contains_points(self, points) -> np.ndarray:
@@ -137,7 +138,7 @@ class MultiPolygon:
             raise GeometryError("MultiPolygon parts must be Polygon instances")
         object.__setattr__(self, "polygons", polys)
 
-    @property
+    @cached_property
     def bbox(self) -> BBox:
         box = self.polygons[0].bbox
         for poly in self.polygons[1:]:

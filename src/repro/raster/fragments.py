@@ -1,11 +1,16 @@
 """Polygon fragment tables.
 
-Rasterizing a *set* of regions produces two fragment tables — flat
-``(pixel_id, polygon_id)`` pair arrays — one for guaranteed-interior
-pixels and one for boundary pixels.  Building them is the polygon-side
-render pass of the raster join; since Urbane re-queries the same region
-sets while the user brushes filters, the tables are cached per
-(regions, viewport) by the executor.
+Rasterizing a *set* of regions produces its :class:`FragmentTable`:
+per-polygon FULL / PARTIAL interval runs (:class:`IntervalSet`) plus
+the flat ``(pixel_id, polygon_id)`` pair arrays expanded from them —
+guaranteed-interior pixels, boundary pixels, and the center-covered
+subset of the boundary.  :func:`build_fragment_table` is the
+polygon-side render pass of the raster join: one batched sweep over the
+whole region set (:mod:`repro.raster.scanline` has the stages), runs
+first, pixels second.  Since Urbane re-queries the same region sets
+while the user brushes filters, the tables are cached per (regions,
+viewport) by the executor; a table is complete when it is returned, so
+the cache can size it once.
 """
 
 from __future__ import annotations
@@ -15,8 +20,15 @@ from functools import cached_property
 
 import numpy as np
 
+from .. import kernels
 from ..geometry.polygon import Geometry
-from .scanline import boundary_pixels, coverage_fragments
+from .scanline import (
+    _boundary_keys,
+    _classify_spans,
+    _coverage_spans,
+    _merge_touching,
+    _stack_edges,
+)
 from .viewport import Viewport
 
 # Cell classes of the interval classification, as canvas codes.
@@ -38,10 +50,10 @@ class IntervalSet:
     pixel ids within one raster row, stored CSR-style per polygon:
     polygon ``g`` owns runs ``full_offsets[g]:full_offsets[g + 1]``.
 
-    Derived from the fragment table at build time — FULL runs compress
-    the interior fragments, PARTIAL runs the boundary fragments — so
-    the classification is a byproduct of the scanline pass, not an
-    extra rasterization.
+    Built directly by the polygon pass — FULL runs are the coverage
+    spans minus the boundary cover, PARTIAL runs the boundary cover
+    run-length encoded — and the table's per-pixel pair arrays are
+    expanded from them, not the other way round.
     """
 
     full_offsets: np.ndarray    # (num_polygons + 1,) int64 run indices
@@ -68,47 +80,30 @@ class IntervalSet:
         return len(self.partial_starts)
 
 
-def _runs_by_polygon(pixels: np.ndarray, polys: np.ndarray,
-                     num_polygons: int, width: int
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run-length encode per-polygon sorted pixel ids into row runs.
-
-    ``pixels`` must be sorted within each polygon with ``polys`` grouped
-    in ascending polygon order — exactly how :func:`build_fragment_table`
-    (and the parallel stitcher) lay the fragment arrays out.  A run
-    breaks on a pixel gap, a polygon change, or a raster row wrap
-    (consecutive flat ids spanning two rows are not spatially adjacent).
-    """
-    n = len(pixels)
-    offsets_shape = num_polygons + 1
-    if n == 0:
-        return (np.zeros(offsets_shape, dtype=np.int64),
-                np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    new_run = np.ones(n, dtype=bool)
-    new_run[1:] = ~((pixels[1:] == pixels[:-1] + 1)
-                    & (polys[1:] == polys[:-1])
-                    & (pixels[1:] % width != 0))
-    run_idx = np.flatnonzero(new_run)
-    starts = pixels[run_idx].astype(np.int64)
-    lengths = np.diff(np.append(run_idx, n)).astype(np.int64)
-    offsets = np.searchsorted(polys[run_idx],
-                              np.arange(offsets_shape)).astype(np.int64)
-    return offsets, starts, lengths
-
-
 @dataclass(frozen=True)
 class FragmentTable:
-    """Flat fragment pairs for a rasterized region set."""
+    """Flat fragment pairs for a rasterized region set.
 
+    Every pair array is grouped by ascending polygon id with pixel ids
+    ascending inside a polygon.
+    """
+
+    # All center-covered pairs — what the pure raster join iterates:
+    # the interior pairs followed by the covered-boundary pairs, in one
+    # allocation the two halves below are views of.
+    covered_pixels: np.ndarray
+    covered_polys: np.ndarray
     # Pixels fully inside their polygon (center-covered, not boundary).
     interior_pixels: np.ndarray
     interior_polys: np.ndarray
-    # Pixels that may straddle their polygon's boundary.
-    boundary_pixels: np.ndarray
-    boundary_polys: np.ndarray
     # Center-covered boundary pixels (what the pure raster pass counts).
     covered_boundary_pixels: np.ndarray
     covered_boundary_polys: np.ndarray
+    # Pixels that may straddle their polygon's boundary.
+    boundary_pixels: np.ndarray
+    boundary_polys: np.ndarray
+    #: FULL/PARTIAL interval runs per polygon (see :class:`IntervalSet`).
+    intervals: IntervalSet
     num_polygons: int
     viewport: Viewport
 
@@ -120,40 +115,6 @@ class FragmentTable:
     def num_boundary_fragments(self) -> int:
         return len(self.boundary_pixels)
 
-    # All center-covered pairs (interior + covered boundary) — what the
-    # pure raster join iterates.  Concatenated once per table (builders
-    # touch these eagerly) instead of on every query: the join runs per
-    # brush gesture, and re-allocating megabyte pair arrays per gesture
-    # dominated small-query join time.  ``cached_property`` stores into
-    # ``__dict__`` directly, so it composes with the frozen dataclass.
-
-    @cached_property
-    def covered_pixels(self) -> np.ndarray:
-        return np.concatenate(
-            [self.interior_pixels, self.covered_boundary_pixels])
-
-    @cached_property
-    def covered_polys(self) -> np.ndarray:
-        return np.concatenate(
-            [self.interior_polys, self.covered_boundary_polys])
-
-    @cached_property
-    def intervals(self) -> IntervalSet:
-        """FULL/PARTIAL interval runs per polygon (see
-        :class:`IntervalSet`).  Interior fragments are per-polygon
-        sorted by construction (``np.setdiff1d``), boundary fragments
-        by ``np.unique`` — the precondition of the run encoder."""
-        width = self.viewport.width
-        fo, fs, fl = _runs_by_polygon(self.interior_pixels,
-                                      self.interior_polys,
-                                      self.num_polygons, width)
-        po, ps, pl = _runs_by_polygon(self.boundary_pixels,
-                                      self.boundary_polys,
-                                      self.num_polygons, width)
-        return IntervalSet(full_offsets=fo, full_starts=fs, full_lengths=fl,
-                           partial_offsets=po, partial_starts=ps,
-                           partial_lengths=pl)
-
     @cached_property
     def cell_classes(self) -> np.ndarray:
         """Per-pixel cell class over the union of all polygons.
@@ -162,7 +123,8 @@ class FragmentTable:
         must be bucketed for exact testing even if the cell is FULL for
         another polygon (overlapping regions).  One int8 canvas, built
         once per table — the accurate join classifies every point pass
-        against it.
+        against it.  (``cached_property`` stores into ``__dict__``
+        directly, so it composes with the frozen dataclass.)
         """
         classes = np.zeros(self.viewport.num_pixels, dtype=np.int8)
         classes[self.interior_pixels] = CELL_FULL
@@ -170,57 +132,74 @@ class FragmentTable:
         return classes
 
 
+def _by_polygon(keys: np.ndarray, num_polygons: int, num_pixels: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split ascending ``polygon * num_pixels + pixel`` keys into (CSR
+    offsets per polygon, polygon ids, pixel ids)."""
+    offsets = np.searchsorted(keys, np.arange(num_polygons + 1) * num_pixels)
+    polys = np.repeat(np.arange(num_polygons), np.diff(offsets))
+    return offsets, polys, keys - polys * num_pixels
+
+
 def build_fragment_table(geometries: list[Geometry],
                          viewport: Viewport) -> FragmentTable:
-    """Rasterize every region once and assemble the fragment tables."""
-    int_pix: list[np.ndarray] = []
-    int_poly: list[np.ndarray] = []
-    bnd_pix: list[np.ndarray] = []
-    bnd_poly: list[np.ndarray] = []
-    cov_bnd_pix: list[np.ndarray] = []
-    cov_bnd_poly: list[np.ndarray] = []
+    """Rasterize the whole region set in one batched sweep and assemble
+    the fragment tables.
 
-    for gid, geom in enumerate(geometries):
-        covered = coverage_fragments(geom, viewport)
-        boundary = boundary_pixels(geom, viewport)
-        if len(boundary):
-            interior = np.setdiff1d(covered, boundary, assume_unique=False)
-            covered_boundary = np.intersect1d(covered, boundary,
-                                              assume_unique=False)
-        else:
-            interior = covered
-            covered_boundary = boundary
-        if len(interior):
-            int_pix.append(interior)
-            int_poly.append(np.full(len(interior), gid, dtype=np.int32))
-        if len(boundary):
-            bnd_pix.append(boundary)
-            bnd_poly.append(np.full(len(boundary), gid, dtype=np.int32))
-        if len(covered_boundary):
-            cov_bnd_pix.append(covered_boundary)
-            cov_bnd_poly.append(
-                np.full(len(covered_boundary), gid, dtype=np.int32))
+    Edges of every polygon are stacked once; coverage spans per
+    (polygon, row) and the boundary cover come out of one vectorized
+    pass each; FULL runs are the spans minus the boundary keys, by
+    interval arithmetic; PARTIAL runs are the boundary keys run-length
+    encoded.  The per-pixel interior pairs are then one expansion of
+    the FULL runs — runs are the product, pixels are derived from them.
+    """
+    num_polygons = len(geometries)
+    num_pixels = viewport.num_pixels
+    edges = _stack_edges(geometries)
+    boundary = _boundary_keys(edges, viewport)
+    full_starts, full_lengths, covered = _classify_spans(
+        *_coverage_spans(edges, viewport), boundary, viewport.width)
+    partial_starts, partial_lengths = _merge_touching(
+        boundary, boundary + 1, viewport.width)
 
-    def _cat(parts, dtype):
-        if not parts:
-            return np.empty(0, dtype=dtype)
-        return np.concatenate(parts)
+    full_offsets, full_polys, full_starts = _by_polygon(
+        full_starts, num_polygons, num_pixels)
+    partial_offsets, _, partial_starts = _by_polygon(
+        partial_starts, num_polygons, num_pixels)
+    _, boundary_polys, boundary_pixels = _by_polygon(
+        boundary, num_polygons, num_pixels)
+    boundary_polys = boundary_polys.astype(np.int32)
+
+    # Interior pairs (the FULL runs expanded) and covered-boundary pairs
+    # land in one allocation: the bounded join reads it whole, the
+    # accurate join and the bounds read the two halves as views.
+    run_lengths = np.concatenate(
+        [full_lengths, np.ones(len(covered), dtype=np.int64)])
+    covered_pixels = kernels.active().expand_ranges(
+        np.concatenate([full_starts, boundary_pixels[covered]]), run_lengths)
+    covered_polys = np.repeat(
+        np.concatenate([full_polys.astype(np.int32),
+                        boundary_polys[covered]]), run_lengths)
+    num_interior = len(covered_pixels) - len(covered)
 
     table = FragmentTable(
-        interior_pixels=_cat(int_pix, np.int64),
-        interior_polys=_cat(int_poly, np.int32),
-        boundary_pixels=_cat(bnd_pix, np.int64),
-        boundary_polys=_cat(bnd_poly, np.int32),
-        covered_boundary_pixels=_cat(cov_bnd_pix, np.int64),
-        covered_boundary_polys=_cat(cov_bnd_poly, np.int32),
-        num_polygons=len(geometries),
+        covered_pixels=covered_pixels,
+        covered_polys=covered_polys,
+        interior_pixels=covered_pixels[:num_interior],
+        interior_polys=covered_polys[:num_interior],
+        covered_boundary_pixels=covered_pixels[num_interior:],
+        covered_boundary_polys=covered_polys[num_interior:],
+        boundary_pixels=boundary_pixels,
+        boundary_polys=boundary_polys,
+        intervals=IntervalSet(
+            full_offsets=full_offsets, full_starts=full_starts,
+            full_lengths=full_lengths, partial_offsets=partial_offsets,
+            partial_starts=partial_starts, partial_lengths=partial_lengths),
+        num_polygons=num_polygons,
         viewport=viewport,
     )
-    # Materialize the concatenated covered arrays and the interval
-    # classification now, while the table is cold — queries then never
-    # allocate them per gesture.
-    table.covered_pixels
-    table.covered_polys
-    table.intervals
+    # Materialize the cell classes now, while the table is cold — queries
+    # then allocate nothing on it, and the cache's byte ledger (sized at
+    # ``put``) stays exact.
     table.cell_classes
     return table

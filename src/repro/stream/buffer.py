@@ -26,7 +26,6 @@ import numpy as np
 
 from ..core.context import ExecutionContext
 from ..core.heatmatrix import RegionTimeMatrix, pixel_region_labels
-from ..core.parallel import ParallelConfig, parallel_build_fragment_table
 from ..core.regions import RegionSet
 from ..errors import QueryError, SchemaError
 from ..raster import FragmentTable, Viewport, build_fragment_table
@@ -45,8 +44,7 @@ class PointStream:
     def __init__(self, regions: RegionSet, resolution: int = 512,
                  time_column: str = "t", bucket_seconds: int = 3_600,
                  origin: int | None = None,
-                 context: ExecutionContext | None = None,
-                 parallel: ParallelConfig | None = None):
+                 context: ExecutionContext | None = None):
         if bucket_seconds < 1:
             raise QueryError("bucket_seconds must be >= 1")
         self.regions = regions
@@ -54,18 +52,11 @@ class PointStream:
         self.bucket_seconds = int(bucket_seconds)
         self.viewport: Viewport = Viewport.fit(regions.bbox, resolution)
         if context is not None:
-            # The context's fragment build is already parallel-aware.
             self.fragments: FragmentTable = context.fragments_for(
                 regions, self.viewport)
         else:
-            geometries = list(regions.geometries)
-            config = parallel or ParallelConfig()
-            if config.decide_regions(len(geometries))["use"]:
-                self.fragments = parallel_build_fragment_table(
-                    geometries, self.viewport, config)
-            else:
-                self.fragments = build_fragment_table(
-                    geometries, self.viewport)
+            self.fragments = build_fragment_table(
+                list(regions.geometries), self.viewport)
         self._labels = pixel_region_labels(self.fragments)
 
         self._chunks: list[PointTable] = []

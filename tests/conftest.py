@@ -9,11 +9,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core import RegionSet, SpatialAggregationEngine
 from repro.data import CityModel, load_demo_workload, voronoi_regions
 from repro.geometry import Polygon, regular_polygon
 from repro.table import PointTable, timestamp_column
+
+# Tier-1 runs the derandomized default profile (same examples every
+# run; per-test ``max_examples`` stay as written).  CI additionally runs
+# the raster suites under ``--hypothesis-profile ci`` for depth.
+settings.register_profile("default", derandomize=True)
+settings.register_profile("ci", max_examples=400, deadline=None)
 
 
 @pytest.fixture(scope="session")

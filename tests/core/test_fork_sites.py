@@ -1,10 +1,11 @@
 """Where a process pool may be forked — and where it never is.
 
-One rule (``docs/raster_join.md`` §8): point passes run serial; a fork
-survives only around polygon rasterization.  With a config that says
-yes to every remaining decision, the point-pass paths must construct
-zero pools and the four ``_fork_map`` sites at least one each, with
-answers equal to a one-worker engine.
+One rule (``docs/raster_join.md`` §8): point passes and the polygon
+pass of one viewport run serial; a fork survives only around per-tile /
+per-block rasterization.  With a config that says yes to every
+remaining decision, the serial paths must construct zero pools and the
+three ``_fork_map`` sites at least one each, with answers equal to a
+one-worker engine.
 """
 
 from __future__ import annotations
@@ -12,10 +13,12 @@ from __future__ import annotations
 import multiprocessing.pool
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core import (
     ParallelConfig,
     RegionSet,
@@ -106,9 +109,9 @@ class TestPointPassesNeverFork:
             table, simple_regions, query, method="bounded"))
 
 
-class TestPolygonRasterizationForks:
-    def test_fragment_build_at_region_threshold(self, pools):
-        side = 16  # 16 x 16 squares == the default region_threshold
+class TestFragmentBuildNeverForks:
+    def test_256_region_fragment_build(self, pools):
+        side = 16  # 16 x 16 squares: the old builder forked from 256 up
         step = 100.0 / side
         squares = [Polygon([[i * step, j * step], [(i + 1) * step, j * step],
                             [(i + 1) * step, (j + 1) * step],
@@ -116,17 +119,13 @@ class TestPolygonRasterizationForks:
                    for j in range(side) for i in range(side)]
         regions = RegionSet("squares", squares,
                             [f"r{i}" for i in range(len(squares))])
-        assert len(regions) >= EAGER.region_threshold
         viewport = Viewport.fit(regions.bbox, 128)
         got = _engine(EAGER).fragments_for(regions, viewport)
-        assert len(pools) >= 1
-        want = _engine(ParallelConfig(workers=1)).fragments_for(regions,
-                                                                viewport)
-        for name in ("interior_pixels", "interior_polys", "boundary_pixels",
-                     "boundary_polys", "covered_pixels", "covered_polys"):
-            np.testing.assert_array_equal(getattr(got, name),
-                                          getattr(want, name), err_msg=name)
+        assert pools == []
+        assert got.num_polygons == len(squares) >= 256
 
+
+class TestPolygonRasterizationForks:
     @pytest.mark.parametrize("source", ["memory", "store"])
     def test_tiled_join(self, pools, table, store, simple_regions, source):
         points = table if source == "memory" else store
@@ -158,3 +157,12 @@ def test_import_allocates_no_shared_memory_machinery():
             "repro.serve, repro.cli; "
             "sys.exit('multiprocessing.shared_memory' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def test_fork_map_has_exactly_three_call_sites():
+    calls = sorted(
+        path.name
+        for path in Path(repro.__file__).parent.rglob("*.py")
+        for line in path.read_text().splitlines()
+        if "_fork_map(" in line and not line.startswith("def "))
+    assert calls == ["coordinator.py", "coordinator.py", "tiling.py"]

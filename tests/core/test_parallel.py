@@ -2,11 +2,11 @@
 
 Point passes run serial: a multi-worker config must leave the bounded
 join (and its deprecated ``parallel_bounded_raster_join`` alias), the
-accurate join and the grid index join the serial code.  The two
-in-memory fork sites — the sharded fragment build and the tiled join's
-tile ranges — must be drop-in replacements: bitwise-equal for COUNT and
-SUM (the test data uses integer-valued measures, so float addition is
-exact in any merge order), tolerance-equal for AVG/MIN/MAX.
+accurate join and the grid index join the serial code.  The one
+in-memory fork site — the tiled join's tile ranges — must be a drop-in
+replacement: bitwise-equal for COUNT and SUM (the test data uses
+integer-valued measures, so float addition is exact in any merge
+order), tolerance-equal for AVG/MIN/MAX.
 ``tests/core/test_fork_sites.py`` counts the pools.
 """
 
@@ -28,7 +28,6 @@ from repro.core import (
     accurate_raster_join,
     bounded_raster_join,
     parallel_bounded_raster_join,
-    parallel_build_fragment_table,
     tiled_bounded_raster_join,
 )
 from repro.core.parallel import ParallelConfig as PC
@@ -39,7 +38,7 @@ AGGREGATES = (COUNT, SUM, AVG, MIN, MAX)
 
 #: Forces every surviving fork decision even on tiny test inputs.
 SMALL_CHUNKS = ParallelConfig(workers=3, chunk_size=400,
-                              serial_threshold=100, region_threshold=2)
+                              serial_threshold=100)
 
 
 def _table(n: int, seed: int = 3) -> PointTable:
@@ -208,20 +207,6 @@ class TestTiledEquivalence:
 
 
 class TestFragmentStitching:
-    def test_sharded_build_matches_serial(self, simple_regions, viewport):
-        serial = build_fragment_table(list(simple_regions.geometries),
-                                      viewport)
-        parallel = parallel_build_fragment_table(
-            list(simple_regions.geometries), viewport, SMALL_CHUNKS)
-        for name in ("interior_pixels", "interior_polys",
-                     "boundary_pixels", "boundary_polys",
-                     "covered_boundary_pixels", "covered_boundary_polys",
-                     "covered_pixels", "covered_polys"):
-            np.testing.assert_array_equal(getattr(parallel, name),
-                                          getattr(serial, name),
-                                          err_msg=name)
-        assert parallel.num_polygons == serial.num_polygons
-
     def test_covered_arrays_precomputed(self, fragments):
         # Satellite: the concatenated covered arrays are materialized at
         # build time, not re-concatenated per query.

@@ -270,3 +270,29 @@ class TestDeadlineDegradation:
         engine.execute(_table(10_000, seed=26), simple_regions,
                        SpatialAggregation.count())
         assert engine.planner.units_per_second != before
+
+
+class TestPlanningCost:
+    def test_warm_choose_recomputes_no_bbox(self, monkeypatch, small_table):
+        """``plan_viewport`` reads ``regions.bbox`` on every plan; on an
+        immutable 297-region set that must be a lookup, not 297
+        ``BBox.of_points`` calls."""
+        from repro.core.backends.base import ExecutionPlan
+        from repro.data import CityModel, voronoi_regions
+        from repro.geometry import BBox
+
+        regions = voronoi_regions(CityModel(7), 297, name="districts")
+        assert regions.bbox is regions.bbox
+        assert regions[0].bbox is regions[0].bbox
+        engine = SpatialAggregationEngine(default_resolution=256)
+        plan = ExecutionPlan(table=small_table, regions=regions,
+                             query=SpatialAggregation.count())
+        engine.planner.choose(engine.ctx, plan)
+
+        calls = []
+        of_points = BBox.of_points.__func__
+        monkeypatch.setattr(
+            BBox, "of_points",
+            classmethod(lambda cls, pts: calls.append(1) or of_points(cls, pts)))
+        engine.planner.choose(engine.ctx, plan)
+        assert calls == []

@@ -1,9 +1,18 @@
 """Tests for fragment-table assembly."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.geometry import BBox, Polygon, regular_polygon
+from repro.core import (
+    SpatialAggregation,
+    accurate_raster_join,
+    bounded_raster_join,
+)
+from repro.core.cache import estimate_nbytes
+from repro.data import CityModel, voronoi_regions
+from repro.geometry import BBox, MultiPolygon, Polygon, regular_polygon
 from repro.raster import Viewport, build_fragment_table
 
 VP = Viewport(BBox(0, 0, 100, 100), 128, 128)
@@ -88,3 +97,97 @@ class TestFragmentTable:
             set(table.interior_pixels[table.interior_polys == 0].tolist())
             & set(table.interior_pixels[table.interior_polys == 1].tolist()))
         assert shared_interior  # overlap pixels appear for both ids
+
+
+# -- pinned parity with the per-polygon builder --------------------------------
+
+PAIR_ARRAYS = ("interior_pixels", "interior_polys", "boundary_pixels",
+               "boundary_polys", "covered_boundary_pixels",
+               "covered_boundary_polys")
+RUN_ARRAYS = ("full_offsets", "full_starts", "full_lengths",
+              "partial_offsets", "partial_starts", "partial_lengths")
+
+
+def _table_digest(table) -> str:
+    """SHA-256 over name, dtype, shape and bytes of the six pair arrays
+    and the six interval arrays."""
+    digest = hashlib.sha256()
+    for owner, names in ((table, PAIR_ARRAYS), (table.intervals, RUN_ARRAYS)):
+        for name in names:
+            arr = np.ascontiguousarray(getattr(owner, name))
+            digest.update(f"{name}:{arr.dtype.str}:{arr.shape}".encode())
+            digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
+def _holed_multipolygon_scene():
+    a = Polygon([[4, 4], [60, 6], [58, 50], [30, 30], [6, 52]],
+                holes=[[[12, 10], [24, 10], [24, 22], [12, 22]],
+                       [[40, 12], [50, 14], [46, 26]]])
+    b = Polygon([[70, 60], [96, 60], [96, 90], [70, 90]],
+                holes=[[[75.5, 65.5], [90.5, 65.5], [90.5, 84.5],
+                        [75.5, 84.5]]])
+    island = Polygon([[78, 70], [88, 70], [83, 80]])
+    return [MultiPolygon((a, b, island)),
+            Polygon([[-20, 40], [30, 35], [35, 110], [-10, 120]]),
+            Polygon([[50, 25], [75, 25], [75, 50], [50, 50]])]
+
+
+class TestPinnedParity:
+    """Digests recorded at 13878bd from the per-polygon scanline builder
+    (``setdiff1d`` / ``intersect1d`` on pixel arrays, runs re-encoded
+    from pixels).  The tables are integer outputs of elementwise IEEE
+    ``+ - * /``, ``ceil`` and ``floor``, so they are stable across NumPy
+    versions; any rewrite of the builder must reproduce them."""
+
+    @pytest.mark.parametrize("resolution, fragments, runs, digest", [
+        (256, (36996, 18950), 4228,
+         "07f5fdae6b2e2bd8c78764c01339808ee7ef1f8508b50f87308012c3f3c51f4e"),
+        (512, (166159, 38081), 9041,
+         "e1413030a990da3c889a4995a39e5929e79be68e2655bc123c288e7fb0ff981e"),
+    ])
+    def test_bench_districts(self, resolution, fragments, runs, digest):
+        regions = voronoi_regions(CityModel(7), 297, name="districts")
+        table = build_fragment_table(list(regions.geometries),
+                                     Viewport.fit(regions.bbox, resolution))
+        assert (table.num_interior_fragments,
+                table.num_boundary_fragments) == fragments
+        assert table.intervals.num_full_runs == runs
+        assert _table_digest(table) == digest
+
+    def test_holed_multipolygon_scene(self):
+        table = build_fragment_table(
+            _holed_multipolygon_scene(),
+            Viewport(BBox(0, 0, 100, 100), 200, 160))
+        assert (table.num_interior_fragments,
+                table.num_boundary_fragments) == (15101, 1402)
+        assert table.intervals.num_full_runs == 384
+        assert _table_digest(table) == (
+            "6d8dee9ad9ad5170d3614cbd6d8df1442593804fc35c9c99515ac82c7e420c46")
+
+
+class TestTableMemory:
+    def test_halves_are_views_of_the_covered_arrays(self):
+        table = build_fragment_table(_geoms(), VP)
+        for half in ("interior", "covered_boundary"):
+            assert getattr(table, f"{half}_pixels").base \
+                is table.covered_pixels
+            assert getattr(table, f"{half}_polys").base is table.covered_polys
+        n = table.num_interior_fragments
+        assert np.shares_memory(table.covered_pixels[n:],
+                                table.covered_boundary_pixels)
+
+    def test_joins_allocate_nothing_on_a_cached_table(self, simple_regions,
+                                                      small_table):
+        """The cache sizes an entry once, at ``put``: a query must not
+        grow the table afterwards."""
+        viewport = Viewport.fit(simple_regions.bbox, 256)
+        table = build_fragment_table(list(simple_regions.geometries),
+                                     viewport)
+        before = estimate_nbytes(table)
+        query = SpatialAggregation.sum_of("fare")
+        bounded_raster_join(small_table, simple_regions, query, viewport,
+                            fragments=table)
+        accurate_raster_join(small_table, simple_regions, query, viewport,
+                             fragments=table)
+        assert estimate_nbytes(table) == before
