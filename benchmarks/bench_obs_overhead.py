@@ -3,8 +3,8 @@
 The observability subsystem's design center is its disabled fast path:
 ``span()`` is one module-global bool check returning a shared null
 singleton, so the instrumentation sprinkled through the executor,
-raster backends, pyramid assembly, store scans and shard coordinator
-must cost <2% of end-to-end query latency while no trace is active.
+raster backends, pyramid assembly and store scans must cost <2% of
+end-to-end query latency while no trace is active.
 
 Two measurements back that claim:
 
@@ -53,7 +53,6 @@ _INSTRUMENTED_MODULES = (
     "repro.core.pyramid",
     "repro.store.execute",
     "repro.store.dataset",
-    "repro.shard.coordinator",
     "repro.serve.admission",
     "repro.serve.coalesce",
     "repro.serve.service",

@@ -55,7 +55,6 @@ BENCH_FILES = {
     "BENCH_serve.json": "benchmarks/bench_serve_throughput.py",
     "BENCH_store.json": "benchmarks/bench_store_outofcore.py",
     "BENCH_pyramid.json": "benchmarks/bench_pyramid_panzoom.py",
-    "BENCH_shard.json": "benchmarks/bench_shard_scaling.py",
     "BENCH_accurate.json": "benchmarks/bench_accurate_intervals.py",
     "BENCH_speculate.json": "benchmarks/bench_speculate_session.py",
     "BENCH_obs.json": "benchmarks/bench_obs_overhead.py",
@@ -750,54 +749,6 @@ def main() -> None:
         f"{payload['block_derived']} derived) for a "
         f"{payload['median_speedup']:.0f}x median per-gesture speedup, "
         f"bitwise-equal to re-scattering at every step.")
-
-    # -- E18: sharded scatter-gather scaling -------------------------------
-    print("E18 shard scaling...")
-    from bench_shard_scaling import run_shard
-
-    shard_table = taxi[200_000].with_column(
-        numeric_column("fare", np.round(taxi[200_000].values("fare"))))
-    with tempfile.TemporaryDirectory() as tmp:
-        payload = run_shard(shard_table, neighborhoods, tmp,
-                            resolution=512, repeats=3)
-    bench_out = ROOT / "BENCH_shard.json"
-    bench_out.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {bench_out}")
-    store_rows = [(r["shards"], f"{r['median_ms']:.1f} ms",
-                   f"{r['speedup']:.2f}x",
-                   "forked" if r["pooled"] else "in-process",
-                   "yes" if r["equal"] else "NO")
-                  for r in payload["store"]]
-    serve_rows = [(r["shards"], f"{r['load_factor']}x", r["served"],
-                   r["shed"], f"{r['p50_ms']:.1f} ms",
-                   f"{r['p99_ms']:.1f} ms", f"{r['qps']:.0f}",
-                   "yes" if r["all_equal"] else "NO")
-                  for r in payload["serve"]]
-    cores = payload["machine"]["cpu_count"]
-    report.add(
-        "E18 — sharded scatter-gather execution",
-        "Store-backed queries fork the partition scan into N shards "
-        "over the same mmap'd files (pipelining the next partition's "
-        "page-in against the current scatter), and the serve layer "
-        "routes queries across a worker pool by consistent hash so "
-        "caches shard instead of duplicating.  Answers must stay "
-        "bitwise-equal to single-process execution at every shard "
-        "count and load.",
-        _table(("shards", "store query", "speedup", "mode", "equal"),
-               store_rows)
-        + "\n\n"
-        + _table(("shards", "load", "served", "shed", "p50", "p99",
-                  "QPS", "equal"), serve_rows)
-        + f"\n\n{payload['points']:,} taxi rows in "
-          f"{payload['partitions']} partitions, {payload['regions']} "
-          f"neighborhoods, {cores} core(s) available. Machine-readable "
-          f"record in `BENCH_shard.json`.",
-        f"All sharded answers bitwise-equal to single-process at every "
-        f"shard count and load factor on {cores} core(s); on a "
-        f"single-core host fork fan-out cannot beat serial (the "
-        f"planner's shard threshold keeps production defaults honest), "
-        f"so the scaling columns are the cross-machine record, parity "
-        f"is the gate.")
 
     # -- E19: accurate-join interval classification ------------------------
     print("E19 accurate intervals...")

@@ -31,7 +31,6 @@ from pathlib import Path
 
 from .core import (
     METHODS,
-    ParallelConfig,
     RegionSet,
     SpatialAggregation,
     SpatialAggregationEngine,
@@ -124,7 +123,6 @@ def _cmd_query(args) -> int:
     engine = SpatialAggregationEngine(
         default_resolution=args.resolution,
         max_canvas_resolution=max(args.resolution, 4096),
-        workers=args.workers,
         kernel=args.kernel)
 
     trace_root = None
@@ -161,12 +159,6 @@ def _cmd_query(args) -> int:
         print(f"-- degraded: {steps} "
               f"(deadline={degraded['deadline_ms']:.0f}ms, "
               f"predicted={degraded['predicted_ms']:.1f}ms)")
-    par = result.stats.get("parallel", {})
-    if par:
-        if par.get("mode") == "parallel":
-            print(f"-- parallel: {par.get('workers')} workers")
-        else:
-            print(f"-- parallel: serial ({par.get('reason', 'n/a')})")
     kern = plan.get("kernel") or {}
     if kern:
         print(f"-- kernel: {kern.get('selected')} "
@@ -228,7 +220,6 @@ def _cmd_compare(args) -> int:
     table = load_npz(Path(args.data))
     regions = _load_regions(Path(args.regions), name=parsed.regions)
     engine = SpatialAggregationEngine(default_resolution=args.resolution,
-                                      workers=args.workers,
                                       kernel=args.kernel)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
 
@@ -277,7 +268,7 @@ def _cmd_session(args) -> int:
     table = load_npz(Path(args.data))
     regions = _load_regions(Path(args.regions))
     manager = DataManager(SpatialAggregationEngine(
-        default_resolution=args.resolution, workers=args.workers))
+        default_resolution=args.resolution))
     manager.add_dataset(table, "data")
     manager.add_region_set(regions, "regions")
 
@@ -346,9 +337,7 @@ def _cmd_serve(args) -> int:
     from .urbane import DataManager
 
     manager = DataManager(SpatialAggregationEngine(
-        default_resolution=args.resolution, workers=args.workers,
-        parallel=ParallelConfig(prefetch_depth=args.prefetch_depth),
-        kernel=args.kernel))
+        default_resolution=args.resolution, kernel=args.kernel))
     budget = (None if args.store_budget_mb is None
               else int(args.store_budget_mb * 1024 * 1024))
     for spec in args.data or ():
@@ -470,8 +459,6 @@ def _cmd_store_query(args) -> int:
     engine = SpatialAggregationEngine(
         default_resolution=args.resolution,
         max_canvas_resolution=max(args.resolution, 4096),
-        parallel=ParallelConfig(shards=args.shards,
-                                prefetch_depth=args.prefetch_depth),
         kernel=args.kernel)
 
     t0 = time.perf_counter()
@@ -495,20 +482,6 @@ def _cmd_store_query(args) -> int:
     print(f"-- mounts: {mounted['mounts']} mapped "
           f"({mounted['hits']} hits, {mounted['evictions']} evictions, "
           f"{mounted['mapped_bytes']:,} bytes resident)")
-    shards = result.stats.get("shards")
-    if shards:
-        times = ", ".join(f"{s['time_s'] * 1000:.0f}ms"
-                          for s in shards["per_shard"])
-        mode = "forked" if shards["pooled"] else "in-process"
-        print(f"-- shards: {shards['count']} {mode}, prefetch depth "
-              f"{shards['prefetch_depth']} "
-              f"(hit {shards['prefetch_hit_fraction'] * 100:.0f}%), "
-              f"per-shard [{times}]")
-    else:
-        decision = (result.stats.get("plan") or {}).get("shards") or {}
-        if not decision.get("use", True):
-            print(f"-- shards: serial "
-                  f"({decision.get('reason', 'n/a')})")
     shown = result.top_k(args.top)
     width = max((len(n) for n, __ in shown), default=10)
     for name, value in shown:
@@ -558,10 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="execution backend; 'auto' runs the cost-based "
                           "planner (default)")
     qry.add_argument("--resolution", type=int, default=512)
-    qry.add_argument("--workers", type=int, default=None,
-                     help="worker processes for polygon rasterization "
-                          "(large region sets, tiled joins; default: "
-                          "all cores) - point passes always run serial")
     _add_kernel_arg(qry)
     qry.add_argument("--trace", action="store_true",
                      help="record and print a hierarchical span tree "
@@ -579,8 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated registered backends, e.g. "
                            "'bounded,grid,cube,auto'")
     cmp_.add_argument("--resolution", type=int, default=512)
-    cmp_.add_argument("--workers", type=int, default=None,
-                      help="worker processes for polygon rasterization")
     _add_kernel_arg(cmp_)
     cmp_.set_defaults(func=_cmd_compare)
 
@@ -589,8 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     ses.add_argument("--data", required=True)
     ses.add_argument("--regions", required=True)
     ses.add_argument("--resolution", type=int, default=512)
-    ses.add_argument("--workers", type=int, default=None,
-                     help="worker processes for polygon rasterization")
     ses.add_argument("--method", default="bounded", choices=METHODS,
                      help="backend for every gesture (or 'auto')")
     ses.add_argument("--no-tcube", dest="tcube", action="store_false",
@@ -622,16 +587,11 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument("--port", type=int, default=8750)
     srv.add_argument("--resolution", type=int, default=512)
-    srv.add_argument("--workers", type=int, default=None,
-                     help="worker processes for polygon rasterization")
     srv.add_argument("--shards", type=int, default=1,
                      help="serve-worker pool size: each worker owns a "
                           "private engine cache + coalescing map, and "
                           "queries route to workers by consistent hash "
                           "of their fingerprint")
-    srv.add_argument("--prefetch-depth", type=int, default=1,
-                     help="partitions of mmap readahead per shard in "
-                          "out-of-core scans (0 disables)")
     srv.add_argument("--max-concurrency", type=int, default=4,
                      help="queries executing at once (thread pool size)")
     srv.add_argument("--max-queue", type=int, default=16,
@@ -703,14 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
     stq.add_argument("--method", default="auto",
                      choices=("auto", "bounded", "tiled"))
     stq.add_argument("--resolution", type=int, default=512)
-    stq.add_argument("--shards", type=int, default=None,
-                     help="shard processes for tiled scans and cold "
-                          "pyramid blocks (default: cpu count; the "
-                          "bounded scan and anything below the row "
-                          "threshold stay serial)")
-    stq.add_argument("--prefetch-depth", type=int, default=1,
-                     help="partitions of mmap readahead per shard "
-                          "(0 disables)")
     stq.add_argument("--budget-mb", type=float, default=None,
                      help="partition-mapping memory budget in MiB")
     _add_kernel_arg(stq)

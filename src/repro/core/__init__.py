@@ -55,11 +55,7 @@ from .heatmatrix import (
 )
 from .histogram import RegionHistograms, region_histograms
 from .multipass import bounded_raster_join_multi
-from .parallel import (
-    PARALLEL_POINT_THRESHOLD,
-    ParallelConfig,
-    parallel_bounded_raster_join,
-)
+from .parallel import ParallelConfig, parallel_bounded_raster_join
 from .pyramid import (
     DEFAULT_BLOCK,
     CanvasGrid,
@@ -107,7 +103,6 @@ __all__ = [
     "MAX_TCUBE_SLICES",
     "METHODS",
     "MIN",
-    "PARALLEL_POINT_THRESHOLD",
     "ParallelConfig",
     "ParsedQuery",
     "PartialAggregate",

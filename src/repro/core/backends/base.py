@@ -36,10 +36,6 @@ class BackendCapabilities:
     #: Answers arbitrary, never-before-seen region sets.  Pre-aggregated
     #: backends (the cube) only answer what they materialized.
     adhoc_regions: bool = True
-    #: Forks around polygon rasterization (see
-    #: :mod:`repro.core.parallel` — point passes never fork); the
-    #: decision is recorded in ``plan.decision["parallel"]``.
-    parallelizable: bool = False
 
 
 @dataclass
@@ -60,13 +56,13 @@ class ExecutionPlan:
     #: step in ``decision["degraded"]``.  ``None`` disables degradation.
     deadline_ms: float | None = None
     #: Cooperative cancellation token (``threading.Event``-like: only
-    #: ``is_set()`` is called).  Checked before dispatch and between
-    #: tiles of the progressive tiled path; a set token raises
-    #: :class:`~repro.errors.QueryCancelled`.
+    #: ``is_set()`` is called).  Checked before dispatch, between tiles
+    #: of the tiled paths and between partitions of the store scans; a
+    #: set token raises :class:`~repro.errors.QueryCancelled`.
     cancel: object | None = None
     #: Filled by the planner (or the executor for explicit methods):
-    #: ``{"inputs": ..., "decision": ..., "parallel": ..., "degraded":
-    #: ...}`` — the normalized ``stats["plan"]`` payload.
+    #: ``{"inputs": ..., "decision": ..., "degraded": ...}`` — the
+    #: normalized ``stats["plan"]`` payload.
     decision: dict = field(default_factory=dict)
 
 

@@ -141,8 +141,7 @@ class TiledRasterBackend(Backend):
     name = "tiled"
     capabilities = BackendCapabilities(exact=False, bounded=True,
                                        uses_canvas=True,
-                                       unbounded_canvas=True,
-                                       parallelizable=True)
+                                       unbounded_canvas=True)
 
     def estimate_cost(self, table, regions, plan, ctx=None) -> float:
         pixels = planned_pixels(regions, plan, ctx)
@@ -163,11 +162,7 @@ class TiledRasterBackend(Backend):
         if resolution is None and plan.epsilon is not None:
             resolution = planned_resolution(plan.regions, plan, ctx,
                                             capped=False)
-        # Per-tile scanline rasterization is the one in-memory pass a
-        # fork pays for; the plan carries the decision.
-        fork = plan.decision["parallel"]["use"]
         return tiled_bounded_raster_join(
             plan.table, plan.regions, plan.query,
             resolution=resolution or ctx.default_resolution,
-            config=ctx.parallel if fork else None,
             cancel=plan.cancel)

@@ -19,7 +19,6 @@ from ..raster import FragmentTable, Viewport, build_fragment_table
 from ..table import PointTable
 from .bounds import resolution_for_epsilon
 from .cache import QueryCache, fingerprint
-from .parallel import ParallelConfig
 from .regions import RegionSet
 
 DEFAULT_RESOLUTION = 512
@@ -33,7 +32,6 @@ class ExecutionContext:
                  max_canvas_resolution: int = MAX_CANVAS_RESOLUTION,
                  cache_max_bytes: int = 256 * 1024 * 1024,
                  cache_max_entries: int = 512,
-                 parallel: ParallelConfig | None = None,
                  kernel: str = "auto"):
         if default_resolution < 1:
             raise QueryError("default_resolution must be positive")
@@ -41,10 +39,9 @@ class ExecutionContext:
         self.max_canvas_resolution = int(max_canvas_resolution)
         self.cache = QueryCache(max_bytes=cache_max_bytes,
                                 max_entries=cache_max_entries)
-        self.parallel = parallel or ParallelConfig()
-        # Kernel selection is process-global (fork workers inherit it);
-        # the context records the request and resolves it eagerly so a
-        # bad explicit choice fails at construction, not mid-query.
+        # Kernel selection is process-global; the context records the
+        # request and resolves it eagerly so a bad explicit choice fails
+        # at construction, not mid-query.
         self.kernel = kernels.select(kernel).name
 
     def kernel_info(self) -> dict:

@@ -33,8 +33,7 @@ from .context import (
     MAX_CANVAS_RESOLUTION,
     ExecutionContext,
 )
-from .parallel import ParallelConfig
-from .planner import CostBasedPlanner, parallel_decision
+from .planner import CostBasedPlanner
 from .query import SpatialAggregation
 from .regions import RegionSet
 from .result import AggregationResult
@@ -53,22 +52,18 @@ class SpatialAggregationEngine:
                  cache_max_bytes: int = 256 * 1024 * 1024,
                  cache_max_entries: int = 512,
                  planner: CostBasedPlanner | None = None,
-                 parallel: ParallelConfig | None = None,
+                 parallel=None,
                  workers: int | None = None,
                  kernel: str = "auto"):
-        # ``workers`` is the one-knob shortcut (CLI ``--workers``);
-        # ``parallel`` carries shards/thresholds too.  Given both, the
-        # explicit worker count wins.
-        if parallel is None:
-            parallel = ParallelConfig(workers=workers)
-        elif workers is not None:
-            parallel = parallel.with_workers(workers)
+        # ``parallel`` (a retired ParallelConfig) and ``workers`` are
+        # accepted and ignored: the engine runs in one process.  They go
+        # with the frozen benchmark probes that still pass them
+        # (ROADMAP item 5).
         self.ctx = ExecutionContext(
             default_resolution=default_resolution,
             max_canvas_resolution=max_canvas_resolution,
             cache_max_bytes=cache_max_bytes,
             cache_max_entries=cache_max_entries,
-            parallel=parallel,
             kernel=kernel)
         self.planner = planner or CostBasedPlanner()
 
@@ -134,7 +129,8 @@ class SpatialAggregationEngine:
         planner degrades the plan (exact -> bounded, then a coarser
         canvas) and records it in ``stats["plan"]["degraded"]``.
         ``cancel`` is a ``threading.Event``-like token checked before
-        dispatch (and between tiles on the tiled path); once set the
+        dispatch, between tiles on the tiled paths and between
+        partitions on the store scans; once set the
         query raises :class:`~repro.errors.QueryCancelled`.  Every
         result carries ``stats["plan"]`` (the decision and its inputs)
         and ``stats["cache"]`` (unified-cache counters, including this
@@ -181,8 +177,6 @@ class SpatialAggregationEngine:
             plan.decision = {
                 "inputs": self.planner.plan_inputs(self.ctx, plan),
                 "decision": {"chosen": chosen, "planned": False},
-                "parallel": parallel_decision(self.ctx, chosen, len(table)),
-                "shards": None,
                 "degraded": None,
             }
 
@@ -223,10 +217,6 @@ class SpatialAggregationEngine:
                                    if pixels else 0.0)
         cache["blocks"] = delta
         result.stats["cache"] = cache
-        # Point passes run serial (docs/raster_join.md §8); only the
-        # paths that fork around polygon rasterization say otherwise.
-        result.stats.setdefault("parallel", {
-            "mode": "serial", "reason": "point passes run serial"})
         result.stats["time_execute_s"] = time.perf_counter() - t0
 
     def execute_multi(
@@ -263,8 +253,6 @@ class SpatialAggregationEngine:
                           "decision": {"chosen": "bounded",
                                        "planned": False,
                                        "multi": len(queries)},
-                          "parallel": None,
-                          "shards": None,
                           "degraded": None})
             self._attach_stats(result, plan, hits0, misses0, blocks0, t0)
         return results

@@ -10,7 +10,6 @@ payload so every answer explains itself::
 
     {"inputs":   ...statistics the cost model ran on...,
      "decision": {"chosen": ..., "planned": ..., "costs": ...},
-     "parallel": ...the fork decision (serial unless ``tiled``)...,
      "degraded": None | ...deadline-degradation record...}
 
 Capability gates:
@@ -60,23 +59,6 @@ MIN_DEGRADED_RESOLUTION = 64
 _OBSERVE_ALPHA = 0.3
 
 
-def parallel_decision(ctx: ExecutionContext, chosen: str,
-                      n_points: int) -> dict:
-    """The ``stats["plan"]["parallel"]`` record for a chosen backend.
-
-    Point passes run serial, so only a backend whose forked task is
-    polygon rasterization declares ``parallelizable`` (``tiled``) and
-    follows the input-cardinality rule; everything else is pinned
-    serial.
-    """
-    if get_backend(chosen).capabilities.parallelizable:
-        return ctx.parallel.decide(n_points)
-    return {"use": False,
-            "workers": ctx.parallel.resolve_workers(),
-            "threshold": ctx.parallel.serial_threshold,
-            "reason": f"backend {chosen!r} is not parallelizable"}
-
-
 class CostBasedPlanner:
     """Chooses a backend for ``method='auto'`` and records why."""
 
@@ -120,8 +102,6 @@ class CostBasedPlanner:
         return {
             "n_points": len(table),
             "n_regions": len(regions),
-            "workers": ctx.parallel.resolve_workers(),
-            "parallel_threshold": ctx.parallel.serial_threshold,
             "total_vertices": regions.total_vertices,
             "resolution": desired,
             "canvas_cap": ctx.max_canvas_resolution,
@@ -289,14 +269,6 @@ class CostBasedPlanner:
                 "planned": True,
                 "costs": costs,
             },
-            "parallel": parallel_decision(ctx, chosen, inputs["n_points"]),
-            # Partition sharding is an out-of-core concern; the store
-            # execution path overwrites this with a real decision.
-            "shards": {"use": False,
-                       "shards": ctx.parallel.resolve_shards(),
-                       "prefetch_depth": ctx.parallel.prefetch_depth,
-                       "threshold": ctx.parallel.serial_threshold,
-                       "reason": "in-memory execution has no partitions"},
             "degraded": degraded,
         }
         return chosen

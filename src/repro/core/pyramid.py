@@ -20,9 +20,12 @@ that reuse:
 * :func:`assemble_canvases` — produce a query's canvases by pasting
   cached blocks, deriving coarse blocks from cached finer ones (a 2x2
   reduction, see :mod:`repro.raster.pyramid`), and scattering only the
-  uncovered delta.  Blocks are cached *full* (never clipped to the
-  viewport) under the unified cache's byte budget, so an edge block
-  scattered for one frame serves complete for the next pan.
+  uncovered delta — every missing block of a frame in *one* call to
+  the scatter source, so the store source streams each partition once
+  per cold frame instead of once per block.  Blocks are cached *full*
+  (never clipped to the viewport) under the unified cache's byte
+  budget, so an edge block scattered for one frame serves complete for
+  the next pan.
 
 Invalidation is generation-checked, not presence-checked: block keys
 embed ``fingerprint(table)``, which carries the table's revision
@@ -260,22 +263,36 @@ def column_is_integral(ctx, table: PointTable, column: str) -> bool:
     return bool(ctx.cache.get_or_build(key, probe))
 
 
+def padded_block_bbox(grid: CanvasGrid, level: int, bx: int,
+                      by: int) -> BBox:
+    """World bbox of block ``(bx, by)`` at ``level``, padded by one base
+    pixel: a superset of every point the grid transform maps into the
+    block, safe against the float rounding at its edges."""
+    extent = grid.block << level
+    c0 = bx * extent
+    r0 = by * extent
+    return BBox(grid.x0 + (c0 - 1) * grid.pw,
+                grid.y0 + (r0 - 1) * grid.ph,
+                grid.x0 + (c0 + extent + 1) * grid.pw,
+                grid.y0 + (r0 + extent + 1) * grid.ph)
+
+
 def memory_block_scatter(ctx, table: PointTable, query: SpatialAggregation,
                          viewport: GridViewport):
     """Block scatter source over an in-memory table.
 
-    Candidates come from the cached :class:`~repro.index.PointGridIndex`
-    over a world bbox padded by one base pixel — a superset; exact
-    membership is decided by the canonical grid transform, so a point
-    lands in a block's plane iff the direct path would put it in the
-    same absolute pixel.  Candidates are sorted ascending so bincount
-    accumulates each pixel's contributions in the direct path's row
-    order (bit-for-bit identical partial sums).
+    Per missing block, candidates come from the cached
+    :class:`~repro.index.PointGridIndex` over a world bbox padded by one
+    base pixel — a superset; exact membership is decided by the
+    canonical grid transform, so a point lands in a block's plane iff
+    the direct path would put it in the same absolute pixel.
+    Candidates are sorted ascending so bincount accumulates each
+    pixel's contributions in the direct path's row order (bit-for-bit
+    identical partial sums).
     """
     grid = viewport.grid
     level = viewport.level
     size = grid.block
-    scale = 1 << level
     index = ctx.grid_index(table)
     mask = _filter_mask(ctx, table, query)
     lazy: dict = {}
@@ -285,14 +302,8 @@ def memory_block_scatter(ctx, table: PointTable, query: SpatialAggregation,
             lazy["v"] = query.values_for(table)
         return lazy["v"]
 
-    def scatter(bx: int, by: int, kinds: tuple[str, ...]):
-        c0 = bx * size * scale
-        r0 = by * size * scale
-        bbox = BBox(grid.x0 + (c0 - 1) * grid.pw,
-                    grid.y0 + (r0 - 1) * grid.ph,
-                    grid.x0 + (c0 + size * scale + 1) * grid.pw,
-                    grid.y0 + (r0 + size * scale + 1) * grid.ph)
-        cand = index.query_bbox(bbox)
+    def one_block(bx: int, by: int, kinds: tuple[str, ...]):
+        cand = index.query_bbox(padded_block_bbox(grid, level, bx, by))
         if len(cand):
             cand = np.sort(cand)
             if mask is not None:
@@ -310,17 +321,25 @@ def memory_block_scatter(ctx, table: PointTable, query: SpatialAggregation,
         planes = {}
         for kind in kinds:
             if kind == "count":
-                planes[kind] = scatter_count(pix, num).reshape(size, size)
+                plane = scatter_count(pix, num)
             elif kind == "sum":
-                planes[kind] = scatter_sum(pix, vals, num).reshape(size, size)
+                plane = scatter_sum(pix, vals, num)
             elif kind == "mass":
-                planes[kind] = scatter_sum(pix, np.abs(vals),
-                                           num).reshape(size, size)
+                plane = scatter_sum(pix, np.abs(vals), num)
             elif kind == "min":
-                planes[kind] = scatter_min(pix, vals, num).reshape(size, size)
+                plane = scatter_min(pix, vals, num)
             else:
-                planes[kind] = scatter_max(pix, vals, num).reshape(size, size)
+                plane = scatter_max(pix, vals, num)
+            planes[kind] = plane.reshape(size, size)
         return planes, int(len(pix))
+
+    def scatter(blocks):
+        planes, points = [], 0
+        for bx, by, kinds in blocks:
+            block_planes, n = one_block(bx, by, kinds)
+            planes.append(block_planes)
+            points += n
+        return planes, {"points": points}
 
     return scatter
 
@@ -330,11 +349,17 @@ def assemble_canvases(ctx, table: PointTable, query: SpatialAggregation,
                       derive_sums: bool) -> tuple[dict, dict]:
     """Produce the query's canvases from the block cache + delta scatter.
 
-    Per block, in preference order: reuse a cached plane; derive it from
-    four cached children one level down (2x2 reduction — the zoom-out
-    path); scatter it fresh via ``scatter(bx, by, missing_kinds)``.
-    Fresh and derived planes are cached full-size, so the *next* gesture
-    assembles from them.  Returns ``({kind: flat canvas}, reuse info)``.
+    Two phases.  First every block under the viewport is resolved in
+    preference order: reuse a cached plane; else derive it from four
+    cached children one level down (2x2 reduction — the zoom-out path);
+    else list its missing kinds.  Then ``scatter`` runs *once* over the
+    list of ``(bx, by, missing_kinds)`` and returns one plane dict per
+    listed block (plus span attributes, ``points`` at least), so a
+    store source streams each partition once per frame, not once per
+    block.  Derived and fresh planes are cached full-size only after
+    the scatter returns — a cancelled frame installs nothing — so the
+    *next* gesture assembles from them.  Returns
+    ``({kind: flat canvas}, reuse info)``.
     """
     grid = viewport.grid
     level = viewport.level
@@ -353,6 +378,10 @@ def assemble_canvases(ctx, table: PointTable, query: SpatialAggregation,
         return block_key(table_fp, query, kind, grid, lvl, bx, by)
 
     with span("pyramid.assemble") as sp:
+        resolved = []   # (view_sl, block_sl, planes) per block
+        installs = []   # (key, plane) to cache once the frame is whole
+        needs = []      # (bx, by, missing kinds): the scatter's input
+        pending = []    # the planes dict of each block in ``needs``
         for bx, by, view_sl, block_sl in grid_block_tiles(viewport):
             info["blocks"] += 1
             visible = ((view_sl[0].stop - view_sl[0].start)
@@ -387,21 +416,33 @@ def assemble_canvases(ctx, table: PointTable, query: SpatialAggregation,
                         quad[size:, :size] = bl
                         quad[size:, size:] = br
                         plane = reduce2x2(quad, PYRAMID_OPS[kind])
-                        cache.put(key(kind, level, bx, by), plane)
+                        installs.append((key(kind, level, bx, by), plane))
                         planes[kind] = plane
                     missing = []
                     derived = True
             if missing:
-                fresh, points = scatter(bx, by, tuple(missing))
-                for kind, plane in fresh.items():
-                    cache.put(key(kind, level, bx, by), plane)
-                    planes[kind] = plane
+                needs.append((bx, by, tuple(missing)))
+                pending.append(planes)
                 info["scattered"] += 1
                 info["scattered_pixels"] += visible
-                info["points_scattered"] += points
             else:
                 info["derived" if derived else "hits"] += 1
                 info["assembled_pixels"] += visible
+            resolved.append((view_sl, block_sl, planes))
+
+        if needs:
+            with span("scatter") as scatter_sp:
+                fresh, attrs = scatter(needs)
+            scatter_sp.set(blocks=len(needs), **attrs)
+            info["points_scattered"] = attrs["points"]
+            for (bx, by, _missing), planes, new in zip(needs, pending,
+                                                       fresh):
+                for kind, plane in new.items():
+                    installs.append((key(kind, level, bx, by), plane))
+                    planes[kind] = plane
+        for entry_key, plane in installs:
+            cache.put(entry_key, plane)
+        for view_sl, block_sl, planes in resolved:
             for kind in kinds:
                 canvases[kind][view_sl] = planes[kind][block_sl]
     sp.set(blocks=info["blocks"], hits=info["hits"],
@@ -497,11 +538,12 @@ def assembled_bounded_join(
     t_points = time.perf_counter() - t1
 
     t2 = time.perf_counter()
-    estimate = _join_covered(fragments, canvases, query.agg)
-    lower = upper = None
-    if query.agg in BOUNDABLE_AGGREGATES:
-        mass = canvases["count" if query.agg == COUNT else "mass"]
-        lower, upper = boundary_mass_bounds(fragments, estimate, mass)
+    with span("gather"):
+        estimate = _join_covered(fragments, canvases, query.agg)
+        lower = upper = None
+        if query.agg in BOUNDABLE_AGGREGATES:
+            mass = canvases["count" if query.agg == COUNT else "mass"]
+            lower, upper = boundary_mass_bounds(fragments, estimate, mass)
     t_join = time.perf_counter() - t2
 
     assembled = info["assembled_pixels"]

@@ -13,13 +13,16 @@ same machinery also supports *progressive* execution:
 :func:`iter_tiled_partials` yields a :class:`TilePartial` snapshot
 after each tile (or every ``every`` tiles) — estimate plus hard bounds
 over the pixels processed so far — and the serving layer streams those
-snapshots to clients as they arrive.  The final snapshot is computed in
-the exact accumulation order of the serial full run, so a streamed
-answer converges bitwise to :func:`tiled_bounded_raster_join`'s.
+snapshots to clients as they arrive.  :func:`tiled_bounded_raster_join`
+*is* the final snapshot, so there is one tile loop, it runs in this
+process, and a streamed answer converges bitwise to the one-shot one.
+The out-of-core tiled scan (:mod:`repro.store.execute`) folds its tiles
+through the same :func:`fold_tile_join`.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 
@@ -31,7 +34,6 @@ from ..raster import Viewport, build_fragment_table, gather_reduce, gather_sum
 from ..table import PointTable
 from .aggregates import BOUNDABLE_AGGREGATES, COUNT, PartialAggregate
 from .bounded import blend_canvases
-from .parallel import ParallelConfig, _even_ranges, _fork_map
 from .query import SpatialAggregation
 from .regions import RegionSet
 from .result import AggregationResult
@@ -285,65 +287,32 @@ def tiled_bounded_raster_join(
     query: SpatialAggregation,
     resolution: int,
     tile_pixels: int = 1024,
-    config: ParallelConfig | None = None,
     cancel=None,
 ) -> AggregationResult:
     """Bounded raster join over a virtual canvas of arbitrary size.
 
-    With a :class:`ParallelConfig`, contiguous tile ranges run in worker
-    processes; tiles partition the pixel grid, so per-range partials and
-    boundary masses merge by plain addition (min/max by combination)
-    and results match the serial order exactly for COUNT.
-
-    ``cancel`` (``threading.Event``-like) is honored between tiles on
-    the serial path — fork workers cannot observe a parent-set event,
-    so a pooled run completes its ranges before the token is rechecked.
+    The final snapshot of :func:`iter_tiled_partials`: the same tiles in
+    the same order into one accumulator, so the in-memory tiled join has
+    exactly one tile loop.  ``cancel`` (``threading.Event``-like) is
+    honored between tiles.
     """
     t_start = time.perf_counter()
-    state = _TileJoinState(table, regions, query, resolution, tile_pixels)
-    tiles = state.tiles
-
-    def range_task(tlo: int, thi: int):
-        local, m_in, m_out = state.empty_accumulators()
-        for tile_idx in range(tlo, thi):
-            if cancel is not None and cancel.is_set():
-                raise QueryCancelled("tiled join cancelled mid-run")
-            state.run_tile(tile_idx, local, m_in, m_out)
-        return local, m_in, m_out
-
-    workers = config.resolve_workers() if config is not None else 1
-    ranges = _even_ranges(len(tiles), min(workers, len(tiles)))
-    results, pooled = _fork_map(range_task, ranges, workers)
-    if cancel is not None and cancel.is_set():
-        raise QueryCancelled("tiled join cancelled")
-
-    part, mass_in, mass_out = results[0]
-    for other, m_in, m_out in results[1:]:
-        part.merge(other)
-        mass_in += m_in
-        mass_out += m_out
-
-    estimate, lower, upper = state.snapshot(part, mass_in, mass_out)
-
+    *_, final = iter_tiled_partials(table, regions, query, resolution,
+                                    tile_pixels, every=sys.maxsize,
+                                    cancel=cancel)
     return AggregationResult(
         regions=regions,
-        values=estimate,
+        values=final.values,
         method="tiled-bounded-raster-join",
-        lower=lower,
-        upper=upper,
+        lower=final.lower,
+        upper=final.upper,
         exact=False,
         stats={
-            "tiles": len(tiles),
+            "tiles": final.tiles_total,
             "resolution": resolution,
             "tile_pixels": tile_pixels,
             "time_total_s": time.perf_counter() - t_start,
-            "epsilon_world_units": state.viewport.pixel_diag,
-            "parallel": {
-                "mode": "parallel" if pooled else "serial",
-                "workers": min(workers, len(ranges)),
-                "pooled": pooled,
-                "tile_ranges": len(ranges),
-            },
+            "epsilon_world_units": final.stats["epsilon_world_units"],
         },
     )
 
@@ -358,13 +327,9 @@ def iter_tiled_partials(
     cancel=None,
 ):
     """Progressive tiled join: yield a :class:`TilePartial` snapshot
-    every ``every`` tiles, always serially and always ending with a
-    ``final=True`` snapshot.
-
-    Tiles are processed in the serial order of
-    :func:`tiled_bounded_raster_join`, so the final snapshot's values
-    and bounds are bitwise-identical to the one-shot serial result.
-    Each snapshot's [lower, upper] interval is a hard bound on the true
+    every ``every`` tiles, always ending with a ``final=True`` snapshot
+    — which is what :func:`tiled_bounded_raster_join` returns.  Each
+    snapshot's [lower, upper] interval is a hard bound on the true
     answer *restricted to the pixels folded in so far* — the serving
     layer forwards them as bounded-error progress metadata.
 

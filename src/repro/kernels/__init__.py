@@ -14,9 +14,8 @@ call-site changes:
   element-sequential C loops), so switching kernels never changes a
   single output bit.
 
-Selection is **process-global**: fork-pool workers inherit the parent's
-choice, so parallel and sharded paths run the same kernel as the serial
-one.  ``select()`` is explicit; ``active()`` lazily resolves the
+Selection is **process-global**: every engine in the process runs the
+same kernel.  ``select()`` is explicit; ``active()`` lazily resolves the
 ``REPRO_KERNEL`` environment variable (default ``auto``) on first use.
 The resolved choice is surfaced per query in ``stats["plan"]["kernel"]``.
 """
@@ -46,7 +45,7 @@ class Kernel:
     scatter_sum: Callable
     scatter_min: Callable
     scatter_max: Callable
-    # In-place element-ordered accumulate (the out-of-core/shard
+    # In-place element-ordered accumulate (the out-of-core partition
     # chaining primitive; must match ``np.add.at`` bit for bit).
     scatter_add_at: Callable
     # Gather join (canvas -> per-polygon aggregates over fragments).

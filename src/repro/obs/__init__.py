@@ -32,7 +32,6 @@ from .trace import (
     disable,
     enable,
     enabled,
-    graft,
     render,
     span,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "disable",
     "enable",
     "enabled",
-    "graft",
     "record_query_stats",
     "render",
     "sample_service_stats",

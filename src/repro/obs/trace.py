@@ -2,7 +2,7 @@
 
 A trace is a tree of :class:`Span` objects.  Instrumented code calls
 :func:`span` at stage boundaries (``plan``, ``store.scan``,
-``shard.scatter``, ...); each span records wall time, thread CPU time
+``scatter``, ...); each span records wall time, thread CPU time
 and key-value attributes, and nests under whatever span is active in
 the current :mod:`contextvars` context.  The serve layer opens one
 root span per traced request and the whole tree comes back under one
@@ -21,14 +21,6 @@ pay one bool + one contextvar read.
 **Crossing threads.**  ``loop.run_in_executor`` does not propagate
 contextvars, so the serve layer carries the root span to the worker
 thread explicitly and re-activates it there with :func:`activate`.
-
-**Crossing processes.**  Forked shard workers inherit the enabled
-flag and the active span *by memory copy* — their appends land in the
-child's copy and would be lost.  Each shard therefore serializes its
-own subtree (:meth:`Span.to_dict`) into the merge payload it already
-returns, and the coordinator :func:`graft`\\ s the deserialized tree
-under its live span.  In the no-fork fallback the shard code runs in
-the parent's context and its spans attach directly (no graft needed).
 """
 
 from __future__ import annotations
@@ -132,7 +124,7 @@ class Span:
         self.attrs.update(attrs)
         return self
 
-    # -- serialization (cross-process grafting, the trace endpoint) --------
+    # -- serialization (the trace endpoint, the slow-query log) ----------
 
     def to_dict(self) -> dict:
         return {
@@ -195,22 +187,6 @@ def activate(root):
         yield root
     finally:
         _current.reset(token)
-
-
-def graft(payload: dict | None) -> None:
-    """Attach a serialized child-process subtree under the live span.
-
-    Called by the shard coordinator with the span dict a forked worker
-    returned in its merge payload.  No-op when tracing is off, no trace
-    is active, or the payload is empty — the coordinator never has to
-    branch.
-    """
-    if not _enabled or not payload:
-        return
-    parent = _current.get()
-    if parent is None:
-        return
-    parent.children.append(Span.from_dict(payload))
 
 
 # -- retention ----------------------------------------------------------------
@@ -314,8 +290,8 @@ def leaf_coverage(root: Span | dict) -> float:
 
     Recursively: a leaf covers its own wall time; an inner span covers
     the sum of its children's coverage *capped at its own wall time*
-    (grafted shard subtrees run in parallel, so their sum may exceed
-    the parent's wall — the cap keeps coverage honest).  The
+    (children that overlap — spans recorded on other threads — may sum
+    past the parent's wall; the cap keeps coverage honest).  The
     acceptance gate for instrumentation completeness.
     """
     payload = root if isinstance(root, dict) else root.to_dict()

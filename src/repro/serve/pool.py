@@ -42,8 +42,7 @@ def clone_engine(engine: SpatialAggregationEngine
         default_resolution=ctx.default_resolution,
         max_canvas_resolution=ctx.max_canvas_resolution,
         cache_max_bytes=ctx.cache.max_bytes,
-        cache_max_entries=ctx.cache.max_entries,
-        parallel=ctx.parallel)
+        cache_max_entries=ctx.cache.max_entries)
 
 
 class ServeWorker:

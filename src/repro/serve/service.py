@@ -214,8 +214,8 @@ class QueryService:
 
         When the request asks for a trace (``trace`` knob) or the
         slow-query log is armed, the whole request runs under a root
-        span: admission wait, coalesce join, execution (including
-        grafted child-process shard spans) all land in one tree, kept
+        span: admission wait, coalesce join and execution all land in
+        one tree, kept
         in the tracer's ring buffer under a ``request_id`` the client
         can fetch back via ``GET /v1/trace/<id>``.
         """

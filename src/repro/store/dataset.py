@@ -18,7 +18,6 @@ O(dataset) — the property the acceptance benchmark measures.
 
 from __future__ import annotations
 
-import mmap
 import threading
 from collections import OrderedDict
 from pathlib import Path
@@ -38,28 +37,6 @@ from .format import (
 )
 
 
-def _backing_mmap(arr) -> "mmap.mmap | None":
-    """The ``mmap.mmap`` behind an array, if any.
-
-    ``PointTable`` wraps partition memmaps in plain ndarray views, so
-    the mapping sits somewhere down the ``.base`` chain (the same walk
-    ``estimate_nbytes`` does to charge mmap-backed arrays zero bytes).
-    Returns ``None`` for in-memory arrays or platforms whose mappings
-    lack ``madvise``.
-    """
-    obj = arr
-    for _ in range(8):
-        if obj is None:
-            return None
-        raw = getattr(obj, "_mmap", None)
-        if raw is not None and hasattr(raw, "madvise"):
-            return raw
-        if isinstance(obj, mmap.mmap):
-            return obj if hasattr(obj, "madvise") else None
-        obj = getattr(obj, "base", None)
-    return None
-
-
 class Dataset:
     """An opened store: manifest + lazily mounted mmap partitions."""
 
@@ -74,8 +51,8 @@ class Dataset:
         self.mounts = 0
         self.mount_hits = 0
         self.evictions = 0
-        # Serve-pool threads and shard coordinators share one Dataset;
-        # the mount LRU (dict + byte counter) must mutate atomically.
+        # Serve-pool threads share one Dataset; the mount LRU (dict +
+        # byte counter) must mutate atomically.
         self._mount_lock = threading.RLock()
 
     @classmethod
@@ -141,34 +118,6 @@ class Dataset:
                     self._mapped_bytes -= nbytes
                     self.evictions += 1
             return table
-
-    def prefetch_partition(self, index: int) -> bool:
-        """Advise the OS to page in one partition's column files.
-
-        Mounts the partition (so the mapping exists to advise on) and
-        issues ``madvise(MADV_WILLNEED)`` on every column mapping — the
-        kernel starts readahead while the caller keeps scattering the
-        *current* partition, which is what keeps page faults off the
-        hot path.  Returns ``True`` when at least one advise was
-        issued; platforms without ``mmap.madvise`` (or non-mmap arrays,
-        e.g. empty partitions) fall back to a no-op so behavior is
-        identical everywhere.
-        """
-        table = self.partition_table(index)
-        advised = False
-        arrays = [table.x, table.y]
-        arrays.extend(table.column(name).values
-                      for name in table.column_names)
-        for arr in arrays:
-            raw = _backing_mmap(arr)
-            if raw is None:
-                continue
-            try:
-                raw.madvise(mmap.MADV_WILLNEED)
-                advised = True
-            except (OSError, ValueError):
-                continue
-        return advised
 
     def _map_partition(self, info: PartitionInfo) -> PointTable:
         pdir = self.path / info.directory
@@ -249,14 +198,3 @@ class Dataset:
         with self._mount_lock:
             self._mounted.clear()
             self._mapped_bytes = 0
-
-    def _after_fork(self) -> None:
-        """Called at the top of a forked shard worker.
-
-        The inherited mount lock may have been held by a parent thread
-        that does not exist in the child — replace it.  Mounted tables
-        stay: the inherited mappings are exactly the zero-copy reuse
-        forking buys.  Must never run in the parent process (it would
-        swap the lock out from under concurrent serve threads).
-        """
-        self._mount_lock = threading.RLock()

@@ -1,10 +1,12 @@
 """Out-of-core execution: raster joins over pruned store partitions.
 
 The raster join is partition-pipelined (3DPipe-style): zone maps prune
-the manifest, then the surviving partitions stream one at a time
-through filter → project → scatter into a **shared canvas**, and the
-polygon/gather passes run once against the finished canvases.  Peak
-memory is O(partition + canvas), never O(dataset).
+the manifest, then the surviving partitions stream one at a time, in
+manifest order, through filter → project → scatter into one **shared
+output**, and the polygon/gather passes run against the finished
+canvases.  Peak memory is O(partition + canvas), never O(dataset).
+Everything runs in this process: each path streams a partition at most
+once per canvas it fills, and no path forks.
 
 **Bitwise equality with the in-memory engine is a design invariant,
 not an accident.**  The in-memory point pass accumulates each canvas
@@ -17,24 +19,20 @@ integer-valued, hence exact under any fold; MIN/MAX are order-free
 reductions).  Everything downstream of the canvases (gather join,
 boundary-mass bounds) is byte-identical shared code.
 
-The partition scan is a point pass, so it is serial (see
-:mod:`repro.core.parallel`).  Forks survive only where a task
-rasterizes polygons or scatters whole blocks — the tiled path's tile
-ranges and the pyramid path's cold blocks (:mod:`repro.shard`) — and
-their per-shard merges are exact for COUNT/MIN/MAX and within the usual
-<= 1e-12 reassociation tolerance for SUM/AVG (bitwise when values are
-integer-valued).
-
 Three paths, mirroring the in-memory backends:
 
 * ``store-bounded`` — one canvas at the planned resolution;
-* ``store-tiled``   — virtual canvases beyond the texture cap; each
-  tile's canvases are accumulated from the partitions whose bbox
-  touches the tile, then folded through the *same*
+* ``store-tiled``   — virtual canvases beyond the texture cap; tile by
+  tile, the partitions whose bbox touches the tile accumulate into the
+  tile's canvases, which fold through the *same*
   :func:`~repro.core.tiling.fold_tile_join` the in-memory tiled join
   uses;
 * ``store-pyramid`` — a grid-snapped viewport assembles from cached
-  canvas blocks and streams partitions only for the uncovered ones.
+  canvas blocks; all of a frame's uncovered blocks are filled by one
+  pass over the partitions into one ``blocks x block²`` canvas per
+  kind.  Blocks partition the pixel lattice, so every pixel still
+  receives its contributions in (manifest order, row order) — the
+  planes are bitwise what a per-block scan produces.
 """
 
 from __future__ import annotations
@@ -44,21 +42,29 @@ import time
 import numpy as np
 
 from .. import kernels
-from ..core.aggregates import BOUNDABLE_AGGREGATES, COUNT, SUM, canvas_kinds
+from ..core.aggregates import (
+    BOUNDABLE_AGGREGATES,
+    COUNT,
+    SUM,
+    PartialAggregate,
+    canvas_kinds,
+)
 from ..core.bounded import _join_covered
 from ..core.bounds import (
     boundary_mass_bounds,
     epsilon_for_viewport,
     resolution_for_epsilon,
 )
-from ..core.pyramid import GridViewport, assembled_bounded_join
+from ..core.pyramid import (
+    GridViewport,
+    assembled_bounded_join,
+    padded_block_bbox,
+)
 from ..core.result import AggregationResult
-from ..core.tiling import make_tiles
+from ..core.tiling import fold_tile_join, make_tiles
 from ..errors import QueryCancelled, QueryError
-from ..geometry import BBox
 from ..obs.trace import span
 from ..raster import Viewport
-from ..shard import prescatter_blocks, scatter_gather_tiles
 from .dataset import Dataset
 from .format import zone_min
 from .pruner import PartitionPruner
@@ -239,8 +245,7 @@ def execute_dataset(ctx, plan, method: str = "auto") -> AggregationResult:
     return result
 
 
-def _plan_payload(ctx, plan, dataset, prune, chosen, resolution,
-                  shard_decision) -> dict:
+def _plan_payload(ctx, plan, dataset, prune, chosen, resolution) -> dict:
     return {
         "inputs": {
             "n_points": len(dataset),
@@ -255,9 +260,6 @@ def _plan_payload(ctx, plan, dataset, prune, chosen, resolution,
         },
         "decision": {"chosen": chosen, "planned": False,
                      "requested": plan.method},
-        # Partition scans are point passes (see repro.core.parallel).
-        "parallel": {"use": False, "reason": "point passes run serial"},
-        "shards": shard_decision,
         "degraded": None,
     }
 
@@ -278,9 +280,8 @@ def _execute_bounded(ctx, dataset, pruner, plan,
     with_mass = agg == SUM and not nonneg
     kinds = canvas_kinds(agg, with_mass)
 
-    plan.decision = _plan_payload(
-        ctx, plan, dataset, prune, "store-bounded", resolution,
-        {"use": False, "reason": "the bounded scan is a point pass"})
+    plan.decision = _plan_payload(ctx, plan, dataset, prune,
+                                  "store-bounded", resolution)
 
     t_points0 = time.perf_counter()
     with span("store.scan", mode="serial", partitions=len(survivors)):
@@ -313,7 +314,6 @@ def _execute_bounded(ctx, dataset, pruner, plan,
         "epsilon_world_units": epsilon_for_viewport(viewport),
         "time_point_pass_s": t_points,
         "time_join_s": t_join,
-        "parallel": {"mode": "serial", "pooled": False, "workers": 1},
     }
     return AggregationResult(
         regions=regions, values=estimate,
@@ -321,61 +321,82 @@ def _execute_bounded(ctx, dataset, pruner, plan,
         lower=lower, upper=upper, exact=False, stats=stats)
 
 
-def _store_block_scatter(dataset, survivors, query, viewport):
-    """Block scatter source streaming store partitions.
+def _store_block_scatter(dataset, survivors, query, viewport, cancel):
+    """Block scatter source streaming store partitions — one pass per
+    frame, whatever the number of missing blocks.
 
-    Partitions stream in manifest order and accumulate with the same
-    unbuffered ops as :func:`_accumulate`, so each pixel's contribution
-    sequence matches the serial reference scan bit for bit (the block
-    merely restricts *which* pixels are accumulated).  ``survivors``
-    must be pruned by **filters only** — a block cached at a viewport
-    edge covers pixels outside that viewport, and viewport pruning
-    would silently drop their mass, poisoning the block for the next
-    pan that exposes them.
+    The returned ``scatter(blocks)`` pages each surviving partition at
+    most once, in manifest order, skipping it only when its bbox meets
+    none of the blocks' padded bboxes.  Its filtered rows map to (block
+    slot, local pixel) through one lookup table and accumulate with
+    :func:`_accumulate` into one flat ``len(blocks) x block²`` canvas
+    per kind.  Blocks partition the pixel lattice, so each pixel sees
+    its contributions in (manifest order, row order) — the serial
+    reference fold, bit for bit.  Each block gets copies of only its
+    own missing kinds.  ``cancel`` is checked between partitions.
+
+    ``survivors`` must be pruned by **filters only** — a block cached
+    at a viewport edge covers pixels outside that viewport, and
+    viewport pruning would silently drop their mass, poisoning the
+    block for the next pan that exposes them.
     """
     grid = viewport.grid
     level = viewport.level
     size = grid.block
-    scale = 1 << level
+    num = size * size
     infos = dataset.partitions
-    # after_filter keyed by partition — a partition paged for several
-    # blocks counts its surviving rows once, like the reference scan.
-    scanned = {"after_filter": {}, "partitions": 0}
+    scanned = {"after_filter": 0, "partitions": 0}
 
-    def scatter(bx, by, kinds):
-        c0 = bx * size * scale
-        r0 = by * size * scale
-        bbox = BBox(grid.x0 + (c0 - 1) * grid.pw,
-                    grid.y0 + (r0 - 1) * grid.ph,
-                    grid.x0 + (c0 + size * scale + 1) * grid.pw,
-                    grid.y0 + (r0 + size * scale + 1) * grid.ph)
-        flat = _empty_canvases(list(kinds), size * size)
-        points = 0
+    def scatter(blocks):
+        boxes = [padded_block_bbox(grid, level, bx, by)
+                 for bx, by, _kinds in blocks]
+        kinds = tuple(dict.fromkeys(k for *_, missing in blocks
+                                    for k in missing))
+        bxs = np.array([b[0] for b in blocks], dtype=np.int64)
+        bys = np.array([b[1] for b in blocks], dtype=np.int64)
+        bx0, by0 = int(bxs.min()), int(bys.min())
+        # Slot of each missing block in the flat canvases; -1 elsewhere.
+        slot_of = np.full((int(bys.max()) - by0 + 1,
+                           int(bxs.max()) - bx0 + 1), -1, dtype=np.int64)
+        slot_of[bys - by0, bxs - bx0] = np.arange(len(blocks))
+        flat = _empty_canvases(kinds, len(blocks) * num)
+        points = paged = 0
         for index in survivors:
             info = infos[index]
-            if info.bbox is not None and not info.bbox.intersects(bbox):
+            if info.bbox is not None and not any(
+                    info.bbox.intersects(box) for box in boxes):
                 continue
-            scanned["partitions"] += 1
+            if cancel is not None and cancel.is_set():
+                raise QueryCancelled(
+                    "pyramid block scatter cancelled between partitions")
+            paged += 1
             table = dataset.partition_table(index)
             rows = np.flatnonzero(query.filter_mask(table))
-            scanned["after_filter"][index] = len(rows)
-            gx = np.floor((table.x[rows] - grid.x0)
-                          / grid.pw).astype(np.int64)
-            gy = np.floor((table.y[rows] - grid.y0)
-                          / grid.ph).astype(np.int64)
-            lx = (gx >> level) - bx * size
-            ly = (gy >> level) - by * size
-            keep = (lx >= 0) & (lx < size) & (ly >= 0) & (ly < size)
+            scanned["after_filter"] += len(rows)
+            px = np.floor((table.x[rows] - grid.x0)
+                          / grid.pw).astype(np.int64) >> level
+            py = np.floor((table.y[rows] - grid.y0)
+                          / grid.ph).astype(np.int64) >> level
+            cx = px // size - bx0
+            cy = py // size - by0
+            keep = ((cx >= 0) & (cx < slot_of.shape[1])
+                    & (cy >= 0) & (cy < slot_of.shape[0]))
+            slot = np.full(len(rows), -1, dtype=np.int64)
+            slot[keep] = slot_of[cy[keep], cx[keep]]
+            keep = slot >= 0
             if not keep.all():
-                rows, lx, ly = rows[keep], lx[keep], ly[keep]
-            pix = ly * size + lx
+                rows, px, py, slot = rows[keep], px[keep], py[keep], slot[keep]
+            pix = slot * num + (py % size) * size + px % size
             values = query.values_for(table)
             if values is not None:
                 values = values[rows]
             _accumulate(flat, pix, values)
             points += len(pix)
-        return ({kind: plane.reshape(size, size)
-                 for kind, plane in flat.items()}, points)
+        scanned["partitions"] += paged
+        planes = [{kind: flat[kind][slot * num:(slot + 1) * num]
+                   .reshape(size, size).copy() for kind in missing}
+                  for slot, (*_, missing) in enumerate(blocks)]
+        return planes, {"partitions": paged, "points": points}
 
     return scatter, scanned
 
@@ -392,28 +413,16 @@ def _execute_assembled(ctx, dataset, pruner, plan,
     regions, query = plan.regions, plan.query
     viewport: GridViewport = plan.viewport
     # Filters only — block content must be viewport-independent (see
-    # _store_block_scatter); the viewport still prunes the per-block
-    # partition stream via the block/partition bbox test.
+    # _store_block_scatter); the missing blocks' bboxes still prune the
+    # partition stream.
     with span("store.prune") as sp:
         prune = pruner.prune(query.filters, None)
     sp.set(scanned=len(prune.indices), pruned=prune.pruned)
-    shard_decision = ctx.parallel.decide_shards(len(prune.indices),
-                                                prune.rows_scanned)
     plan.decision = _plan_payload(ctx, plan, dataset, prune,
-                                  "store-pyramid", resolution,
-                                  shard_decision)
+                                  "store-pyramid", resolution)
 
     scatter, scanned = _store_block_scatter(dataset, prune.indices, query,
-                                            viewport)
-    shard_stats = None
-    if shard_decision["use"]:
-        # Scatter the uncovered blocks across forked shards first; the
-        # returned block-cache deltas install under the same keys, so
-        # the assembly below finds every block hot and the answer stays
-        # bitwise-identical to the serial scatter.
-        shard_stats = prescatter_blocks(
-            ctx, dataset, dataset, query, viewport, scatter, scanned,
-            shard_decision, plan.cancel)
+                                            viewport, plan.cancel)
     # Coarse SUM/mass blocks are never derived by reduction out-of-core
     # (no integer-valuedness proof without scanning); COUNT/MIN/MAX
     # still derive.
@@ -423,21 +432,9 @@ def _execute_assembled(ctx, dataset, pruner, plan,
             fragments=ctx.fragments_for(regions, viewport),
             scatter=scatter, derive_sums=False,
             method="store-pyramid-raster-join")
-    result.stats["points_after_filter"] = sum(
-        scanned["after_filter"].values())
+    result.stats["points_after_filter"] = scanned["after_filter"]
     result.stats["store"] = prune.stats()
     result.stats["store"]["partitions_paged"] = scanned["partitions"]
-    if shard_stats is not None:
-        result.stats["shards"] = shard_stats
-        pooled = shard_stats["pooled"]
-        result.stats["parallel"] = {
-            "mode": "parallel" if pooled else "serial", "pooled": pooled,
-            "workers": shard_decision["shards"],
-            "reason": "sharded block pre-scatter"}
-    else:
-        result.stats["parallel"] = {"mode": "serial", "pooled": False,
-                                    "workers": 1,
-                                    "reason": "pyramid assembly"}
     return result
 
 
@@ -450,27 +447,50 @@ def _execute_tiled(ctx, dataset, pruner, plan, resolution,
     with span("store.prune") as sp:
         prune = pruner.prune(query.filters, viewport)
     sp.set(scanned=len(prune.indices), pruned=prune.pruned)
-    survivors = prune.indices
+    plan.decision = _plan_payload(ctx, plan, dataset, prune, "store-tiled",
+                                  resolution)
 
+    infos = dataset.partitions
     tiles = make_tiles(viewport, tile_pixels)
     kinds = canvas_kinds(agg)
-    shard_decision = ctx.parallel.decide_shards(len(survivors),
-                                                prune.rows_scanned)
-    if shard_decision["use"] and len(tiles) <= 1:
-        shard_decision = {**shard_decision, "use": False,
-                          "reason": "single tile"}
-    plan.decision = _plan_payload(ctx, plan, dataset, prune, "store-tiled",
-                                  resolution, shard_decision)
-
-    # One tile loop for both decisions: a serial decision is a single
-    # in-process range, a sharded one fans contiguous tile ranges out
-    # across fork workers and merges region vectors in shard order.
+    geometries = list(regions.geometries)
+    geom_boxes = [g.bbox for g in geometries]
+    part = PartialAggregate.empty(agg, len(regions))
+    mass_in = np.zeros(len(regions))
+    mass_out = np.zeros(len(regions))
+    paged = 0
     with span("store.scan", mode="tiled", tiles=len(tiles)):
-        part, mass_in, mass_out, scan_stats, pooled = scatter_gather_tiles(
-            dataset, survivors, query, regions, viewport, tiles, kinds,
-            shard_decision, plan.cancel)
-    if plan.cancel is not None and plan.cancel.is_set():
-        raise QueryCancelled("tiled store scan cancelled")
+        for tile_vp, col0, row0 in tiles:
+            if plan.cancel is not None and plan.cancel.is_set():
+                raise QueryCancelled(
+                    "tiled store scan cancelled between tiles")
+            local_ids = [gid for gid, gb in enumerate(geom_boxes)
+                         if gb.intersects(tile_vp.bbox)]
+            if not local_ids:
+                continue
+            canvases = _empty_canvases(kinds, tile_vp.num_pixels)
+            for index in prune.indices:
+                bbox = infos[index].bbox
+                if bbox is not None and not bbox.intersects(tile_vp.bbox):
+                    continue
+                paged += 1
+                table = dataset.partition_table(index)
+                mask = query.filter_mask(table)
+                values = query.values_for(table)
+                if values is not None:
+                    values = values[mask]
+                ix, iy = viewport.pixel_of(table.x[mask], table.y[mask])
+                sel = ((ix >= col0) & (ix < col0 + tile_vp.width)
+                       & (iy >= row0) & (iy < row0 + tile_vp.height))
+                local_pix = ((iy[sel] - row0) * tile_vp.width
+                             + (ix[sel] - col0))
+                _accumulate(canvases, local_pix,
+                            values[sel] if values is not None else None)
+            mass = None
+            if agg in BOUNDABLE_AGGREGATES:
+                mass = canvases["count" if agg == COUNT else "mass"]
+            fold_tile_join(geometries, local_ids, query, tile_vp,
+                           canvases, mass, part, mass_in, mass_out)
     estimate = part.finalize()
     lower = upper = None
     if agg in BOUNDABLE_AGGREGATES:
@@ -483,14 +503,9 @@ def _execute_tiled(ctx, dataset, pruner, plan, resolution,
         "tiles": len(tiles),
         "resolution": resolution,
         "tile_pixels": tile_pixels,
-        "partitions_paged": scan_stats["partitions_paged"],
+        "partitions_paged": paged,
         "epsilon_world_units": viewport.pixel_diag,
-        "parallel": {"mode": "parallel" if pooled else "serial",
-                     "pooled": pooled,
-                     "workers": scan_stats["shards"]["count"]},
     }
-    if shard_decision["use"]:
-        stats["shards"] = scan_stats["shards"]
     return AggregationResult(
         regions=regions, values=estimate,
         method="store-tiled-bounded-raster-join",

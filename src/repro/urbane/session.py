@@ -55,8 +55,6 @@ class Interaction:
     cache_misses: int = 0
     #: Backend the plan resolved to for this gesture.
     backend: str = ""
-    #: Execution mode the backend ran in ("parallel" / "serial" / "").
-    parallel: str = ""
     #: Pyramid block-cache traffic (zeros off the pyramid path).
     block_hits: int = 0
     block_misses: int = 0
@@ -92,18 +90,13 @@ class InteractiveSession:
 
     def __init__(self, manager: DataManager, dataset: str, regions: str,
                  method: str = "bounded", resolution: int = 512,
-                 workers: int | None = None, tcube: bool = True):
+                 tcube: bool = True):
         self.manager = manager
         self.method = method
         self.resolution = int(resolution)
         #: Route timeline brushes through the temporal canvas cube when
         #: one can serve them (built on the first brush, hit afterwards).
         self.tcube = bool(tcube)
-        if workers is not None:
-            # Per-session worker override; the engine's other parallel
-            # knobs (chunk size, thresholds) are left as configured.
-            ctx = manager.engine.ctx
-            ctx.parallel = ctx.parallel.with_workers(workers)
         self.state = SessionState(dataset=dataset, regions=regions)
         self.log: list[Interaction] = []
         self.last_result: AggregationResult | None = None
@@ -241,7 +234,6 @@ class InteractiveSession:
             cache_misses=cache.get("query_misses", 0),
             backend=(plan.get("decision") or {}).get("chosen",
                                                      result.method),
-            parallel=result.stats.get("parallel", {}).get("mode", ""),
             block_hits=(blocks.get("hits", 0) + blocks.get("derived", 0)),
             block_misses=blocks.get("misses", 0),
             block_reuse=blocks.get("reuse_fraction", 0.0)))
@@ -300,8 +292,6 @@ class InteractiveSession:
             "block_reuse_rate": (block_hits / (block_hits + block_misses)
                                  if block_hits + block_misses else 0.0),
             "spec_hits": sum(1 for i in self.log if i.spec_hit),
-            "parallel_gestures": sum(
-                1 for i in self.log if i.parallel == "parallel"),
         }
 
     def report(self) -> str:
@@ -468,7 +458,6 @@ class RemoteSession:
             cache_misses=int(cache.get("query_misses", 0) or 0),
             backend=(plan.get("decision") or {}).get("chosen",
                                                      result.method),
-            parallel=(stats.get("parallel") or {}).get("mode", ""),
             spec_hit=bool((stats.get("speculate") or {}).get("hit"))))
         return result
 

@@ -1,11 +1,11 @@
-"""Where a process pool may be forked — and where it never is.
+"""No fork sites: every path runs in the calling process.
 
-One rule (``docs/raster_join.md`` §8): point passes and the polygon
-pass of one viewport run serial; a fork survives only around per-tile /
-per-block rasterization.  With a config that says yes to every
-remaining decision, the serial paths must construct zero pools and the
-three ``_fork_map`` sites at least one each, with answers equal to a
-one-worker engine.
+``docs/raster_join.md`` §8 records why each fork was retired.  Given the
+retired configuration that used to say yes to every fork decision —
+which the engine now ignores — no point pass, polygon pass, tiled join
+or cold pyramid frame may construct a process pool, and the answers
+equal a default engine's.  Importing the package does not even load
+``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -13,12 +13,10 @@ from __future__ import annotations
 import multiprocessing.pool
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import repro
 from repro.core import (
     ParallelConfig,
     RegionSet,
@@ -32,12 +30,8 @@ from repro.table import TimeRange
 
 from tests.store.conftest import HOUR, make_store_table
 
-#: Says yes to every fork decision that still exists.
+#: Used to say yes to every fork decision; now ignored.
 EAGER = ParallelConfig(workers=2, shards=2, serial_threshold=0, chunk_size=1)
-
-pytestmark = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="no fork start method: every site runs in-process")
 
 
 def _engine(parallel: ParallelConfig) -> SpatialAggregationEngine:
@@ -88,7 +82,6 @@ class TestPointPassesNeverFork:
         got = _engine(EAGER).execute(table, simple_regions, query,
                                      method=method)
         assert pools == []
-        assert got.stats["parallel"]["mode"] == "serial"
         _assert_same(got, _engine(ParallelConfig(workers=1)).execute(
             table, simple_regions, query, method=method))
 
@@ -125,16 +118,14 @@ class TestFragmentBuildNeverForks:
         assert got.num_polygons == len(squares) >= 256
 
 
-class TestPolygonRasterizationForks:
+class TestTiledAndPyramidNeverFork:
     @pytest.mark.parametrize("source", ["memory", "store"])
     def test_tiled_join(self, pools, table, store, simple_regions, source):
         points = table if source == "memory" else store
         query = SpatialAggregation.sum_of("fare")
         got = _engine(EAGER).execute(points, simple_regions, query,
                                      method="tiled", resolution=2_048)
-        assert len(pools) >= 1
-        assert got.stats["parallel"]["mode"] == "parallel"
-        assert got.stats["parallel"]["pooled"]
+        assert pools == []
         _assert_same(got, _engine(ParallelConfig(workers=1)).execute(
             points, simple_regions, query, method="tiled",
             resolution=2_048))
@@ -146,23 +137,19 @@ class TestPolygonRasterizationForks:
         viewport = engine.plan_grid_viewport(simple_regions, 256)
         got = engine.execute(store, simple_regions, query, viewport=viewport)
         assert got.method == "store-pyramid-raster-join"
-        assert len(pools) >= 1
-        assert got.stats["shards"]["blocks_prescattered"] > 0
+        assert got.stats["pyramid"]["scattered"] > 0
+        assert pools == []
         _assert_same(got, _engine(ParallelConfig(workers=1)).execute(
             store, simple_regions, query, viewport=viewport))
 
 
 def test_import_allocates_no_shared_memory_machinery():
-    code = ("import sys, repro, repro.core, repro.store, repro.shard, "
-            "repro.serve, repro.cli; "
-            "sys.exit('multiprocessing.shared_memory' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
-
-
-def test_fork_map_has_exactly_three_call_sites():
-    calls = sorted(
-        path.name
-        for path in Path(repro.__file__).parent.rglob("*.py")
-        for line in path.read_text().splitlines()
-        if "_fork_map(" in line and not line.startswith("def "))
-    assert calls == ["coordinator.py", "coordinator.py", "tiling.py"]
+    """Importing the package loads no ``multiprocessing`` module at all
+    — no pool, no shared memory, no resource tracker."""
+    code = ("import sys, repro, repro.core, repro.store, repro.serve, "
+            "repro.urbane, repro.cli; "
+            "sys.exit(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'multiprocessing') or None)")
+    run = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

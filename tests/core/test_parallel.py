@@ -1,13 +1,11 @@
-"""Fork/serial equivalence for what still forks, and the serial rule.
+"""The retired parallel configuration is inert.
 
-Point passes run serial: a multi-worker config must leave the bounded
-join (and its deprecated ``parallel_bounded_raster_join`` alias), the
-accurate join and the grid index join the serial code.  The one
-in-memory fork site — the tiled join's tile ranges — must be a drop-in
-replacement: bitwise-equal for COUNT and SUM (the test data uses
-integer-valued measures, so float addition is exact in any merge
-order), tolerance-equal for AVG/MIN/MAX.
-``tests/core/test_fork_sites.py`` counts the pools.
+``ParallelConfig``, ``parallel_bounded_raster_join`` and the engine's
+``parallel=`` / ``workers=`` keywords survive only because the frozen
+benchmark still passes them (ROADMAP item 5).  An engine given the
+config that used to fork everything answers with the serial joins'
+bits, and the alias *is* the serial bounded join.
+``tests/core/test_fork_sites.py`` checks that no pool is ever made.
 """
 
 from __future__ import annotations
@@ -30,13 +28,12 @@ from repro.core import (
     parallel_bounded_raster_join,
     tiled_bounded_raster_join,
 )
-from repro.core.parallel import ParallelConfig as PC
 from repro.raster import Viewport, build_fragment_table
 from repro.table import F, PointTable
 
 AGGREGATES = (COUNT, SUM, AVG, MIN, MAX)
 
-#: Forces every surviving fork decision even on tiny test inputs.
+#: Used to force every fork decision even on tiny inputs; now ignored.
 SMALL_CHUNKS = ParallelConfig(workers=3, chunk_size=400,
                               serial_threshold=100)
 
@@ -167,7 +164,6 @@ class TestAccurateEquivalence:
                                       method="accurate", viewport=viewport)
         np.testing.assert_array_equal(got.values, serial.values)
         assert got.exact
-        assert got.stats["parallel"]["mode"] == "serial"
         assert (got.stats["boundary_points_tested"]
                 == serial.stats["boundary_points_tested"])
 
@@ -184,7 +180,6 @@ class TestIndexJoinEquivalence:
         got = engine.execute(table, simple_regions, query, method="grid")
         np.testing.assert_array_equal(got.values, serial.values)
         assert got.method == serial.method
-        assert got.stats["parallel"]["mode"] == "serial"
         assert (got.stats["candidates_tested"]
                 == serial.stats["candidates_tested"])
 
@@ -192,59 +187,22 @@ class TestIndexJoinEquivalence:
 class TestTiledEquivalence:
     @pytest.mark.parametrize("agg", AGGREGATES)
     def test_matches_serial(self, agg, table, simple_regions):
+        """The tiled join forked its tile ranges under this config; the
+        engine now runs the one serial tile loop — the same bits."""
         query = _query(agg, filtered=False)
         serial = tiled_bounded_raster_join(table, simple_regions, query,
-                                           resolution=512, tile_pixels=128)
-        parallel = tiled_bounded_raster_join(table, simple_regions, query,
-                                             resolution=512, tile_pixels=128,
-                                             config=SMALL_CHUNKS)
-        _assert_equivalent(agg, serial.values, parallel.values)
-        if serial.has_bounds:
-            np.testing.assert_allclose(parallel.lower, serial.lower,
-                                       rtol=1e-12)
-            np.testing.assert_allclose(parallel.upper, serial.upper,
-                                       rtol=1e-12)
-
-
-class TestFragmentStitching:
-    def test_covered_arrays_precomputed(self, fragments):
-        # Satellite: the concatenated covered arrays are materialized at
-        # build time, not re-concatenated per query.
-        assert "covered_pixels" in fragments.__dict__
-        assert fragments.covered_pixels is fragments.covered_pixels
-
-
-class TestConfigDecisions:
-    def test_below_threshold_is_serial(self):
-        config = PC(workers=4, serial_threshold=1_000)
-        decision = config.decide(999)
-        assert not decision["use"]
-        assert "below serial threshold" in decision["reason"]
-
-    def test_above_threshold_is_parallel(self):
-        config = PC(workers=4, chunk_size=100, serial_threshold=1_000)
-        decision = config.decide(1_000)
-        assert decision["use"]
-        assert decision["workers"] == 4
-
-    def test_one_worker_never_parallel(self):
-        config = PC(workers=1, serial_threshold=10)
-        assert not config.decide(10_000_000)["use"]
+                                           resolution=2_048)
+        got = SpatialAggregationEngine(parallel=SMALL_CHUNKS).execute(
+            table, simple_regions, query, method="tiled", resolution=2_048)
+        assert got.stats["tiles"] == 4
+        assert got.method == serial.method
+        _assert_equivalent(agg, serial.values, got.values)
 
 
 class TestEngineIntegration:
-    def test_workers_kwarg_threads_through(self, simple_regions):
-        engine = SpatialAggregationEngine(default_resolution=128, workers=2)
-        assert engine.ctx.parallel.resolve_workers() == 2
-        result = engine.execute(_table(500), simple_regions,
-                                SpatialAggregation.count(),
-                                method="bounded")
-        assert result.stats["parallel"]["mode"] == "serial"
-        assert result.stats["plan"]["parallel"]["use"] is False
-
     def test_engine_parallel_run_matches_serial(self, simple_regions):
-        """A config that used to fork the point pass now runs it
-        serial — same bits, and the stats say so."""
+        """A config that used to fork the point pass is ignored — same
+        bits as a one-worker engine."""
         table = _table(6_000)
         parallel_engine = SpatialAggregationEngine(
             default_resolution=128,
@@ -258,5 +216,23 @@ class TestEngineIntegration:
         rs = serial_engine.execute(table, simple_regions, query,
                                    method="bounded")
         np.testing.assert_array_equal(rp.values, rs.values)
-        assert rp.stats["parallel"]["mode"] == "serial"
-        assert rp.stats["plan"]["parallel"]["use"] is False
+
+    def test_retired_config_is_ignored(self, table, simple_regions):
+        """The config that used to fork every site, plus ``workers=8``,
+        answers exactly like a default engine on every raster path."""
+        retired = SpatialAggregationEngine(
+            default_resolution=256,
+            parallel=ParallelConfig(workers=8, shards=8, serial_threshold=0),
+            workers=8)
+        default = SpatialAggregationEngine(default_resolution=256)
+        grid = default.plan_grid_viewport(simple_regions, 256)
+        query = _query(SUM, filtered=True)
+        for kwargs in ({"method": "bounded"}, {"method": "accurate"},
+                       {"method": "tiled", "resolution": 2_048},
+                       {"method": "bounded", "viewport": grid}):
+            got = retired.execute(table, simple_regions, query, **kwargs)
+            want = default.execute(table, simple_regions, query, **kwargs)
+            assert got.method == want.method
+            for name in ("values", "lower", "upper"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a is None and b is None) or np.array_equal(a, b)

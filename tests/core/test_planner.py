@@ -89,8 +89,7 @@ class TestPlanRecording:
         r = engine.execute(_table(1_000, seed=5), simple_regions,
                            SpatialAggregation.count())
         plan = r.stats["plan"]
-        assert set(plan) == {"inputs", "decision", "parallel", "shards",
-                             "degraded", "kernel"}
+        assert set(plan) == {"inputs", "decision", "degraded", "kernel"}
         assert plan["kernel"]["selected"] in ("numpy", "numba")
         assert plan["kernel"]["requested"] == "auto"
         decision = plan["decision"]
@@ -122,69 +121,6 @@ class TestPlanRecording:
         engine.execute(table, simple_regions, query, method="grid")
         r = engine.execute(table, simple_regions, query)
         assert "grid" in r.stats["plan"]["inputs"]["indexes_cached"]
-
-
-class TestParallelDecision:
-    """``method="auto"`` records the fork decision: point passes are
-    pinned serial, and the tiled backend (per-tile polygon
-    rasterization) forks only above the documented threshold."""
-
-    def test_small_input_decides_serial(self, simple_regions):
-        from repro.core import ParallelConfig
-
-        engine = SpatialAggregationEngine(
-            default_resolution=256,
-            parallel=ParallelConfig(workers=4, serial_threshold=10_000))
-        r = engine.execute(_table(2_000, seed=8), simple_regions,
-                          SpatialAggregation.count(), epsilon=5.0)
-        decision = r.stats["plan"]["parallel"]
-        assert decision["use"] is False
-        assert decision["threshold"] == 10_000
-        assert "not parallelizable" in decision["reason"]
-        assert r.stats["parallel"]["mode"] == "serial"
-
-    def test_default_threshold_is_documented_constant(self, simple_regions,
-                                                      engine):
-        from repro.core import PARALLEL_POINT_THRESHOLD
-
-        r = engine.execute(_table(1_000, seed=9), simple_regions,
-                          SpatialAggregation.count(), epsilon=5.0)
-        assert (r.stats["plan"]["parallel"]["threshold"]
-                == PARALLEL_POINT_THRESHOLD)
-
-    def test_large_input_decides_parallel(self, simple_regions, small_table):
-        from repro.core import ParallelConfig
-
-        engine = SpatialAggregationEngine(
-            default_resolution=256, max_canvas_resolution=1_024,
-            parallel=ParallelConfig(workers=4, chunk_size=5_000,
-                                    serial_threshold=20_000))
-        # Over the canvas cap: tiled, whose tile ranges fork.
-        r = engine.execute(small_table, simple_regions,
-                           SpatialAggregation.count(), resolution=2_048)
-        assert r.stats["plan"]["decision"]["chosen"] == "tiled"
-        assert r.stats["plan"]["parallel"]["use"] is True
-        assert r.stats["parallel"]["mode"] == "parallel"
-        # Same input on one canvas: bounded, a point pass — serial.
-        r = engine.execute(small_table, simple_regions,
-                           SpatialAggregation.count(), epsilon=5.0)
-        assert r.stats["plan"]["decision"]["chosen"] == "bounded"
-        assert r.stats["plan"]["parallel"]["use"] is False
-        assert r.stats["parallel"]["mode"] == "serial"
-
-    def test_non_parallelizable_backend_pinned_serial(self, simple_regions,
-                                                      engine):
-        r = engine.execute(_table(200, seed=10), simple_regions,
-                          SpatialAggregation.count())
-        if r.stats["plan"]["decision"]["chosen"] in ("naive", "quadtree", "cube"):
-            assert r.stats["plan"]["parallel"]["use"] is False
-
-    def test_inputs_record_parallel_knobs(self, simple_regions, engine):
-        r = engine.execute(_table(300, seed=11), simple_regions,
-                          SpatialAggregation.count())
-        inputs = r.stats["plan"]["inputs"]
-        assert inputs["workers"] >= 1
-        assert inputs["parallel_threshold"] > 0
 
 
 class TestDeadlineDegradation:

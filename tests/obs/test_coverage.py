@@ -1,14 +1,12 @@
 """Instrumentation completeness: a cold grid-viewport store query —
-the store path that still forks, through ``prescatter_blocks`` — must
-explain >=90% of its wall time, grafted child-process spans included."""
+one pass over the partitions fills every missing pyramid block — must
+explain >=90% of its wall time, the block scatter included."""
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
-from repro.core import ParallelConfig, SpatialAggregation, SpatialAggregationEngine
+from repro.core import SpatialAggregation, SpatialAggregationEngine
 from repro.obs import Tracer, render
 from repro.obs.trace import leaf_coverage
 from repro.store import build_store
@@ -32,17 +30,17 @@ def _walk(node, out):
     return out
 
 
-def test_sharded_store_trace_covers_wall_time(traced_store, simple_regions):
-    engine = SpatialAggregationEngine(
-        default_resolution=256,
-        parallel=ParallelConfig(shards=2, prefetch_depth=1,
-                                serial_threshold=100))
+def test_cold_store_pyramid_trace_covers_wall_time(traced_store,
+                                                   simple_regions):
+    engine = SpatialAggregationEngine(default_resolution=256)
     gv = engine.plan_grid_viewport(simple_regions, 256)
     # Warm one-time costs (partition mounts, fragments, canvas grids) so
-    # the traced query measures steady-state execution; a different
-    # filter keeps its blocks cold, so they pre-scatter across shards.
+    # the traced query measures steady-state execution: fares are >= 0,
+    # so this filter prunes no partition and every one gets mounted.
+    # The traced query's different filter keeps its blocks cold, so
+    # every one of them is scattered.
     engine.execute(traced_store, simple_regions,
-                   SpatialAggregation.count(F("fare") > 90), viewport=gv)
+                   SpatialAggregation.count(F("fare") >= 0), viewport=gv)
 
     root = Tracer().start("query")
     with root:
@@ -53,20 +51,18 @@ def test_sharded_store_trace_covers_wall_time(traced_store, simple_regions):
 
     nodes = _walk(tree, [])
     names = {n["name"] for n in nodes}
-    assert "store.execute" in names
-    assert "store.prune" in names
-    assert "shard.map" in names
-    assert "pyramid.assemble" in names
+    assert {"store.execute", "store.prune", "pyramid.assemble",
+            "scatter"} <= names
 
-    shard_spans = [n for n in nodes if n["name"] == "shard.prescatter"]
-    assert result.stats["shards"]["blocks_prescattered"] > 0
-    if result.stats["shards"]["pooled"]:
-        # Grafted child-process subtrees: one per shard, each recorded
-        # in a different worker process.
-        pids = {n["attrs"].get("pid") for n in shard_spans}
-        assert len(shard_spans) >= 2
-        assert os.getpid() not in pids
-    assert shard_spans, "shard scatters must appear in the trace"
+    # One scatter span for the whole frame, attributed.
+    scatters = [n for n in nodes if n["name"] == "scatter"]
+    assert len(scatters) == 1
+    pyramid = result.stats["pyramid"]
+    assert scatters[0]["attrs"] == {
+        "blocks": pyramid["scattered"],
+        "partitions": result.stats["store"]["partitions_paged"],
+        "points": pyramid["points_scattered"]}
+    assert pyramid["scattered"] == pyramid["blocks"] > 0
 
     coverage = leaf_coverage(tree)
     assert coverage >= 0.9, f"coverage {coverage:.2f}\n{render(tree)}"
@@ -75,10 +71,7 @@ def test_sharded_store_trace_covers_wall_time(traced_store, simple_regions):
 def test_untraced_query_records_nothing(traced_store, simple_regions):
     from repro.obs import current_span
 
-    engine = SpatialAggregationEngine(
-        default_resolution=256,
-        parallel=ParallelConfig(shards=2, prefetch_depth=1,
-                                serial_threshold=100))
+    engine = SpatialAggregationEngine(default_resolution=256)
     result = engine.execute(
         traced_store, simple_regions,
         SpatialAggregation.count(F("fare") > 40),
@@ -86,8 +79,6 @@ def test_untraced_query_records_nothing(traced_store, simple_regions):
     assert current_span() is None
     # No trace payload leaks into untraced response stats.
     assert "trace" not in result.stats
-    for shard in result.stats["shards"]["per_shard"]:
-        assert "trace" not in shard
 
 
 def test_cold_bounded_query_charges_build_to_fragments_span(city_regions):

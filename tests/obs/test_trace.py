@@ -1,5 +1,5 @@
 """Tracing core: span nesting, the disabled fast path, cross-thread
-activation, cross-process grafting, rendering, and retention."""
+activation, rendering, and retention."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from repro.obs import (
     disable,
     enable,
     enabled,
-    graft,
     render,
     span,
 )
@@ -40,12 +39,6 @@ def test_disabled_span_is_null_singleton():
 def test_enabled_but_no_active_trace_is_still_null():
     enable()
     assert span("orphan") is NULL_SPAN
-
-
-def test_graft_is_noop_without_active_trace():
-    graft({"name": "child", "wall_s": 1.0})  # disabled: no-op
-    enable()
-    graft({"name": "child", "wall_s": 1.0})  # no parent: no-op
 
 
 # -- recording ----------------------------------------------------------------
@@ -115,19 +108,6 @@ def test_activate_none_is_a_noop():
         assert ctx is None
 
 
-def test_graft_attaches_serialized_subtree():
-    enable()
-    root = Span("request")
-    shard = {"name": "shard.scan", "wall_s": 0.5, "cpu_s": 0.4,
-             "attrs": {"shard": 0}, "children": []}
-    with root:
-        graft(shard)
-        graft(None)  # untraced worker payload: no-op
-    assert len(root.children) == 1
-    assert root.children[0].name == "shard.scan"
-    assert root.children[0].attrs == {"shard": 0}
-
-
 # -- rendering / coverage -----------------------------------------------------
 
 
@@ -146,7 +126,7 @@ def test_render_shows_names_times_and_attrs():
 
 def test_leaf_coverage_caps_parallel_children():
     tree = {"name": "root", "wall_s": 1.0, "children": [
-        # Two "parallel" children whose walls sum past the parent.
+        # Two overlapping children whose walls sum past the parent.
         {"name": "a", "wall_s": 0.9, "children": []},
         {"name": "b", "wall_s": 0.9, "children": []}]}
     assert leaf_coverage(tree) == 1.0

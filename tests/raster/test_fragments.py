@@ -98,6 +98,13 @@ class TestFragmentTable:
             & set(table.interior_pixels[table.interior_polys == 1].tolist()))
         assert shared_interior  # overlap pixels appear for both ids
 
+    def test_covered_arrays_precomputed(self):
+        # The concatenated covered arrays are materialized at build
+        # time, not re-concatenated per query.
+        table = build_fragment_table(_geoms(), VP)
+        assert "covered_pixels" in table.__dict__
+        assert table.covered_pixels is table.covered_pixels
+
 
 # -- pinned parity with the per-polygon builder --------------------------------
 

@@ -47,7 +47,6 @@ class TestPoolConstruction:
         assert clone.ctx.cache is not engine.ctx.cache
         assert clone.default_resolution == engine.default_resolution
         assert clone.ctx.cache.max_bytes == engine.ctx.cache.max_bytes
-        assert clone.ctx.parallel == engine.ctx.parallel
 
     def test_threads_spread_over_workers(self, manager):
         pool = ServeWorkerPool(manager.engine, shards=3, total_threads=4)

@@ -1,4 +1,5 @@
-"""Shard-suite fixtures: a mid-size store and a sharded engine maker."""
+"""Fixtures: a mid-size store and engines built with the retired shard
+configuration (which the engine ignores)."""
 
 from __future__ import annotations
 
@@ -22,17 +23,22 @@ def shard_store(shard_table, tmp_path_factory):
                        time_column="t", time_bucket_seconds=2 * HOUR)
 
 
-def sharded_engine(shards: int, prefetch_depth: int = 1,
+def sharded_engine(shards: int,
                    resolution: int = 256) -> SpatialAggregationEngine:
-    """An engine whose scans shard even at test-sized inputs."""
+    """An engine given the config that used to shard its store scans
+    even at test-sized inputs; it now runs the serial paths."""
     return SpatialAggregationEngine(
         default_resolution=resolution,
-        parallel=ParallelConfig(shards=shards,
-                                prefetch_depth=prefetch_depth,
-                                serial_threshold=100))
+        parallel=ParallelConfig(shards=shards, serial_threshold=100))
 
 
 @pytest.fixture(scope="module")
 def serial_engine():
-    """The single-process reference: one shard, same thresholds."""
-    return sharded_engine(shards=1)
+    """A default engine — the single-process reference."""
+    return SpatialAggregationEngine(default_resolution=256)
+
+
+@pytest.fixture(scope="module")
+def shard_reference(shard_store):
+    """The store materialized in memory, in manifest order."""
+    return shard_store.to_table()

@@ -145,8 +145,8 @@ class TestTiled:
 
 class TestParallel:
     def test_parallel_scan_matches(self, store, reference, simple_regions):
-        """A multi-worker config leaves the bounded scan — a point
-        pass — serial and bit-identical to in-memory."""
+        """The retired multi-worker config is ignored: the bounded scan
+        stays bit-identical to in-memory."""
         parallel = ParallelConfig(workers=3, chunk_size=400,
                                   serial_threshold=100)
         engine = SpatialAggregationEngine(default_resolution=256,
@@ -159,7 +159,6 @@ class TestParallel:
             want = engine.execute(reference, simple_regions, query,
                                   method="bounded", resolution=256)
             assert_results_match(got, want, agg)
-            assert got.stats["parallel"]["mode"] == "serial"
 
 
 class TestBudgetedScan:

@@ -95,7 +95,6 @@ class TestMountThreadSafety:
             for index in rng.integers(0, n, 200):
                 table = ds.partition_table(int(index))
                 rows += len(table)
-                ds.prefetch_partition(int(index))
                 ds.mount_stats()
             return rows
 
@@ -127,14 +126,6 @@ class TestMountThreadSafety:
             list(pool.map(churn, range(4)))
         stats = ds.mount_stats()
         assert stats["partitions_mapped"] <= ds.num_partitions
-
-    def test_after_fork_replaces_the_lock(self, store):
-        ds = Dataset.open(store.path)
-        before = ds._mount_lock
-        ds._after_fork()
-        assert ds._mount_lock is not before
-        # Still functional after the swap.
-        assert len(ds.partition_table(0)) > 0
 
 
 class TestDataManagerLazy:

@@ -140,3 +140,39 @@ class TestSessionCommand:
         out = capsys.readouterr().out
         assert "interactions" in out
         assert "time-brush" in out
+
+
+class TestStoreQueryCommand:
+    def test_prints_partitions_and_results(self, data_files, capsys):
+        store = data_files["root"] / "store"
+        assert main(["store", "build", "--data", data_files["data"],
+                     "--out", str(store), "--partition-rows", "4096",
+                     "--grid", "2"]) == 0
+        code = main(["store", "query", SQL, "--store", str(store),
+                     "--regions", data_files["regions"],
+                     "--method", "tiled", "--resolution", "2048"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "-- partitions:" in out and "-- mounts:" in out
+        assert "disc" in out
+
+
+class TestRetiredFlags:
+    """The fork flags went with the forks; argparse rejects them."""
+
+    @pytest.mark.parametrize("argv", [
+        ["query", SQL, "--workers", "2"],
+        ["compare", SQL, "--data", "d", "--regions", "r", "--workers", "2"],
+        ["session", "--data", "d", "--regions", "r", "--workers", "2"],
+        ["serve", "--workers", "2"],
+        ["serve", "--prefetch-depth", "2"],
+        ["store", "query", SQL, "--store", "s", "--regions", "r",
+         "--shards", "2"],
+        ["store", "query", SQL, "--store", "s", "--regions", "r",
+         "--prefetch-depth", "2"],
+    ])
+    def test_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
