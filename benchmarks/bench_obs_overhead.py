@@ -39,24 +39,22 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import repro.serve  # noqa: E402,F401  (load the instrumented serve layer)
+import repro.store.execute  # noqa: E402,F401
 from repro.core import SpatialAggregationEngine, SpatialAggregation  # noqa: E402
 from repro.data import CityModel, generate_taxi_trips, voronoi_regions  # noqa: E402
 from repro.obs.trace import NULL_SPAN, disable, span  # noqa: E402
 from repro.table import F  # noqa: E402
 
-#: Every module that imported ``span`` by name; the baseline arm
-#: patches the stub into each so not a single call site still pays the
-#: enabled-check.
-_INSTRUMENTED_MODULES = (
-    "repro.core.executor",
-    "repro.core.bounded",
-    "repro.core.pyramid",
-    "repro.store.execute",
-    "repro.store.dataset",
-    "repro.serve.admission",
-    "repro.serve.coalesce",
-    "repro.serve.service",
-)
+#: Every loaded ``repro.*`` module outside the tracer itself that
+#: imported ``span`` by name; the baseline arm patches the stub into
+#: each so not a single call site still pays the enabled-check.
+#: Derived, not hand-kept, so a newly instrumented module is covered
+#: without touching this file.
+_INSTRUMENTED_MODULES = tuple(sorted(
+    name for name, module in list(sys.modules.items())
+    if name.startswith("repro.") and not name.startswith("repro.obs")
+    and getattr(module, "span", None) is span))
 
 
 def _stub_span(_name, **_attrs):
@@ -64,10 +62,8 @@ def _stub_span(_name, **_attrs):
 
 
 def _patch_span(fn) -> None:
-    import importlib
-
     for name in _INSTRUMENTED_MODULES:
-        setattr(importlib.import_module(name), "span", fn)
+        setattr(sys.modules[name], "span", fn)
 
 
 def micro_span_ns(calls: int = 1_000_000) -> float:

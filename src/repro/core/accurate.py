@@ -27,17 +27,10 @@ import time
 
 import numpy as np
 
-from ..raster import (
-    FragmentTable,
-    PixelBuckets,
-    Viewport,
-    build_fragment_table,
-    gather_reduce,
-    gather_sum,
-)
-from ..table import PointTable
-from .aggregates import PartialAggregate, accumulate_exact
-from .bounded import blend_canvases
+from ..raster import FragmentTable, PixelBuckets, Viewport, build_fragment_table
+from .aggregates import PartialAggregate, accumulate_exact, canvas_kinds
+from .bounded import gather_partial
+from .pipeline import Window, as_source, fill
 from .query import SpatialAggregation
 from .regions import RegionSet
 from .result import AggregationResult
@@ -45,30 +38,6 @@ from .result import AggregationResult
 # Cell classes of the interval classification, as canvas codes
 # (defined with the fragment tables; re-exported here for the join).
 from ..raster.fragments import CELL_EMPTY, CELL_FULL, CELL_PARTIAL  # noqa: E402,F401
-
-
-def _interior_partial(fragments: FragmentTable, canvases: dict, agg: str
-                      ) -> PartialAggregate:
-    """Exact raster contribution from guaranteed-interior pixels."""
-    n = fragments.num_polygons
-    pix = fragments.interior_pixels
-    polys = fragments.interior_polys
-    part = PartialAggregate.empty(agg, n)
-    if part.counts is not None:
-        part.counts += gather_sum(canvases["count"], pix, polys, n)
-    if part.sums is not None:
-        part.sums += gather_sum(canvases["sum"], pix, polys, n)
-    if part.mins is not None:
-        np.minimum(part.mins,
-                   gather_reduce(canvases["min"], pix, polys, n,
-                                 np.minimum, np.inf),
-                   out=part.mins)
-    if part.maxs is not None:
-        np.maximum(part.maxs,
-                   gather_reduce(canvases["max"], pix, polys, n,
-                                 np.maximum, -np.inf),
-                   out=part.maxs)
-    return part
 
 
 def _boundary_pixels_by_polygon(fragments: FragmentTable
@@ -87,26 +56,24 @@ def _cell_classes(fragments: FragmentTable) -> np.ndarray:
     return fragments.cell_classes
 
 
-def _project_points(table: PointTable, query: SpatialAggregation,
-                    viewport: Viewport):
-    """Filter + project the point table (shared by both variants)."""
-    mask = query.filter_mask(table)
-    values = query.values_for(table)
-    x = table.x[mask]
-    y = table.y[mask]
-    if values is not None:
-        values = values[mask]
-    pixel_ids, valid = viewport.pixel_ids_of(x, y)
-    pixel_ids = pixel_ids[valid]
-    x = x[valid]
-    y = y[valid]
-    if values is not None:
-        values = values[valid]
-    return mask, x, y, values, pixel_ids
+def _point_pass(table, query: SpatialAggregation, viewport: Viewport):
+    """The pipeline's canvas pass, keeping the folded points for the
+    exact pass — which needs them resident, so the source must be one
+    chunk: ``(canvases, x, y, values, pixel ids, point counters)``."""
+    source = as_source(table)
+    points = fill(source, query, Window(viewport),
+                  canvas_kinds(query.agg, with_mass=False), keep=True)
+    (chunk, rows, pix, values), = points.chunks
+    x, y = (chunk.x, chunk.y) if rows is None else (chunk.x[rows],
+                                                     chunk.y[rows])
+    counters = {"points_total": len(chunk),
+                "points_after_filter": source.filtered_count(query),
+                "points_in_viewport": len(pix)}
+    return points.canvases, x, y, values, pix, counters
 
 
 def accurate_raster_join(
-    table: PointTable,
+    table,
     regions: RegionSet,
     query: SpatialAggregation,
     viewport: Viewport,
@@ -122,10 +89,8 @@ def accurate_raster_join(
     # Point pass: canvases for the raster part, buckets for the exact
     # part.  The buckets index into the filtered point arrays.
     t1 = time.perf_counter()
-    mask, x, y, values, pixel_ids = _project_points(table, query, viewport)
-
-    canvases = blend_canvases(pixel_ids, values, query.agg,
-                              viewport.num_pixels)
+    canvases, x, y, values, pixel_ids, counters = _point_pass(
+        table, query, viewport)
     # Classify every point by its cell: only points in some polygon's
     # PARTIAL cell can need exact tests, so only those are bucketed —
     # the sort behind the buckets stays proportional to the boundary
@@ -143,7 +108,10 @@ def accurate_raster_join(
 
     # Raster contribution: interior (FULL) fragments only.
     t2 = time.perf_counter()
-    part = _interior_partial(fragments, canvases, query.agg)
+    n = fragments.num_polygons
+    part = gather_partial(PartialAggregate.empty(query.agg, n), canvases,
+                          fragments.interior_pixels,
+                          fragments.interior_polys, n)
 
     # Exact contribution: the candidates of every region's PARTIAL
     # interval runs are fetched in one batched expansion (one CSR slice
@@ -170,9 +138,7 @@ def accurate_raster_join(
     t_join = time.perf_counter() - t2
 
     stats = {
-        "points_total": len(table),
-        "points_after_filter": int(mask.sum()),
-        "points_in_viewport": int(len(pixel_ids)),
+        **counters,
         "boundary_points_tested": boundary_points_tested,
         "time_polygon_pass_s": t_polygons,
         "time_point_pass_s": t_points,
@@ -199,7 +165,7 @@ def accurate_raster_join(
 
 
 def legacy_accurate_raster_join(
-    table: PointTable,
+    table,
     regions: RegionSet,
     query: SpatialAggregation,
     viewport: Viewport,
@@ -216,10 +182,8 @@ def legacy_accurate_raster_join(
     t_polygons = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    mask, x, y, values, pixel_ids = _project_points(table, query, viewport)
-
-    canvases = blend_canvases(pixel_ids, values, query.agg,
-                              viewport.num_pixels)
+    canvases, x, y, values, pixel_ids, counters = _point_pass(
+        table, query, viewport)
     is_boundary = np.zeros(viewport.num_pixels, dtype=bool)
     is_boundary[fragments.boundary_pixels] = True
     candidate_ids = np.flatnonzero(is_boundary[pixel_ids])
@@ -228,7 +192,10 @@ def legacy_accurate_raster_join(
     t_points = time.perf_counter() - t1
 
     t2 = time.perf_counter()
-    part = _interior_partial(fragments, canvases, query.agg)
+    n = fragments.num_polygons
+    part = gather_partial(PartialAggregate.empty(query.agg, n), canvases,
+                          fragments.interior_pixels,
+                          fragments.interior_polys, n)
 
     offsets, bpix_sorted = _boundary_pixels_by_polygon(fragments)
     xy = np.column_stack([x, y])
@@ -253,9 +220,7 @@ def legacy_accurate_raster_join(
     t_join = time.perf_counter() - t2
 
     stats = {
-        "points_total": len(table),
-        "points_after_filter": int(mask.sum()),
-        "points_in_viewport": int(len(pixel_ids)),
+        **counters,
         "boundary_points_tested": boundary_points_tested,
         "time_polygon_pass_s": t_polygons,
         "time_point_pass_s": t_points,

@@ -16,6 +16,7 @@ import math
 from ..accurate import accurate_raster_join
 from ..bounded import bounded_raster_join
 from ..bounds import resolution_for_epsilon
+from ..pipeline import TableSource
 from ..pyramid import GridViewport, assembled_bounded_join, block_coverage
 from ..tiling import tiled_bounded_raster_join
 from .base import Backend, BackendCapabilities, ExecutionPlan
@@ -162,7 +163,8 @@ class TiledRasterBackend(Backend):
         if resolution is None and plan.epsilon is not None:
             resolution = planned_resolution(plan.regions, plan, ctx,
                                             capped=False)
+        # The context's cached grid index narrows each tile's points.
         return tiled_bounded_raster_join(
-            plan.table, plan.regions, plan.query,
-            resolution=resolution or ctx.default_resolution,
+            TableSource(plan.table, ctx, plan.cancel), plan.regions,
+            plan.query, resolution=resolution or ctx.default_resolution,
             cancel=plan.cancel)

@@ -129,9 +129,10 @@ class SpatialAggregationEngine:
         planner degrades the plan (exact -> bounded, then a coarser
         canvas) and records it in ``stats["plan"]["degraded"]``.
         ``cancel`` is a ``threading.Event``-like token checked before
-        dispatch, between tiles on the tiled paths and between
-        partitions on the store scans; once set the
-        query raises :class:`~repro.errors.QueryCancelled`.  Every
+        dispatch, between tiles on the tiled paths and before each
+        chunk of a point pass — so between partitions on every store
+        scan; once set the query raises
+        :class:`~repro.errors.QueryCancelled`.  Every
         result carries ``stats["plan"]`` (the decision and its inputs)
         and ``stats["cache"]`` (unified-cache counters, including this
         query's own hits/misses).

@@ -13,25 +13,18 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
-from ..raster import FragmentTable, Viewport, build_fragment_table, scatter_sum
-from ..table import PointTable
-from .aggregates import BOUNDABLE_AGGREGATES, COUNT
-from .bounded import _join_covered, blend_canvases
+from ..raster import FragmentTable, Viewport, build_fragment_table
+from .aggregates import BOUNDABLE_AGGREGATES, COUNT, canvas_kinds
+from .bounded import _join_covered
 from .bounds import boundary_mass_bounds
+from .pipeline import Window, as_source, fill, refill
 from .query import SpatialAggregation
 from .regions import RegionSet
 from .result import AggregationResult
 
 
-def _filter_signature(query: SpatialAggregation):
-    """Hashable identity of a query's filter list (dataclass equality)."""
-    return query.filters
-
-
 def bounded_raster_join_multi(
-    table: PointTable,
+    table,
     regions: RegionSet,
     queries: list[SpatialAggregation],
     viewport: Viewport,
@@ -39,65 +32,39 @@ def bounded_raster_join_multi(
 ) -> list[AggregationResult]:
     """Evaluate several bounded raster joins, sharing render passes.
 
-    Queries are grouped by identical filter lists; each group performs
-    one filter evaluation and one point projection, then blends one
-    canvas per needed (aggregate, value-column) pair.  Results come back
+    Queries are grouped by identical filter lists; each group runs one
+    filter → project pass over the point source, then folds one canvas
+    set per needed (aggregate, value-column) pair.  Results come back
     aligned with ``queries``.
     """
     t0 = time.perf_counter()
+    source = as_source(table)
     if fragments is None:
         fragments = build_fragment_table(list(regions.geometries), viewport)
 
     results: list[AggregationResult | None] = [None] * len(queries)
     groups: dict[tuple, list[int]] = {}
     for i, query in enumerate(queries):
-        groups.setdefault(_filter_signature(query), []).append(i)
+        groups.setdefault(query.filters, []).append(i)
 
     for indices in groups.values():
         rep = queries[indices[0]]
-        mask = rep.filter_mask(table)
-        x = table.x[mask]
-        y = table.y[mask]
-        pixel_ids, valid = viewport.pixel_ids_of(x, y)
-        pixel_ids = pixel_ids[valid]
-
-        # One canvas set per distinct (aggregate-kind, value column).
-        canvas_cache: dict[tuple, dict[str, np.ndarray]] = {}
-        values_cache: dict[str | None, np.ndarray | None] = {}
-
-        def _values_for(query: SpatialAggregation):
-            column = query.value_column
-            if column not in values_cache:
-                vals = query.values_for(table)
-                if vals is not None:
-                    vals = vals[mask][valid]
-                values_cache[column] = vals
-            return values_cache[column]
-
+        chunks = fill(source, rep, Window(viewport), (), keep=True).chunks
+        after_filter = source.filtered_count(rep)
+        canvas_sets: dict[tuple, dict] = {}
         for i in indices:
             query = queries[i]
             key = (query.agg, query.value_column)
-            if key not in canvas_cache:
-                canvas_cache[key] = blend_canvases(
-                    pixel_ids, _values_for(query), query.agg,
-                    viewport.num_pixels)
-            canvases = canvas_cache[key]
+            if key not in canvas_sets:
+                canvas_sets[key] = refill(chunks, source, query,
+                                          canvas_kinds(query.agg),
+                                          viewport.num_pixels)
+            canvases = canvas_sets[key]
             estimate = _join_covered(fragments, canvases, query.agg)
 
             lower = upper = None
             if query.agg in BOUNDABLE_AGGREGATES:
-                if query.agg == COUNT:
-                    mass = canvases["count"]
-                else:
-                    mass_key = ("__mass__", query.value_column)
-                    if mass_key not in canvas_cache:
-                        canvas_cache[mass_key] = {
-                            "mass": scatter_sum(
-                                pixel_ids,
-                                np.abs(_values_for(query)),
-                                viewport.num_pixels)
-                        }
-                    mass = canvas_cache[mass_key]["mass"]
+                mass = canvases["count" if query.agg == COUNT else "mass"]
                 lower, upper = boundary_mass_bounds(fragments, estimate,
                                                     mass)
             results[i] = AggregationResult(
@@ -108,7 +75,7 @@ def bounded_raster_join_multi(
                 upper=upper,
                 exact=False,
                 stats={
-                    "points_after_filter": int(mask.sum()),
+                    "points_after_filter": after_filter,
                     "shared_group_size": len(indices),
                 },
             )

@@ -20,9 +20,10 @@ that reuse:
 * :func:`assemble_canvases` — produce a query's canvases by pasting
   cached blocks, deriving coarse blocks from cached finer ones (a 2x2
   reduction, see :mod:`repro.raster.pyramid`), and scattering only the
-  uncovered delta — every missing block of a frame in *one* call to
-  the scatter source, so the store source streams each partition once
-  per cold frame instead of once per block.  Blocks are cached *full*
+  uncovered delta — every missing block of a frame in *one* point pass
+  (:mod:`repro.core.pipeline`'s block sink), so a store streams each
+  partition once per cold frame instead of once per block.  Blocks are
+  cached *full*
   (never clipped to the viewport) under the unified cache's byte
   budget, so an edge block scattered for one frame serves complete for
   the next pan.
@@ -46,20 +47,14 @@ import numpy as np
 
 from ..geometry import BBox
 from ..obs.trace import span
-from ..raster import (
-    FragmentTable,
-    Viewport,
-    scatter_count,
-    scatter_max,
-    scatter_min,
-    scatter_sum,
-)
+from ..raster import FragmentTable, Viewport
 from ..raster.pyramid import PYRAMID_OPS, reduce2x2
 from ..table import PointTable
 from .aggregates import BOUNDABLE_AGGREGATES, COUNT, canvas_kinds
 from .bounded import _join_covered
 from .bounds import boundary_mass_bounds, epsilon_for_viewport
 from .cache import fingerprint
+from .pipeline import FILLS, Blocks, as_source, fill
 from .query import SpatialAggregation
 from .regions import RegionSet
 from .result import AggregationResult
@@ -68,17 +63,13 @@ from .tiling import grid_block_tiles
 #: Side length of one cache block, in pixels (any level).
 DEFAULT_BLOCK = 128
 
-#: Canvas fill where no point landed, per kind.
-_FILL = {"count": 0.0, "sum": 0.0, "mass": 0.0,
-         "min": np.inf, "max": -np.inf}
-
 #: Kinds whose 2x2 reduction is bitwise-exact for *any* value column:
 #: COUNT canvases hold small integers (exact float addition) and
 #: min/max propagation is order-free.  ``sum``/``mass`` join this set
-#: only when the value column is proven integer-valued (see
-#: :func:`column_is_integral`); otherwise a derived coarse sum could
-#: differ from a fresh scatter by reassociation round-off, breaking the
-#: bitwise contract.
+#: only when the source proves the value column integer-valued (see
+#: :meth:`~repro.core.pipeline.TableSource.integral`); otherwise a
+#: derived coarse sum could differ from a fresh scatter by
+#: reassociation round-off, breaking the bitwise contract.
 _ALWAYS_DERIVABLE = frozenset({"count", "min", "max"})
 
 
@@ -105,6 +96,33 @@ class CanvasGrid:
         return cls(viewport.bbox.xmin, viewport.bbox.ymin,
                    viewport.pixel_width, viewport.pixel_height, int(block))
 
+    def level_pixel(self, x, y, level: int) -> tuple[np.ndarray, np.ndarray]:
+        """Absolute level-``level`` pixel (col, row) of world points.
+
+        The base-pixel index ``floor((x - x0) / pw)`` shifted right by
+        ``level`` (an arithmetic shift is exact floor division): the one
+        transform both :meth:`GridViewport.pixel_of` and the pipeline's
+        block sink use, so a point lands in the same absolute pixel
+        whichever path scatters it.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        ix = np.floor((x - self.x0) / self.pw).astype(np.int64)
+        iy = np.floor((y - self.y0) / self.ph).astype(np.int64)
+        return ix >> level, iy >> level
+
+    def block_bbox(self, level: int, bx: int, by: int) -> BBox:
+        """World bbox of block ``(bx, by)`` at ``level``, padded by one
+        base pixel: a superset of every point :meth:`level_pixel` maps
+        into the block, safe against the float rounding at its edges."""
+        extent = self.block << level
+        c0 = bx * extent
+        r0 = by * extent
+        return BBox(self.x0 + (c0 - 1) * self.pw,
+                    self.y0 + (r0 - 1) * self.ph,
+                    self.x0 + (c0 + extent + 1) * self.pw,
+                    self.y0 + (r0 + extent + 1) * self.ph)
+
     def viewport(self, level: int, col0: int, row0: int,
                  width: int, height: int) -> "GridViewport":
         """The viewport spanning level-``level`` pixel columns
@@ -124,14 +142,11 @@ class CanvasGrid:
 class GridViewport(Viewport):
     """A viewport snapped to a :class:`CanvasGrid`.
 
-    The world->pixel transform is overridden to go through the grid:
-    the base-pixel index ``floor((x - x0) / pw)`` is computed once, then
-    shifted right by ``level`` (arithmetic shift == exact floor
-    division) and offset by ``col0``.  Because :meth:`Viewport
-    .pixel_ids_of` delegates to :meth:`pixel_of`, every consumer — the
-    direct scatter, the block scatter, the tiled point pass — classifies
-    points with the *same* float operations, which is what makes
-    assembled and direct answers bitwise-identical.
+    The world->pixel transform is overridden to go through the grid's
+    :meth:`~CanvasGrid.level_pixel`, offset by ``(col0, row0)``, so the
+    direct scatter and the block scatter classify points with the
+    *same* float operations — which is what makes assembled and direct
+    answers bitwise-identical.
 
     Equality/hash come from the dataclass fields, so two gestures that
     land on the same ``(grid, level, col0, row0)`` produce value-equal
@@ -145,12 +160,8 @@ class GridViewport(Viewport):
     row0: int
 
     def pixel_of(self, x, y) -> tuple[np.ndarray, np.ndarray]:
-        g = self.grid
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        ix = np.floor((x - g.x0) / g.pw).astype(np.int64)
-        iy = np.floor((y - g.y0) / g.ph).astype(np.int64)
-        return (ix >> self.level) - self.col0, (iy >> self.level) - self.row0
+        ix, iy = self.grid.level_pixel(x, y, self.level)
+        return ix - self.col0, iy - self.row0
 
     @property
     def base_origin(self) -> tuple[int, int]:
@@ -227,148 +238,30 @@ def block_key(table_fp: tuple, query: SpatialAggregation, kind: str,
             query.value_column, kind, grid, level, bx, by)
 
 
-def _filter_mask(ctx, table: PointTable, query: SpatialAggregation):
-    """Cached boolean filter mask (None when the query has no filters)."""
-    if not query.filters:
-        return None
-    key = ("filter-mask", fingerprint(table), repr(query.filters))
-    return ctx.cache.get_or_build(key, lambda: query.filter_mask(table))
-
-
-def filtered_count(ctx, table: PointTable,
-                   query: SpatialAggregation) -> int:
-    """Row count surviving the query's filters (cached mask)."""
-    mask = _filter_mask(ctx, table, query)
-    return len(table) if mask is None else int(mask.sum())
-
-
-def column_is_integral(ctx, table: PointTable, column: str) -> bool:
-    """Whether every value of ``column`` is an exact small-enough
-    integer (< 2^53), i.e. whether float summation of any subset in any
-    association is exact — the license to derive coarse SUM blocks by
-    2x2 reduction instead of re-scattering.  Cached per (table, column).
-    """
-    key = ("column-integral", fingerprint(table), column)
-
-    def probe() -> bool:
-        values = np.asarray(table.column(column).values)
-        if values.dtype.kind in "iub":
-            return bool(np.all(np.abs(values.astype(np.float64)) < 2.0 ** 53))
-        if values.dtype.kind != "f":
-            return False
-        return bool(np.all(np.isfinite(values))
-                    and np.all(values == np.floor(values))
-                    and np.all(np.abs(values) < 2.0 ** 53))
-
-    return bool(ctx.cache.get_or_build(key, probe))
-
-
-def padded_block_bbox(grid: CanvasGrid, level: int, bx: int,
-                      by: int) -> BBox:
-    """World bbox of block ``(bx, by)`` at ``level``, padded by one base
-    pixel: a superset of every point the grid transform maps into the
-    block, safe against the float rounding at its edges."""
-    extent = grid.block << level
-    c0 = bx * extent
-    r0 = by * extent
-    return BBox(grid.x0 + (c0 - 1) * grid.pw,
-                grid.y0 + (r0 - 1) * grid.ph,
-                grid.x0 + (c0 + extent + 1) * grid.pw,
-                grid.y0 + (r0 + extent + 1) * grid.ph)
-
-
-def memory_block_scatter(ctx, table: PointTable, query: SpatialAggregation,
-                         viewport: GridViewport):
-    """Block scatter source over an in-memory table.
-
-    Per missing block, candidates come from the cached
-    :class:`~repro.index.PointGridIndex` over a world bbox padded by one
-    base pixel — a superset; exact membership is decided by the
-    canonical grid transform, so a point lands in a block's plane iff
-    the direct path would put it in the same absolute pixel.
-    Candidates are sorted ascending so bincount accumulates each
-    pixel's contributions in the direct path's row order (bit-for-bit
-    identical partial sums).
-    """
-    grid = viewport.grid
-    level = viewport.level
-    size = grid.block
-    index = ctx.grid_index(table)
-    mask = _filter_mask(ctx, table, query)
-    lazy: dict = {}
-
-    def values() -> np.ndarray:
-        if "v" not in lazy:
-            lazy["v"] = query.values_for(table)
-        return lazy["v"]
-
-    def one_block(bx: int, by: int, kinds: tuple[str, ...]):
-        cand = index.query_bbox(padded_block_bbox(grid, level, bx, by))
-        if len(cand):
-            cand = np.sort(cand)
-            if mask is not None:
-                cand = cand[mask[cand]]
-        gx = np.floor((table.x[cand] - grid.x0) / grid.pw).astype(np.int64)
-        gy = np.floor((table.y[cand] - grid.y0) / grid.ph).astype(np.int64)
-        lx = (gx >> level) - bx * size
-        ly = (gy >> level) - by * size
-        keep = (lx >= 0) & (lx < size) & (ly >= 0) & (ly < size)
-        if not keep.all():
-            cand, lx, ly = cand[keep], lx[keep], ly[keep]
-        pix = ly * size + lx
-        num = size * size
-        vals = values()[cand] if any(k != "count" for k in kinds) else None
-        planes = {}
-        for kind in kinds:
-            if kind == "count":
-                plane = scatter_count(pix, num)
-            elif kind == "sum":
-                plane = scatter_sum(pix, vals, num)
-            elif kind == "mass":
-                plane = scatter_sum(pix, np.abs(vals), num)
-            elif kind == "min":
-                plane = scatter_min(pix, vals, num)
-            else:
-                plane = scatter_max(pix, vals, num)
-            planes[kind] = plane.reshape(size, size)
-        return planes, int(len(pix))
-
-    def scatter(blocks):
-        planes, points = [], 0
-        for bx, by, kinds in blocks:
-            block_planes, n = one_block(bx, by, kinds)
-            planes.append(block_planes)
-            points += n
-        return planes, {"points": points}
-
-    return scatter
-
-
-def assemble_canvases(ctx, table: PointTable, query: SpatialAggregation,
-                      viewport: GridViewport, scatter,
+def assemble_canvases(ctx, source, query: SpatialAggregation,
+                      viewport: GridViewport,
                       derive_sums: bool) -> tuple[dict, dict]:
     """Produce the query's canvases from the block cache + delta scatter.
 
     Two phases.  First every block under the viewport is resolved in
     preference order: reuse a cached plane; else derive it from four
     cached children one level down (2x2 reduction — the zoom-out path);
-    else list its missing kinds.  Then ``scatter`` runs *once* over the
-    list of ``(bx, by, missing_kinds)`` and returns one plane dict per
-    listed block (plus span attributes, ``points`` at least), so a
-    store source streams each partition once per frame, not once per
-    block.  Derived and fresh planes are cached full-size only after
-    the scatter returns — a cancelled frame installs nothing — so the
-    *next* gesture assembles from them.  Returns
-    ``({kind: flat canvas}, reuse info)``.
+    else list its missing kinds.  Then *one* point pass of ``source``
+    fills every listed block (the pipeline's block sink), so a store
+    streams each partition once per frame, not once per block.  Each
+    block is handed copies of only the kinds it was missing.  Derived
+    and fresh planes are cached full-size only after the pass returns —
+    a cancelled frame installs nothing — so the *next* gesture
+    assembles from them.  Returns ``({kind: flat canvas}, reuse info)``.
     """
     grid = viewport.grid
     level = viewport.level
     size = grid.block
     kinds = canvas_kinds(query.agg)
-    table_fp = fingerprint(table)
+    table_fp = fingerprint(source.table)
     cache = ctx.cache
     shape = (viewport.height, viewport.width)
-    canvases = {k: np.full(shape, _FILL[k], dtype=np.float64)
+    canvases = {k: np.full(shape, FILLS[k], dtype=np.float64)
                 for k in kinds}
     info = {"blocks": 0, "hits": 0, "derived": 0, "scattered": 0,
             "assembled_pixels": 0, "scattered_pixels": 0,
@@ -432,14 +325,18 @@ def assemble_canvases(ctx, table: PointTable, query: SpatialAggregation,
 
         if needs:
             with span("scatter") as scatter_sp:
-                fresh, attrs = scatter(needs)
-            scatter_sp.set(blocks=len(needs), **attrs)
-            info["points_scattered"] = attrs["points"]
-            for (bx, by, _missing), planes, new in zip(needs, pending,
-                                                       fresh):
-                for kind, plane in new.items():
-                    installs.append((key(kind, level, bx, by), plane))
-                    planes[kind] = plane
+                sink = Blocks(grid, level, [(bx, by) for bx, by, _ in needs])
+                fresh = fill(source, query, sink, tuple(dict.fromkeys(
+                    k for *_, missing in needs for k in missing)))
+                for slot, ((bx, by, missing), planes) in enumerate(
+                        zip(needs, pending)):
+                    for kind in missing:
+                        plane = sink.plane(fresh.canvases[kind], slot)
+                        installs.append((key(kind, level, bx, by), plane))
+                        planes[kind] = plane
+            scatter_sp.set(blocks=len(needs), partitions=fresh.paged,
+                           points=fresh.points)
+            info["points_scattered"] = fresh.points
         for entry_key, plane in installs:
             cache.put(entry_key, plane)
         for view_sl, block_sl, planes in resolved:
@@ -499,42 +396,37 @@ def block_coverage(ctx, table: PointTable, query: SpatialAggregation,
 
 def assembled_bounded_join(
     ctx,
-    table: PointTable,
+    table,
     regions: RegionSet,
     query: SpatialAggregation,
     viewport: GridViewport,
     fragments: FragmentTable | None = None,
-    scatter=None,
-    derive_sums: bool | None = None,
-    points_after_filter: int | None = None,
-    method: str = "pyramid-raster-join",
 ) -> AggregationResult:
     """The bounded raster join, produced by pyramid assembly.
 
     Identical join and bound math to :func:`~repro.core.bounded
     .bounded_raster_join` — only the canvases' provenance differs, and
-    the block scatter reproduces the direct scatter's accumulation
-    order, so the answers (estimate, lower, upper) are bitwise-equal
-    for COUNT/SUM/MIN/MAX and within reassociation round-off for AVG.
+    the block sink folds each pixel's points in the same order as the
+    direct pass, so the answers (estimate, lower, upper) are
+    bitwise-equal for COUNT/SUM/MIN/MAX and within reassociation
+    round-off for AVG.
 
-    ``scatter`` defaults to the in-memory grid-index source; the store
-    path passes its partition-streaming source instead.
+    ``table`` is a point source (a bare table is wrapped with the
+    context's cached filter masks and grid index).  Coarse SUM blocks
+    derive by 2x2 reduction only where the source proves the value
+    column integral; COUNT/MIN/MAX always derive.
     """
+    source = as_source(table, ctx)
     t0 = time.perf_counter()
     if fragments is None:
         fragments = ctx.fragments_for(regions, viewport)
     t_polygons = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    if scatter is None:
-        scatter = memory_block_scatter(ctx, table, query, viewport)
-        if points_after_filter is None:
-            points_after_filter = filtered_count(ctx, table, query)
-    if derive_sums is None:
-        derive_sums = (query.value_column is None
-                       or column_is_integral(ctx, table, query.value_column))
-    canvases, info = assemble_canvases(ctx, table, query, viewport,
-                                       scatter, bool(derive_sums))
+    derive_sums = (query.value_column is None
+                   or source.integral(query.value_column))
+    canvases, info = assemble_canvases(ctx, source, query, viewport,
+                                       derive_sums)
     t_points = time.perf_counter() - t1
 
     t2 = time.perf_counter()
@@ -544,19 +436,17 @@ def assembled_bounded_join(
         if query.agg in BOUNDABLE_AGGREGATES:
             mass = canvases["count" if query.agg == COUNT else "mass"]
             lower, upper = boundary_mass_bounds(fragments, estimate, mass)
+        if "count" in canvases:
+            in_viewport = int(round(float(canvases["count"].sum())))
+        else:
+            in_viewport = info["points_scattered"]
     t_join = time.perf_counter() - t2
 
     assembled = info["assembled_pixels"]
     total = assembled + info["scattered_pixels"]
-    if "count" in canvases:
-        in_viewport = int(round(float(canvases["count"].sum())))
-    else:
-        in_viewport = info["points_scattered"]
     stats = {
-        "points_total": len(table),
-        "points_after_filter": (points_after_filter
-                                if points_after_filter is not None
-                                else info["points_scattered"]),
+        "points_total": len(source.table),
+        "points_after_filter": source.filtered_count(query),
         "points_in_viewport": in_viewport,
         "time_polygon_pass_s": t_polygons,
         "time_point_pass_s": t_points,
@@ -581,7 +471,7 @@ def assembled_bounded_join(
     return AggregationResult(
         regions=regions,
         values=estimate,
-        method=method,
+        method="pyramid-raster-join",
         lower=lower,
         upper=upper,
         exact=False,

@@ -16,8 +16,8 @@ over the pixels processed so far — and the serving layer streams those
 snapshots to clients as they arrive.  :func:`tiled_bounded_raster_join`
 *is* the final snapshot, so there is one tile loop, it runs in this
 process, and a streamed answer converges bitwise to the one-shot one.
-The out-of-core tiled scan (:mod:`repro.store.execute`) folds its tiles
-through the same :func:`fold_tile_join`.
+Its points come from a point source (:mod:`repro.core.pipeline`), so
+the out-of-core tiled scan is this same loop over a store's partitions.
 """
 
 from __future__ import annotations
@@ -30,10 +30,15 @@ import numpy as np
 
 from ..errors import QueryCancelled, QueryError
 from ..geometry import BBox
-from ..raster import Viewport, build_fragment_table, gather_reduce, gather_sum
-from ..table import PointTable
-from .aggregates import BOUNDABLE_AGGREGATES, COUNT, PartialAggregate
-from .bounded import blend_canvases
+from ..raster import Viewport, build_fragment_table, gather_sum
+from .aggregates import (
+    BOUNDABLE_AGGREGATES,
+    COUNT,
+    PartialAggregate,
+    canvas_kinds,
+)
+from .bounded import gather_partial
+from .pipeline import Window, as_source, fill
 from .query import SpatialAggregation
 from .regions import RegionSet
 from .result import AggregationResult
@@ -101,26 +106,6 @@ def grid_block_tiles(viewport) -> list[tuple[int, int, tuple, tuple]]:
     return tiles
 
 
-def _accumulate_covered(part: PartialAggregate, fragments, canvases,
-                        agg: str) -> None:
-    """Fold one tile's covered-pixel join into the global partial."""
-    n = fragments.num_polygons
-    pix = fragments.covered_pixels
-    polys = fragments.covered_polys
-    if part.counts is not None:
-        part.counts += gather_sum(canvases["count"], pix, polys, n)
-    if part.sums is not None:
-        part.sums += gather_sum(canvases["sum"], pix, polys, n)
-    if part.mins is not None:
-        np.minimum(part.mins,
-                   gather_reduce(canvases["min"], pix, polys, n,
-                                 np.minimum, np.inf), out=part.mins)
-    if part.maxs is not None:
-        np.maximum(part.maxs,
-                   gather_reduce(canvases["max"], pix, polys, n,
-                                 np.maximum, -np.inf), out=part.maxs)
-
-
 def fold_tile_join(geometries, local_ids: list[int],
                    query: SpatialAggregation, tile_vp: Viewport,
                    canvases: dict, mass_canvas,
@@ -131,9 +116,7 @@ def fold_tile_join(geometries, local_ids: list[int],
 
     ``canvases`` are the tile's blended point canvases and
     ``mass_canvas`` the per-pixel absolute-contribution mass (None for
-    unboundable aggregates).  Shared by the in-memory tiled join and
-    the out-of-core store scan: both produce identical tile canvases,
-    so folding through one code path keeps their results bitwise-equal.
+    unboundable aggregates).
     """
     if not local_ids:
         return
@@ -143,16 +126,19 @@ def fold_tile_join(geometries, local_ids: list[int],
     remap = np.asarray(local_ids, dtype=np.int64)
 
     # Accumulate through a local partial, then scatter to global ids.
-    local_part = PartialAggregate.empty(query.agg, len(local_ids))
-    _accumulate_covered(local_part, local_fragments, canvases, query.agg)
+    local_part = gather_partial(
+        PartialAggregate.empty(query.agg, len(local_ids)), canvases,
+        local_fragments.covered_pixels, local_fragments.covered_polys,
+        len(local_ids))
     if part.counts is not None:
         part.counts[remap] += local_part.counts
     if part.sums is not None:
         part.sums[remap] += local_part.sums
+    # ``local_ids`` are distinct, so fancy-indexed updates are exact.
     if part.mins is not None:
-        np.minimum.at(part.mins, remap, local_part.mins)
+        part.mins[remap] = np.minimum(part.mins[remap], local_part.mins)
     if part.maxs is not None:
-        np.maximum.at(part.maxs, remap, local_part.maxs)
+        part.maxs[remap] = np.maximum(part.maxs[remap], local_part.maxs)
 
     if query.agg in BOUNDABLE_AGGREGATES:
         m_in = gather_sum(mass_canvas,
@@ -185,104 +171,8 @@ class TilePartial:
     stats: dict
 
 
-class _TileJoinState:
-    """The shared prep + per-tile kernel behind both the one-shot and
-    the progressive tiled joins: one global point pass (filter, project,
-    stable-sort route to tiles), then :meth:`run_tile` folds one tile's
-    render passes into caller-owned accumulators."""
-
-    def __init__(self, table: PointTable, regions: RegionSet,
-                 query: SpatialAggregation, resolution: int,
-                 tile_pixels: int):
-        self.regions = regions
-        self.query = query
-        self.resolution = resolution
-        self.tile_pixels = tile_pixels
-        self.viewport = Viewport.fit(regions.bbox, resolution)
-        self.tiles = make_tiles(self.viewport, tile_pixels)
-
-        # One global point pass: filter, project to global pixel coords,
-        # then route points to tiles by integer division.
-        mask = query.filter_mask(table)
-        values = query.values_for(table)
-        x = table.x[mask]
-        y = table.y[mask]
-        if values is not None:
-            values = values[mask]
-        ix, iy = self.viewport.pixel_of(x, y)
-        valid = ((ix >= 0) & (ix < self.viewport.width)
-                 & (iy >= 0) & (iy < self.viewport.height))
-        self.ix = ix[valid]
-        self.iy = iy[valid]
-        self.values = values[valid] if values is not None else None
-
-        tiles_per_row = -(-self.viewport.width // tile_pixels)  # ceil div
-        tile_of_point = ((self.iy // tile_pixels) * tiles_per_row
-                         + (self.ix // tile_pixels))
-        self.order = np.argsort(tile_of_point, kind="stable")
-        tile_sorted = tile_of_point[self.order]
-        self.tile_offsets = np.searchsorted(
-            tile_sorted, np.arange(len(self.tiles) + 1), side="left")
-
-        self.geometries = list(regions.geometries)
-        self.geom_boxes = [g.bbox for g in self.geometries]
-
-    def empty_accumulators(self
-                           ) -> tuple[PartialAggregate, np.ndarray, np.ndarray]:
-        n = len(self.regions)
-        return (PartialAggregate.empty(self.query.agg, n),
-                np.zeros(n), np.zeros(n))
-
-    def run_tile(self, tile_idx: int, part: PartialAggregate,
-                 mass_in: np.ndarray, mass_out: np.ndarray) -> None:
-        query = self.query
-        ix, iy, values = self.ix, self.iy, self.values
-        tile_vp, col0, row0 = self.tiles[tile_idx]
-        # Regions overlapping this tile (ids must be preserved).
-        local_ids = [gid for gid, gb in enumerate(self.geom_boxes)
-                     if gb.intersects(tile_vp.bbox)]
-        sel = self.order[
-            self.tile_offsets[tile_idx]:self.tile_offsets[tile_idx + 1]]
-        if not local_ids and len(sel) == 0:
-            return
-
-        local_pix = ((iy[sel] - row0) * tile_vp.width + (ix[sel] - col0))
-        local_vals = values[sel] if values is not None else None
-        canvases = blend_canvases(local_pix, local_vals, query.agg,
-                                  tile_vp.num_pixels)
-
-        if not local_ids:
-            return
-        mass = None
-        if query.agg in BOUNDABLE_AGGREGATES:
-            if query.agg == COUNT:
-                mass = canvases["count"]
-            else:
-                from ..raster import scatter_sum
-
-                mass = scatter_sum(local_pix, np.abs(local_vals),
-                                   tile_vp.num_pixels)
-        fold_tile_join(self.geometries, local_ids, query, tile_vp,
-                       canvases, mass, part, mass_in, mass_out)
-
-    def snapshot(self, part: PartialAggregate, mass_in: np.ndarray,
-                 mass_out: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-        """Finalize the accumulators without consuming them.
-
-        ``PartialAggregate.finalize`` returns fresh arrays, so the
-        accumulators keep absorbing later tiles untouched.
-        """
-        estimate = part.finalize()
-        lower = upper = None
-        if self.query.agg in BOUNDABLE_AGGREGATES:
-            lower = estimate - mass_in
-            upper = estimate + mass_out
-        return estimate, lower, upper
-
-
 def tiled_bounded_raster_join(
-    table: PointTable,
+    table,
     regions: RegionSet,
     query: SpatialAggregation,
     resolution: int,
@@ -292,9 +182,9 @@ def tiled_bounded_raster_join(
     """Bounded raster join over a virtual canvas of arbitrary size.
 
     The final snapshot of :func:`iter_tiled_partials`: the same tiles in
-    the same order into one accumulator, so the in-memory tiled join has
-    exactly one tile loop.  ``cancel`` (``threading.Event``-like) is
-    honored between tiles.
+    the same order into one accumulator, so there is exactly one tile
+    loop.  ``cancel`` (``threading.Event``-like) is honored between
+    tiles and before each point chunk.
     """
     t_start = time.perf_counter()
     *_, final = iter_tiled_partials(table, regions, query, resolution,
@@ -312,13 +202,15 @@ def tiled_bounded_raster_join(
             "resolution": resolution,
             "tile_pixels": tile_pixels,
             "time_total_s": time.perf_counter() - t_start,
-            "epsilon_world_units": final.stats["epsilon_world_units"],
+            **{key: final.stats[key] for key in (
+                "epsilon_world_units", "points_total",
+                "points_after_filter", "points_in_viewport")},
         },
     )
 
 
 def iter_tiled_partials(
-    table: PointTable,
+    table,
     regions: RegionSet,
     query: SpatialAggregation,
     resolution: int,
@@ -333,28 +225,55 @@ def iter_tiled_partials(
     answer *restricted to the pixels folded in so far* — the serving
     layer forwards them as bounded-error progress metadata.
 
-    A set ``cancel`` token stops the generator between tiles with
-    :class:`~repro.errors.QueryCancelled`.
+    ``table`` is a point source; each tile with regions on it runs one
+    point pass into its own canvases (the pipeline's tile sink), which a
+    bare table narrows to the tile through a grid index.  A set
+    ``cancel`` token stops the generator between tiles, or before a
+    source's next chunk, with :class:`~repro.errors.QueryCancelled`.
     """
     if every < 1:
         raise QueryError("every must be >= 1")
     t_start = time.perf_counter()
-    state = _TileJoinState(table, regions, query, resolution, tile_pixels)
-    tiles_total = len(state.tiles)
-    part, mass_in, mass_out = state.empty_accumulators()
+    source = as_source(table, cancel=cancel)
+    agg = query.agg
+    viewport = Viewport.fit(regions.bbox, resolution)
+    tiles = make_tiles(viewport, tile_pixels)
+    kinds = canvas_kinds(agg)
+    geometries = list(regions.geometries)
+    geom_boxes = [g.bbox for g in geometries]
+    part = PartialAggregate.empty(agg, len(regions))
+    mass_in = np.zeros(len(regions))
+    mass_out = np.zeros(len(regions))
+    in_viewport = 0
 
-    for tile_idx in range(tiles_total):
+    for done, tile in enumerate(tiles, start=1):
         if cancel is not None and cancel.is_set():
             raise QueryCancelled("progressive tiled join cancelled")
-        state.run_tile(tile_idx, part, mass_in, mass_out)
-        done = tile_idx + 1
-        final = done == tiles_total
+        tile_vp = tile[0]
+        local_ids = [gid for gid, gb in enumerate(geom_boxes)
+                     if gb.intersects(tile_vp.bbox)]
+        if local_ids:
+            points = fill(source, query, Window(viewport, tile), kinds)
+            in_viewport += points.points
+            canvases = points.canvases
+            mass = None
+            if agg in BOUNDABLE_AGGREGATES:
+                mass = canvases["count" if agg == COUNT else "mass"]
+            fold_tile_join(geometries, local_ids, query, tile_vp,
+                           canvases, mass, part, mass_in, mass_out)
+        final = done == len(tiles)
         if not final and done % every:
             continue
-        values, lower, upper = state.snapshot(part, mass_in, mass_out)
+        # ``finalize`` returns fresh arrays, so the accumulators keep
+        # absorbing later tiles untouched.
+        values = part.finalize()
+        lower = upper = None
+        if agg in BOUNDABLE_AGGREGATES:
+            lower = values - mass_in
+            upper = values + mass_out
         yield TilePartial(
             tile_index=done,
-            tiles_total=tiles_total,
+            tiles_total=len(tiles),
             values=values,
             lower=lower,
             upper=upper,
@@ -362,8 +281,11 @@ def iter_tiled_partials(
             stats={
                 "resolution": resolution,
                 "tile_pixels": tile_pixels,
-                "progress": done / tiles_total,
-                "epsilon_world_units": state.viewport.pixel_diag,
+                "progress": done / len(tiles),
+                "epsilon_world_units": viewport.pixel_diag,
+                "points_total": len(source.table),
+                "points_after_filter": source.filtered_count(query),
+                "points_in_viewport": in_viewport,
                 "time_elapsed_s": time.perf_counter() - t_start,
             },
         )

@@ -43,10 +43,8 @@ class Kernel:
     # Point scatter (blending) into canvases.
     scatter_count: Callable
     scatter_sum: Callable
-    scatter_min: Callable
-    scatter_max: Callable
-    # In-place element-ordered accumulate (the out-of-core partition
-    # chaining primitive; must match ``np.add.at`` bit for bit).
+    # In-place element-ordered accumulate (the point pipeline's fold,
+    # chained across chunks; must match ``np.add.at`` bit for bit).
     scatter_add_at: Callable
     # Gather join (canvas -> per-polygon aggregates over fragments).
     gather_sum: Callable

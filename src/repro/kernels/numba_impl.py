@@ -43,30 +43,6 @@ if NUMBA_AVAILABLE:
         return out
 
     @njit(cache=True)
-    def _scatter_min(pixel_ids, values, num_pixels):
-        out = np.full(num_pixels, np.inf)
-        for i in range(pixel_ids.shape[0]):
-            p = pixel_ids[i]
-            v = values[i]
-            cur = out[p]
-            # NaN-sticky min, matching np.minimum: a NaN value poisons
-            # the pixel, and a poisoned pixel never recovers.
-            if cur == cur and (v < cur or v != v):
-                out[p] = v
-        return out
-
-    @njit(cache=True)
-    def _scatter_max(pixel_ids, values, num_pixels):
-        out = np.full(num_pixels, -np.inf)
-        for i in range(pixel_ids.shape[0]):
-            p = pixel_ids[i]
-            v = values[i]
-            cur = out[p]
-            if cur == cur and (v > cur or v != v):
-                out[p] = v
-        return out
-
-    @njit(cache=True)
     def _scatter_add_at(canvas, pixel_ids, values):
         for i in range(pixel_ids.shape[0]):
             canvas[pixel_ids[i]] += values[i]
@@ -130,14 +106,6 @@ def scatter_sum(pixel_ids, weights, num_pixels):
     return _scatter_sum(_ids(pixel_ids), _vals(weights), num_pixels)
 
 
-def scatter_min(pixel_ids, values, num_pixels):
-    return _scatter_min(_ids(pixel_ids), _vals(values), num_pixels)
-
-
-def scatter_max(pixel_ids, values, num_pixels):
-    return _scatter_max(_ids(pixel_ids), _vals(values), num_pixels)
-
-
 def scatter_add_at(canvas, pixel_ids, values):
     _scatter_add_at(canvas, _ids(pixel_ids), _vals(values))
 
@@ -169,8 +137,6 @@ def functions() -> dict:
     return {
         "scatter_count": scatter_count,
         "scatter_sum": scatter_sum,
-        "scatter_min": scatter_min,
-        "scatter_max": scatter_max,
         "scatter_add_at": scatter_add_at,
         "gather_sum": gather_sum,
         "gather_min": gather_min,

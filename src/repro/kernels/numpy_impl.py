@@ -4,8 +4,8 @@ These are the vectorized implementations that used to live inline in
 ``repro.raster.canvas``; every other kernel must match their outputs
 bit for bit.  ``np.bincount`` (with and without weights) and
 ``np.add.at`` apply contributions in element order, which is the
-contract the out-of-core partition chaining and the compiled kernels
-both reproduce.
+contract the point pipeline's chunk-by-chunk fold and the compiled
+kernels both reproduce.
 """
 
 from __future__ import annotations
@@ -20,32 +20,6 @@ def scatter_count(pixel_ids: np.ndarray, num_pixels: int) -> np.ndarray:
 def scatter_sum(pixel_ids: np.ndarray, weights: np.ndarray,
                 num_pixels: int) -> np.ndarray:
     return np.bincount(pixel_ids, weights=weights, minlength=num_pixels)
-
-
-def _scatter_reduce(pixel_ids, values, num_pixels, ufunc, fill):
-    out = np.full(num_pixels, fill, dtype=np.float64)
-    if len(pixel_ids) == 0:
-        return out
-    # Plain quicksort: stability is irrelevant for commutative reduces
-    # and measurably faster than radix on int64 keys.
-    order = np.argsort(pixel_ids)
-    pix_sorted = pixel_ids[order]
-    val_sorted = np.asarray(values, dtype=np.float64)[order]
-    group_starts = np.flatnonzero(
-        np.concatenate(([True], pix_sorted[1:] != pix_sorted[:-1])))
-    reduced = ufunc.reduceat(val_sorted, group_starts)
-    out[pix_sorted[group_starts]] = reduced
-    return out
-
-
-def scatter_min(pixel_ids: np.ndarray, values: np.ndarray,
-                num_pixels: int) -> np.ndarray:
-    return _scatter_reduce(pixel_ids, values, num_pixels, np.minimum, np.inf)
-
-
-def scatter_max(pixel_ids: np.ndarray, values: np.ndarray,
-                num_pixels: int) -> np.ndarray:
-    return _scatter_reduce(pixel_ids, values, num_pixels, np.maximum, -np.inf)
 
 
 def scatter_add_at(canvas: np.ndarray, pixel_ids: np.ndarray,
@@ -114,8 +88,6 @@ def functions() -> dict:
     return {
         "scatter_count": scatter_count,
         "scatter_sum": scatter_sum,
-        "scatter_min": scatter_min,
-        "scatter_max": scatter_max,
         "scatter_add_at": scatter_add_at,
         "gather_sum": gather_sum,
         "gather_min": gather_min,

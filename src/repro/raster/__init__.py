@@ -7,9 +7,9 @@ same stages are implemented in NumPy:
   sampling, like the GPU);
 * ``scanline`` — polygon fragment generation (scanline fill with the
   even-odd rule) and conservative boundary-pixel detection;
-* ``canvas`` — framebuffers with additive / min / max blending
-  (``scatter_*``) plus the per-pixel point buckets the accurate variant
-  needs;
+* ``canvas`` — additive blending (``scatter_*``), the gather join and
+  the per-pixel point buckets the accurate variant needs (the raster
+  joins' point pass itself is :mod:`repro.core.pipeline`);
 * :class:`FragmentTable` — the rasterized form of a region set.
 """
 
@@ -18,8 +18,6 @@ from .canvas import (
     gather_reduce,
     gather_sum,
     scatter_count,
-    scatter_max,
-    scatter_min,
     scatter_sum,
 )
 from .fragments import FragmentTable, IntervalSet, build_fragment_table
@@ -50,7 +48,5 @@ __all__ = [
     "rasterize_polygon",
     "rasterize_triangles",
     "scatter_count",
-    "scatter_max",
-    "scatter_min",
     "scatter_sum",
 ]

@@ -33,22 +33,6 @@ def scatter_sum(pixel_ids: np.ndarray, weights: np.ndarray,
     return kernels.active().scatter_sum(pixel_ids, weights, int(num_pixels))
 
 
-def scatter_min(pixel_ids: np.ndarray, values: np.ndarray,
-                num_pixels: int) -> np.ndarray:
-    """MIN blending: per-pixel minimum; +inf where no point landed."""
-    if len(pixel_ids) != len(values):
-        raise ExecutionError("pixel_ids and values length mismatch")
-    return kernels.active().scatter_min(pixel_ids, values, int(num_pixels))
-
-
-def scatter_max(pixel_ids: np.ndarray, values: np.ndarray,
-                num_pixels: int) -> np.ndarray:
-    """MAX blending: per-pixel maximum; -inf where no point landed."""
-    if len(pixel_ids) != len(values):
-        raise ExecutionError("pixel_ids and values length mismatch")
-    return kernels.active().scatter_max(pixel_ids, values, int(num_pixels))
-
-
 def gather_sum(canvas: np.ndarray, pixel_ids: np.ndarray,
                group_ids: np.ndarray, num_groups: int) -> np.ndarray:
     """Sum canvas values over fragments grouped by polygon id.

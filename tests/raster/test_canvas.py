@@ -11,8 +11,6 @@ from repro.raster import (
     gather_reduce,
     gather_sum,
     scatter_count,
-    scatter_max,
-    scatter_min,
     scatter_sum,
 )
 
@@ -32,19 +30,10 @@ class TestScatter:
         with pytest.raises(ExecutionError):
             scatter_sum(np.array([0]), np.array([1.0, 2.0]), 3)
 
-    def test_min_max(self):
-        ids = np.array([0, 0, 2])
-        vals = np.array([5.0, 3.0, 7.0])
-        mn = scatter_min(ids, vals, 3)
-        mx = scatter_max(ids, vals, 3)
-        assert mn[0] == 3.0 and mx[0] == 5.0
-        assert mn[1] == np.inf and mx[1] == -np.inf
-        assert mn[2] == 7.0 and mx[2] == 7.0
-
     def test_empty_inputs(self):
         empty = np.empty(0, dtype=np.int64)
         assert scatter_count(empty, 4).tolist() == [0, 0, 0, 0]
-        assert (scatter_min(empty, np.empty(0), 2) == np.inf).all()
+        assert scatter_sum(empty, np.empty(0), 2).tolist() == [0, 0]
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 19),
@@ -53,14 +42,10 @@ class TestScatter:
         ids = np.array([p[0] for p in pairs], dtype=np.int64)
         vals = np.array([p[1] for p in pairs])
         got_sum = scatter_sum(ids, vals, 20)
-        got_min = scatter_min(ids, vals, 20)
-        got_max = scatter_max(ids, vals, 20)
         for pix in range(20):
             sel = vals[ids == pix]
             assert got_sum[pix] == pytest.approx(
                 sel.sum() if len(sel) else 0.0, abs=1e-8)
-            assert got_min[pix] == (sel.min() if len(sel) else np.inf)
-            assert got_max[pix] == (sel.max() if len(sel) else -np.inf)
 
 
 class TestGather:

@@ -14,7 +14,8 @@ from repro.core import (
     SpatialAggregation,
     SpatialAggregationEngine,
 )
-from repro.errors import QueryError
+from repro.errors import QueryCancelled, QueryError
+from repro.obs import Tracer
 from repro.store import Dataset
 from repro.table import Comparison, TimeRange
 
@@ -141,6 +142,89 @@ class TestTiled:
             engine.execute(store, simple_regions,
                            SpatialAggregation("count", None),
                            method="tiled", viewport=viewport)
+
+
+class _TripAfter:
+    """A cancel token whose ``is_set()`` turns true after ``calls``."""
+
+    def __init__(self, calls: int):
+        self.calls = calls
+
+    def is_set(self) -> bool:
+        self.calls -= 1
+        return self.calls < 0
+
+
+class TestTiledCancel:
+    def test_cancel_is_checked_between_partitions(self, store,
+                                                  simple_regions):
+        """Four tiles at 2048 px: one check before dispatch plus one per
+        tile is five.  The sixth check must come from a partition
+        boundary inside a tile, so the scan stops after a handful of
+        partitions instead of paging the whole tile."""
+        handle = Dataset.open(store.path)
+        engine = SpatialAggregationEngine()
+        with pytest.raises(QueryCancelled):
+            engine.execute(handle, simple_regions,
+                           SpatialAggregation("sum", "fare"),
+                           method="tiled", resolution=2_048,
+                           cancel=_TripAfter(5))
+        mounts = handle.mount_stats()
+        assert mounts["mounts"] + mounts["hits"] <= 5
+
+
+class TestPointCounters:
+    """Every store method reports the point counters of its in-memory
+    twin, and the ``store.execute`` span carries them as ``rows``."""
+
+    QUERY = SpatialAggregation("sum", "fare", (Comparison("fare", ">", 9.0),))
+
+    def _pairs(self, store, reference, regions):
+        yield (SpatialAggregationEngine().execute(
+                   store, regions, self.QUERY, resolution=256),
+               SpatialAggregationEngine().execute(
+                   reference, regions, self.QUERY, method="bounded",
+                   resolution=256))
+        yield (SpatialAggregationEngine().execute(
+                   store, regions, self.QUERY, method="tiled",
+                   resolution=1_500),
+               SpatialAggregationEngine().execute(
+                   reference, regions, self.QUERY, method="tiled",
+                   resolution=1_500))
+        engine = SpatialAggregationEngine()
+        gv = engine.plan_grid_viewport(regions, 256)
+        yield (engine.execute(store, regions, self.QUERY, viewport=gv),
+               SpatialAggregationEngine().execute(
+                   reference, regions, self.QUERY, method="bounded",
+                   viewport=gv))
+
+    def test_counters_equal_in_memory_twin(self, store, reference,
+                                           simple_regions):
+        methods = []
+        for got, want in self._pairs(store, reference, simple_regions):
+            methods.append(got.method)
+            for key in ("points_after_filter", "points_in_viewport"):
+                assert isinstance(got.stats[key], int), (got.method, key)
+                assert got.stats[key] == want.stats[key], (got.method, key)
+            assert 0 < got.stats["points_in_viewport"] \
+                <= got.stats["points_after_filter"]
+        assert methods == ["store-bounded-raster-join",
+                           "store-tiled-bounded-raster-join",
+                           "store-pyramid-raster-join"]
+
+    @pytest.mark.parametrize("kwargs", [
+        {"resolution": 256},
+        {"method": "tiled", "resolution": 1_500},
+    ], ids=["bounded", "tiled"])
+    def test_store_execute_span_rows_is_int(self, store, simple_regions,
+                                            kwargs):
+        root = Tracer().start("query")
+        with root:
+            SpatialAggregationEngine().execute(store, simple_regions,
+                                               self.QUERY, **kwargs)
+        node = next(c for c in root.to_dict()["children"]
+                    if c["name"] == "store.execute")
+        assert isinstance(node["attrs"]["rows"], int)
 
 
 class TestParallel:
