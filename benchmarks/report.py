@@ -56,7 +56,6 @@ BENCH_FILES = {
     "BENCH_store.json": "benchmarks/bench_store_outofcore.py",
     "BENCH_pyramid.json": "benchmarks/bench_pyramid_panzoom.py",
     "BENCH_accurate.json": "benchmarks/bench_accurate_intervals.py",
-    "BENCH_speculate.json": "benchmarks/bench_speculate_session.py",
     "BENCH_obs.json": "benchmarks/bench_obs_overhead.py",
 }
 
@@ -791,49 +790,6 @@ def main() -> None:
         "bounded-join latency at display resolutions while remaining "
         "exact; every rung is bitwise-equal to both the legacy "
         "implementation and brute force.")
-
-    # -- E20: gesture-speculative prefetch ---------------------------------
-    print("E20 speculative prefetch...")
-    from bench_speculate_session import run_speculate
-
-    payload = run_speculate(taxi[100_000], neighborhoods,
-                            max_concurrency=4, resolution=256)
-    bench_out = ROOT / "BENCH_speculate.json"
-    bench_out.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {bench_out}")
-    rows = [(f"{r['load_factor']}x", r["clients"],
-             f"{r['p50_off_ms']:.1f} ms", f"{r['p50_on_ms']:.1f} ms",
-             f"{r['p99_off_ms']:.1f} ms", f"{r['p99_on_ms']:.1f} ms",
-             f"{r['hit_rate'] * 100:.0f}%", r["spec_shed"],
-             "yes" if r["all_equal"] else "NO")
-            for r in payload["results"]]
-    idle = payload["results"][0]
-    report.add(
-        "E20 — gesture-speculative prefetch",
-        "The serving layer watches each analyst's gesture stream "
-        "(time brushes, pans, zooms), predicts the next query from "
-        "per-session transition statistics, and warms caches for the "
-        "top candidates on otherwise-idle slots — a strictly "
-        "lower-priority tier that is shed the moment any real request "
-        "needs capacity.  Each load cell replays the E8-style ladder "
-        "through concurrent remote sessions with speculation off, then "
-        "on, from a cold cache both times; answers must match bitwise.",
-        _table(("load", "analysts", "p50 off", "p50 on", "p99 off",
-                "p99 on", "hits", "spec shed", "equal"), rows)
-        + f"\n\n{payload['points']:,} taxi rows, {payload['regions']} "
-          f"regions, {payload['max_concurrency']} engine slots, "
-          f"{payload['brush_steps']}-step brush sweep + "
-          f"{payload['pan_steps']}-pan run + zoom toggles per analyst, "
-          f"{payload['think_ms']:.0f} ms think time. Machine-readable "
-          f"record in `BENCH_speculate.json`.",
-        f"During think-time idleness speculation pre-builds the "
-        f"predicted next gesture: at 1x load "
-        f"{idle['hit_rate'] * 100:.0f}% of gestures landed on warmed "
-        f"state and p99 dropped {idle['p99_off_ms']:.0f} -> "
-        f"{idle['p99_on_ms']:.0f} ms; under saturation the idle-only "
-        f"grant plus shed-first preemption keeps latency at parity "
-        f"with speculation off (no real request ever queues behind a "
-        f"warm-up), and every answer stayed bitwise-identical.")
 
     out = ROOT / "EXPERIMENTS.md"
     report.write(out)

@@ -369,20 +369,14 @@ def _cmd_serve(args) -> int:
         max_queue=args.max_queue,
         default_deadline_ms=args.deadline_ms,
         shards=args.shards,
-        speculate=args.speculate,
-        speculate_budget_ms=args.speculate_budget_ms,
-        slow_query_ms=args.slow_query_ms,
-        model_dir=args.model_dir)
+        slow_query_ms=args.slow_query_ms)
     server = QueryServer(service, host=args.host, port=args.port)
 
     async def run() -> None:
         await server.start()
-        spec = (f"speculate={args.speculate_budget_ms:g}ms"
-                if args.speculate else "speculate=off")
         print(f"serving on {server.url}  "
               f"(concurrency={args.max_concurrency}, "
-              f"queue={args.max_queue}, shards={service.workers.shards}, "
-              f"{spec})")
+              f"queue={args.max_queue}, shards={service.workers.shards})")
         await server.serve_forever()
 
     try:
@@ -390,8 +384,6 @@ def _cmd_serve(args) -> int:
     except KeyboardInterrupt:
         print("\nshutting down")
     finally:
-        # Persists the gesture model (--model-dir) and stops the
-        # speculator/worker pool.
         service.close()
     return 0
 
@@ -599,25 +591,10 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--deadline-ms", type=float, default=None,
                      help="default per-query latency budget (requests "
                           "can override)")
-    srv.add_argument("--speculate", dest="speculate", action="store_true",
-                     default=True,
-                     help="warm caches for each session's predicted next "
-                          "gesture on idle slots (default on; shed first "
-                          "under load, never blocks real queries)")
-    srv.add_argument("--no-speculate", dest="speculate",
-                     action="store_false",
-                     help="disable gesture-speculative prefetch")
-    srv.add_argument("--speculate-budget-ms", type=float, default=250.0,
-                     help="predicted-cost budget per gesture for "
-                          "speculative warm-up work")
     srv.add_argument("--slow-query-ms", type=float, default=None,
                      help="trace every request and keep a span-tree "
                           "dump of any slower than this threshold "
                           "(served at /v1/slow)")
-    srv.add_argument("--model-dir", default=None,
-                     help="directory persisting the gesture-transition "
-                          "model across restarts (loaded on start, "
-                          "saved on shutdown)")
     _add_kernel_arg(srv)
     srv.set_defaults(func=_cmd_serve)
 

@@ -36,7 +36,6 @@ one cache from a thread pool):
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import threading
 from collections import OrderedDict
@@ -213,38 +212,6 @@ class QueryCache:
         self.block_derived = 0
         self.assembled_pixels = 0
         self.scattered_pixels = 0
-        #: Entries inserted at the LRU *cold* end because they were
-        #: built speculatively (see :meth:`speculative_inserts`).
-        self.cold_inserts = 0
-        # Thread-local flag marking the current thread's inserts as
-        # speculative.  Thread-local (not global) because speculative
-        # builds run on worker-pool threads concurrently with real
-        # queries against the same cache.
-        self._speculative = threading.local()
-
-    # -- speculative insertion policy --------------------------------------
-
-    @contextlib.contextmanager
-    def speculative_inserts(self):
-        """Mark every :meth:`put` from this thread, for the duration of
-        the block, as *speculative*.
-
-        Speculative entries land at the LRU **cold** end instead of the
-        hot end, and reads under this flag do not promote entries — so
-        a burst of wrong predictions is evicted first and can never
-        displace blocks that real queries keep hot.  A real query
-        touching a speculatively-inserted entry promotes it normally
-        (the prediction came true, the entry earned its place).
-        """
-        prev = getattr(self._speculative, "active", False)
-        self._speculative.active = True
-        try:
-            yield
-        finally:
-            self._speculative.active = prev
-
-    def _spec_active(self) -> bool:
-        return getattr(self._speculative, "active", False)
 
     # -- core operations ---------------------------------------------------
 
@@ -256,8 +223,7 @@ class QueryCache:
                 self.misses += 1
                 return default
             self.hits += 1
-            if not self._spec_active():
-                self._entries.move_to_end(key)
+            self._entries.move_to_end(key)
             return _defensive(entry.value)
 
     def peek(self, key: tuple, default=None):
@@ -275,13 +241,6 @@ class QueryCache:
                 self._bytes -= old.nbytes
             self._entries[key] = CacheEntry(value, int(nbytes))
             self._bytes += int(nbytes)
-            # A speculative build of a *new* key parks at the cold end:
-            # eviction consumes it before anything a real query touched.
-            # Re-inserting a key that already existed keeps the normal
-            # hot placement — its history outranks the speculation.
-            if old is None and self._spec_active():
-                self._entries.move_to_end(key, last=False)
-                self.cold_inserts += 1
             self._evict()
 
     def get_or_build(self, key: tuple, builder, nbytes: int | None = None):
@@ -296,8 +255,7 @@ class QueryCache:
             entry = self._entries.get(key)
             if entry is not None:
                 self.hits += 1
-                if not self._spec_active():
-                    self._entries.move_to_end(key)
+                self._entries.move_to_end(key)
                 return _defensive(entry.value)
             self.misses += 1
             latch = self._building.get(key)
@@ -312,8 +270,7 @@ class QueryCache:
                 self.single_flight_waits += 1
                 entry = self._entries.get(key)
                 if entry is not None:
-                    if not self._spec_active():
-                        self._entries.move_to_end(key)
+                    self._entries.move_to_end(key)
                     return _defensive(entry.value)
             # Leader failed (builder raised) — fall through and build.
             return self.get_or_build(key, builder, nbytes=nbytes)
@@ -408,7 +365,6 @@ class QueryCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "cold_inserts": self.cold_inserts,
                 "single_flight_waits": self.single_flight_waits,
                 "entries": len(self._entries),
                 "bytes": self._bytes,

@@ -189,9 +189,9 @@ class CostBasedPlanner:
         Prices the plan exactly as :meth:`choose` would (explicit
         methods price that backend, ``auto`` prices the cheapest
         eligible candidate) and converts the abstract cost through the
-        EWMA-calibrated rate.  This is the speculation planner's
-        budget currency: cheap to evaluate, no side effects on the
-        plan's decision record.
+        EWMA-calibrated rate.  Cheap to evaluate, with no side effects
+        on the plan's decision record, so a caller can set the
+        prediction beside what the plan then actually costs.
         """
         if plan.method and plan.method != "auto":
             cost = float(get_backend(plan.method).estimate_cost(

@@ -757,36 +757,6 @@ def find_answering_cube(ctx, table: PointTable, query: SpatialAggregation,
     return None
 
 
-def cached_time_span(ctx, table: PointTable,
-                     time_column: str | None = None
-                     ) -> tuple[int, int, int] | None:
-    """``(tmin, tmax_exclusive, bucket_seconds)`` covered by cached cubes.
-
-    Peeks the already-materialized temporal canvas cubes for ``table``
-    (no LRU touch, no column scan) and returns the widest span any of
-    them covers, with the coarsest bucket width among the covering
-    cubes.  The speculation gesture model uses this to clamp
-    adjacent-bucket brush predictions to time ranges the data actually
-    spans — without it, a brush at the timeline's edge would speculate
-    into empty buckets forever.  Returns ``None`` when no cube (with a
-    known origin) is cached.
-    """
-    best = None
-    for cube in ctx.cached_tcubes(table):
-        if cube.origin is None:
-            continue
-        if time_column is not None and cube.time_column != time_column:
-            continue
-        lo = int(cube.origin)
-        hi = lo + cube.num_buckets * cube.bucket_seconds
-        if best is None:
-            best = (lo, hi, int(cube.bucket_seconds))
-        else:
-            best = (min(best[0], lo), max(best[1], hi),
-                    max(best[2], int(cube.bucket_seconds)))
-    return best
-
-
 def tcube_servable(ctx, table: PointTable, query: SpatialAggregation,
                    viewport: Viewport) -> bool:
     """Whether ``method='tcube-raster'`` could serve this query — either

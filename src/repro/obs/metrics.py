@@ -1,7 +1,7 @@
 """Process-wide metrics: counters, gauges, fixed-bucket histograms.
 
 The subsystems already count everything (`stats["cache"]`,
-``stats["store"]``, the admission/coalesce/speculate funnels) — what
+``stats["store"]``, the admission/coalesce funnels) — what
 was missing is one place those counters accumulate across queries and
 one endpoint that exports them.  The registry here is that place:
 
@@ -273,10 +273,6 @@ def record_query_stats(stats: dict, wall_s: float,
     registry.counter("repro_tcube_slices_touched_total").inc(
         tcube.get("slices_touched", 0))
 
-    speculate = stats.get("speculate") or {}
-    if speculate.get("hit"):
-        registry.counter("repro_speculate_hits_total").inc()
-
 
 def sample_service_stats(stats: dict,
                          registry: MetricsRegistry = REGISTRY) -> None:
@@ -304,7 +300,6 @@ def sample_service_stats(stats: dict,
     cache.pop("blocks", None)
     set_flat("repro_cache", cache)
     set_flat("repro_pyramid", stats.get("pyramid") or {})
-    set_flat("repro_speculate", stats.get("speculate") or {})
     pool = stats.get("pool") or {}
     registry.gauge("repro_pool_shards").set(pool.get("shards", 0))
     for worker in pool.get("workers") or []:

@@ -82,43 +82,3 @@ def build_pyramid(plane: np.ndarray, levels: int, op: str = "sum"
         chain.append(reduce2x2(chain[-1], op))
     return chain
 
-
-def block_span(col0: int, row0: int, width: int, height: int,
-               block: int) -> tuple[int, int, int, int]:
-    """The half-open block-coordinate rectangle a pixel window covers.
-
-    ``(bx0, by0, bx1, by1)`` such that blocks ``bx0 <= bx < bx1``,
-    ``by0 <= by < by1`` (each ``block x block`` pixels at the window's
-    level) together cover pixel columns ``[col0, col0+width)`` and rows
-    ``[row0, row0+height)``.
-    """
-    if block < 1:
-        raise ExecutionError(f"block size must be positive, got {block}")
-    if width < 1 or height < 1:
-        raise ExecutionError("block_span needs a non-empty pixel window")
-    bx0 = col0 // block
-    by0 = row0 // block
-    bx1 = (col0 + width - 1) // block + 1
-    by1 = (row0 + height - 1) // block + 1
-    return bx0, by0, bx1, by1
-
-
-def block_ring(col0: int, row0: int, width: int, height: int,
-               block: int) -> list[tuple[int, int]]:
-    """The one-block border around a pixel window's block footprint.
-
-    Returns the block coordinates adjacent (8-connected) to the blocks
-    the window covers, excluding the covered blocks themselves — the
-    candidate set a pan gesture can expose next, in row-major order.
-    This is pure lattice arithmetic; whether a ring block is worth
-    warming (cached already, outside the data's extent, over budget) is
-    the speculation planner's call.
-    """
-    bx0, by0, bx1, by1 = block_span(col0, row0, width, height, block)
-    ring = []
-    for by in range(by0 - 1, by1 + 1):
-        for bx in range(bx0 - 1, bx1 + 1):
-            inside = bx0 <= bx < bx1 and by0 <= by < by1
-            if not inside:
-                ring.append((bx, by))
-    return ring

@@ -19,12 +19,6 @@ built for that load profile:
 Deadline-aware planning (``deadline_ms`` degrading exact -> bounded ->
 coarser canvas) lives in the planner; the service merely threads the
 per-request deadline through.
-
-**Gesture-speculative prefetch** (:mod:`repro.serve.speculate`): the
-service can watch each session's query stream, predict the next gesture
-(adjacent time-brush bucket, neighboring pyramid blocks, +/-1 zoom
-level) and warm the caches for it on otherwise-idle slots — strictly
-lower priority than real work, shed first under load.
 """
 
 from .admission import AdmissionController
@@ -49,11 +43,9 @@ from .protocol import (
 from .routing import HashRing
 from .server import QueryServer, ServerThread
 from .service import QueryService
-from .speculate import GestureModel, SpeculationPlanner, Speculator
 
 __all__ = [
     "AdmissionController",
-    "GestureModel",
     "HashRing",
     "PROTOCOL_VERSION",
     "QueryServer",
@@ -64,8 +56,6 @@ __all__ = [
     "ServeWorkerPool",
     "ServerThread",
     "SingleFlight",
-    "SpeculationPlanner",
-    "Speculator",
     "decode_request",
     "encode_request",
     "filter_from_json",

@@ -12,21 +12,6 @@ a ``Retry-After`` header.
 
 Everything here runs on the event loop thread, so plain counters are
 race-free; the semaphore is the only synchronization primitive.
-
-**Speculative tier**: the controller also grants *speculative* slots —
-a strictly lower priority class used by the gesture-speculative
-prefetcher (:mod:`repro.serve.speculate`).  The contract:
-
-* a speculative slot is granted only when the system is **fully idle**
-  — no real request running or waiting (:meth:`can_speculate`) — so a
-  warm-up never competes with a real query for a slot *or* for CPU;
-* the moment a real request would have to wait, every speculative
-  holder is preempted (:meth:`preempt_speculative` fires each holder's
-  cancel callback) — speculation is shed *first*, before any real
-  request is shed;
-* ``on_idle`` (when set) fires whenever a slot frees with no real
-  request waiting, so the speculator wakes exactly when spare capacity
-  appears.
 """
 
 from __future__ import annotations
@@ -59,19 +44,6 @@ class AdmissionController:
         self.admitted = 0
         self.shed_queue_full = 0
         self.shed_wait_timeout = 0
-        # -- speculative (lower-priority) tier --------------------------
-        #: Cancel callbacks of the speculative holders currently on a
-        #: slot, keyed by an opaque token per holder.
-        self._spec_holders: dict[object, object] = {}
-        self.spec_active = 0
-        self.spec_admitted = 0
-        self.spec_denied = 0
-        self.spec_preempted = 0
-        #: Zero-arg callback fired (on the loop thread) whenever a slot
-        #: frees up with no real request waiting — the speculator's
-        #: wake-up signal.  Exceptions are swallowed: idle notification
-        #: must never break a real request's release path.
-        self.on_idle = None
 
     # -- shedding ----------------------------------------------------------
 
@@ -92,14 +64,6 @@ class AdmissionController:
         the waiting or the running task — so a disconnected client can
         never leak capacity.
         """
-        # A real request about to contend for a permit preempts every
-        # speculative holder first: speculation is shed before a real
-        # request waits a beat longer than it must (the cancel is
-        # cooperative — the engine stops between tiles/blocks — so the
-        # permit frees within one block's work).
-        if self._spec_holders and \
-                self.active + self.spec_active >= self.max_concurrency:
-            self.preempt_speculative()
         with span("admission.wait") as sp:
             if self._waiting >= self.max_queue:
                 self.shed_queue_full += 1
@@ -142,89 +106,6 @@ class AdmissionController:
         finally:
             self.active -= 1
             self._semaphore.release()
-            self._notify_idle()
-
-    # -- speculative tier --------------------------------------------------
-
-    def idle_slots(self) -> int:
-        """Permits free right now (not held by real or speculative work)."""
-        return self.max_concurrency - self.active - self.spec_active
-
-    def can_speculate(self) -> bool:
-        """Whether a speculative slot would be granted this instant:
-        the system is *fully idle* — no real request running or waiting,
-        and a permit free.
-
-        Requiring ``active == 0`` (not merely a free permit) is
-        deliberate: on small hosts a free permit is not free compute,
-        and a warm-up racing a running real query would steal cycles
-        from it.  Speculation fills genuinely dead time — the analyst's
-        think time — and nothing else.
-        """
-        return (self._waiting == 0 and self.active == 0
-                and not self._semaphore.locked())
-
-    @contextlib.asynccontextmanager
-    async def speculative_slot(self, on_preempt=None):
-        """Hold one *speculative* slot — granted only from idle capacity.
-
-        Unlike :meth:`slot` this never waits: if no permit is free, or
-        any real request is queued, it sheds immediately (counted in
-        ``spec_denied``).  ``on_preempt`` is a zero-arg callable invoked
-        when a real request arrives and needs the capacity back; the
-        holder is expected to unwind cooperatively (cancel its task,
-        which stops the engine between tiles and releases this slot).
-
-        The check-then-acquire pair runs on the loop thread with no
-        ``await`` between check and acquire, so the grant is atomic
-        with respect to other requests.
-        """
-        if not self.can_speculate():
-            self.spec_denied += 1
-            raise OverloadedError(
-                "no idle slot for speculative work",
-                retry_after_ms=self.retry_after_ms())
-        await self._semaphore.acquire()
-        self.spec_active += 1
-        self.spec_admitted += 1
-        token = object()
-        if on_preempt is not None:
-            self._spec_holders[token] = on_preempt
-        try:
-            yield
-        finally:
-            self._spec_holders.pop(token, None)
-            self.spec_active -= 1
-            self._semaphore.release()
-            self._notify_idle()
-
-    def preempt_speculative(self) -> int:
-        """Fire every registered speculative holder's cancel callback.
-
-        Returns the number preempted.  Each holder is deregistered
-        before its callback runs, so a re-entrant preemption (several
-        real requests arriving in one beat) cancels each holder once.
-        """
-        fired = 0
-        for token in list(self._spec_holders):
-            cancel = self._spec_holders.pop(token, None)
-            if cancel is None:
-                continue
-            fired += 1
-            try:
-                cancel()
-            except Exception:  # noqa: BLE001 - shedding must not raise
-                pass
-        self.spec_preempted += fired
-        return fired
-
-    def _notify_idle(self) -> None:
-        callback = self.on_idle
-        if callback is not None and self._waiting == 0:
-            try:
-                callback()
-            except Exception:  # noqa: BLE001 - see on_idle contract
-                pass
 
     # -- introspection -----------------------------------------------------
 
@@ -242,10 +123,4 @@ class AdmissionController:
             "shed_queue_full": self.shed_queue_full,
             "shed_wait_timeout": self.shed_wait_timeout,
             "shed_total": self.shed_queue_full + self.shed_wait_timeout,
-            "speculative": {
-                "active": self.spec_active,
-                "admitted": self.spec_admitted,
-                "denied": self.spec_denied,
-                "preempted": self.spec_preempted,
-            },
         }

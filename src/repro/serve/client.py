@@ -157,7 +157,7 @@ class ServeClient:
 
         Accepts the same knobs as the wire protocol (``method``,
         ``resolution``, ``epsilon``, ``exact``, ``deadline_ms``,
-        ``cache``, ``session``, ``viewport``...).  For progressive
+        ``cache``, ``trace``, ``viewport``...).  For progressive
         results use :meth:`stream`.  When ``max_retries > 0`` a shed
         (429) is retried with server-seeded exponential back-off.
         """

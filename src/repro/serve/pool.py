@@ -56,15 +56,12 @@ class ServeWorker:
         self.executor = ThreadPoolExecutor(
             max_workers=threads, thread_name_prefix=f"repro-{name}")
         self.queries = 0
-        #: Speculative warm-ups issued against this worker's caches.
-        self.spec_queries = 0
 
     def stats(self) -> dict:
         cache = self.engine.cache_stats()
         return {
             "name": self.name,
             "queries": self.queries,
-            "spec_queries": self.spec_queries,
             "coalesce": self.flight.stats(),
             "cache_entries": cache.get("entries", 0),
             "cache_bytes": cache.get("bytes", 0),

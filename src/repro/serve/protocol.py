@@ -46,15 +46,10 @@ REQUEST_KNOBS = {
     "stream": False,
     "stream_every": 1,
     "tile_pixels": 256,
-    # Opaque per-session id: lets the server's gesture-speculative
-    # prefetcher keep one transition model per analyst.  Never part of
-    # the query's cache/coalescing key — two sessions issuing the same
-    # query still coalesce.
     # Record a hierarchical span tree for this request; the response
     # stats carry a ``trace.request_id`` the client can fetch back via
     # ``GET /v1/trace/<request_id>``.
     "trace": False,
-    "session": None,
     # Grid-snapped map window (see viewport_to_json): pan/zoom gestures
     # send the full viewport, so block-aligned cache keys match across
     # the wire exactly as they do locally.
@@ -186,9 +181,8 @@ def viewport_to_json(viewport) -> dict:
     cross the wire; the world bbox is *recomputed* from them on decode
     through the exact arithmetic of :meth:`CanvasGrid.viewport`.  Both
     ends therefore hold bit-identical viewport values (Python float
-    repr round-trips through JSON), which is what makes a client-side
-    ``pan`` and the server's speculative prediction of that pan land on
-    the same cache key.
+    repr round-trips through JSON), which is what makes the same
+    ``pan`` from two clients land on the same cache key.
     """
     from ..core.pyramid import GridViewport
 
@@ -282,8 +276,6 @@ def decode_request(payload) -> dict:
         out["method"] = "auto"
     if out["stream_every"] is not None and int(out["stream_every"]) < 1:
         raise ProtocolError("stream_every must be >= 1")
-    if out["session"] is not None:
-        out["session"] = str(out["session"])
     if out["viewport"] is not None:
         out["viewport"] = viewport_from_json(out["viewport"])
     return out

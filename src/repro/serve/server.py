@@ -406,8 +406,8 @@ class ServerThread:
             ready.set()
             loop.run_forever()
             loop.run_until_complete(self.server.stop())
-            # Speculative warm-ups (and any straggler handlers) may
-            # still be unwinding their cancellation; give them a
+            # Straggler handlers (a client that disconnected mid-query)
+            # may still be unwinding their cancellation; give them a
             # bounded window before the loop is torn down so no task
             # is destroyed while pending.
             leftovers = asyncio.all_tasks(loop)

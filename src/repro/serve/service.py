@@ -38,7 +38,6 @@ from ..obs.trace import activate, span
 from ..urbane.datamanager import DataManager
 from .admission import AdmissionController
 from .pool import ServeWorkerPool
-from .speculate import SPECULATION_DENIED, Speculator
 
 #: Sentinel closing a streaming queue.
 _DONE = object()
@@ -62,10 +61,7 @@ class QueryService:
                  max_wait_s: float = 10.0,
                  default_deadline_ms: float | None = None,
                  shards: int = 1,
-                 speculate: bool = False,
-                 speculate_budget_ms: float = 250.0,
                  slow_query_ms: float | None = None,
-                 model_dir: str | None = None,
                  trace_retain: int = 64):
         self.manager = manager
         self.admission = AdmissionController(
@@ -80,21 +76,12 @@ class QueryService:
         self.queries = 0
         self.stream_queries = 0
         self.errors = 0
-        # Gesture-speculative prefetch: watches the per-session query
-        # stream and warms caches for the predicted next gestures on
-        # idle slots only (see repro.serve.speculate).  Constructed
-        # even when disabled so stats keep a stable shape.
-        self.speculator = Speculator(self, budget_ms=speculate_budget_ms,
-                                     enabled=bool(speculate))
         # Observability: a ring buffer of recent request traces and a
         # threshold-gated slow-query log.  Tracing stays off unless a
         # request asks for it or the slow-query log needs every request
         # timed; the span fast path makes the quiet case near-free.
         self.tracer = Tracer(retain=trace_retain)
         self.slowlog = SlowQueryLog(threshold_ms=slow_query_ms)
-        self.model_dir = model_dir
-        if model_dir:
-            self.speculator.load_model(model_dir)
 
     @property
     def flight(self):
@@ -137,9 +124,9 @@ class QueryService:
         query (filters included), and every knob that can change the
         answer — ``deadline_ms`` included, since degradation changes
         what comes back, and the viewport (a pinned canvas changes the
-        raster answer).  The ``session`` id is deliberately *not* part
-        of the key: identical gestures from different sessions must
-        coalesce and share cache entries.
+        raster answer).  Nothing identifies the client, so identical
+        gestures from different sessions coalesce and share cache
+        entries.
         """
         table, _version = self._resolve_table(req["dataset"])
         regions = self.manager.region_set(req["regions"])
@@ -162,19 +149,10 @@ class QueryService:
         req["regions"] = req["regions"] or parsed.regions
         req["query"] = parsed.aggregation
 
-    def _run(self, req: dict, key: tuple, cancel: threading.Event,
-             engine=None, speculative: bool = False):
-        """Engine execution (thread-pool side).
-
-        ``speculative`` builds insert at the cache's LRU *cold* end
-        (wrong predictions must never evict blocks real queries keep
-        hot) but are otherwise byte-for-byte the real execution — that
-        identity is what lets a real query join a speculative flight.
-        """
+    def _run(self, req: dict, key: tuple, cancel: threading.Event, engine):
+        """Engine execution on ``engine`` (thread-pool side)."""
         table, stream_version = self._resolve_table(req["dataset"])
         regions = self.manager.region_set(req["regions"])
-        if engine is None:
-            engine = self.manager.engine
         deadline = req["deadline_ms"]
         if deadline is None:
             deadline = self.default_deadline_ms
@@ -189,24 +167,15 @@ class QueryService:
                 result.stats["stream_version"] = stream_version
             return result
 
-        def run_cached():
+        # run_in_executor does not propagate contextvars, so the
+        # request's root span (when tracing) rides in on the request
+        # dict and is re-activated on this pool thread.
+        with activate(req.get("_span")), span("execute"):
             if req.get("cache", True):
                 # The unified cache defensively copies results on read,
                 # so the stored original is never the object handed out.
                 return engine.ctx.cache.get_or_build(key, build)
             return build()
-
-        def dispatch():
-            if speculative:
-                with engine.ctx.cache.speculative_inserts():
-                    return run_cached()
-            return run_cached()
-
-        # run_in_executor does not propagate contextvars, so the
-        # request's root span (when tracing) rides in on the request
-        # dict and is re-activated on this pool thread.
-        with activate(req.get("_span")), span("execute"):
-            return dispatch()
 
     async def execute(self, req: dict):
         """Serve one non-streaming request; returns a private
@@ -264,11 +233,6 @@ class QueryService:
         worker = self.workers.worker_for(key)
         worker.queries += 1
         loop = asyncio.get_running_loop()
-        # Hit attribution *before* running: a warm cache entry or an
-        # in-flight speculative build for this key is a prediction the
-        # user confirmed.
-        spec = self.speculator
-        spec_hit = spec.enabled and spec.note_real_query(key)
 
         async def start(cancel: threading.Event):
             async with self.admission.slot(req.get("timeout_s")):
@@ -278,23 +242,13 @@ class QueryService:
 
         try:
             result = await worker.flight.run(key, start)
-            # A real query that joined a speculative flight inherits
-            # the denial *value* when admission refused the idle slot;
-            # it retries as real work (queueing like any request)
-            # rather than surfacing a speculative shed to the client.
-            while result is SPECULATION_DENIED:
-                result = await worker.flight.run(key, start)
         except Exception:
             self.errors += 1
             REGISTRY.counter("repro_errors_total").inc()
             raise
-        # Feed the gesture model and (re)plan during think time — the
-        # answer is already on its way out.
-        spec.observe(req)
         # Each participant gets an independent copy — coalesced
         # responses must not alias one another's arrays or stats.
         copy = result.copy()
-        copy.stats["speculate"] = {"hit": bool(spec_hit)}
         # Metrics record once per *served response*: coalesced joiners
         # each count, so registry totals reconcile with summed
         # per-response stats.
@@ -393,16 +347,16 @@ class QueryService:
                 "block_misses": blocks.get("misses", 0),
                 "reuse_fraction": blocks.get("reuse_fraction", 0.0),
             },
-            "speculate": self.speculator.stats(),
             "tracer": self.tracer.stats(),
             "slowlog": self.slowlog.stats(),
             "datasets": sorted(self.manager.dataset_names
                                + list(self._streams)),
             "region_sets": self.manager.region_set_names,
+            # Inert: the frozen serve-analysts workload still reads these
+            # three counters.  Retire with the legacy bench shims
+            # (ROADMAP item 7).  /v1/metrics does not export it.
+            "speculate": {"observed": 0, "completed": 0, "hits": 0},
         }
 
     def close(self) -> None:
-        if self.model_dir:
-            self.speculator.save_model(self.model_dir)
-        self.speculator.close()
         self.workers.close()

@@ -60,9 +60,27 @@ class Interaction:
     block_misses: int = 0
     #: Fraction of canvas pixels served from cached blocks.
     block_reuse: float = 0.0
-    #: Whether the server's gesture-speculative prefetcher had already
-    #: warmed (or was mid-way through building) this gesture's answer.
-    spec_hit: bool = False
+
+    @classmethod
+    def from_stats(cls, op: str, detail: str, latency_s: float,
+                   stats: dict | None, method: str) -> "Interaction":
+        """The log row for one refresh, read from its result ``stats`` —
+        the same payload whether the engine ran in-process or behind a
+        server (``method`` names the backend when no plan was recorded).
+        """
+        stats = stats or {}
+        cache = stats.get("cache") or {}
+        blocks = cache.get("blocks") or {}
+        plan = stats.get("plan") or {}
+        return cls(
+            op=op, detail=detail, latency_s=latency_s,
+            rows_aggregated=int(stats.get("points_after_filter", 0) or 0),
+            cache_hits=int(cache.get("query_hits", 0)),
+            cache_misses=int(cache.get("query_misses", 0)),
+            backend=(plan.get("decision") or {}).get("chosen", method),
+            block_hits=int(blocks.get("hits", 0) + blocks.get("derived", 0)),
+            block_misses=int(blocks.get("misses", 0)),
+            block_reuse=float(blocks.get("reuse_fraction", 0.0)))
 
 
 @dataclass
@@ -224,19 +242,8 @@ class InteractiveSession:
                 viewport=self._viewport)
         latency = time.perf_counter() - t0
         self.last_result = result
-        cache = result.stats.get("cache", {})
-        blocks = cache.get("blocks", {})
-        plan = result.stats.get("plan", {})
-        self.log.append(Interaction(
-            op=op, detail=detail, latency_s=latency,
-            rows_aggregated=result.stats.get("points_after_filter", 0),
-            cache_hits=cache.get("query_hits", 0),
-            cache_misses=cache.get("query_misses", 0),
-            backend=(plan.get("decision") or {}).get("chosen",
-                                                     result.method),
-            block_hits=(blocks.get("hits", 0) + blocks.get("derived", 0)),
-            block_misses=blocks.get("misses", 0),
-            block_reuse=blocks.get("reuse_fraction", 0.0)))
+        self.log.append(Interaction.from_stats(
+            op, detail, latency, result.stats, result.method))
         return result
 
     def _brush_method(self, query: SpatialAggregation) -> str:
@@ -291,20 +298,18 @@ class InteractiveSession:
             "block_misses": block_misses,
             "block_reuse_rate": (block_hits / (block_hits + block_misses)
                                  if block_hits + block_misses else 0.0),
-            "spec_hits": sum(1 for i in self.log if i.spec_hit),
         }
 
     def report(self) -> str:
         """Human-readable per-interaction log."""
         lines = [f"{'op':<16} {'detail':<32} {'backend':<10} "
-                 f"{'cache':>7} {'blocks':>7} {'spec':>5} {'latency':>9}"]
+                 f"{'cache':>7} {'blocks':>7} {'latency':>9}"]
         for item in self.log:
             lines.append(
                 f"{item.op:<16} {item.detail[:32]:<32} "
                 f"{item.backend[:10]:<10} "
                 f"{item.cache_hits:>3}h{item.cache_misses:>2}m "
                 f"{item.block_reuse * 100:5.0f}%b "
-                f"{'hit' if item.spec_hit else '-':>5} "
                 f"{item.latency_s * 1000:7.1f}ms")
         stats = self.summary()
         lines.append(
@@ -313,8 +318,7 @@ class InteractiveSession:
             f"max {stats['max_latency_s'] * 1000:.1f}ms, "
             f"{stats['interactive_fraction'] * 100:.0f}% interactive, "
             f"cache hit rate {stats['cache_hit_rate'] * 100:.0f}%, "
-            f"block reuse {stats['block_reuse_rate'] * 100:.0f}%, "
-            f"{stats['spec_hits']} speculative hits")
+            f"block reuse {stats['block_reuse_rate'] * 100:.0f}%")
         return "\n".join(lines)
 
 
@@ -337,8 +341,6 @@ class RemoteSession:
     def __init__(self, url_or_client, dataset: str, regions: str,
                  method: str = "auto", resolution: int | None = None,
                  deadline_ms: float | None = None):
-        import uuid
-
         from ..serve.client import ServeClient
 
         if isinstance(url_or_client, str):
@@ -349,10 +351,6 @@ class RemoteSession:
         self.resolution = resolution
         #: Per-gesture latency budget, degrading precision server-side.
         self.deadline_ms = deadline_ms
-        #: Opaque id sent with every request so the server's
-        #: gesture-speculative prefetcher models *this* analyst's
-        #: stream (never part of cache/coalescing keys).
-        self.session_id = uuid.uuid4().hex
         self.state = SessionState(dataset=dataset, regions=regions)
         self.log: list[Interaction] = []
         self.last_result = None  # RemoteResult of the latest gesture
@@ -409,9 +407,8 @@ class RemoteSession:
         Fetched once per region set via ``GET /v1/viewport``; the wire
         encoding carries only the grid anchor and integer window, so
         the client-side viewport (and every pan/zoom derived from it)
-        keys identically to the server's own planning — which is what
-        lets the speculative prefetcher predict this session's map
-        gestures.
+        keys identically to the server's own planning, so two sessions
+        panning over the same blocks share the server's cache.
         """
         if self._viewport is None:
             self._viewport = self.client.plan_viewport(
@@ -444,21 +441,11 @@ class RemoteSession:
         result = self.client.query(
             self.state.dataset, self.state.regions, query=query,
             method=self.method, resolution=self.resolution,
-            deadline_ms=self.deadline_ms, session=self.session_id,
-            viewport=self._viewport)
+            deadline_ms=self.deadline_ms, viewport=self._viewport)
         latency = time.perf_counter() - t0
         self.last_result = result
-        stats = result.stats or {}
-        cache = stats.get("cache") or {}
-        plan = stats.get("plan") or {}
-        self.log.append(Interaction(
-            op=op, detail=detail, latency_s=latency,
-            rows_aggregated=int(stats.get("points_after_filter", 0) or 0),
-            cache_hits=int(cache.get("query_hits", 0) or 0),
-            cache_misses=int(cache.get("query_misses", 0) or 0),
-            backend=(plan.get("decision") or {}).get("chosen",
-                                                     result.method),
-            spec_hit=bool((stats.get("speculate") or {}).get("hit"))))
+        self.log.append(Interaction.from_stats(
+            op, detail, latency, result.stats, result.method))
         return result
 
     # -- reporting ---------------------------------------------------------

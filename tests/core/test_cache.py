@@ -119,94 +119,19 @@ class TestQueryCache:
         assert ("fragments", 1) not in cache
         assert ("grid-index", 1) in cache
 
+    def test_reinserting_existing_key_moves_it_to_hot_end(self):
+        cache = QueryCache(max_entries=2)
+        cache.put(("a",), 1, nbytes=1)
+        cache.put(("b",), 2, nbytes=5)
+        cache.put(("a",), 11, nbytes=3)         # a is now the newest
+        assert cache.total_bytes == 8            # old a's bytes released
+        cache.put(("c",), 3, nbytes=1)
+        assert ("a",) in cache and ("b",) not in cache
+        assert cache.get(("a",)) == 11
+
     def test_bad_budget_rejected(self):
         with pytest.raises(QueryError):
             QueryCache(max_bytes=0)
-
-
-class TestSpeculativeInserts:
-    """Speculative builds must park at the LRU cold end so a burst of
-    wrong predictions can never displace blocks real queries keep hot."""
-
-    def test_new_speculative_entry_is_evicted_first(self):
-        cache = QueryCache(max_entries=3)
-        cache.put(("hot", 0), 0, nbytes=1)
-        cache.put(("hot", 1), 1, nbytes=1)
-        with cache.speculative_inserts():
-            cache.put(("spec",), 99, nbytes=1)
-        cache.put(("hot", 2), 2, nbytes=1)     # over budget: evict one
-        assert ("spec",) not in cache           # the speculation went
-        assert ("hot", 0) in cache              # both hot keys survive
-        assert ("hot", 1) in cache
-
-    def test_hot_keys_survive_a_speculative_burst(self):
-        cache = QueryCache(max_entries=4)
-        cache.put(("hot", 0), 0, nbytes=1)
-        cache.put(("hot", 1), 1, nbytes=1)
-        with cache.speculative_inserts():
-            for i in range(10):
-                cache.put(("spec", i), i, nbytes=1)
-        assert ("hot", 0) in cache and ("hot", 1) in cache
-        # The burst only ever churned the cold half of the cache.
-        assert cache.cold_inserts == 10
-
-    def test_speculative_reads_do_not_promote(self):
-        cache = QueryCache(max_entries=2)
-        cache.put(("a",), 1, nbytes=1)
-        cache.put(("b",), 2, nbytes=1)
-        with cache.speculative_inserts():
-            assert cache.get(("a",)) == 1       # no LRU touch
-        cache.put(("c",), 3, nbytes=1)
-        assert ("a",) not in cache              # still the LRU victim
-        assert ("b",) in cache
-
-    def test_reinserting_existing_key_keeps_hot_placement(self):
-        cache = QueryCache(max_entries=2)
-        cache.put(("a",), 1, nbytes=1)
-        cache.put(("b",), 2, nbytes=1)
-        with cache.speculative_inserts():
-            cache.put(("b",), 22, nbytes=1)     # history outranks spec
-        cache.put(("c",), 3, nbytes=1)
-        assert ("b",) in cache and ("a",) not in cache
-        assert cache.cold_inserts == 0
-
-    def test_real_touch_promotes_speculative_entry(self):
-        cache = QueryCache(max_entries=2)
-        with cache.speculative_inserts():
-            cache.put(("spec",), 1, nbytes=1)
-        cache.put(("a",), 2, nbytes=1)
-        cache.get(("spec",))                    # prediction came true
-        cache.put(("b",), 3, nbytes=1)
-        assert ("spec",) in cache               # earned its place
-        assert ("a",) not in cache
-
-    def test_flag_is_thread_local(self):
-        import threading
-
-        cache = QueryCache(max_entries=8)
-        done = threading.Event()
-        go = threading.Event()
-
-        def speculate():
-            with cache.speculative_inserts():
-                go.set()
-                done.wait(timeout=5.0)
-
-        t = threading.Thread(target=speculate)
-        t.start()
-        try:
-            assert go.wait(timeout=5.0)
-            cache.put(("real",), 1, nbytes=1)   # this thread: not spec
-            assert cache.cold_inserts == 0
-        finally:
-            done.set()
-            t.join(timeout=5.0)
-
-    def test_cold_inserts_in_stats(self):
-        cache = QueryCache()
-        with cache.speculative_inserts():
-            cache.put(("s",), 1, nbytes=1)
-        assert cache.stats()["cold_inserts"] == 1
 
 
 class TestContextCaching:
@@ -322,11 +247,8 @@ class TestThreadSafety:
                         cache.get_or_build(
                             key,
                             lambda: np.zeros(int(gen.integers(16, 512))))
-                    elif op < 0.85:
-                        cache.get(key)
                     elif op < 0.93:
-                        with cache.speculative_inserts():
-                            cache.put(key, np.zeros(64))
+                        cache.get(key)
                     elif op < 0.99:
                         cache.invalidate(f"p{int(gen.integers(0, 4))}")
                     else:

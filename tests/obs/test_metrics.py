@@ -114,7 +114,6 @@ def test_record_query_stats_maps_the_stats_payload():
         "store": {"partitions": {"scanned": 6, "pruned": 9},
                   "rows": {"scanned": 1234}},
         "tcube": {"slices_touched": 5},
-        "speculate": {"hit": True},
     }
     record_query_stats(stats, wall_s=0.030, registry=reg)
     record_query_stats({}, wall_s=0.001, registry=reg)
@@ -134,7 +133,6 @@ def test_record_query_stats_maps_the_stats_payload():
     assert value("repro_store_partitions_pruned_total") == 9
     assert value("repro_store_rows_scanned_total") == 1234
     assert value("repro_tcube_slices_touched_total") == 5
-    assert value("repro_speculate_hits_total") == 1
     hist = reg.histogram("repro_query_latency_ms")
     assert hist.count == 2
     assert hist.sum_ms == pytest.approx(31.0)
@@ -147,12 +145,13 @@ def test_sample_service_stats_flattens_gauges():
         "stream_queries": 1,
         "errors": 0,
         "admission": {"active": 2, "waiting": 1,
-                      "speculative": {"denied": 3}},
+                      "shed": {"queue_full": 3}},
         "coalesce": {"leaders": 5, "coalesce_rate": 0.25},
         "cache": {"entries": 9, "bytes": 4096,
                   "blocks": {"hits": 7}},  # dropped: counters cover blocks
-        "pyramid": {"block_hits": 7},
-        "speculate": {"enabled": True, "issued": 4},
+        "pyramid": {"block_hits": 7, "enabled": True},
+        # The inert block QueryService.stats() still carries.
+        "speculate": {"observed": 0, "completed": 0, "hits": 0},
         "pool": {"shards": 2, "workers": [
             {"name": "w0", "queries": 8, "cache_bytes": 11},
             {"name": "w1", "queries": 4, "cache_bytes": 22}]},
@@ -164,16 +163,16 @@ def test_sample_service_stats_flattens_gauges():
 
     assert value("repro_service_queries") == 12
     assert value("repro_admission_active") == 2
-    assert value("repro_admission_speculative_denied") == 3
+    assert value("repro_admission_shed_queue_full") == 3
     assert value("repro_coalesce_coalesce_rate") == 0.25
     assert value("repro_cache_bytes") == 4096
     assert value("repro_pyramid_block_hits") == 7
-    assert value("repro_speculate_issued") == 4
     assert value("repro_pool_shards") == 2
     assert value("repro_worker_queries", worker="w0") == 8
     assert value("repro_worker_cache_bytes", worker="w1") == 22
     # Bools never become gauges; blocks are excluded from cache gauges.
     snap = reg.snapshot()
     names = {g["name"] for g in snap["gauges"]}
-    assert "repro_speculate_enabled" not in names
+    assert "repro_pyramid_enabled" not in names
     assert "repro_cache_blocks_hits" not in names
+    assert not [n for n in names if n.startswith("repro_speculate")]

@@ -128,6 +128,40 @@ class TestCancellation:
 
         run(scenario())
 
+    def test_leader_leaving_spares_the_joiners(self):
+        """The participant that started the work disconnects first: the
+        refcount, not the leader role, decides whether the work dies."""
+        async def scenario():
+            sf = SingleFlight()
+            cancel_tokens = []
+            gate = asyncio.Event()
+
+            def start(cancel):
+                cancel_tokens.append(cancel)
+
+                async def work():
+                    await gate.wait()
+                    return "done"
+                return work()
+
+            leader = asyncio.ensure_future(sf.run("k", start))
+            await asyncio.sleep(0)
+            joiners = [asyncio.ensure_future(sf.run("k", start))
+                       for _ in range(2)]
+            await asyncio.sleep(0)
+            assert sf._flights["k"].refs == 3
+            leader.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await leader
+            assert not cancel_tokens[0].is_set()
+            assert not sf._flights["k"].task.cancelled()
+            gate.set()
+            assert await asyncio.gather(*joiners) == ["done", "done"]
+            assert len(cancel_tokens) == 1
+            assert sf.cancelled_flights == 0
+
+        run(scenario())
+
     def test_last_participant_out_cancels_the_work(self):
         async def scenario():
             sf = SingleFlight()

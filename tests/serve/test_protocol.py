@@ -94,9 +94,19 @@ class TestRequests:
         assert repr(req["query"]) == repr(SpatialAggregation.sum_of("fare"))
 
     def test_unknown_knob_rejected(self):
-        with pytest.raises(ProtocolError):
-            encode_request("t", "r", query=SpatialAggregation.count(),
-                           turbo=True)
+        for knob in ({"turbo": True}, {"session": "x"}):
+            with pytest.raises(ProtocolError):
+                encode_request("t", "r", query=SpatialAggregation.count(),
+                               **knob)
+
+    def test_retired_session_knob_is_ignored_on_decode(self):
+        """An older client still sends the per-session id; the server
+        decodes its body to exactly the request it would without it."""
+        body = encode_request("t", "r", query=SpatialAggregation.count(),
+                              method="bounded")
+        legacy = decode_request(dict(body, session="x"))
+        assert "session" not in legacy
+        assert legacy == decode_request(body)
 
     def test_query_xor_sql(self):
         with pytest.raises(ProtocolError):

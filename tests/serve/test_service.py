@@ -177,3 +177,20 @@ class TestStats:
         assert "admission" in stats and "coalesce" in stats
         assert "trips" in stats["datasets"]
         assert "simple" in stats["region_sets"]
+
+
+class TestRemoteSession:
+    def test_pan_over_warm_blocks_logs_block_reuse(self, server):
+        from repro.urbane import RemoteSession
+
+        session = RemoteSession(server, "trips", "simple", method="bounded")
+        session.pan(0, 0)    # pin the grid, scatter the cold frame
+        session.pan(16, 0)
+        # Between the two frames: a fresh served key whose blocks are
+        # all resident, so the server assembles it without scattering.
+        session.pan(-8, 0)
+        back = session.log[-1]
+        assert back.block_hits > 0
+        assert back.block_misses == 0
+        assert back.block_reuse > 0.0
+        assert session.summary()["block_reuse_rate"] > 0.0

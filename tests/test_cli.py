@@ -158,7 +158,8 @@ class TestStoreQueryCommand:
 
 
 class TestRetiredFlags:
-    """The fork flags went with the forks; argparse rejects them."""
+    """The fork flags went with the forks, and the speculation flags with
+    the speculative prefetcher; argparse rejects them."""
 
     @pytest.mark.parametrize("argv", [
         ["query", SQL, "--workers", "2"],
@@ -170,9 +171,14 @@ class TestRetiredFlags:
          "--shards", "2"],
         ["store", "query", SQL, "--store", "s", "--regions", "r",
          "--prefetch-depth", "2"],
+        ["serve", "--speculate"],
+        ["serve", "--no-speculate"],
+        ["serve", "--speculate-budget-ms", "100"],
+        ["serve", "--model-dir", "d"],
     ])
     def test_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
-        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+        flag = next(arg for arg in reversed(argv) if arg.startswith("--"))
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
