@@ -55,7 +55,6 @@ BENCH_FILES = {
     "BENCH_serve.json": "benchmarks/bench_serve_throughput.py",
     "BENCH_store.json": "benchmarks/bench_store_outofcore.py",
     "BENCH_pyramid.json": "benchmarks/bench_pyramid_panzoom.py",
-    "BENCH_accurate.json": "benchmarks/bench_accurate_intervals.py",
     "BENCH_obs.json": "benchmarks/bench_obs_overhead.py",
 }
 
@@ -748,48 +747,6 @@ def main() -> None:
         f"{payload['block_derived']} derived) for a "
         f"{payload['median_speedup']:.0f}x median per-gesture speedup, "
         f"bitwise-equal to re-scattering at every step.")
-
-    # -- E19: accurate-join interval classification ------------------------
-    print("E19 accurate intervals...")
-    from bench_accurate_intervals import run_sweep
-
-    payload = run_sweep(taxi[200_000], neighborhoods,
-                        resolutions=(128, 256, 512, 1024), repeats=3)
-    bench_out = ROOT / "BENCH_accurate.json"
-    bench_out.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {bench_out}")
-    rows = [(r["resolution"], f"{r['accurate_ms']:.1f} ms",
-             f"{r['legacy_accurate_ms']:.1f} ms",
-             f"{r['bounded_ms']:.1f} ms",
-             f"{r['ratio_accurate_vs_bounded']:.2f}x",
-             f"{r['speedup_vs_legacy']:.2f}x",
-             f"{100 * r['pip_fraction']:.1f}%",
-             "yes" if r["equal_legacy_bitwise"] and r["equal_naive"]
-             else "NO")
-            for r in payload["results"]]
-    report.add(
-        "E19 — accurate join via FULL/PARTIAL interval classification",
-        "The scanline pass now classifies every polygon's raster cells "
-        "into FULL interval runs (guaranteed interior — credited by "
-        "the raster gather alone) and PARTIAL runs (cells the boundary "
-        "may cross).  Only points in genuinely PARTIAL cells pay an "
-        "exact point-in-polygon test, fetched one CSR slice per "
-        "interval run; results stay bitwise-identical to the legacy "
-        "per-pixel accurate join.  Compute kernels (scatter, gather, "
-        "range expansion) dispatch through a registry "
-        f"(selected: {payload['kernel']['selected']}) with a numba "
-        "tier when available.",
-        _table(("resolution", "accurate", "legacy", "bounded", "vs "
-                "bounded", "vs legacy", "PIP tested", "equal"), rows)
-        + f"\n\n{payload['points']:,} taxi rows, {payload['regions']} "
-          f"neighborhoods, COUNT timed; 'PIP tested' is the fraction "
-          f"of in-viewport points whose cell is PARTIAL for some "
-          f"region. Machine-readable record in `BENCH_accurate.json`.",
-        "The PIP fraction falls with resolution (boundary cells cover "
-        "proportionally less area), so the exact join converges toward "
-        "bounded-join latency at display resolutions while remaining "
-        "exact; every rung is bitwise-equal to both the legacy "
-        "implementation and brute force.")
 
     out = ROOT / "EXPERIMENTS.md"
     report.write(out)

@@ -12,7 +12,7 @@ INSIDE R.geometry [AND filter]* GROUP BY R.id``) evaluated by drawing:
   registry, the cost-based planner, and the unified execution cache.
 """
 
-from .accurate import accurate_raster_join, legacy_accurate_raster_join
+from .accurate import accurate_raster_join
 from .aggregates import (
     AVG,
     BOUNDABLE_AGGREGATES,
@@ -118,7 +118,6 @@ __all__ = [
     "TemporalCanvasCube",
     "TilePartial",
     "accurate_raster_join",
-    "legacy_accurate_raster_join",
     "assembled_bounded_join",
     "backend_names",
     "block_coverage",

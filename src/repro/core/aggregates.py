@@ -133,13 +133,15 @@ def accumulate_exact(part: PartialAggregate, region_id: int,
     """Fold exactly-tested points of one region into a partial.
 
     ``values`` is the value column of the matching points (None for
-    COUNT); ``count`` is how many matched.
+    COUNT); ``count`` is how many matched.  MIN/MAX fold with
+    ``np.minimum``/``np.maximum``, so a NaN poisons its region as it
+    poisons a canvas pixel (Python's ``min``/``max`` would drop it).
     """
     if part.counts is not None:
         part.counts[region_id] += count
     if part.sums is not None and values is not None and len(values):
         part.sums[region_id] += float(values.sum())
     if part.mins is not None and values is not None and len(values):
-        part.mins[region_id] = min(part.mins[region_id], float(values.min()))
+        part.mins[region_id] = np.minimum(part.mins[region_id], values.min())
     if part.maxs is not None and values is not None and len(values):
-        part.maxs[region_id] = max(part.maxs[region_id], float(values.max()))
+        part.maxs[region_id] = np.maximum(part.maxs[region_id], values.max())

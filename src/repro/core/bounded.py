@@ -8,8 +8,8 @@ The fast, approximate variant: both sides of the join are *drawn*.
    join and every point source).
 2. **Polygon pass** — each region's fragments (pixels whose center the
    region covers) are generated by scanline rasterization.
-3. **Join** — each fragment pulls its pixel's blended value into its
-   region's accumulator.
+3. **Join** — each region folds the blended values of its FULL pixel
+   runs and its center-covered boundary pixels into its accumulator.
 
 Cost is O(|P| + #fragments), independent of polygon complexity per
 point — the asymptotic win over index joins.  The only error source is
@@ -30,6 +30,7 @@ from ..raster import (
     Viewport,
     build_fragment_table,
     gather_reduce,
+    gather_runs,
     gather_sum,
 )
 from .aggregates import (
@@ -46,33 +47,52 @@ from .result import AggregationResult
 
 
 def gather_partial(part: PartialAggregate, canvases: dict,
-                   pix: np.ndarray, polys: np.ndarray,
-                   n: int) -> PartialAggregate:
-    """The join step: fold the canvas values of ``(pixel, polygon)``
-    pairs into the per-region partial ``part`` (``n`` regions)."""
+                   fragments: FragmentTable,
+                   covered: bool = True) -> PartialAggregate:
+    """The join step: fold every region's FULL runs — and with
+    ``covered`` its center-covered boundary pixels — into the per-region
+    partial ``part``.
+
+    Runs fold through one :func:`~repro.raster.gather_runs` per canvas,
+    boundary pixels pair by pair; every raster path (bounded, pyramid,
+    tiled, store, the accurate join's interior) joins here, so they all
+    fold the same values in the same order.
+    """
+    n = fragments.num_polygons
+    starts, stops, polys = fragments.intervals.full_runs_by_start()
+    if covered:
+        pix = fragments.covered_boundary_pixels
+        pix_polys = fragments.covered_boundary_polys
+
+    def gather(kind, ufunc, fill):
+        canvas = canvases[kind]
+        out = gather_runs(canvas, starts, stops, polys, n, ufunc, fill)
+        if not covered:
+            return out
+        if ufunc is np.add:
+            return out + gather_sum(canvas, pix, pix_polys, n)
+        return ufunc(out, gather_reduce(canvas, pix, pix_polys, n, ufunc,
+                                        fill))
+
     if part.counts is not None:
-        part.counts += gather_sum(canvases["count"], pix, polys, n)
+        part.counts += gather("count", np.add, 0.0)
     if part.sums is not None:
-        part.sums += gather_sum(canvases["sum"], pix, polys, n)
+        part.sums += gather("sum", np.add, 0.0)
     if part.mins is not None:
-        np.minimum(part.mins, gather_reduce(canvases["min"], pix, polys, n,
-                                            np.minimum, np.inf),
+        np.minimum(part.mins, gather("min", np.minimum, np.inf),
                    out=part.mins)
     if part.maxs is not None:
-        np.maximum(part.maxs, gather_reduce(canvases["max"], pix, polys, n,
-                                            np.maximum, -np.inf),
+        np.maximum(part.maxs, gather("max", np.maximum, -np.inf),
                    out=part.maxs)
     return part
 
 
 def _join_covered(fragments: FragmentTable, canvases: dict, agg: str
                   ) -> np.ndarray:
-    """Join step over all center-covered pixels (interior + covered
+    """Join step over all center-covered pixels (FULL runs + covered
     boundary) — the pure raster estimate."""
-    n = fragments.num_polygons
-    return gather_partial(PartialAggregate.empty(agg, n), canvases,
-                          fragments.covered_pixels, fragments.covered_polys,
-                          n).finalize()
+    return gather_partial(PartialAggregate.empty(agg, fragments.num_polygons),
+                          canvases, fragments).finalize()
 
 
 def bounded_raster_join(

@@ -260,9 +260,6 @@ def assemble_canvases(ctx, source, query: SpatialAggregation,
     kinds = canvas_kinds(query.agg)
     table_fp = fingerprint(source.table)
     cache = ctx.cache
-    shape = (viewport.height, viewport.width)
-    canvases = {k: np.full(shape, FILLS[k], dtype=np.float64)
-                for k in kinds}
     info = {"blocks": 0, "hits": 0, "derived": 0, "scattered": 0,
             "assembled_pixels": 0, "scattered_pixels": 0,
             "points_scattered": 0}
@@ -337,11 +334,18 @@ def assemble_canvases(ctx, source, query: SpatialAggregation,
             scatter_sp.set(blocks=len(needs), partitions=fresh.paged,
                            points=fresh.points)
             info["points_scattered"] = fresh.points
-        for entry_key, plane in installs:
-            cache.put(entry_key, plane)
-        for view_sl, block_sl, planes in resolved:
-            for kind in kinds:
-                canvases[kind][view_sl] = planes[kind][block_sl]
+        # Install the new planes and paste the frame.  The canvases are
+        # allocated here, where they are first written, so their fresh
+        # pages are charged to this span rather than to no span at all.
+        with span("pyramid.install"):
+            for entry_key, plane in installs:
+                cache.put(entry_key, plane)
+            canvases = {k: np.full((viewport.height, viewport.width),
+                                   FILLS[k], dtype=np.float64)
+                        for k in kinds}
+            for view_sl, block_sl, planes in resolved:
+                for kind in kinds:
+                    canvases[kind][view_sl] = planes[kind][block_sl]
     sp.set(blocks=info["blocks"], hits=info["hits"],
            derived=info["derived"], scattered=info["scattered"])
 

@@ -128,8 +128,7 @@ def fold_tile_join(geometries, local_ids: list[int],
     # Accumulate through a local partial, then scatter to global ids.
     local_part = gather_partial(
         PartialAggregate.empty(query.agg, len(local_ids)), canvases,
-        local_fragments.covered_pixels, local_fragments.covered_polys,
-        len(local_ids))
+        local_fragments)
     if part.counts is not None:
         part.counts[remap] += local_part.counts
     if part.sums is not None:

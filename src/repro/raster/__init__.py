@@ -7,15 +7,15 @@ same stages are implemented in NumPy:
   sampling, like the GPU);
 * ``scanline`` — polygon fragment generation (scanline fill with the
   even-odd rule) and conservative boundary-pixel detection;
-* ``canvas`` — additive blending (``scatter_*``), the gather join and
-  the per-pixel point buckets the accurate variant needs (the raster
-  joins' point pass itself is :mod:`repro.core.pipeline`);
+* ``canvas`` — additive blending (``scatter_*``) and the gather join,
+  per pixel pair or per pixel run (the raster joins' point pass itself
+  is :mod:`repro.core.pipeline`);
 * :class:`FragmentTable` — the rasterized form of a region set.
 """
 
 from .canvas import (
-    PixelBuckets,
     gather_reduce,
+    gather_runs,
     gather_sum,
     scatter_count,
     scatter_sum,
@@ -35,7 +35,6 @@ __all__ = [
     "FragmentTable",
     "IntervalSet",
     "PYRAMID_OPS",
-    "PixelBuckets",
     "Viewport",
     "boundary_pixels",
     "boundary_pixels_sampled",
@@ -44,6 +43,7 @@ __all__ = [
     "coverage_fragments",
     "reduce2x2",
     "gather_reduce",
+    "gather_runs",
     "gather_sum",
     "rasterize_polygon",
     "rasterize_triangles",

@@ -63,85 +63,37 @@ def gather_reduce(canvas: np.ndarray, pixel_ids: np.ndarray,
                                       int(num_groups), ufunc, fill)
 
 
-class PixelBuckets:
-    """CSR mapping from pixel id to the points that landed in it.
+def gather_runs(canvas: np.ndarray, starts: np.ndarray, stops: np.ndarray,
+                group_ids: np.ndarray, num_groups: int,
+                ufunc, fill: float) -> np.ndarray:
+    """The join step over pixel runs: reduce ``canvas[start:stop]`` of
+    every run with ``ufunc`` (``np.add`` / ``np.minimum`` /
+    ``np.maximum``), then fold the per-run results into their groups
+    (``fill`` where a group has no run).
 
-    Built once per (table, viewport) pass; the accurate raster join uses
-    it to fetch the candidate points of each boundary pixel without
-    touching the rest of the data.
+    One ``ufunc.reduceat`` at the interleaved (start, stop) bounds.  Its
+    odd outputs reduce the gaps between consecutive runs and are
+    dropped; ``starts`` must ascend so those gaps telescope to at most
+    one pass over the canvas (in any other order each gap may reach back
+    across most of it).  COUNT and MIN/MAX equal a per-pixel gather
+    bitwise; a float SUM is a reassociated fold of the same values.
     """
-
-    def __init__(self, pixel_ids: np.ndarray, num_pixels: int,
-                 point_ids: np.ndarray | None = None):
-        self.num_pixels = int(num_pixels)
-        if point_ids is None:
-            point_ids = np.arange(len(pixel_ids), dtype=np.int64)
-        # Bucket membership is order-free; default sort beats radix here.
-        order = np.argsort(pixel_ids)
-        self.order = point_ids[order]
-        # Offsets by counting, not by binary-searching every pixel id:
-        # O(points + pixels) instead of O(pixels log points).
-        counts = np.bincount(pixel_ids, minlength=num_pixels)
-        self.offsets = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64)])
-
-    def points_in_pixel(self, pixel_id: int) -> np.ndarray:
-        """Ids of points in one pixel."""
-        return self.order[self.offsets[pixel_id] : self.offsets[pixel_id + 1]]
-
-    def points_in_pixels(self, pixel_ids: np.ndarray) -> np.ndarray:
-        """Ids of all points in any of the given pixels (vectorized).
-
-        Per-pixel (start, length) runs of the CSR order array are
-        expanded into one flat index array by the kernel's
-        ``expand_ranges`` — no Python loop.
-        """
-        if len(pixel_ids) == 0:
-            return np.empty(0, dtype=np.int64)
-        starts = self.offsets[pixel_ids]
-        lengths = self.offsets[pixel_ids + 1] - starts
-        idx = kernels.active().expand_ranges(starts, lengths)
-        if len(idx) == 0:
-            return np.empty(0, dtype=np.int64)
-        return self.order[idx]
-
-    def points_in_runs(self, run_starts: np.ndarray,
-                       run_lengths: np.ndarray) -> np.ndarray:
-        """Ids of all points in runs of *consecutive* pixels.
-
-        A run of ``length`` consecutive pixel ids maps to one contiguous
-        slice of the CSR order array, so the candidate fetch costs one
-        range per *interval run* instead of one per pixel — the payoff
-        of the raster-interval classification.  Output order equals
-        ``points_in_pixels`` over the expanded pixel list.
-        """
-        if len(run_starts) == 0:
-            return np.empty(0, dtype=np.int64)
-        lo = self.offsets[run_starts]
-        hi = self.offsets[run_starts + run_lengths]
-        idx = kernels.active().expand_ranges(lo, hi - lo)
-        if len(idx) == 0:
-            return np.empty(0, dtype=np.int64)
-        return self.order[idx]
-
-    def points_in_grouped_runs(self, run_starts: np.ndarray,
-                               run_lengths: np.ndarray,
-                               group_offsets: np.ndarray
-                               ) -> tuple[np.ndarray, np.ndarray]:
-        """One expansion for *all* groups' runs: ``(point_ids,
-        offsets)`` where group ``g`` owns ``point_ids[offsets[g]:
-        offsets[g + 1]]`` — the same ids, in the same order, that
-        per-group :meth:`points_in_runs` calls would produce, without
-        paying the expansion overhead once per group.
-        """
-        lo = self.offsets[run_starts]
-        counts = self.offsets[run_starts + run_lengths] - lo
-        cum = np.concatenate([np.zeros(1, dtype=np.int64),
-                              np.cumsum(counts, dtype=np.int64)])
-        idx = kernels.active().expand_ranges(lo, counts)
-        ids = self.order[idx] if len(idx) else np.empty(0, dtype=np.int64)
-        return ids, cum[group_offsets]
-
-    def counts_in_pixels(self, pixel_ids: np.ndarray) -> np.ndarray:
-        """Number of points per given pixel."""
-        return self.offsets[pixel_ids + 1] - self.offsets[pixel_ids]
+    if len(starts) == 0:
+        return np.full(num_groups, fill)
+    # ``reduceat`` indices must be < len(canvas): a run ending at the
+    # canvas end reduces up to its last pixel, which is folded in after
+    # (a one-pixel run there is that pixel, reduceat's equal-bounds case).
+    last = len(canvas) - 1
+    bounds = np.empty(2 * len(starts), dtype=np.intp)
+    bounds[0::2] = starts
+    bounds[1::2] = np.minimum(stops, last)
+    with np.errstate(invalid="ignore"):  # a NaN pixel poisons its group
+        per_run = ufunc.reduceat(canvas, bounds)[0::2]
+        tail = (stops > last) & (stops - starts > 1)
+        per_run[tail] = ufunc(per_run[tail], canvas[last])
+        if ufunc is np.add:
+            return np.bincount(group_ids, weights=per_run,
+                               minlength=num_groups)
+        out = np.full(num_groups, fill)
+        ufunc.at(out, group_ids, per_run)
+    return out

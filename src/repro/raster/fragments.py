@@ -1,22 +1,22 @@
 """Polygon fragment tables.
 
 Rasterizing a *set* of regions produces its :class:`FragmentTable`:
-per-polygon FULL / PARTIAL interval runs (:class:`IntervalSet`) plus
-the flat ``(pixel_id, polygon_id)`` pair arrays expanded from them —
-guaranteed-interior pixels, boundary pixels, and the center-covered
-subset of the boundary.  :func:`build_fragment_table` is the
-polygon-side render pass of the raster join: one batched sweep over the
-whole region set (:mod:`repro.raster.scanline` has the stages), runs
-first, pixels second.  Since Urbane re-queries the same region sets
-while the user brushes filters, the tables are cached per (regions,
-viewport) by the executor; a table is complete when it is returned, so
-the cache can size it once.
+per-polygon FULL / PARTIAL interval runs (:class:`IntervalSet`), the
+flat ``(pixel_id, polygon_id)`` boundary pairs and which of them are
+center-covered.  :func:`build_fragment_table` is the polygon-side render
+pass of the raster join: one batched sweep over the whole region set
+(:mod:`repro.raster.scanline` has the stages).  Nothing per-pixel is
+stored beyond the boundary: every join gathers the FULL runs directly
+(:func:`repro.raster.canvas.gather_runs`), so interior pixels are never
+expanded.  Since Urbane re-queries the same region sets while the user
+brushes filters, the tables are cached per (regions, viewport) by the
+executor; a table is complete when it is returned, so the cache can size
+it once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -30,11 +30,6 @@ from .scanline import (
     _stack_edges,
 )
 from .viewport import Viewport
-
-# Cell classes of the interval classification, as canvas codes.
-CELL_EMPTY = 0
-CELL_FULL = 1
-CELL_PARTIAL = 2
 
 
 @dataclass(frozen=True)
@@ -52,8 +47,7 @@ class IntervalSet:
 
     Built directly by the polygon pass — FULL runs are the coverage
     spans minus the boundary cover, PARTIAL runs the boundary cover
-    run-length encoded — and the table's per-pixel pair arrays are
-    expanded from them, not the other way round.
+    run-length encoded.
     """
 
     full_offsets: np.ndarray    # (num_polygons + 1,) int64 run indices
@@ -62,6 +56,10 @@ class IntervalSet:
     partial_offsets: np.ndarray
     partial_starts: np.ndarray
     partial_lengths: np.ndarray
+    #: FULL run indices in ascending start order — the order the run
+    #: gather walks the canvas in (computed at build time, so the
+    #: cache's byte ledger counts it).
+    full_order: np.ndarray
 
     @property
     def full_pixels(self) -> int:
@@ -79,29 +77,48 @@ class IntervalSet:
     def num_partial_runs(self) -> int:
         return len(self.partial_starts)
 
+    @property
+    def full_polys(self) -> np.ndarray:
+        """int32 polygon id of each FULL run."""
+        return _run_owners(self.full_offsets)
+
+    @property
+    def partial_polys(self) -> np.ndarray:
+        """int32 polygon id of each PARTIAL run."""
+        return _run_owners(self.partial_offsets)
+
+    def full_runs_by_start(self) -> tuple[np.ndarray, np.ndarray,
+                                          np.ndarray]:
+        """``(starts, stops, polygon ids)`` of the FULL runs in ascending
+        start order — what :func:`~repro.raster.canvas.gather_runs`
+        takes."""
+        order = self.full_order
+        starts = self.full_starts[order]
+        return (starts, starts + self.full_lengths[order],
+                self.full_polys[order])
+
+
+def _run_owners(offsets: np.ndarray) -> np.ndarray:
+    return np.repeat(np.arange(len(offsets) - 1, dtype=np.int32),
+                     np.diff(offsets))
+
 
 @dataclass(frozen=True)
 class FragmentTable:
-    """Flat fragment pairs for a rasterized region set.
+    """A rasterized region set: interval runs plus boundary pairs.
 
     Every pair array is grouped by ascending polygon id with pixel ids
-    ascending inside a polygon.
+    ascending inside a polygon.  The interior and covered pair arrays
+    are *expansions on access* — plain properties, never stored — kept
+    for the readers that want pixels (labeling, the temporal cube's
+    prefix gathers); the joins gather runs.
     """
 
-    # All center-covered pairs — what the pure raster join iterates:
-    # the interior pairs followed by the covered-boundary pairs, in one
-    # allocation the two halves below are views of.
-    covered_pixels: np.ndarray
-    covered_polys: np.ndarray
-    # Pixels fully inside their polygon (center-covered, not boundary).
-    interior_pixels: np.ndarray
-    interior_polys: np.ndarray
-    # Center-covered boundary pixels (what the pure raster pass counts).
-    covered_boundary_pixels: np.ndarray
-    covered_boundary_polys: np.ndarray
     # Pixels that may straddle their polygon's boundary.
     boundary_pixels: np.ndarray
     boundary_polys: np.ndarray
+    #: Indices into the boundary pairs of the center-covered ones.
+    covered_index: np.ndarray
     #: FULL/PARTIAL interval runs per polygon (see :class:`IntervalSet`).
     intervals: IntervalSet
     num_polygons: int
@@ -109,27 +126,45 @@ class FragmentTable:
 
     @property
     def num_interior_fragments(self) -> int:
-        return len(self.interior_pixels)
+        return self.intervals.full_pixels
 
     @property
     def num_boundary_fragments(self) -> int:
         return len(self.boundary_pixels)
 
-    @cached_property
-    def cell_classes(self) -> np.ndarray:
-        """Per-pixel cell class over the union of all polygons.
+    @property
+    def interior_pixels(self) -> np.ndarray:
+        """Pixels fully inside their polygon (center-covered, not
+        boundary): the FULL runs expanded."""
+        iv = self.intervals
+        return kernels.active().expand_ranges(iv.full_starts,
+                                              iv.full_lengths)
 
-        PARTIAL wins over FULL: a point in any polygon's PARTIAL cell
-        must be bucketed for exact testing even if the cell is FULL for
-        another polygon (overlapping regions).  One int8 canvas, built
-        once per table — the accurate join classifies every point pass
-        against it.  (``cached_property`` stores into ``__dict__``
-        directly, so it composes with the frozen dataclass.)
-        """
-        classes = np.zeros(self.viewport.num_pixels, dtype=np.int8)
-        classes[self.interior_pixels] = CELL_FULL
-        classes[self.boundary_pixels] = CELL_PARTIAL
-        return classes
+    @property
+    def interior_polys(self) -> np.ndarray:
+        iv = self.intervals
+        return np.repeat(iv.full_polys, iv.full_lengths)
+
+    @property
+    def covered_boundary_pixels(self) -> np.ndarray:
+        """Center-covered boundary pixels (what the pure raster pass
+        counts besides the FULL runs)."""
+        return self.boundary_pixels[self.covered_index]
+
+    @property
+    def covered_boundary_polys(self) -> np.ndarray:
+        return self.boundary_polys[self.covered_index]
+
+    @property
+    def covered_pixels(self) -> np.ndarray:
+        """All center-covered pixels: interior, then covered boundary."""
+        return np.concatenate([self.interior_pixels,
+                               self.covered_boundary_pixels])
+
+    @property
+    def covered_polys(self) -> np.ndarray:
+        return np.concatenate([self.interior_polys,
+                               self.covered_boundary_polys])
 
 
 def _by_polygon(keys: np.ndarray, num_polygons: int, num_pixels: int
@@ -144,14 +179,14 @@ def _by_polygon(keys: np.ndarray, num_polygons: int, num_pixels: int
 def build_fragment_table(geometries: list[Geometry],
                          viewport: Viewport) -> FragmentTable:
     """Rasterize the whole region set in one batched sweep and assemble
-    the fragment tables.
+    the fragment table.
 
     Edges of every polygon are stacked once; coverage spans per
     (polygon, row) and the boundary cover come out of one vectorized
     pass each; FULL runs are the spans minus the boundary keys, by
     interval arithmetic; PARTIAL runs are the boundary keys run-length
-    encoded.  The per-pixel interior pairs are then one expansion of
-    the FULL runs — runs are the product, pixels are derived from them.
+    encoded.  Cost follows spans and boundary keys, never the covered
+    area: no interior pixel is expanded here.
     """
     num_polygons = len(geometries)
     num_pixels = viewport.num_pixels
@@ -162,44 +197,22 @@ def build_fragment_table(geometries: list[Geometry],
     partial_starts, partial_lengths = _merge_touching(
         boundary, boundary + 1, viewport.width)
 
-    full_offsets, full_polys, full_starts = _by_polygon(
+    full_offsets, _, full_starts = _by_polygon(
         full_starts, num_polygons, num_pixels)
     partial_offsets, _, partial_starts = _by_polygon(
         partial_starts, num_polygons, num_pixels)
     _, boundary_polys, boundary_pixels = _by_polygon(
         boundary, num_polygons, num_pixels)
-    boundary_polys = boundary_polys.astype(np.int32)
 
-    # Interior pairs (the FULL runs expanded) and covered-boundary pairs
-    # land in one allocation: the bounded join reads it whole, the
-    # accurate join and the bounds read the two halves as views.
-    run_lengths = np.concatenate(
-        [full_lengths, np.ones(len(covered), dtype=np.int64)])
-    covered_pixels = kernels.active().expand_ranges(
-        np.concatenate([full_starts, boundary_pixels[covered]]), run_lengths)
-    covered_polys = np.repeat(
-        np.concatenate([full_polys.astype(np.int32),
-                        boundary_polys[covered]]), run_lengths)
-    num_interior = len(covered_pixels) - len(covered)
-
-    table = FragmentTable(
-        covered_pixels=covered_pixels,
-        covered_polys=covered_polys,
-        interior_pixels=covered_pixels[:num_interior],
-        interior_polys=covered_polys[:num_interior],
-        covered_boundary_pixels=covered_pixels[num_interior:],
-        covered_boundary_polys=covered_polys[num_interior:],
+    return FragmentTable(
         boundary_pixels=boundary_pixels,
-        boundary_polys=boundary_polys,
+        boundary_polys=boundary_polys.astype(np.int32),
+        covered_index=covered,
         intervals=IntervalSet(
             full_offsets=full_offsets, full_starts=full_starts,
             full_lengths=full_lengths, partial_offsets=partial_offsets,
-            partial_starts=partial_starts, partial_lengths=partial_lengths),
+            partial_starts=partial_starts, partial_lengths=partial_lengths,
+            full_order=np.argsort(full_starts)),
         num_polygons=num_polygons,
         viewport=viewport,
     )
-    # Materialize the cell classes now, while the table is cold — queries
-    # then allocate nothing on it, and the cache's byte ledger (sized at
-    # ``put``) stays exact.
-    table.cell_classes
-    return table

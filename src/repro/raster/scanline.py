@@ -36,20 +36,29 @@ from ..geometry.polygon import Geometry
 from .viewport import Viewport
 
 
-def _stack_edges(geometries) -> tuple[np.ndarray, ...]:
+def _stack_edges(geometries, with_rings: bool = False
+                 ) -> tuple[np.ndarray, ...]:
     """Flat ``(x1, y1, x2, y2, polygon_id)`` edge arrays of every ring of
     every geometry — all rings of one geometry (holes, multipolygon
-    parts) under that geometry's position in ``geometries``."""
-    rings, owners = [], []
+    parts) under that geometry's position in ``geometries``.
+
+    ``with_rings`` appends the ring structure the exact refine combines
+    crossing parities by: ``(ring id per edge, part id per ring, hole
+    flag per ring)``.  A part is one polygon of a geometry (exterior
+    first, then its holes); ids ascend in stacking order.
+    """
+    rings, owners, parts, holes = [], [], [], []
+    part = -1
     for gid, geometry in enumerate(geometries):
-        for ring in geometry.rings():
-            rings.append(ring)
-            owners.append(gid)
-    if not rings:
-        empty = np.empty(0, dtype=np.float64)
-        return empty, empty, empty, empty, np.empty(0, dtype=np.int64)
-    sizes = np.array([len(ring) for ring in rings])
-    verts = np.concatenate(rings)
+        for polygon in getattr(geometry, "polygons", (geometry,)):
+            part += 1
+            for k, ring in enumerate(polygon.rings()):
+                rings.append(ring)
+                owners.append(gid)
+                parts.append(part)
+                holes.append(k > 0)
+    sizes = np.array([len(ring) for ring in rings], dtype=np.int64)
+    verts = np.concatenate(rings) if rings else np.empty((0, 2))
     # Each vertex's successor within its ring: the next row, with a
     # ring's last vertex wrapping to its first.
     ends = np.cumsum(sizes)
@@ -57,8 +66,13 @@ def _stack_edges(geometries) -> tuple[np.ndarray, ...]:
     nxt[ends - 1] = ends - sizes
     x1 = np.ascontiguousarray(verts[:, 0])
     y1 = np.ascontiguousarray(verts[:, 1])
-    return (x1, y1, x1[nxt], y1[nxt],
-            np.repeat(np.array(owners, dtype=np.int64), sizes))
+    edges = (x1, y1, x1[nxt], y1[nxt],
+             np.repeat(np.array(owners, dtype=np.int64), sizes))
+    if not with_rings:
+        return edges
+    return edges + (np.repeat(np.arange(len(rings)), sizes),
+                    np.array(parts, dtype=np.int64),
+                    np.array(holes, dtype=bool))
 
 
 def _sorted_pairs(major: np.ndarray, minor: np.ndarray

@@ -16,6 +16,7 @@ from repro.core import (
     RegionSet,
     SpatialAggregation,
     accurate_raster_join,
+    bounded_raster_join,
 )
 from repro.geometry import BBox, Polygon, regular_polygon
 from repro.raster import Viewport
@@ -135,6 +136,30 @@ class TestExactness:
         vp = Viewport.fit(simple_regions.bbox, 64)
         got = accurate_raster_join(table, simple_regions, query, vp)
         assert (got.values == 0).all()
+
+    @pytest.mark.parametrize("query", [SpatialAggregation.min_of("fare"),
+                                       SpatialAggregation.max_of("fare")],
+                             ids=["min", "max"])
+    def test_nan_in_partial_cell_poisons_its_region(self, query):
+        """A NaN value on a point tested exactly poisons its region, as
+        it poisons its canvas pixel on the raster paths."""
+        regions = RegionSet("pair", [
+            Polygon([[0, 0], [1, 0], [1, 1], [0, 1]]),
+            Polygon([[1, 0], [2, 0], [2, 1], [1, 1]])])
+        gen = np.random.default_rng(6)
+        x, y = gen.uniform(0, 2, 2000), gen.uniform(0, 1, 2000)
+        fare = gen.uniform(0, 50, 2000)
+        # Just left of the shared edge: a PARTIAL pixel of region 0.
+        x[0], y[0], fare[0] = 0.99, 0.5, np.nan
+        table = PointTable.from_arrays(x, y, fare=fare)
+        vp = Viewport.fit(regions.bbox, 64)
+        got = accurate_raster_join(table, regions, query, vp)
+        assert got.stats["accurate"]["pip_points_tested"] > 0
+        assert np.isnan(got.values[0]) and np.isfinite(got.values[1])
+        want = naive_join(table, regions, query)
+        assert np.array_equal(got.values, want.values, equal_nan=True)
+        bounded = bounded_raster_join(table, regions, query, vp)
+        assert np.isnan(bounded.values[0])
 
     def test_stats_present(self, simple_regions):
         table = _table(1000, seed=5)

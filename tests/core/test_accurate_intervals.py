@@ -1,6 +1,5 @@
 """Interval classification (FULL / PARTIAL / EMPTY) property tests and
-bitwise parity of the interval-driven accurate join with the legacy
-per-pixel implementation.
+parity of the interval-driven accurate join with the naive join.
 
 Two claims under test:
 
@@ -8,11 +7,11 @@ Two claims under test:
   classifies FULL is inside the polygon; every point in an EMPTY pixel
   is outside.  Points sampled exactly on polygon boundaries land only
   in PARTIAL pixels.  Checked on randomized star polygons.
-* **The rewrite is invisible.**  ``accurate_raster_join`` (interval
-  driven) and ``legacy_accurate_raster_join`` (per-pixel bitmap)
-  produce bitwise-identical values for every aggregate, serially and
-  in parallel, and the store-backed bounded path stays bitwise equal
-  to the in-memory one under the kernel dispatch layer.
+* **The join is exact.**  ``accurate_raster_join`` (run gather plus the
+  batched refine) equals ``naive_join``: COUNT/MIN/MAX bitwise, SUM/AVG
+  within 1e-12 relative (the run gather reassociates float sums), and
+  the store-backed bounded path stays bitwise equal to the in-memory one
+  under the kernel dispatch layer.
 """
 
 import numpy as np
@@ -26,9 +25,8 @@ from repro.core import (
     SpatialAggregation,
     SpatialAggregationEngine,
     accurate_raster_join,
-    legacy_accurate_raster_join,
 )
-from repro.core.accurate import CELL_EMPTY, CELL_FULL, CELL_PARTIAL, _cell_classes
+from repro.core.accurate import _candidate_pairs
 from repro.geometry import BBox, Polygon
 from repro.kernels import numpy_impl
 from repro.raster import Viewport, build_fragment_table
@@ -158,19 +156,22 @@ class TestIntervalProperties:
             assert np.array_equal(starts // vp.width,
                                   (starts + lengths - 1) // vp.width)
 
-    def test_cell_classes_canvas(self, simple_regions):
-        """The union canvas: PARTIAL wins over FULL where polygons
-        overlap a pixel differently; everything else is EMPTY."""
+    def test_candidates_are_partial_cell_points(self, simple_regions):
+        """Candidates: points in any region's PARTIAL pixel.  Pairs: per
+        region, the candidates in its own PARTIAL pixels, nothing else."""
         vp = Viewport.fit(simple_regions.bbox, 128)
         table = build_fragment_table(list(simple_regions), vp)
-        classes = _cell_classes(table)
-        assert classes.dtype == np.int8
-        assert (classes[table.boundary_pixels] == CELL_PARTIAL).all()
-        interior = np.setdiff1d(table.interior_pixels, table.boundary_pixels)
-        assert (classes[interior] == CELL_FULL).all()
-        touched = np.union1d(table.interior_pixels, table.boundary_pixels)
-        untouched = np.setdiff1d(np.arange(vp.num_pixels), touched)
-        assert (classes[untouched] == CELL_EMPTY).all()
+        pix, valid = vp.pixel_ids_of(*np.random.default_rng(2).uniform(
+            0, 100, (2, 20_000)))
+        pix = pix[valid]
+        candidates, pair_cand, pair_region = _candidate_pairs(table, pix)
+        np.testing.assert_array_equal(
+            candidates, np.flatnonzero(np.isin(pix, table.boundary_pixels)))
+        for gid in range(len(simple_regions)):
+            own = table.boundary_pixels[table.boundary_polys == gid]
+            got = candidates[pair_cand[pair_region == gid]]
+            want = np.flatnonzero(np.isin(pix, own))
+            np.testing.assert_array_equal(np.sort(got), want)
 
     def test_gridline_aligned_square_is_exact(self):
         """On an integer-aligned grid a gridline-aligned square gets a
@@ -197,7 +198,15 @@ class TestIntervalProperties:
         assert np.array_equal(got.values, want.values)
 
 
-class TestBitwiseParity:
+def _assert_matches_naive(got, want, agg: str) -> None:
+    """COUNT/MIN/MAX bitwise; SUM/AVG within 1e-12 relative."""
+    if agg in ("count", "min", "max"):
+        assert _bits(got) == _bits(want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+class TestNaiveParity:
     @pytest.fixture(scope="class")
     def setup(self, simple_regions):
         table = _table()
@@ -206,15 +215,25 @@ class TestBitwiseParity:
         return table, simple_regions, vp, fragments
 
     @pytest.mark.parametrize("query", AGGREGATES, ids=AGG_IDS)
-    def test_accurate_matches_legacy_bitwise(self, setup, query):
+    def test_accurate_matches_naive(self, setup, query):
         table, regions, vp, fragments = setup
         got = accurate_raster_join(table, regions, query, vp,
                                    fragments=fragments)
-        ref = legacy_accurate_raster_join(table, regions, query, vp,
-                                          fragments=fragments)
-        assert _bits(got.values) == _bits(ref.values)
-        assert got.exact and ref.exact
+        want = naive_join(table, regions, query)
+        _assert_matches_naive(got.values, want.values, query.agg)
+        assert got.exact
 
+    def test_engine_exact_matches_naive(self, simple_regions):
+        table = _table(seed=5)
+        engine = SpatialAggregationEngine(default_resolution=128)
+        query = SpatialAggregation.sum_of("fare")
+        r = engine.execute(table, simple_regions, query, exact=True,
+                           resolution=128)
+        _assert_matches_naive(
+            r.values, naive_join(table, simple_regions, query).values, "sum")
+
+
+class TestBitwiseParity:
     def test_store_backed_bounded_bitwise(self, simple_regions, tmp_path):
         """The kernel-dispatched store scatter keeps the out-of-core
         bounded path bitwise equal to in-memory (COUNT and an
@@ -236,18 +255,6 @@ class TestBitwiseParity:
                                   method="bounded", resolution=128)
             assert _bits(got.values) == _bits(want.values)
 
-    def test_engine_exact_matches_legacy_bitwise(self, simple_regions):
-        table = _table(seed=5)
-        engine = SpatialAggregationEngine(default_resolution=128)
-        r = engine.execute(table, simple_regions,
-                           SpatialAggregation.sum_of("fare"), exact=True,
-                           resolution=128)
-        vp = Viewport.fit(simple_regions.bbox, 128)
-        ref = legacy_accurate_raster_join(table, simple_regions,
-                                          SpatialAggregation.sum_of("fare"),
-                                          vp)
-        assert _bits(r.values) == _bits(ref.values)
-
 
 class TestCounters:
     def test_accurate_stats_counters(self, simple_regions):
@@ -266,5 +273,7 @@ class TestCounters:
         # Interval credit: most in-viewport points never reach PIP.
         assert acc["pip_points_skipped"] > 0
         assert acc["pip_points_tested"] < len(table)
-        assert (acc["pip_points_tested"] + acc["pip_points_skipped"]
-                <= len(table))
+        assert acc["pip_points_tested"] == acc["pairs"] >= acc["candidates"]
+        assert (acc["pip_points_skipped"]
+                == r.stats["points_in_viewport"] - acc["candidates"])
+        assert acc["edges_tested"] >= acc["pairs"] * 3

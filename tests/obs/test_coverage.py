@@ -6,7 +6,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import SpatialAggregation, SpatialAggregationEngine
+from repro.core import (
+    SpatialAggregation,
+    SpatialAggregationEngine,
+    accurate_raster_join,
+)
+from repro.data import generate_taxi_trips
 from repro.obs import Tracer, render
 from repro.obs.trace import leaf_coverage
 from repro.store import build_store
@@ -112,3 +117,33 @@ def test_cold_bounded_query_charges_build_to_fragments_span(city_regions):
         engine.execute(table, city_regions, SpatialAggregation.count(),
                        method="bounded")
     assert "fragments" not in {n["name"] for n in _walk(root.to_dict(), [])}
+
+
+def test_accurate_join_names_its_time(city, city_regions):
+    """A cold accurate op splits its time into the polygon pass, the
+    point pass, the run gather and the refine; the refine span carries
+    the counts ``stats["accurate"]`` reports."""
+    engine = SpatialAggregationEngine(default_resolution=512)
+    table = generate_taxi_trips(city, 20_000, seed=3)
+    query = SpatialAggregation.sum_of("fare")
+    root = Tracer().start("query")
+    with root:
+        result = engine.execute(table, city_regions, query,
+                                method="accurate")
+    run = next(n for n in _walk(root.to_dict(), [])
+               if n["name"] == "backend.run")
+    assert [c["name"] for c in run["children"]] == [
+        "fragments", "scatter", "gather", "refine"]
+    acc = result.stats["accurate"]
+    assert acc["pairs"] > 0
+    assert run["children"][3]["attrs"] == {
+        key: acc[key] for key in ("candidates", "pairs", "edges_tested")}
+
+    # Called directly without a table, the join opens ``fragments``
+    # around its own build.
+    viewport = engine.plan_viewport(city_regions, 512, None)
+    root = Tracer().start("query")
+    with root:
+        accurate_raster_join(table, city_regions, query, viewport)
+    assert [c["name"] for c in root.to_dict()["children"]] == [
+        "fragments", "scatter", "gather", "refine"]

@@ -295,7 +295,6 @@ def _assert_empty(table, num_polygons: int) -> None:
         np.testing.assert_array_equal(offsets,
                                       np.zeros(num_polygons + 1, np.int64))
         assert len(starts) == len(lengths) == 0
-    assert not table.cell_classes.any()
 
 
 def test_no_geometries():

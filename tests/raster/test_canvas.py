@@ -1,4 +1,4 @@
-"""Tests for canvases, blending and pixel buckets."""
+"""Tests for canvases, blending and the gather join."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ExecutionError
 from repro.raster import (
-    PixelBuckets,
     gather_reduce,
     gather_sum,
     scatter_count,
@@ -78,46 +77,3 @@ class TestGather:
     def test_mismatch_rejected(self):
         with pytest.raises(ExecutionError):
             gather_sum(np.zeros(4), np.array([0]), np.array([0, 1]), 2)
-
-
-class TestPixelBuckets:
-    def test_points_in_pixel(self):
-        ids = np.array([3, 1, 3, 0, 3])
-        buckets = PixelBuckets(ids, 5)
-        assert set(buckets.points_in_pixel(3).tolist()) == {0, 2, 4}
-        assert buckets.points_in_pixel(2).tolist() == []
-
-    def test_points_in_pixels_vectorized(self):
-        gen = np.random.default_rng(0)
-        ids = gen.integers(0, 50, 1000)
-        buckets = PixelBuckets(ids, 50)
-        query = np.array([3, 7, 49])
-        got = set(buckets.points_in_pixels(query).tolist())
-        want = set(np.flatnonzero(np.isin(ids, query)).tolist())
-        assert got == want
-
-    def test_counts_in_pixels(self):
-        ids = np.array([0, 0, 1])
-        buckets = PixelBuckets(ids, 3)
-        counts = buckets.counts_in_pixels(np.array([0, 1, 2]))
-        assert counts.tolist() == [2, 1, 0]
-
-    def test_custom_point_ids(self):
-        ids = np.array([1, 1])
-        buckets = PixelBuckets(ids, 2, point_ids=np.array([10, 20]))
-        assert set(buckets.points_in_pixel(1).tolist()) == {10, 20}
-
-    def test_empty_query(self):
-        buckets = PixelBuckets(np.array([0]), 1)
-        assert len(buckets.points_in_pixels(np.empty(0, np.int64))) == 0
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.integers(0, 30), max_size=300),
-           st.lists(st.integers(0, 30), max_size=10))
-    def test_bucket_property(self, ids_list, query_list):
-        ids = np.array(ids_list, dtype=np.int64)
-        buckets = PixelBuckets(ids, 31)
-        query = np.unique(np.array(query_list, dtype=np.int64))
-        got = sorted(buckets.points_in_pixels(query).tolist())
-        want = sorted(np.flatnonzero(np.isin(ids, query)).tolist())
-        assert got == want

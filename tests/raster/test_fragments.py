@@ -98,12 +98,6 @@ class TestFragmentTable:
             & set(table.interior_pixels[table.interior_polys == 1].tolist()))
         assert shared_interior  # overlap pixels appear for both ids
 
-    def test_covered_arrays_precomputed(self):
-        # The concatenated covered arrays are materialized at build
-        # time, not re-concatenated per query.
-        table = build_fragment_table(_geoms(), VP)
-        assert "covered_pixels" in table.__dict__
-        assert table.covered_pixels is table.covered_pixels
 
 
 # -- pinned parity with the per-polygon builder --------------------------------
@@ -174,15 +168,17 @@ class TestPinnedParity:
 
 
 class TestTableMemory:
-    def test_halves_are_views_of_the_covered_arrays(self):
+    def test_no_per_pixel_array_is_stored(self):
+        """A table keeps runs and boundary-sized arrays only: the
+        interior and covered pairs are expansions on access, never
+        cached in ``__dict__``."""
         table = build_fragment_table(_geoms(), VP)
-        for half in ("interior", "covered_boundary"):
-            assert getattr(table, f"{half}_pixels").base \
-                is table.covered_pixels
-            assert getattr(table, f"{half}_polys").base is table.covered_polys
-        n = table.num_interior_fragments
-        assert np.shares_memory(table.covered_pixels[n:],
-                                table.covered_boundary_pixels)
+        assert len(table.interior_pixels) == table.num_interior_fragments
+        assert len(table.covered_pixels) > table.num_interior_fragments
+        for owner in (table, table.intervals):
+            for name, value in vars(owner).items():
+                if isinstance(value, np.ndarray):
+                    assert len(value) < table.num_interior_fragments, name
 
     def test_joins_allocate_nothing_on_a_cached_table(self, simple_regions,
                                                       small_table):
