@@ -9,7 +9,10 @@ interrogates the endpoints the dashboards depend on:
 * ``GET /v1/metrics?format=prometheus`` — exposition-format markers;
 * ``GET /v1/trace`` / ``GET /v1/trace/<request_id>`` — listing and
   round-trip of a retained span tree, including leaf coverage;
-* ``GET /v1/slow`` — threshold-gated slow-query entries.
+* ``GET /v1/slow`` — threshold-gated slow-query entries;
+* errors — one failing unary query and one failing stream each count
+  once in ``repro_errors_total``, matching ``/v1/stats`` ``errors``,
+  and no ``repro_pool_*`` / ``repro_worker_*`` gauge is exported.
 
 Exits non-zero on any schema drift or reconciliation failure, so a
 wire-format regression fails CI before it reaches a consumer.
@@ -41,6 +44,7 @@ def counter_total(snapshot: dict, name: str) -> float:
 def run_smoke(points: int, clients: int, resolution: int) -> int:
     from repro.core import SpatialAggregation, SpatialAggregationEngine
     from repro.data import CityModel, voronoi_regions
+    from repro.errors import QueryError
     from repro.obs import REGISTRY
     from repro.obs.trace import leaf_coverage
     from repro.serve import QueryService, ServeClient, ServerThread
@@ -143,6 +147,27 @@ def run_smoke(points: int, clients: int, resolution: int) -> int:
             set(e) == {"request_id", "wall_ms", "threshold_ms",
                        "summary", "trace"} for e in entries),
               "slow-query entry field set")
+
+        print("-- errors")
+        bad = SpatialAggregation.count(F("no_such_column") > 1)
+        for what, call in (
+                ("unary", lambda: client.query("trips", "neighborhoods",
+                                               bad)),
+                ("stream", lambda: list(client.stream(
+                    "trips", "neighborhoods", bad)))):
+            try:
+                call()
+                check(False, f"failing {what} query raises QueryError")
+            except QueryError:
+                check(True, f"failing {what} query raises QueryError")
+        errors = client.stats()["errors"]
+        snapshot = client.metrics()
+        check(errors == 2
+              and counter_total(snapshot, "repro_errors_total") == errors,
+              f"repro_errors_total == /v1/stats errors ({errors})")
+        stray = [g["name"] for g in snapshot["gauges"]
+                 if g["name"].startswith(("repro_pool_", "repro_worker_"))]
+        check(not stray, f"no pool/worker gauges exported {stray}")
 
     if FAILURES:
         print(f"\n{len(FAILURES)} check(s) FAILED:")

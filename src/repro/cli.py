@@ -368,7 +368,6 @@ def _cmd_serve(args) -> int:
         manager, max_concurrency=args.max_concurrency,
         max_queue=args.max_queue,
         default_deadline_ms=args.deadline_ms,
-        shards=args.shards,
         slow_query_ms=args.slow_query_ms)
     server = QueryServer(service, host=args.host, port=args.port)
 
@@ -376,7 +375,7 @@ def _cmd_serve(args) -> int:
         await server.start()
         print(f"serving on {server.url}  "
               f"(concurrency={args.max_concurrency}, "
-              f"queue={args.max_queue}, shards={service.workers.shards})")
+              f"queue={args.max_queue})")
         await server.serve_forever()
 
     try:
@@ -579,11 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument("--port", type=int, default=8750)
     srv.add_argument("--resolution", type=int, default=512)
-    srv.add_argument("--shards", type=int, default=1,
-                     help="serve-worker pool size: each worker owns a "
-                          "private engine cache + coalescing map, and "
-                          "queries route to workers by consistent hash "
-                          "of their fingerprint")
     srv.add_argument("--max-concurrency", type=int, default=4,
                      help="queries executing at once (thread pool size)")
     srv.add_argument("--max-queue", type=int, default=16,

@@ -11,8 +11,7 @@ one endpoint that exports them.  The registry here is that place:
   (coalesced joiners each get a response, so each records; that is the
   reconciliation contract, not a double count).
 * **Gauges** are sampled at scrape time by :func:`sample_service_stats`
-  from ``QueryService.stats()`` — funnel states, cache occupancy,
-  per-worker pool breakouts.
+  from ``QueryService.stats()`` — funnel states and cache occupancy.
 * **Histograms** use fixed millisecond buckets (no quantile sketches —
   zero-dependency and mergeable), exported in both JSON and Prometheus
   text exposition by ``GET /v1/metrics``.
@@ -280,17 +279,16 @@ def sample_service_stats(stats: dict,
 
     Called at scrape time (the ``/v1/metrics`` handler), so gauges are
     always current without a background sampler thread.  Numeric leaves
-    flatten into underscore-joined gauge names; per-worker breakouts
-    keep their identity as a ``worker`` label.
+    flatten into underscore-joined gauge names.
     """
-    def set_flat(prefix: str, payload: dict, **labels) -> None:
+    def set_flat(prefix: str, payload: dict) -> None:
         for key, value in payload.items():
             if isinstance(value, bool):
                 continue
             if isinstance(value, (int, float)):
-                registry.gauge(f"{prefix}_{key}", **labels).set(value)
+                registry.gauge(f"{prefix}_{key}").set(value)
             elif isinstance(value, dict):
-                set_flat(f"{prefix}_{key}", value, **labels)
+                set_flat(f"{prefix}_{key}", value)
 
     for field in ("queries", "stream_queries", "errors"):
         registry.gauge(f"repro_service_{field}").set(stats.get(field, 0))
@@ -300,9 +298,3 @@ def sample_service_stats(stats: dict,
     cache.pop("blocks", None)
     set_flat("repro_cache", cache)
     set_flat("repro_pyramid", stats.get("pyramid") or {})
-    pool = stats.get("pool") or {}
-    registry.gauge("repro_pool_shards").set(pool.get("shards", 0))
-    for worker in pool.get("workers") or []:
-        payload = {k: v for k, v in worker.items() if k != "name"}
-        set_flat("repro_worker", payload,
-                 worker=str(worker.get("name", "?")))

@@ -4,11 +4,11 @@ The paper's setting is many analysts exploring shared urban data sets
 interactively; this package puts the engine behind a network service
 built for that load profile:
 
-* :class:`~repro.serve.service.QueryService` — engine execution on a
-  thread pool behind **admission control** (bounded queue + load
-  shedding with ``retry_after``) and **single-flight coalescing**
-  (identical concurrent queries share one execution, each caller
-  receiving an independent copy);
+* :class:`~repro.serve.service.QueryService` — one engine, shared by
+  every analyst, executing on a thread pool behind **admission
+  control** (bounded queue + load shedding with ``retry_after``) and
+  **single-flight coalescing** (identical concurrent queries share one
+  execution, each caller receiving an independent copy);
 * :class:`~repro.serve.server.QueryServer` — a stdlib asyncio HTTP
   front end speaking the versioned JSON protocol in
   :mod:`repro.serve.protocol`, with chunked NDJSON **progressive
@@ -25,7 +25,6 @@ from .admission import AdmissionController
 from .client import ServeClient
 from .coalesce import SingleFlight
 from .mounts import mount_datasets
-from .pool import ServeWorker, ServeWorkerPool
 from .protocol import (
     PROTOCOL_VERSION,
     RemoteResult,
@@ -40,20 +39,16 @@ from .protocol import (
     viewport_from_json,
     viewport_to_json,
 )
-from .routing import HashRing
 from .server import QueryServer, ServerThread
 from .service import QueryService
 
 __all__ = [
     "AdmissionController",
-    "HashRing",
     "PROTOCOL_VERSION",
     "QueryServer",
     "QueryService",
     "RemoteResult",
     "ServeClient",
-    "ServeWorker",
-    "ServeWorkerPool",
     "ServerThread",
     "SingleFlight",
     "decode_request",

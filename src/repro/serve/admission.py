@@ -1,7 +1,7 @@
 """Admission control: a bounded front door for the query service.
 
-The engine's thread pool can only run ``max_concurrency`` queries at
-once; everything else either waits in a *bounded* queue or is shed
+The service's one thread pool can only run ``max_concurrency`` queries
+at once; everything else either waits in a *bounded* queue or is shed
 immediately.  Shedding beats queueing unboundedly: an overloaded server
 that accepts every request eventually times out all of them, while one
 that answers "try again in 200ms" keeps its latency distribution honest

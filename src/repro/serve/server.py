@@ -81,6 +81,19 @@ def _chunk(data: bytes) -> bytes:
     return f"{len(data):x}\r\n".encode("ascii") + data + b"\r\n"
 
 
+def _content_length(value: str) -> int:
+    """A ``Content-Length`` header as a body size the server will read."""
+    try:
+        length = int(value)
+    except ValueError:
+        length = -1
+    if length < 0:
+        raise ProtocolError(f"bad Content-Length {value!r}")
+    if length > _MAX_BODY_BYTES:
+        raise ProtocolError(f"request body over {_MAX_BODY_BYTES}B")
+    return length
+
+
 def _error_response(exc: Exception) -> tuple[str, dict, dict]:
     """(status, payload, extra headers) for a failed request."""
     if isinstance(exc, OverloadedError):
@@ -144,9 +157,7 @@ class QueryServer:
         self.connections += 1
         try:
             method, path, headers = await self._read_head(reader)
-            length = int(headers.get("content-length", "0"))
-            if length > _MAX_BODY_BYTES:
-                raise ProtocolError(f"request body over {_MAX_BODY_BYTES}B")
+            length = _content_length(headers.get("content-length", "0"))
             body = await reader.readexactly(length) if length else b""
             await self._dispatch(method, path, body, reader, writer)
         except (asyncio.IncompleteReadError, ConnectionResetError,
@@ -211,7 +222,11 @@ class QueryServer:
             await self._plan_viewport(path, writer)
             return
         if method == "POST" and path == "/v1/query":
-            req = decode_request(json.loads(body.decode("utf-8")))
+            try:
+                text = body.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ProtocolError("request body is not UTF-8") from None
+            req = decode_request(json.loads(text))
             if req["stream"]:
                 await self._stream_query(req, writer)
             else:

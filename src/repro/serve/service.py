@@ -10,10 +10,11 @@ through four stages:
 2. **Coalescing** (:mod:`repro.serve.coalesce`) — requests with the
    same fingerprint key share one execution; every participant gets an
    independent ``result.copy()``, so no response aliases another.
-3. **Execution** — the engine runs on a thread pool (the event loop
-   never blocks on NumPy); results are cached in the engine's own
-   unified cache under a ``("served", ...)`` key, so a repeated query
-   is a cache hit even after its flight has landed.
+3. **Execution** — the manager's one engine runs on a thread pool
+   (the event loop never blocks on NumPy); results are cached in that
+   engine's unified cache under a ``("served", ...)`` key, so a
+   repeated query is a cache hit even after its flight has landed, and
+   every query shares its fragments, tcube cubes and pyramid blocks.
 4. **Streaming** (:meth:`QueryService.stream`) — long queries route
    through the progressive tiled join and yield per-tile partials with
    hard error bounds as they accumulate.
@@ -29,6 +30,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 from ..core.cache import fingerprint
 from ..core.tiling import iter_tiled_partials
@@ -37,7 +39,7 @@ from ..obs import REGISTRY, SlowQueryLog, Tracer, record_query_stats
 from ..obs.trace import activate, span
 from ..urbane.datamanager import DataManager
 from .admission import AdmissionController
-from .pool import ServeWorkerPool
+from .coalesce import SingleFlight
 
 #: Sentinel closing a streaming queue.
 _DONE = object()
@@ -46,13 +48,8 @@ _DONE = object()
 class QueryService:
     """Admission-controlled, coalescing front end over a DataManager.
 
-    With ``shards > 1`` the service fronts a
-    :class:`~repro.serve.pool.ServeWorkerPool`: requests route by
-    consistent hash of their query fingerprint to one of ``shards``
-    workers, each owning a private engine (unified cache, tcube,
-    pyramid blocks) and coalescing map — the caches *shard* across
-    workers instead of duplicating.  Admission stays global: one
-    controller aggregates the concurrency slots for the whole pool.
+    One engine (``manager.engine``), one coalescing map and one thread
+    pool of ``max_concurrency`` threads serve every request.
     """
 
     def __init__(self, manager: DataManager,
@@ -60,7 +57,6 @@ class QueryService:
                  max_queue: int = 16,
                  max_wait_s: float = 10.0,
                  default_deadline_ms: float | None = None,
-                 shards: int = 1,
                  slow_query_ms: float | None = None,
                  trace_retain: int = 64):
         self.manager = manager
@@ -68,10 +64,9 @@ class QueryService:
             max_concurrency=max_concurrency, max_queue=max_queue,
             max_wait_s=max_wait_s)
         self.default_deadline_ms = default_deadline_ms
-        # Worker 0 wraps the manager's engine, so a one-shard pool is
-        # exactly the pre-pool service (same cache, same counters).
-        self.workers = ServeWorkerPool(manager.engine, shards,
-                                       total_threads=max_concurrency)
+        self.flight = SingleFlight()
+        self.executor = ThreadPoolExecutor(
+            max_workers=max_concurrency, thread_name_prefix="repro-query")
         self._streams: dict[str, object] = {}
         self.queries = 0
         self.stream_queries = 0
@@ -82,16 +77,6 @@ class QueryService:
         # timed; the span fast path makes the quiet case near-free.
         self.tracer = Tracer(retain=trace_retain)
         self.slowlog = SlowQueryLog(threshold_ms=slow_query_ms)
-
-    @property
-    def flight(self):
-        """Worker 0's coalescing map (single-shard back-compat)."""
-        return self.workers.workers[0].flight
-
-    @property
-    def pool(self):
-        """Worker 0's thread pool (single-shard back-compat)."""
-        return self.workers.workers[0].executor
 
     # -- registration ------------------------------------------------------
 
@@ -149,8 +134,9 @@ class QueryService:
         req["regions"] = req["regions"] or parsed.regions
         req["query"] = parsed.aggregation
 
-    def _run(self, req: dict, key: tuple, cancel: threading.Event, engine):
-        """Engine execution on ``engine`` (thread-pool side)."""
+    def _run(self, req: dict, key: tuple, cancel: threading.Event):
+        """Engine execution (thread-pool side)."""
+        engine = self.manager.engine
         table, stream_version = self._resolve_table(req["dataset"])
         regions = self.manager.region_set(req["regions"])
         deadline = req["deadline_ms"]
@@ -228,20 +214,15 @@ class QueryService:
             self._parse_sql(req)
         self.queries += 1
         key = self.query_key(req)
-        # Consistent-hash routing: this key's worker owns its flights
-        # and its cache slice for the pool's lifetime.
-        worker = self.workers.worker_for(key)
-        worker.queries += 1
         loop = asyncio.get_running_loop()
 
         async def start(cancel: threading.Event):
             async with self.admission.slot(req.get("timeout_s")):
                 return await loop.run_in_executor(
-                    worker.executor, self._run, req, key, cancel,
-                    worker.engine)
+                    self.executor, self._run, req, key, cancel)
 
         try:
-            result = await worker.flight.run(key, start)
+            result = await self.flight.run(key, start)
         except Exception:
             self.errors += 1
             REGISTRY.counter("repro_errors_total").inc()
@@ -267,14 +248,9 @@ class QueryService:
         """
         if req.get("sql"):
             self._parse_sql(req)
-        # Streams are not coalesced or cached, but routing them keeps
-        # the pool's thread budgets honest (a flood of streamers lands
-        # spread across workers, not all on worker 0).
-        worker = self.workers.worker_for(self.query_key(req))
         async with self.admission.slot(req.get("timeout_s")):
             self.queries += 1
             self.stream_queries += 1
-            worker.queries += 1
             table, _version = self._resolve_table(req["dataset"])
             regions = self.manager.region_set(req["regions"])
             if req["query"] is None:
@@ -303,7 +279,7 @@ class QueryService:
                     except RuntimeError:
                         pass  # loop already gone; nothing to notify
 
-            future = loop.run_in_executor(worker.executor, produce)
+            future = loop.run_in_executor(self.executor, produce)
             try:
                 while True:
                     item = await queue.get()
@@ -311,6 +287,7 @@ class QueryService:
                         break
                     if isinstance(item, BaseException):
                         self.errors += 1
+                        REGISTRY.counter("repro_errors_total").inc()
                         raise item
                     yield item
             finally:
@@ -326,18 +303,15 @@ class QueryService:
     # -- introspection -----------------------------------------------------
 
     def stats(self) -> dict:
-        # Pool-wide aggregates: for a one-shard pool these equal the
-        # manager engine's own counters (worker 0 *is* that engine).
-        cache = self.workers.aggregate_cache_stats()
+        cache = self.manager.engine.cache_stats()
         blocks = cache.get("blocks", {})
         return {
             "queries": self.queries,
             "stream_queries": self.stream_queries,
             "errors": self.errors,
             "admission": self.admission.stats(),
-            "coalesce": self.workers.aggregate_coalesce_stats(),
+            "coalesce": self.flight.stats(),
             "cache": cache,
-            "pool": self.workers.stats(),
             # Lifetime pyramid block-tier reuse, surfaced at the top
             # level so operators see canvas reuse without digging into
             # the cache counters.
@@ -359,4 +333,4 @@ class QueryService:
         }
 
     def close(self) -> None:
-        self.workers.close()
+        self.executor.shutdown(wait=False, cancel_futures=True)

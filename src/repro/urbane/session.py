@@ -6,7 +6,8 @@ the map — triggers fresh spatial aggregations that must return at
 human-in-the-loop latency.  :class:`InteractiveSession` replays such
 gesture sequences headlessly against a :class:`DataManager` and records
 per-interaction latency; the E8 benchmark and the session example are
-built on it.
+built on it.  :class:`RemoteSession` replays the same gestures against
+a query server; both inherit them from :class:`GestureSession`.
 """
 
 from __future__ import annotations
@@ -103,21 +104,21 @@ class SessionState:
         return query
 
 
-class InteractiveSession:
-    """Replays exploration gestures and logs refresh latency."""
+class GestureSession:
+    """The gesture vocabulary, the interaction log and its reporting.
 
-    def __init__(self, manager: DataManager, dataset: str, regions: str,
-                 method: str = "bounded", resolution: int = 512,
-                 tcube: bool = True):
-        self.manager = manager
+    Every gesture edits :class:`SessionState` (or the map window) and
+    refreshes; a subclass says only how the grid viewport is planned
+    (:meth:`_plan_grid`) and how one query runs (:meth:`_run`).
+    """
+
+    def __init__(self, dataset: str, regions: str, method: str,
+                 resolution: int | None):
         self.method = method
-        self.resolution = int(resolution)
-        #: Route timeline brushes through the temporal canvas cube when
-        #: one can serve them (built on the first brush, hit afterwards).
-        self.tcube = bool(tcube)
+        self.resolution = resolution
         self.state = SessionState(dataset=dataset, regions=regions)
         self.log: list[Interaction] = []
-        self.last_result: AggregationResult | None = None
+        self.last_result = None
         # Grid-snapped viewport driving map gestures; created lazily on
         # the first pan/zoom so sessions that never move the map keep
         # the plain planned-viewport path (and its cache keys).
@@ -128,36 +129,43 @@ class InteractiveSession:
 
     # -- gestures ---------------------------------------------------------
 
-    def set_aggregation(self, agg: SpatialAggregation) -> AggregationResult:
+    def set_aggregation(self, agg: SpatialAggregation):
         self.state.agg = agg
         return self._refresh("aggregate", agg.describe())
 
-    def add_filter(self, expr: FilterExpr) -> AggregationResult:
+    def add_filter(self, expr: FilterExpr):
         self.state.filters = self.state.filters + (expr,)
         return self._refresh("filter+", type(expr).__name__)
 
-    def clear_filters(self) -> AggregationResult:
+    def clear_filters(self):
         self.state.filters = ()
         return self._refresh("filter-clear", "")
 
-    def brush_time(self, start: int, end: int,
-                   time_column: str = "t") -> AggregationResult:
+    def brush_time(self, start: int, end: int, time_column: str = "t"):
         if end <= start:
             raise QueryError(f"empty time brush [{start}, {end})")
         self.state.time_brush = TimeRange(time_column, start, end)
         return self._refresh("time-brush", f"[{start}, {end})")
 
-    def clear_time_brush(self) -> AggregationResult:
+    def clear_time_brush(self):
         self.state.time_brush = None
         return self._refresh("time-brush-clear", "")
 
-    def set_region_level(self, regions: str) -> AggregationResult:
-        self.manager.region_set(regions)  # validate early
+    def set_region_level(self, regions: str):
         self.state.regions = regions
         # The canvas grid is planned per region set; a stale viewport
         # would pin the old world window over the new polygons.
         self._viewport = None
         return self._refresh("resolution", regions)
+
+    def set_dataset(self, dataset: str):
+        """Switch data set.  Attribute filters are dropped (they refer to
+        the old schema, as Urbane's per-dataset filter widgets do); the
+        time brush carries over since every data set shares the
+        timeline."""
+        self.state.dataset = dataset
+        self.state.filters = ()
+        return self._refresh("dataset", dataset)
 
     # -- map gestures ------------------------------------------------------
 
@@ -170,24 +178,22 @@ class InteractiveSession:
         instead of re-scattering the points.
         """
         if self._viewport is None:
-            regions = self.manager.region_set(self.state.regions)
-            self._viewport = self.manager.engine.plan_grid_viewport(
-                regions, self.resolution)
+            self._viewport = self._plan_grid()
         return self._viewport
 
-    def pan(self, dx_pixels: float, dy_pixels: float) -> AggregationResult:
+    def pan(self, dx_pixels: float, dy_pixels: float):
         """Shift the map window; snaps to whole pixels on the canvas
         grid so the new frame reuses every block it still overlaps."""
         self._viewport = self.grid_viewport().pan(dx_pixels, dy_pixels)
         return self._refresh("pan", f"({dx_pixels:+g}, {dy_pixels:+g})")
 
-    def zoom(self, factor: float) -> AggregationResult:
+    def zoom(self, factor: float):
         """Zoom the map window; snaps to the pyramid's power-of-two
         levels, so zooming out serves from 2x2-reduced cached blocks."""
         self._viewport = self.grid_viewport().zoom(factor)
         return self._refresh("zoom", f"x{factor:g}")
 
-    def set_viewport(self, bbox) -> AggregationResult:
+    def set_viewport(self, bbox):
         """Jump to a world window, snapped to the canvas pixel grid.
 
         Edges round to the nearest pixel boundary at the current level
@@ -201,73 +207,25 @@ class InteractiveSession:
             "viewport",
             f"[{gv.col0},{gv.row0}) {gv.width}x{gv.height}@L{gv.level}")
 
-    def set_dataset(self, dataset: str) -> AggregationResult:
-        """Switch data set.  Attribute filters are dropped (they refer to
-        the old schema, as Urbane's per-dataset filter widgets do); the
-        time brush carries over since every data set shares the
-        timeline."""
-        table = self.manager.dataset(dataset)  # validate early
-        self.state.dataset = dataset
-        self.state.filters = ()
-        # An aggregation over a column the new data set lacks falls back
-        # to COUNT (the UI resets its measure dropdown the same way).
-        value_column = self.state.agg.value_column
-        if value_column is not None and not table.has_column(value_column):
-            self.state.agg = SpatialAggregation.count()
-        return self._refresh("dataset", dataset)
-
     # -- internals ----------------------------------------------------------
 
-    def _refresh(self, op: str, detail: str) -> AggregationResult:
+    def _plan_grid(self):
+        """The grid viewport for the current region set."""
+        raise NotImplementedError
+
+    def _run(self, op: str, query: SpatialAggregation):
+        """Run ``query`` for gesture ``op`` on the current view."""
+        raise NotImplementedError
+
+    def _refresh(self, op: str, detail: str):
         query = self.state.effective_query()
-        method = self.method
-        if self.tcube and op == "time-brush":
-            method = self._brush_method(query)
         t0 = time.perf_counter()
-        try:
-            result = self.manager.aggregate(
-                self.state.dataset, self.state.regions, query,
-                method=method, resolution=self.resolution,
-                viewport=self._viewport)
-        except ReproError:
-            # The cube path can decline late (e.g. a brush that stopped
-            # aligning after an append); the configured method is always
-            # a valid answer.
-            if method == self.method:
-                raise
-            method = self.method
-            result = self.manager.aggregate(
-                self.state.dataset, self.state.regions, query,
-                method=method, resolution=self.resolution,
-                viewport=self._viewport)
+        result = self._run(op, query)
         latency = time.perf_counter() - t0
         self.last_result = result
         self.log.append(Interaction.from_stats(
             op, detail, latency, result.stats, result.method))
         return result
-
-    def _brush_method(self, query: SpatialAggregation) -> str:
-        """Pick the backend for a time-brush gesture.
-
-        A brush only changes the :class:`TimeRange` predicate, which is
-        exactly what the temporal canvas cube answers in O(pixels); when
-        :func:`tcube_servable` says the cube path applies (aggregate,
-        alignment, and budget-wise) the gesture runs ``tcube-raster``
-        (building the cube on the first brush, hitting it afterwards).
-        """
-        from ..core.tcube import tcube_servable
-
-        engine = self.manager.engine
-        try:
-            table = self.manager.dataset(self.state.dataset)
-            regions = self.manager.region_set(self.state.regions)
-            viewport = self._viewport or engine.plan_viewport(
-                regions, self.resolution, None)
-            if tcube_servable(engine.ctx, table, query, viewport):
-                return "tcube-raster"
-        except ReproError:
-            pass
-        return self.method
 
     # -- reporting -------------------------------------------------------------
 
@@ -322,7 +280,83 @@ class InteractiveSession:
         return "\n".join(lines)
 
 
-class RemoteSession:
+class InteractiveSession(GestureSession):
+    """Replays exploration gestures against an in-process engine."""
+
+    def __init__(self, manager: DataManager, dataset: str, regions: str,
+                 method: str = "bounded", resolution: int = 512,
+                 tcube: bool = True):
+        self.manager = manager
+        #: Route timeline brushes through the temporal canvas cube when
+        #: one can serve them (built on the first brush, hit afterwards).
+        self.tcube = bool(tcube)
+        super().__init__(dataset, regions, method, int(resolution))
+
+    def set_region_level(self, regions: str) -> AggregationResult:
+        self.manager.region_set(regions)  # validate early
+        return super().set_region_level(regions)
+
+    def set_dataset(self, dataset: str) -> AggregationResult:
+        table = self.manager.dataset(dataset)  # validate early
+        # An aggregation over a column the new data set lacks falls back
+        # to COUNT (the UI resets its measure dropdown the same way).
+        value_column = self.state.agg.value_column
+        if value_column is not None and not table.has_column(value_column):
+            self.state.agg = SpatialAggregation.count()
+        return super().set_dataset(dataset)
+
+    # -- internals ----------------------------------------------------------
+
+    def _plan_grid(self):
+        regions = self.manager.region_set(self.state.regions)
+        return self.manager.engine.plan_grid_viewport(
+            regions, self.resolution)
+
+    def _run(self, op: str, query: SpatialAggregation) -> AggregationResult:
+        method = self.method
+        if self.tcube and op == "time-brush":
+            method = self._brush_method(query)
+        try:
+            return self.manager.aggregate(
+                self.state.dataset, self.state.regions, query,
+                method=method, resolution=self.resolution,
+                viewport=self._viewport)
+        except ReproError:
+            # The cube path can decline late (e.g. a brush that stopped
+            # aligning after an append); the configured method is always
+            # a valid answer.
+            if method == self.method:
+                raise
+            return self.manager.aggregate(
+                self.state.dataset, self.state.regions, query,
+                method=self.method, resolution=self.resolution,
+                viewport=self._viewport)
+
+    def _brush_method(self, query: SpatialAggregation) -> str:
+        """Pick the backend for a time-brush gesture.
+
+        A brush only changes the :class:`TimeRange` predicate, which is
+        exactly what the temporal canvas cube answers in O(pixels); when
+        :func:`tcube_servable` says the cube path applies (aggregate,
+        alignment, and budget-wise) the gesture runs ``tcube-raster``
+        (building the cube on the first brush, hitting it afterwards).
+        """
+        from ..core.tcube import tcube_servable
+
+        engine = self.manager.engine
+        try:
+            table = self.manager.dataset(self.state.dataset)
+            regions = self.manager.region_set(self.state.regions)
+            viewport = self._viewport or engine.plan_viewport(
+                regions, self.resolution, None)
+            if tcube_servable(engine.ctx, table, query, viewport):
+                return "tcube-raster"
+        except ReproError:
+            pass
+        return self.method
+
+
+class RemoteSession(GestureSession):
     """An interactive session whose queries run on a query server.
 
     The same gesture vocabulary as :class:`InteractiveSession`, but the
@@ -347,109 +381,21 @@ class RemoteSession:
             self.client = ServeClient(url_or_client)
         else:
             self.client = url_or_client
-        self.method = method
-        self.resolution = resolution
         #: Per-gesture latency budget, degrading precision server-side.
         self.deadline_ms = deadline_ms
-        self.state = SessionState(dataset=dataset, regions=regions)
-        self.log: list[Interaction] = []
-        self.last_result = None  # RemoteResult of the latest gesture
-        # Grid-snapped viewport driving map gestures, planned by the
-        # server (GET /v1/viewport) on first use so both ends hold the
-        # bit-identical grid.
-        self._viewport = None
-        self._refresh("open", f"{dataset} x {regions}")
+        super().__init__(dataset, regions, method, resolution)
 
-    # -- gestures (the InteractiveSession vocabulary) ----------------------
-
-    def set_aggregation(self, agg: SpatialAggregation):
-        self.state.agg = agg
-        return self._refresh("aggregate", agg.describe())
-
-    def add_filter(self, expr: FilterExpr):
-        self.state.filters = self.state.filters + (expr,)
-        return self._refresh("filter+", type(expr).__name__)
-
-    def clear_filters(self):
-        self.state.filters = ()
-        return self._refresh("filter-clear", "")
-
-    def brush_time(self, start: int, end: int, time_column: str = "t"):
-        if end <= start:
-            raise QueryError(f"empty time brush [{start}, {end})")
-        self.state.time_brush = TimeRange(time_column, start, end)
-        return self._refresh("time-brush", f"[{start}, {end})")
-
-    def clear_time_brush(self):
-        self.state.time_brush = None
-        return self._refresh("time-brush-clear", "")
-
-    def set_region_level(self, regions: str):
-        self.state.regions = regions
-        # The canvas grid is planned per region set; a stale viewport
-        # would pin the old world window over the new polygons.
-        self._viewport = None
-        return self._refresh("resolution", regions)
-
-    def set_dataset(self, dataset: str):
-        """Switch data set; attribute filters are dropped (they refer
-        to the old schema), matching :meth:`InteractiveSession
-        .set_dataset`."""
-        self.state.dataset = dataset
-        self.state.filters = ()
-        return self._refresh("dataset", dataset)
-
-    # -- map gestures ------------------------------------------------------
-
-    def grid_viewport(self):
-        """The session's grid-snapped viewport, planned by the server.
-
-        Fetched once per region set via ``GET /v1/viewport``; the wire
+    def _plan_grid(self):
+        """Planned by the server (``GET /v1/viewport``); the wire
         encoding carries only the grid anchor and integer window, so
-        the client-side viewport (and every pan/zoom derived from it)
-        keys identically to the server's own planning, so two sessions
-        panning over the same blocks share the server's cache.
-        """
-        if self._viewport is None:
-            self._viewport = self.client.plan_viewport(
-                self.state.regions, self.resolution)
-        return self._viewport
+        every pan/zoom derived from it keys identically to the server's
+        own planning and two sessions panning over the same blocks
+        share the server's cache."""
+        return self.client.plan_viewport(self.state.regions,
+                                         self.resolution)
 
-    def pan(self, dx_pixels: float, dy_pixels: float):
-        """Shift the map window (snapped to whole grid pixels)."""
-        self._viewport = self.grid_viewport().pan(dx_pixels, dy_pixels)
-        return self._refresh("pan", f"({dx_pixels:+g}, {dy_pixels:+g})")
-
-    def zoom(self, factor: float):
-        """Zoom the map window (snapped to power-of-two levels)."""
-        self._viewport = self.grid_viewport().zoom(factor)
-        return self._refresh("zoom", f"x{factor:g}")
-
-    def set_viewport(self, bbox):
-        """Jump to a world window, snapped to the canvas pixel grid."""
-        gv = _snap_bbox_viewport(self.grid_viewport(), bbox)
-        self._viewport = gv
-        return self._refresh(
-            "viewport",
-            f"[{gv.col0},{gv.row0}) {gv.width}x{gv.height}@L{gv.level}")
-
-    # -- internals ---------------------------------------------------------
-
-    def _refresh(self, op: str, detail: str):
-        query = self.state.effective_query()
-        t0 = time.perf_counter()
-        result = self.client.query(
+    def _run(self, op: str, query: SpatialAggregation):
+        return self.client.query(
             self.state.dataset, self.state.regions, query=query,
             method=self.method, resolution=self.resolution,
             deadline_ms=self.deadline_ms, viewport=self._viewport)
-        latency = time.perf_counter() - t0
-        self.last_result = result
-        self.log.append(Interaction.from_stats(
-            op, detail, latency, result.stats, result.method))
-        return result
-
-    # -- reporting ---------------------------------------------------------
-
-    latencies = InteractiveSession.latencies
-    summary = InteractiveSession.summary
-    report = InteractiveSession.report

@@ -56,7 +56,6 @@ def test_metrics_json_schema(server):
     gauges = {g["name"] for g in payload["gauges"]}
     assert "repro_service_queries" in gauges
     assert "repro_admission_active" in gauges
-    assert "repro_pool_shards" in gauges
     (hist,) = [h for h in payload["histograms"]
                if h["name"] == "repro_query_latency_ms"]
     assert hist["count"] == 1
@@ -101,6 +100,27 @@ def test_metrics_reconcile_with_summed_stats(server):
     (hist,) = [h for h in snapshot["histograms"]
                if h["name"] == "repro_query_latency_ms"]
     assert hist["count"] == len(results)
+
+
+def test_error_counter_reconciles_with_stats(server):
+    """A failed unary query and a failed stream each count once in
+    ``repro_errors_total``, exactly as in ``/v1/stats`` ``errors``."""
+    from repro.errors import QueryError
+
+    bad = SpatialAggregation.count(F("no_such_column") > 1)
+    with pytest.raises(QueryError):
+        server.query("trips", "simple", bad)
+    with pytest.raises(QueryError):
+        list(server.stream("trips", "simple", bad, tile_pixels=64))
+    assert server.stats()["errors"] == 2
+    assert _counter(server.metrics(), "repro_errors_total") == 2
+
+
+def test_no_pool_or_worker_gauges(server):
+    server.query("trips", "simple", SpatialAggregation.count())
+    names = {g["name"] for g in server.metrics()["gauges"]}
+    assert not [n for n in names
+                if n.startswith(("repro_pool_", "repro_worker_"))]
 
 
 # -- /v1/trace ----------------------------------------------------------------

@@ -152,9 +152,6 @@ def test_sample_service_stats_flattens_gauges():
         "pyramid": {"block_hits": 7, "enabled": True},
         # The inert block QueryService.stats() still carries.
         "speculate": {"observed": 0, "completed": 0, "hits": 0},
-        "pool": {"shards": 2, "workers": [
-            {"name": "w0", "queries": 8, "cache_bytes": 11},
-            {"name": "w1", "queries": 4, "cache_bytes": 22}]},
     }
     sample_service_stats(stats, registry=reg)
 
@@ -167,9 +164,6 @@ def test_sample_service_stats_flattens_gauges():
     assert value("repro_coalesce_coalesce_rate") == 0.25
     assert value("repro_cache_bytes") == 4096
     assert value("repro_pyramid_block_hits") == 7
-    assert value("repro_pool_shards") == 2
-    assert value("repro_worker_queries", worker="w0") == 8
-    assert value("repro_worker_cache_bytes", worker="w1") == 22
     # Bools never become gauges; blocks are excluded from cache gauges.
     snap = reg.snapshot()
     names = {g["name"] for g in snap["gauges"]}

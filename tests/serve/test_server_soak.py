@@ -13,6 +13,7 @@ import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import pytest
 
 from repro.core import SpatialAggregation
 from repro.errors import OverloadedError
@@ -172,6 +173,27 @@ class TestDisconnect:
         client = ServeClient(server, timeout_s=30)
         assert client.query("trips", "simple",
                             query=SpatialAggregation.count()).values.sum() > 0
+
+
+class TestHostileFraming:
+    @pytest.mark.parametrize("length, body", [
+        (b"abc", b""),
+        (b"-5", b""),
+        (b"2", b"\xff\xfe"),
+    ], ids=["non-numeric-length", "negative-length", "non-utf8-body"])
+    def test_bad_framing_is_a_400(self, server, length, body):
+        parsed = urllib.parse.urlparse(server)
+        with socket.create_connection((parsed.hostname, parsed.port),
+                                      timeout=5) as sock:
+            sock.sendall(b"POST /v1/query HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Length: " + length + b"\r\n\r\n" + body)
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), head
+        assert json.loads(payload)["error"] == "ProtocolError"
+        assert ServeClient(server).health()["ok"] is True
 
 
 class TestStreamingOverHTTP:

@@ -170,16 +170,60 @@ class TestStreaming:
 
 
 class TestStats:
-    def test_stats_shape(self, service):
+    def test_stats_shape(self, manager, service):
         asyncio.run(service.execute(make_req(SpatialAggregation.count())))
         stats = service.stats()
         assert stats["queries"] == 1
-        assert "admission" in stats and "coalesce" in stats
         assert "trips" in stats["datasets"]
         assert "simple" in stats["region_sets"]
+        # One engine, one flight map: the payload reads them directly.
+        assert stats["cache"] == manager.engine.cache_stats()
+        assert stats["coalesce"] == service.flight.stats()
+        assert "pool" not in stats
+        # The keys the serve-analysts benchmark reads.
+        assert {"leaders", "coalesced"} <= set(stats["coalesce"])
+        assert "shed_total" in stats["admission"]
+        assert stats["speculate"] == {"observed": 0, "completed": 0,
+                                      "hits": 0}
 
 
 class TestRemoteSession:
+    def test_same_script_as_interactive_session(self, manager, server):
+        """Both sessions share one gesture vocabulary: the same script
+        logs the same gestures, ends in the same state, pins the same
+        grid viewports and returns bitwise-equal values."""
+        from repro.core import RegionSet
+        from repro.geometry import BBox, Polygon
+        from repro.urbane import InteractiveSession, RemoteSession
+
+        manager.add_region_set(RegionSet("halves", [
+            Polygon([[0, 0], [50, 0], [50, 100], [0, 100]]),
+            Polygon([[50, 0], [100, 0], [100, 100], [50, 100]]),
+        ], ["west", "east"]))
+        script = [
+            ("brush_time", (100, 400)),
+            ("add_filter", (F("fare") > 2.0,)),
+            ("pan", (16, -8)),
+            ("zoom", (2.0,)),
+            ("set_viewport", (BBox(20.0, 10.0, 80.0, 70.0),)),
+            ("set_region_level", ("halves",)),
+            ("clear_filters", ()),
+        ]
+        local = InteractiveSession(manager, "trips", "simple",
+                                   method="bounded", resolution=128)
+        remote = RemoteSession(server, "trips", "simple",
+                               method="bounded", resolution=128)
+        for call, args in script:
+            a = getattr(local, call)(*args)
+            b = getattr(remote, call)(*args)
+            assert local._viewport == remote._viewport, call
+            assert np.array_equal(a.values, b.values, equal_nan=True), call
+            assert np.array_equal(a.lower, b.lower, equal_nan=True), call
+            assert np.array_equal(a.upper, b.upper, equal_nan=True), call
+        assert [(i.op, i.detail) for i in local.log] \
+            == [(i.op, i.detail) for i in remote.log]
+        assert local.state == remote.state
+
     def test_pan_over_warm_blocks_logs_block_reuse(self, server):
         from repro.urbane import RemoteSession
 

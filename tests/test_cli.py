@@ -158,8 +158,9 @@ class TestStoreQueryCommand:
 
 
 class TestRetiredFlags:
-    """The fork flags went with the forks, and the speculation flags with
-    the speculative prefetcher; argparse rejects them."""
+    """The fork flags went with the forks, the speculation flags with
+    the speculative prefetcher, and ``serve --shards`` with the routed
+    worker pool; argparse rejects them."""
 
     @pytest.mark.parametrize("argv", [
         ["query", SQL, "--workers", "2"],
@@ -175,6 +176,7 @@ class TestRetiredFlags:
         ["serve", "--no-speculate"],
         ["serve", "--speculate-budget-ms", "100"],
         ["serve", "--model-dir", "d"],
+        ["serve", "--shards", "2"],
     ])
     def test_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
