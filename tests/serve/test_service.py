@@ -186,6 +186,35 @@ class TestStats:
         assert stats["speculate"] == {"observed": 0, "completed": 0,
                                       "hits": 0}
 
+    def test_stats_payload_shape(self, service):
+        """The payload's top-level blocks; there is no per-worker block."""
+        asyncio.run(service.execute(make_req(SpatialAggregation.count())))
+        stats = service.stats()
+        assert {"queries", "errors", "datasets", "region_sets", "cache",
+                "coalesce", "admission", "speculate"} <= set(stats)
+        assert "pool" not in stats
+        assert "workers" not in stats
+
+    def test_cache_stats_are_the_engines(self, manager, service):
+        """Repeated queries: the served cache counters are the engine's
+        own, and its hit rate is hits over lookups."""
+        queries = [SpatialAggregation.count(),
+                   SpatialAggregation.avg_of("fare")]
+        for query in queries:
+            asyncio.run(service.execute(make_req(query)))
+            asyncio.run(service.execute(make_req(query)))
+        cache = service.stats()["cache"]
+        assert cache == manager.engine.cache_stats()
+        assert cache["hits"] > 0 and cache["misses"] > 0
+        lookups = cache["hits"] + cache["misses"]
+        assert cache["hit_rate"] == cache["hits"] / lookups
+
+    def test_coalesce_stats_are_the_flights(self, service):
+        asyncio.run(service.execute(make_req(SpatialAggregation.count())))
+        coalesce = service.stats()["coalesce"]
+        assert coalesce == service.flight.stats()
+        assert coalesce["leaders"] >= 1
+
 
 class TestRemoteSession:
     def test_same_script_as_interactive_session(self, manager, server):
