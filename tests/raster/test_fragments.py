@@ -148,9 +148,36 @@ class TestPinnedParity:
          "e1413030a990da3c889a4995a39e5929e79be68e2655bc123c288e7fb0ff981e"),
     ])
     def test_bench_districts(self, resolution, fragments, runs, digest):
-        regions = voronoi_regions(CityModel(7), 297, name="districts")
-        table = build_fragment_table(list(regions.geometries),
-                                     Viewport.fit(regions.bbox, resolution))
+        self._check_bench("districts", resolution, fragments, runs, digest)
+
+    @pytest.mark.parametrize("level, resolution, fragments, runs, digest", [
+        # Recorded at 6b8acd2 (grid traversal over every pixel key).
+        ("districts", 1024, (701591, 76342), 18669,
+         "e363207ea914923ea8aa8db41491f66e164dd3491bbb03f2a5b15141937f1abb"),
+        ("neighborhoods", 512, (175692, 18449), 4481,
+         "c2453b27d488452c37037e7ecac8d84211fce747e444f762d1009ffbab06a98c"),
+        ("neighborhoods", 1024, (720993, 36957), 9103,
+         "54dc80bf80938046fa7b0ef7a5ef151c729507a07c6994b66dde8c4c90301077"),
+    ])
+    def test_bench_levels(self, level, resolution, fragments, runs, digest):
+        self._check_bench(level, resolution, fragments, runs, digest)
+
+    def test_bench_districts_zoomed_off_centre(self):
+        """4x zoom, panned off-centre: most ring edges leave the window,
+        so the pass is pinned where it clips.  Recorded at 6b8acd2."""
+        self._check_bench(
+            "districts", 512, (227679, 12679), 3572,
+            "33312249726b9ce02bc6cd525792125ae0ba6b8e9e338cd8e534bce1ac2430b1",
+            zoom=lambda vp: vp.zoom(0.25).pan(160, -96))
+
+    @staticmethod
+    def _check_bench(level, resolution, fragments, runs, digest,
+                     zoom=lambda vp: vp):
+        count = {"neighborhoods": 71, "districts": 297}[level]
+        regions = voronoi_regions(CityModel(7), count, name=level)
+        table = build_fragment_table(
+            list(regions.geometries),
+            zoom(Viewport.fit(regions.bbox, resolution)))
         assert (table.num_interior_fragments,
                 table.num_boundary_fragments) == fragments
         assert table.intervals.num_full_runs == runs
