@@ -15,7 +15,8 @@ from .. import kernels
 from ..errors import QueryError
 from ..index import PointGridIndex, QuadTree, RTree
 from ..obs.trace import span
-from ..raster import FragmentTable, Viewport, build_fragment_table
+from ..raster import FragmentTable, Viewport
+from ..raster.fragments import polygon_pass
 from ..table import PointTable
 from .bounds import resolution_for_epsilon
 from .cache import QueryCache, fingerprint
@@ -99,10 +100,11 @@ class ExecutionContext:
             # opens nothing, and a cold query's polygon pass is charged
             # to ``fragments`` rather than to ``backend.run`` self time.
             with span("fragments") as sp:
-                table = build_fragment_table(geometries, viewport)
+                table, edge_rows = polygon_pass(geometries, viewport)
             sp.set(regions=len(geometries), pixels=viewport.num_pixels,
                    runs=(table.intervals.num_full_runs
-                         + table.intervals.num_partial_runs))
+                         + table.intervals.num_partial_runs),
+                   edge_rows=edge_rows)
             return table
 
         return self.cache.get_or_build(key, build)

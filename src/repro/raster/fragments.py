@@ -23,10 +23,9 @@ import numpy as np
 from .. import kernels
 from ..geometry.polygon import Geometry
 from .scanline import (
-    _boundary_keys,
+    _boundary_runs,
     _classify_spans,
     _coverage_spans,
-    _merge_touching,
     _stack_edges,
 )
 from .viewport import Viewport
@@ -45,9 +44,9 @@ class IntervalSet:
     pixel ids within one raster row, stored CSR-style per polygon:
     polygon ``g`` owns runs ``full_offsets[g]:full_offsets[g + 1]``.
 
-    Built directly by the polygon pass — FULL runs are the coverage
-    spans minus the boundary cover, PARTIAL runs the boundary cover
-    run-length encoded.
+    Built directly by the polygon pass — PARTIAL runs are the boundary
+    cover merged per (polygon, row), FULL runs the coverage spans minus
+    the PARTIAL runs.
     """
 
     full_offsets: np.ndarray    # (num_polygons + 1,) int64 run indices
@@ -168,45 +167,48 @@ class FragmentTable:
 
 
 def _by_polygon(keys: np.ndarray, num_polygons: int, num_pixels: int
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                ) -> tuple[np.ndarray, np.ndarray]:
     """Split ascending ``polygon * num_pixels + pixel`` keys into (CSR
-    offsets per polygon, polygon ids, pixel ids)."""
+    offsets per polygon, pixel ids)."""
     offsets = np.searchsorted(keys, np.arange(num_polygons + 1) * num_pixels)
-    polys = np.repeat(np.arange(num_polygons), np.diff(offsets))
-    return offsets, polys, keys - polys * num_pixels
+    return offsets, keys - np.repeat(np.arange(num_polygons) * num_pixels,
+                                     np.diff(offsets))
 
 
 def build_fragment_table(geometries: list[Geometry],
                          viewport: Viewport) -> FragmentTable:
     """Rasterize the whole region set in one batched sweep and assemble
-    the fragment table.
+    the fragment table (see :func:`polygon_pass`)."""
+    return polygon_pass(geometries, viewport)[0]
 
-    Edges of every polygon are stacked once; coverage spans per
-    (polygon, row) and the boundary cover come out of one vectorized
-    pass each; FULL runs are the spans minus the boundary keys, by
-    interval arithmetic; PARTIAL runs are the boundary keys run-length
-    encoded.  Cost follows spans and boundary keys, never the covered
-    area: no interior pixel is expanded here.
+
+def polygon_pass(geometries: list[Geometry], viewport: Viewport
+                 ) -> tuple[FragmentTable, int]:
+    """The fragment table of a region set, and the number of on-screen
+    (edge, row) pairs its boundary pass walked (the unit its cost
+    follows).
+
+    Edges are stacked once; the coverage spans and the PARTIAL runs come
+    out of one vectorized pass each, and the FULL runs are the spans
+    minus the PARTIAL runs.  Only the boundary pairs are expanded.
     """
     num_polygons = len(geometries)
-    num_pixels = viewport.num_pixels
     edges = _stack_edges(geometries)
-    boundary = _boundary_keys(edges, viewport)
+    partial_starts, partial_lengths, edge_rows = _boundary_runs(
+        edges, viewport)
     full_starts, full_lengths, covered = _classify_spans(
-        *_coverage_spans(edges, viewport), boundary, viewport.width)
-    partial_starts, partial_lengths = _merge_touching(
-        boundary, boundary + 1, viewport.width)
+        *_coverage_spans(edges, viewport), partial_starts, partial_lengths,
+        viewport.width)
+    full_offsets, full_starts = _by_polygon(full_starts, num_polygons,
+                                            viewport.num_pixels)
+    partial_offsets, partial_starts = _by_polygon(
+        partial_starts, num_polygons, viewport.num_pixels)
 
-    full_offsets, _, full_starts = _by_polygon(
-        full_starts, num_polygons, num_pixels)
-    partial_offsets, _, partial_starts = _by_polygon(
-        partial_starts, num_polygons, num_pixels)
-    _, boundary_polys, boundary_pixels = _by_polygon(
-        boundary, num_polygons, num_pixels)
-
-    return FragmentTable(
-        boundary_pixels=boundary_pixels,
-        boundary_polys=boundary_polys.astype(np.int32),
+    table = FragmentTable(
+        boundary_pixels=kernels.active().expand_ranges(partial_starts,
+                                                        partial_lengths),
+        boundary_polys=np.repeat(_run_owners(partial_offsets),
+                                 partial_lengths),
         covered_index=covered,
         intervals=IntervalSet(
             full_offsets=full_offsets, full_starts=full_starts,
@@ -216,3 +218,4 @@ def build_fragment_table(geometries: list[Geometry],
         num_polygons=num_polygons,
         viewport=viewport,
     )
+    return table, edge_rows

@@ -14,12 +14,12 @@ polygons, and pixels are addressed by one sortable key,
 2. :func:`_coverage_spans` — per (polygon, row) spans of covered pixel
    centers (exterior minus holes, even-odd across all rings at once),
    from the (edge, row) crossings only;
-3. :func:`_boundary_keys` — an exact conservative cover of the pixels
-   each polygon's boundary passes through (grid traversal of every
-   edge), deduplicated by one sort;
-4. :func:`_classify_spans` — FULL runs (spans minus boundary keys) and
-   the center-covered boundary keys, by interval arithmetic; interior
-   pixels are never materialized.
+3. :func:`_boundary_runs` — PARTIAL runs, an exact conservative cover
+   of the pixels each polygon's boundary passes through: one column
+   range per on-screen (edge, row) pair, merged per (polygon, row);
+4. :func:`_classify_spans` — FULL runs (spans minus PARTIAL runs) and
+   the center-covered boundary pixels, by interval arithmetic; no
+   stage materializes a pixel outside the boundary.
 
 :func:`coverage_fragments`, :func:`boundary_pixels` and
 :func:`rasterize_polygon` are the same routines called with one
@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import kernels
-from ..geometry.polygon import Geometry
+from ..geometry.polygon import Geometry, Polygon
 from .viewport import Viewport
 
 
@@ -85,7 +85,7 @@ def _sorted_pairs(major: np.ndarray, minor: np.ndarray
     pairs = np.empty(len(major), dtype=np.complex128)
     pairs.real = major
     pairs.imag = minor
-    pairs.sort()
+    pairs.sort(kind="stable")
     return pairs.real.astype(np.int64), pairs.imag
 
 
@@ -135,14 +135,14 @@ def _coverage_spans(edges: tuple[np.ndarray, ...], viewport: Viewport
         raise AssertionError("scanline pairing failed: odd crossing count")
 
     # World-x spans to pixel-center columns: centers with
-    # span_lo <= xc < span_hi.
+    # span_lo <= xc < span_hi, clipped to the window in float before the
+    # integer cast (a far-off crossing must not wrap around int64).
     pw = viewport.pixel_width
     x0 = viewport.bbox.xmin
-    col_lo = np.ceil((x_sorted[0::2] - x0) / pw - 0.5).astype(np.int64)
-    col_hi = np.ceil((x_sorted[1::2] - x0) / pw - 0.5).astype(np.int64) - 1
-    col_lo = np.maximum(col_lo, 0)
-    col_hi = np.minimum(col_hi, width - 1)
-    lengths = col_hi - col_lo + 1
+    col_lo, col_end = (
+        np.clip(np.ceil((xs - x0) / pw - 0.5), 0, width).astype(np.int64)
+        for xs in (x_sorted[0::2], x_sorted[1::2]))
+    lengths = col_end - col_lo
     keep = lengths > 0
     # polygon * num_pixels + row * width == line * width.
     return span_line[keep] * width + col_lo[keep], lengths[keep]
@@ -199,236 +199,235 @@ def boundary_pixels_sampled(geometry: Geometry, viewport: Viewport,
     return np.unique(ids)
 
 
-def _mark_with_gridline_neighbors(gx: np.ndarray, gy: np.ndarray,
-                                  gid: np.ndarray, viewport: Viewport
-                                  ) -> np.ndarray:
-    """Keys of the pixels containing points given in *grid units*,
-    including both neighbors when a point lies exactly on a grid line
-    (such a point sits on the shared closed edge of two pixels, and the
-    boundary then touches both)."""
-    ix = np.floor(gx).astype(np.int64)
-    iy = np.floor(gy).astype(np.int64)
-    on_v = gx == ix  # exactly on a vertical grid line
-    on_h = gy == iy
-    both = on_v & on_h
-    ix = np.concatenate([ix, ix[on_v] - 1, ix[on_h], ix[both] - 1])
-    iy = np.concatenate([iy, iy[on_v], iy[on_h] - 1, iy[both] - 1])
-    gid = np.concatenate([gid, gid[on_v], gid[on_h], gid[both]])
-    valid = ((ix >= 0) & (ix < viewport.width)
-             & (iy >= 0) & (iy < viewport.height))
-    return (gid[valid] * viewport.num_pixels
-            + iy[valid] * viewport.width + ix[valid])
-
-
-def _gridline_aligned_keys(line: np.ndarray, a1: np.ndarray, a2: np.ndarray,
-                           gid: np.ndarray, horizontal: bool,
-                           viewport: Viewport) -> np.ndarray:
-    """Pixel keys of axis-parallel edges lying exactly on a grid line.
-
-    A horizontal edge at integer grid row ``j`` spanning grid-x
-    ``[a, b]`` touches exactly the half-open pixels
-    ``(floor(min), j) .. (floor(max), j)``: row ``j`` owns every point
-    with y == j, and row ``j - 1`` contains only strictly-below points,
-    so marking the neighbor row (as the generic machinery would) is
-    pure over-marking.  Symmetric for vertical edges.
-    """
-    fixed = line.astype(np.int64)
-    lo = np.floor(np.minimum(a1, a2)).astype(np.int64)
-    hi = np.floor(np.maximum(a1, a2)).astype(np.int64)
-    if horizontal:
-        fixed_cap, span_cap = viewport.height, viewport.width
-    else:
-        fixed_cap, span_cap = viewport.width, viewport.height
-    lo = np.maximum(lo, 0)
-    hi = np.minimum(hi, span_cap - 1)
-    keep = (hi >= lo) & (fixed >= 0) & (fixed < fixed_cap)
-    fixed, lo, hi, gid = fixed[keep], lo[keep], hi[keep], gid[keep]
-    counts = hi - lo + 1
-    base = gid * viewport.num_pixels
-    expand = kernels.active().expand_ranges
-    if horizontal:
-        # Consecutive columns of one row are consecutive flat ids.
-        return expand(base + fixed * viewport.width + lo, counts)
-    rows = expand(lo, counts)
-    return np.repeat(base + fixed, counts) + rows * viewport.width
-
-
-def _boundary_keys(edges: tuple[np.ndarray, ...], viewport: Viewport
-                   ) -> np.ndarray:
-    """Sorted unique keys ``polygon * num_pixels + pixel`` of an exact
-    conservative cover of the pixels each polygon's boundary passes
-    through.
-
-    Grid-traversal rasterization of every ring edge of every polygon,
-    vectorized over all edges at once: each edge's crossings with
-    vertical and horizontal pixel-grid lines split it into pieces, each
-    piece lies inside one pixel, and the piece midpoints identify those
-    pixels.  Crossing points and vertices that fall exactly on grid
-    lines additionally mark both adjacent pixels (float-safe
-    conservatism), so the result is a superset of every pixel whose
-    *half-open* square ``[i, i+1) x [j, j+1)`` — the region
-    :meth:`Viewport.pixel_ids_of` assigns points to — meets the
-    boundary.  That superset property is what the accurate raster join's
-    exactness rests on, while staying ~3x tighter than sampling with 3x3
-    dilation.
-
-    Axis-parallel edges lying *exactly on* a grid line are special-cased
-    (:func:`_gridline_aligned_keys`): they touch only the one row/column
-    that owns the line under the half-open convention, so the
-    both-neighbors rule the generic machinery applies would over-mark an
-    entire row or column of pixels per aligned edge.
-    """
-    x1, y1, x2, y2, gid = edges
-    pw = viewport.pixel_width
-    ph = viewport.pixel_height
-    x0 = viewport.bbox.xmin
-    y0 = viewport.bbox.ymin
-    # Work in grid units: pixel (i, j) covers [i, i+1) x [j, j+1).
-    gx1 = (x1 - x0) / pw
-    gy1 = (y1 - y0) / ph
-    gx2 = (x2 - x0) / pw
-    gy2 = (y2 - y0) / ph
-
-    # Split off edges running exactly along a grid line — their pixel
-    # cover is a single run, computed directly; everything else goes
-    # through the conservative piece/crossing/vertex machinery.
-    aligned_h = (gy1 == gy2) & (gy1 == np.floor(gy1)) & (gx1 != gx2)
-    aligned_v = (gx1 == gx2) & (gx1 == np.floor(gx1)) & (gy1 != gy2)
-    generic = ~(aligned_h | aligned_v)
-    aligned = [
-        _gridline_aligned_keys(gy1[aligned_h], gx1[aligned_h],
-                               gx2[aligned_h], gid[aligned_h], True,
-                               viewport),
-        _gridline_aligned_keys(gx1[aligned_v], gy1[aligned_v],
-                               gy2[aligned_v], gid[aligned_v], False,
-                               viewport),
-    ]
-
-    gx1, gy1 = gx1[generic], gy1[generic]
-    gx2, gy2 = gx2[generic], gy2[generic]
-    gid = gid[generic]
-    num_edges = len(gx1)
-
-    def _axis_crossings(a1: np.ndarray, a2: np.ndarray):
-        """(edge ids, t values, line indices) of crossings with integer
-        grid lines of one axis; degenerate edges (a1 == a2) produce
-        none."""
-        first = np.ceil(np.minimum(a1, a2))
-        counts = np.maximum(
-            0, np.floor(np.maximum(a1, a2)) - first + 1).astype(np.int64)
-        counts[a1 == a2] = 0
-        edges = np.repeat(np.arange(num_edges), counts)
-        k = kernels.active().expand_ranges(
-            first.astype(np.int64), counts).astype(np.float64)
-        t = np.clip((k - a1[edges]) / (a2[edges] - a1[edges]), 0.0, 1.0)
-        return edges, t, k
-
-    ex, tx, kx = _axis_crossings(gx1, gx2)
-    ey, ty, ky = _axis_crossings(gy1, gy2)
-    ends = np.arange(num_edges)
-    all_edges = np.concatenate([ex, ey, ends, ends])
-    all_t = np.concatenate([tx, ty, np.zeros(num_edges),
-                            np.ones(num_edges)])
-
-    e_sorted, t_sorted = _sorted_pairs(all_edges, all_t)
-
-    # Midpoints of consecutive crossing pairs on the same edge: one
-    # point inside every grid piece the edge passes through.  (Pieces
-    # running exactly along a grid line interpolate that coordinate
-    # exactly, so the neighbor rule still fires for them.)
-    same_edge = e_sorted[1:] == e_sorted[:-1]
-    tm = 0.5 * (t_sorted[1:] + t_sorted[:-1])[same_edge]
-    em = e_sorted[:-1][same_edge]
-    mid_gx = gx1[em] + tm * (gx2[em] - gx1[em])
-    mid_gy = gy1[em] + tm * (gy2[em] - gy1[em])
-
-    # Crossing points sit exactly on a grid line by construction (the
-    # crossed coordinate is the integer k, not an interpolation), so the
-    # neighbor rule marks both adjacent pixels robustly.  Ring vertices
-    # are emitted with their exact endpoint coordinates for the same
-    # reason.
-    vx_gy = gy1[ex] + tx * (gy2[ex] - gy1[ex])  # vertical crossings
-    hy_gx = gx1[ey] + ty * (gx2[ey] - gx1[ey])  # horizontal crossings
-
-    keys = np.concatenate(aligned + [
-        _mark_with_gridline_neighbors(mid_gx, mid_gy, gid[em], viewport),
-        _mark_with_gridline_neighbors(kx, vx_gy, gid[ex], viewport),
-        _mark_with_gridline_neighbors(hy_gx, ky, gid[ey], viewport),
-        _mark_with_gridline_neighbors(gx1, gy1, gid, viewport),
-    ])
-    # One sort dedupes every polygon's marks at once (``np.unique``
-    # hashes instead, at several times the cost).
-    keys.sort()
-    return keys[np.diff(keys, prepend=-1) != 0]
-
-
-def boundary_pixels(geometry: Geometry, viewport: Viewport) -> np.ndarray:
-    """Sorted flat ids of the pixels ``geometry``'s boundary may pass
-    through (see :func:`_boundary_keys`)."""
-    return _boundary_keys(_stack_edges([geometry]), viewport)
-
-
-def _merge_touching(starts: np.ndarray, stops: np.ndarray, width: int
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Coalesce ascending disjoint key runs ``[start, stop)`` that touch
-    inside one raster row; returns (starts, lengths).  A run starting in
-    column 0 never merges into its predecessor: consecutive keys across
-    a row wrap are not spatially adjacent, and across a polygon change
-    (``num_pixels`` is a multiple of ``width``) they belong to different
-    polygons."""
+def _merge_runs(starts: np.ndarray, stops: np.ndarray, width: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, lengths) of the union of key runs ``[start, stop)``,
+    given as *separately* sorted starts and stops: the ``i``-th stop
+    bounds the first ``i`` runs, so a run begins where a start passes
+    the stop before it.  Runs touching inside a raster row coalesce; a
+    row change (a row wrap, or a polygon change: ``num_pixels`` is a
+    multiple of ``width``) always starts a new run."""
+    row = starts // width
     head = np.ones(len(starts), dtype=bool)
-    head[1:] = (starts[1:] != stops[:-1]) | (starts[1:] % width == 0)
+    head[1:] = (starts[1:] > stops[:-1]) | (row[1:] != row[:-1])
     tail = np.ones(len(starts), dtype=bool)
     tail[:-1] = head[1:]
     return starts[head], stops[tail] - starts[head]
 
 
-def _classify_spans(span_starts: np.ndarray, span_lengths: np.ndarray,
-                    boundary: np.ndarray, width: int
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split coverage spans against the boundary cover by interval
-    arithmetic: ``(FULL run starts, FULL run lengths, indices into
-    ``boundary`` of the center-covered boundary keys)``.
+def _boundary_runs(edges: tuple[np.ndarray, ...], viewport: Viewport
+                   ) -> tuple[np.ndarray, np.ndarray, int]:
+    """PARTIAL runs — an exact conservative cover of the pixels each
+    polygon's boundary passes through — as ascending (start keys,
+    lengths), and the number of (edge, row) pairs walked.
 
-    The boundary keys inside a span are its covered-boundary pixels; the
-    gaps between them (and the span's ends) are the FULL runs.  Interior
-    pixels are never materialized here — cost follows the number of
-    spans and boundary keys, not the covered area.
+    Inside the closed strip ``[j, j+1]`` of pixel row ``j`` an edge is
+    one sub-segment, so it touches one column range: from the x of the
+    sub-segment's ends (a vertex, or the crossing with the strip's grid
+    line at the t-value of an exact grid traversal), widened to closed
+    pixel squares — a bound on a column line adds the column to its
+    left, a crossing of a row line lies in both strips.  That covers
+    every half-open pixel (:meth:`Viewport.pixel_ids_of`) the boundary
+    meets, which the accurate join's exactness rests on.  An edge lying
+    exactly on a grid line touches only the row (column) owning it.
+
+    Rows are taken only inside ``[0, height)``, bounds clipped in float
+    before any integer cast: cost follows on-screen (edge, row) pairs.
+    """
+    x1, y1, x2, y2, gid = edges
+    width, height = viewport.width, viewport.height
+    expand = kernels.active().expand_ranges
+    # Grid units: pixel (i, j) covers [i, i+1) x [j, j+1).
+    gx1 = (x1 - viewport.bbox.xmin) / viewport.pixel_width
+    gy1 = (y1 - viewport.bbox.ymin) / viewport.pixel_height
+    gx2 = (x2 - viewport.bbox.xmin) / viewport.pixel_width
+    gy2 = (y2 - viewport.bbox.ymin) / viewport.pixel_height
+    dx, dy = gx2 - gx1, gy2 - gy1
+    aligned = (((dy == 0) & (gy1 == np.floor(gy1)) & (dx != 0))
+               | ((dx == 0) & (gx1 == np.floor(gx1)) & (dy != 0)))
+    lower = gy1 <= gy2
+    xmin, xmax = np.minimum(gx1, gx2), np.maximum(gx1, gx2)
+    ylo, yhi = np.minimum(gy1, gy2), np.maximum(gy1, gy2)
+    first = np.clip(np.where(aligned, np.floor(ylo), np.ceil(ylo) - 1),
+                    0, height)
+    last = np.clip(np.floor(yhi), -1, height - 1)
+    # Edges wholly left or right of the window touch no column.
+    last[(xmax < 0) | (xmin > width)] = -1
+    rows = np.maximum(last - first + 1, 0).astype(np.int64)
+
+    # Each edge's crossing with every grid line bounding its rows: the
+    # line between two rows is computed once for both.
+    lines = rows + (rows > 0)
+    e = np.repeat(np.arange(len(gx1)), lines)
+    row = expand(first.astype(np.int64), lines)
+    y = row.astype(np.float64)
+    t = np.clip((y - gy1[e]) / np.where(dy == 0, np.inf, dy)[e], 0.0, 1.0)
+    x = gx1[e] + t * dx[e]
+    # Where an edge stops short of its first (last) line, its strip's
+    # sub-segment ends at the edge's lower (upper) vertex instead.
+    has = np.flatnonzero(rows)
+    head = (np.cumsum(lines) - lines)[has]
+    tail = head + rows[has]
+    vertex = np.zeros(len(x), dtype=bool)
+    for at, short, vx in ((head, y[head] < ylo[has], np.where(lower, gx1, gx2)),
+                          (tail, y[tail] > yhi[has], np.where(lower, gx2, gx1))):
+        at = at[short | (dy[has] == 0)]
+        x[at] = vx[e[at]]
+        vertex[at] = True
+
+    # The (edge, row) pair at line j spans the x of lines j and j + 1;
+    # an edge's last line starts no pair.
+    lo, hi = np.minimum(x[:-1], x[1:]), np.maximum(x[:-1], x[1:])
+    c0 = np.ceil(lo) - 1
+    on_line = expand(head[aligned[has]], rows[has][aligned[has]])
+    c0[on_line] = np.floor(lo[on_line])
+    c0[tail[:-1]] = np.inf
+    line = (gid * height)[e[:-1]] + row[:-1]
+    marks = [(line, c0, np.floor(hi))]
+
+    # The traversal rounds each interpolated coordinate on its own: a
+    # vertical crossing (exact x, interpolated y) or its midpoint with a
+    # row-line crossing may land in a strip the ends miss — only near a
+    # grid corner, unless the edge is too flat or long for exact ends.
+    def t_at(k, a1, d):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.clip((k - a1) / d, 0.0, 1.0)
+
+    def in_strip(yv, i):
+        return (yv >= y[i]) & (yv <= y[i] + 1)
+
+    def near_line(v):  # within 1e-3 of a grid line
+        return np.abs(v - np.rint(v)) <= 1e-3
+
+    with np.errstate(over="ignore"):
+        rough = ~aligned & (dx != 0) & (
+            (np.abs(dy) < 1e-12 * np.abs(dx) * (1 + np.abs(gy1) + np.abs(gy2)))
+            | (np.maximum(np.abs(gx1), np.abs(gx2)) > 1e9))
+    near = near_line(x) & ~vertex
+    pick = near[:-1] | near[1:]
+    pick[expand(head[rough[has]], rows[has][rough[has]])] = True
+    i = np.flatnonzero(pick & np.isfinite(c0))
+    ei = e[i]
+    crosses = ~aligned[ei] & (dx[ei] != 0)
+    for end in (i, i + 1):
+        # The midpoint of a row-line crossing and the vertical one at
+        # its corner, if no other row-line crossing lies between them.
+        kv = np.rint(x[end])
+        tv = t_at(kv, gx1[ei], dx[ei])
+        ok = near[end] & crosses & (kv >= xmin[ei]) & (kv <= xmax[ei])
+        t_lo, t_hi = np.minimum(t[end], tv), np.maximum(t[end], tv)
+        for other in (y[end] - 1, y[end] + 1):
+            to = t_at(other, gy1[ei], dy[ei])
+            ok &= (to <= t_lo) | (to >= t_hi)
+        tm = 0.5 * (t[end] + tv)
+        mx = gx1[ei] + tm * dx[ei]
+        m = ok & in_strip(gy1[ei] + tm * dy[ei], i)
+        marks.append((line[i[m]], np.ceil(mx[m]) - 1, np.floor(mx[m])))
+    # Vertical crossings from one column past the ends, or every
+    # on-screen one of a rough edge.
+    k0, k1 = (np.clip(np.where(rough[ei], edge_k, pair_k), -1, width + 1)
+              for edge_k, pair_k in ((np.ceil(xmin[ei]), np.ceil(lo[i]) - 1),
+                                     (np.floor(xmax[ei]), np.floor(hi[i]) + 1)))
+    n = np.maximum(k1 - k0 + 1, 0).astype(np.int64)
+    i, crosses = np.repeat(i, n), np.repeat(crosses, n)
+    ei = e[i]
+    k = expand(k0.astype(np.int64), n).astype(np.float64)
+    m = (crosses & (k >= xmin[ei]) & (k <= xmax[ei])
+         & in_strip(gy1[ei] + t_at(k, gx1[ei], dx[ei]) * dy[ei], i))
+    marks.append((line[i[m]], k[m] - 1, k[m]))
+
+    # The end vertex is marked as the next edge's start; the traversal
+    # marks the edge's last vertical crossing and last midpoint instead,
+    # which only a grid line within rounding of them can set apart (t of
+    # a last line past the start, i.e. of no crossing, clips to 0).
+    kv = np.where(dx > 0, np.floor(gx2), np.ceil(gx2))
+    kh = np.where(dy > 0, np.floor(gy2), np.ceil(gy2))
+    tv = np.where(dx != 0, t_at(kv, gx1, dx), 0.0)
+    tm = 0.5 * (np.maximum(tv, np.where(dy != 0, t_at(kh, gy1, dy), 0.0))
+                + 1.0)
+    vy, mx, my = gy1 + tv * dy, gx1 + tm * dx, gy1 + tm * dy
+    has_v = (dx != 0) & (kv >= xmin) & (kv <= xmax)
+    for px, py, ok in ((kv, vy, has_v & (near_line(vy) | rough)),
+                       (mx, my, near_line(mx) | near_line(my) | rough)):
+        ok &= ~aligned
+        for r in (np.ceil(py) - 1, np.floor(py)):
+            on = np.flatnonzero(ok & (r >= 0) & (r < height))
+            marks.append((gid[on] * height + r[on].astype(np.int64),
+                          np.ceil(px[on]) - 1, np.floor(px[on])))
+
+    line, c0, c1 = (np.concatenate(part) for part in zip(*marks))
+    c0, c1 = np.clip(c0, 0, width), np.clip(c1, -1, width - 1)
+    keep = c1 >= c0
+    starts = (line * width + c0.astype(np.int64))[keep]
+    stops = starts + (c1 - c0 + 1).astype(np.int64)[keep]
+    starts.sort()
+    stops.sort()
+    return (*_merge_runs(starts, stops, width), int(rows.sum()))
+
+
+def boundary_pixels(geometry: Geometry, viewport: Viewport) -> np.ndarray:
+    """Sorted flat ids of the pixels ``geometry``'s boundary may pass
+    through: its PARTIAL runs expanded (see :func:`_boundary_runs`)."""
+    starts, lengths, _ = _boundary_runs(_stack_edges([geometry]), viewport)
+    return kernels.active().expand_ranges(starts, lengths)
+
+
+def _classify_spans(span_starts: np.ndarray, span_lengths: np.ndarray,
+                    partial_starts: np.ndarray, partial_lengths: np.ndarray,
+                    width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coverage spans minus PARTIAL runs, by interval arithmetic:
+    ``(FULL run starts, FULL run lengths, indices of the center-covered
+    pixels into the PARTIAL runs expanded)``.
+
+    Each (span, PARTIAL run) overlap is a cut: the covered-boundary
+    pixels of that span.  The gaps between a span's cuts (and its ends)
+    are the FULL runs.  Nothing is expanded but the cuts — cost follows
+    the number of spans and runs, not the covered or boundary area.
     """
     span_stops = span_starts + span_lengths
-    first = np.searchsorted(boundary, span_starts, side="left")
-    inside = np.searchsorted(boundary, span_stops, side="left") - first
+    partial_stops = partial_starts + partial_lengths
+    # Runs overlapping a span: those ending after its start and
+    # starting before its stop — a contiguous range, as both ascend.
+    first = np.searchsorted(partial_stops, span_starts, side="right")
+    count = np.searchsorted(partial_starts, span_stops, side="left") - first
+    expand = kernels.active().expand_ranges
+    run = expand(first, np.maximum(count, 0))
+    span = np.repeat(np.arange(len(span_starts)), np.maximum(count, 0))
+    cut_starts = np.maximum(partial_starts[run], span_starts[span])
+    cut_stops = np.minimum(partial_stops[run], span_stops[span])
     # Spans ascend and are disjoint, so these indices ascend too.
-    covered = kernels.active().expand_ranges(first, inside)
-    cut = boundary[covered]
+    offsets = np.cumsum(partial_lengths) - partial_lengths
+    covered = expand(offsets[run] + cut_starts - partial_starts[run],
+                     cut_stops - cut_starts)
 
-    # A span with k keys inside yields k + 1 candidate runs: span start
-    # .. first key, key .. key, last key .. span end.  Run by run both
-    # the starts and the stops ascend, so sorting interleaves the two
-    # sources of each into run order.
-    starts = np.sort(np.concatenate([span_starts, cut + 1]))
-    stops = np.sort(np.concatenate([cut, span_stops]))
+    # A span with k cuts yields k + 1 candidate runs: span start .. first
+    # cut, cut .. cut, last cut .. span end.  Run by run both the starts
+    # and the stops ascend, so sorting interleaves the two sources of
+    # each into run order.
+    starts = np.sort(np.concatenate([span_starts, cut_stops]), kind="stable")
+    stops = np.sort(np.concatenate([cut_starts, span_stops]), kind="stable")
     keep = stops > starts
     # Touching spans (or a span pair split only by clipping) were one
     # pixel run; keep them one FULL run.
-    full_starts, full_lengths = _merge_touching(starts[keep], stops[keep],
-                                                width)
+    full_starts, full_lengths = _merge_runs(starts[keep], stops[keep], width)
     return full_starts, full_lengths, covered
 
 
 def rasterize_polygon(geometry: Geometry, viewport: Viewport
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """(interior pixel ids, boundary pixel ids) for one geometry.
+    """(interior pixel ids, boundary pixel ids) for one geometry: its
+    FULL and PARTIAL runs expanded.
 
     *Interior* pixels have their center inside the geometry and are not
     boundary pixels — every point in them is guaranteed inside.
     *Boundary* pixels may contain both inside and outside points.
     """
     edges = _stack_edges([geometry])
-    boundary = _boundary_keys(edges, viewport)
-    starts, lengths, _ = _classify_spans(
-        *_coverage_spans(edges, viewport), boundary, viewport.width)
-    return kernels.active().expand_ranges(starts, lengths), boundary
+    partial = _boundary_runs(edges, viewport)[:2]
+    full = _classify_spans(*_coverage_spans(edges, viewport), *partial,
+                           viewport.width)[:2]
+    expand = kernels.active().expand_ranges
+    return expand(*full), expand(*partial)
 
 
 def rasterize_triangles(triangles: np.ndarray, viewport: Viewport) -> np.ndarray:
@@ -442,8 +441,6 @@ def rasterize_triangles(triangles: np.ndarray, viewport: Viewport) -> np.ndarray
     """
     frags = []
     for tri in triangles:
-        from ..geometry.polygon import Polygon
-
         frags.append(coverage_fragments(Polygon(tri), viewport))
     if not frags:
         return np.empty(0, dtype=np.int64)

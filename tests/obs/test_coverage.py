@@ -14,6 +14,7 @@ from repro.core import (
 from repro.data import generate_taxi_trips
 from repro.obs import Tracer, render
 from repro.obs.trace import leaf_coverage
+from repro.raster.fragments import polygon_pass
 from repro.store import build_store
 from repro.table import F
 
@@ -91,7 +92,8 @@ def test_cold_bounded_query_charges_build_to_fragments_span(city_regions):
     ``ExecutionContext.fragments_for``), so a cold query's build is not
     ``backend.run`` self time.  40 Voronoi regions @ 512 px: the batched
     polygon pass (~8 ms) still dwarfs the backend's own bookkeeping
-    (~0.3 ms); scatter and gather have their own spans."""
+    (~0.3 ms); scatter and gather have their own spans.  The span counts
+    the on-screen (edge, row) pairs, the unit the pass's cost follows."""
     engine = SpatialAggregationEngine(default_resolution=512)
     table = make_store_table(5_000, seed=3)
     root = Tracer().start("query")
@@ -104,10 +106,13 @@ def test_cold_bounded_query_charges_build_to_fragments_span(city_regions):
     assert len(fragments) == 1
     viewport = engine.plan_viewport(city_regions, 512, None)
     intervals = engine.fragments_for(city_regions, viewport).intervals
+    _, edge_rows = polygon_pass(list(city_regions.geometries), viewport)
     assert fragments[0]["attrs"] == {
         "regions": len(city_regions),
         "pixels": viewport.num_pixels,
-        "runs": intervals.num_full_runs + intervals.num_partial_runs}
+        "runs": intervals.num_full_runs + intervals.num_partial_runs,
+        "edge_rows": edge_rows}
+    assert 0 < edge_rows < viewport.num_pixels
     self_s = run["wall_s"] - sum(c["wall_s"] for c in run["children"])
     assert fragments[0]["wall_s"] > self_s, render(root)
 
