@@ -184,14 +184,10 @@ def build_fragment_table(geometries: list[Geometry],
 
 def polygon_pass(geometries: list[Geometry], viewport: Viewport
                  ) -> tuple[FragmentTable, int]:
-    """The fragment table of a region set, and the number of on-screen
-    (edge, row) pairs its boundary pass walked (the unit its cost
-    follows).
-
-    Edges are stacked once; the coverage spans and the PARTIAL runs come
-    out of one vectorized pass each, and the FULL runs are the spans
-    minus the PARTIAL runs.  Only the boundary pairs are expanded.
-    """
+    """The fragment table of a region set and the on-screen (edge, row)
+    pairs its boundary pass walked, the unit its cost follows.  Spans and
+    PARTIAL runs come out of one vectorized pass each over the stacked
+    edges; FULL runs are the spans minus the PARTIAL runs."""
     num_polygons = len(geometries)
     edges = _stack_edges(geometries)
     partial_starts, partial_lengths, edge_rows = _boundary_runs(

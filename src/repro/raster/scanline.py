@@ -79,9 +79,9 @@ def _sorted_pairs(major: np.ndarray, minor: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """``(major, minor)`` pairs sorted by integer ``major``, then float
     ``minor``.  Packed as complex numbers, which NumPy orders
-    lexicographically by (real, imag): one direct sort where
-    ``np.lexsort`` runs two indirect ones at ~2.5x the cost.  Exact for
-    the ids sorted here (far below 2**53)."""
+    lexicographically by (real, imag): one direct sort (a merge sort,
+    which exploits the per-edge ascending runs the pairs arrive in).
+    Exact for the ids sorted here (far below 2**53)."""
     pairs = np.empty(len(major), dtype=np.complex128)
     pairs.real = major
     pairs.imag = minor
@@ -264,15 +264,18 @@ def _boundary_runs(edges: tuple[np.ndarray, ...], viewport: Viewport
     t = np.clip((y - gy1[e]) / np.where(dy == 0, np.inf, dy)[e], 0.0, 1.0)
     x = gx1[e] + t * dx[e]
     # Where an edge stops short of its first (last) line, its strip's
-    # sub-segment ends at the edge's lower (upper) vertex instead.
+    # sub-segment ends at the edge's lower (upper) vertex instead — or,
+    # if that vertex lies on the strip's other line, is that crossing.
     has = np.flatnonzero(rows)
     head = (np.cumsum(lines) - lines)[has]
     tail = head + rows[has]
     vertex = np.zeros(len(x), dtype=bool)
-    for at, short, vx in ((head, y[head] < ylo[has], np.where(lower, gx1, gx2)),
-                          (tail, y[tail] > yhi[has], np.where(lower, gx2, gx1))):
-        at = at[short | (dy[has] == 0)]
-        x[at] = vx[e[at]]
+    for at, end, step, vx in ((head, ylo, 1, np.where(lower, gx1, gx2)),
+                              (tail, yhi, -1, np.where(lower, gx2, gx1))):
+        at = at[(dy[e[at]] == 0) | (step * (end[e[at]] - y[at]) > 0)]
+        ea = e[at]
+        on = (y[at + step] == end[ea]) & (dy[ea] != 0)
+        x[at] = np.where(on, x[at + step], vx[ea])
         vertex[at] = True
 
     # The (edge, row) pair at line j spans the x of lines j and j + 1;
@@ -323,8 +326,7 @@ def _boundary_runs(edges: tuple[np.ndarray, ...], viewport: Viewport
         mx = gx1[ei] + tm * dx[ei]
         m = ok & in_strip(gy1[ei] + tm * dy[ei], i)
         marks.append((line[i[m]], np.ceil(mx[m]) - 1, np.floor(mx[m])))
-    # Vertical crossings from one column past the ends, or every
-    # on-screen one of a rough edge.
+    # Vertical crossings from a column past the ends (rough: on screen).
     k0, k1 = (np.clip(np.where(rough[ei], edge_k, pair_k), -1, width + 1)
               for edge_k, pair_k in ((np.ceil(xmin[ei]), np.ceil(lo[i]) - 1),
                                      (np.floor(xmax[ei]), np.floor(hi[i]) + 1)))
@@ -338,21 +340,21 @@ def _boundary_runs(edges: tuple[np.ndarray, ...], viewport: Viewport
 
     # The end vertex is marked as the next edge's start; the traversal
     # marks the edge's last vertical crossing and last midpoint instead,
-    # which only a grid line within rounding of them can set apart (t of
-    # a last line past the start, i.e. of no crossing, clips to 0).
+    # which only an end vertex within rounding of a grid line (or a rough
+    # edge) can set apart.  With no crossing, t clips to 0.
+    g = np.flatnonzero(~aligned & (near_line(gx2) | near_line(gy2) | rough))
+    gx1, gy1, gx2, gy2, dx, dy = (a[g] for a in (gx1, gy1, gx2, gy2, dx, dy))
     kv = np.where(dx > 0, np.floor(gx2), np.ceil(gx2))
     kh = np.where(dy > 0, np.floor(gy2), np.ceil(gy2))
     tv = np.where(dx != 0, t_at(kv, gx1, dx), 0.0)
     tm = 0.5 * (np.maximum(tv, np.where(dy != 0, t_at(kh, gy1, dy), 0.0))
                 + 1.0)
-    vy, mx, my = gy1 + tv * dy, gx1 + tm * dx, gy1 + tm * dy
-    has_v = (dx != 0) & (kv >= xmin) & (kv <= xmax)
-    for px, py, ok in ((kv, vy, has_v & (near_line(vy) | rough)),
-                       (mx, my, near_line(mx) | near_line(my) | rough)):
-        ok &= ~aligned
+    has_v = (dx != 0) & (kv >= xmin[g]) & (kv <= xmax[g])
+    for px, py, ok in ((kv, gy1 + tv * dy, has_v),
+                       (gx1 + tm * dx, gy1 + tm * dy, True)):
         for r in (np.ceil(py) - 1, np.floor(py)):
             on = np.flatnonzero(ok & (r >= 0) & (r < height))
-            marks.append((gid[on] * height + r[on].astype(np.int64),
+            marks.append((gid[g[on]] * height + r[on].astype(np.int64),
                           np.ceil(px[on]) - 1, np.floor(px[on])))
 
     line, c0, c1 = (np.concatenate(part) for part in zip(*marks))
