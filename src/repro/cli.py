@@ -274,8 +274,7 @@ def _cmd_session(args) -> int:
 
     session = InteractiveSession(manager, "data", "regions",
                                  method=args.method,
-                                 resolution=args.resolution,
-                                 tcube=args.tcube)
+                                 resolution=args.resolution)
     tvals = (table.values("t") if table.has_column("t") else None)
     if tvals is not None and len(tvals):
         t0, t1 = int(tvals.min()), int(tvals.max()) + 1
@@ -549,10 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
     ses.add_argument("--resolution", type=int, default=512)
     ses.add_argument("--method", default="bounded", choices=METHODS,
                      help="backend for every gesture (or 'auto')")
-    ses.add_argument("--no-tcube", dest="tcube", action="store_false",
-                     default=True,
-                     help="disable the temporal canvas cube for "
-                          "time-brush gestures (always re-scatter)")
     ses.set_defaults(func=_cmd_session)
 
     srv = sub.add_parser("serve",

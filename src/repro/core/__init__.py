@@ -73,9 +73,9 @@ from .tcube import (
     TCUBE_AGGREGATES,
     TemporalCanvasCube,
     build_temporal_canvas_cube,
+    cube_for_brush,
     infer_bucket_seconds,
     split_time_filter,
-    tcube_servable,
 )
 from .tiling import (
     TilePartial,
@@ -126,6 +126,7 @@ __all__ = [
     "bounded_raster_join",
     "bounded_raster_join_multi",
     "build_temporal_canvas_cube",
+    "cube_for_brush",
     "epsilon_for_viewport",
     "fingerprint",
     "get_backend",
@@ -142,7 +143,6 @@ __all__ = [
     "relative_bound_width",
     "resolution_for_epsilon",
     "split_time_filter",
-    "tcube_servable",
     "tiled_bounded_raster_join",
     "to_sql",
     "tokenize",

@@ -14,14 +14,13 @@ from __future__ import annotations
 import time
 
 from ...errors import QueryError
-from ..aggregates import COUNT
+from ..pipeline import TableSource
 from ..tcube import (
     MAX_TCUBE_SLICES,
-    TCUBE_AGGREGATES,
+    TemporalCanvasCube,
     build_temporal_canvas_cube,
+    cube_for_brush,
     find_answering_cube,
-    infer_bucket_seconds,
-    split_time_filter,
 )
 from .base import Backend, BackendCapabilities
 from .raster import _fragment_cost, planned_pixels
@@ -59,54 +58,35 @@ class TemporalCanvasCubeBackend(Backend):
 
     def run(self, ctx, plan):
         query = plan.query
-        if query.agg not in TCUBE_AGGREGATES:
-            raise QueryError(
-                f"tcube-raster answers {TCUBE_AGGREGATES}, not "
-                f"{query.agg!r}")
-        tr, residual = split_time_filter(query)
-        if tr is None:
-            raise QueryError(
-                "tcube-raster needs exactly one TimeRange filter "
-                "(the brush predicate the cube pre-aggregates)")
         viewport = plan.viewport or ctx.plan_viewport(
             plan.regions, plan.resolution, plan.epsilon)
+        chosen = cube_for_brush(ctx, plan.table, query, viewport)
+        if chosen is None:
+            raise QueryError(
+                f"no temporal canvas cube serves {query.describe()} "
+                f"within {MAX_TCUBE_SLICES} slices and the memory cap; "
+                f"re-scatter instead")
         fragments = ctx.fragments_for(plan.regions, viewport)
 
         built = False
-        build_s = 0.0
-        cube = find_answering_cube(ctx, plan.table, query, viewport)
-        if cube is not None:
+        t0 = time.perf_counter()
+        if isinstance(chosen, TemporalCanvasCube):
             # Re-fetch through the cache so the hit counts and the
             # entry is LRU-touched.
-            cube = ctx.tcube_for(plan.table, cube.spec, lambda: cube)
+            cube = ctx.tcube_for(plan.table, chosen.spec, lambda: chosen)
         else:
-            value_column = (query.value_column
-                            if query.agg != COUNT else None)
-            tvals = plan.table.column(tr.column).values
-            if len(tvals):
-                bucket = infer_bucket_seconds(
-                    tr.start, tr.end, int(tvals.min()), int(tvals.max()))
-            else:
-                bucket = max(1, int(tr.end) - int(tr.start))
-            if bucket is None:
-                raise QueryError(
-                    f"no bucket width aligns with brush "
-                    f"[{tr.start}, {tr.end}) within {MAX_TCUBE_SLICES} "
-                    f"slices; re-scatter instead")
-            spec = (viewport, tr.column, int(bucket), value_column,
-                    residual)
-            t0 = time.perf_counter()
+            __, time_column, bucket, value_column, residual = chosen
 
             def build():
                 nonlocal built
                 built = True
                 return build_temporal_canvas_cube(
-                    plan.table, viewport, tr.column, bucket,
-                    value_column=value_column, residual_filters=residual)
+                    TableSource(plan.table, ctx, plan.cancel), viewport,
+                    time_column, bucket, value_column=value_column,
+                    residual_filters=residual)
 
-            cube = ctx.tcube_for(plan.table, spec, build)
-            if built:
-                build_s = time.perf_counter() - t0
+            cube = ctx.tcube_for(plan.table, chosen, build)
+        build_s = time.perf_counter() - t0 if built else 0.0
 
         result = cube.answer(plan.regions, fragments, query,
                              viewport=viewport)

@@ -32,10 +32,12 @@ exact in float64 regardless of addition order); SUM matches bitwise
 for integer-valued columns and to float round-off otherwise; AVG
 follows from the two.
 
-Cube construction is one ``np.bincount`` per canvas kind plus a cumsum,
-so the one-time build amortizes within a few brush steps.  Appends
-(streaming) increment the tail bucket in place instead of invalidating
-the cube.
+Cube construction is the point pipeline's filter → project → fold
+(:mod:`repro.core.pipeline`) into (bucket, active pixel) cells plus a
+cumsum, so the one-time build amortizes within a few brush steps.
+Appends (streaming) fold into the tail bucket in place instead of
+invalidating the cube.  :func:`cube_for_brush` is the one rule for
+which cube serves a brush.
 """
 
 from __future__ import annotations
@@ -46,12 +48,14 @@ import time
 import numpy as np
 
 from ..errors import CubeError, QueryError
+from ..obs.trace import span
 from ..raster import FragmentTable, Viewport
 from ..raster.pyramid import reduce2x2
-from ..table import TIMESTAMP, PointTable, TimeRange, combine_filters
+from ..table import TIMESTAMP, PointTable, TimeRange
 from .aggregates import AVG, COUNT, SUM
 from .bounded import _join_covered
 from .bounds import boundary_mass_bounds, epsilon_for_viewport
+from .pipeline import Window, as_source, fold, new_canvases, project
 from .query import SpatialAggregation
 from .regions import RegionSet
 from .result import AggregationResult
@@ -424,109 +428,25 @@ class TemporalCanvasCube:
             raise CubeError(
                 "viewport is neither the cube's own nor a same-grid "
                 "pyramid coarsening of it")
-        if levels:
-            return self._answer_reduced(regions, fragments, query,
-                                        viewport, levels, b0, b1)
 
         t0 = time.perf_counter()
-        rows = self._join_rows(fragments)
-        covered = rows["covered"]
-        if query.agg == COUNT:
-            estimate = covered["count"][b1] - covered["count"][b0]
-        elif query.agg == SUM:
-            estimate = covered["sum"][b1] - covered["sum"][b0]
-        else:  # AVG — same nan-for-empty convention as _join_covered
-            sums = covered["sum"][b1] - covered["sum"][b0]
-            counts = covered["count"][b1] - covered["count"][b0]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                estimate = sums / counts
-            estimate[counts == 0] = np.nan
-
-        lower = upper = None
-        if query.agg in (COUNT, SUM):
-            kind = "count" if query.agg == COUNT else (
-                "sum" if self.nonnegative_values else "mass")
-            in_rows = rows["covered_boundary"][kind]
-            all_rows = rows["boundary"][kind]
-            mass_in = in_rows[b1] - in_rows[b0]
-            mass_out = (all_rows[b1] - all_rows[b0]) - mass_in
-            lower, upper = estimate - mass_in, estimate + mass_out
-        t_join = time.perf_counter() - t0
-
-        points = int(round(self.bucket_totals("count")[b0:b1].sum()))
+        with span("tcube.answer", slices_touched=b1 - b0,
+                  reduced_levels=levels):
+            brushed = int(round(self.bucket_totals("count")[b0:b1].sum()))
+            if levels:
+                estimate, lower, upper, in_viewport = self._answer_reduced(
+                    fragments, query, viewport, levels, b0, b1)
+            else:
+                estimate, lower, upper = self._answer_rows(
+                    fragments, query, b0, b1)
+                in_viewport = brushed
         stats = {
-            "points_total": int(self.stats.get("points_total", points)),
-            "points_after_filter": points,
-            "points_in_viewport": points,
+            "points_total": int(self.stats.get("points_total", brushed)),
+            "points_after_filter": brushed,
+            "points_in_viewport": in_viewport,
             "time_polygon_pass_s": 0.0,
             "time_point_pass_s": 0.0,
-            "time_join_s": t_join,
-            "interior_fragments": fragments.num_interior_fragments,
-            "boundary_fragments": fragments.num_boundary_fragments,
-            "canvas_pixels": self.viewport.num_pixels,
-            "epsilon_world_units": epsilon_for_viewport(self.viewport),
-            "tcube": {
-                "slices": self.num_buckets,
-                "slices_touched": b1 - b0,
-                "slice_range": [b0, b1],
-                "bucket_seconds": self.bucket_seconds,
-                "active_pixels": self.num_active_pixels,
-                "memory_bytes": self.memory_bytes(),
-                "reduced_levels": 0,
-            },
-        }
-        return AggregationResult(
-            regions=regions,
-            values=estimate,
-            method="tcube-raster-join",
-            lower=lower,
-            upper=upper,
-            exact=False,
-            stats=stats,
-        )
-
-    def _answer_reduced(self, regions: RegionSet, fragments: FragmentTable,
-                        query: SpatialAggregation, viewport: Viewport,
-                        levels: int, b0: int, b1: int) -> AggregationResult:
-        """The pyramid-coarsened brush: slice-difference the count
-        canvas, 2x2-reduce it ``levels`` times, then run the ordinary
-        gather join + boundary-mass bounds at the coarse viewport.
-
-        Count planes hold small integers, so the pairwise reduction is
-        exact — the answer is bitwise-equal to re-scattering the brushed
-        points at the coarse viewport.  O(pixels) per brush rather than
-        the O(regions) row difference, but still point-count-free.
-        """
-        if query.agg != COUNT:
-            raise QueryError(
-                "pyramid-reduced tcube answers serve COUNT only; "
-                f"got {query.agg!r}")
-        t0 = time.perf_counter()
-        canvas = self.range_canvas("count", b0, b1).reshape(
-            self.viewport.height, self.viewport.width)
-        for __ in range(levels):
-            canvas = reduce2x2(canvas, "sum")
-        # Crop to the query window: reduced pixel (j, i) is absolute
-        # coarse pixel (cube.row0 / scale + j, cube.col0 / scale + i),
-        # and reduce_levels_for guaranteed the query window lies inside.
-        scale = 1 << levels
-        offx = viewport.col0 - self.viewport.col0 // scale
-        offy = viewport.row0 - self.viewport.row0 // scale
-        canvas = canvas[offy:offy + viewport.height,
-                        offx:offx + viewport.width]
-        flat = np.ascontiguousarray(canvas).ravel()
-        estimate = _join_covered(fragments, {"count": flat}, COUNT)
-        lower, upper = boundary_mass_bounds(fragments, estimate, flat)
-        t_join = time.perf_counter() - t0
-
-        points = int(round(self.bucket_totals("count")[b0:b1].sum()))
-        stats = {
-            "points_total": int(self.stats.get("points_total", points)),
-            "points_after_filter": points,
-            "points_in_viewport": points,
-            "time_polygon_pass_s": 0.0,
-            "time_point_pass_s": 0.0,
-            "time_join_s": t_join,
+            "time_join_s": time.perf_counter() - t0,
             "interior_fragments": fragments.num_interior_fragments,
             "boundary_fragments": fragments.num_boundary_fragments,
             "canvas_pixels": viewport.num_pixels,
@@ -550,6 +470,70 @@ class TemporalCanvasCube:
             exact=False,
             stats=stats,
         )
+
+    def _answer_rows(self, fragments: FragmentTable,
+                     query: SpatialAggregation, b0: int, b1: int) -> tuple:
+        """(estimate, lower, upper) as differences of the prefix-gathered
+        join rows at the cube's own viewport."""
+        rows = self._join_rows(fragments)
+        covered = rows["covered"]
+        if query.agg == COUNT:
+            estimate = covered["count"][b1] - covered["count"][b0]
+        elif query.agg == SUM:
+            estimate = covered["sum"][b1] - covered["sum"][b0]
+        else:  # AVG — same nan-for-empty convention as _join_covered
+            sums = covered["sum"][b1] - covered["sum"][b0]
+            counts = covered["count"][b1] - covered["count"][b0]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                estimate = sums / counts
+            estimate[counts == 0] = np.nan
+
+        lower = upper = None
+        if query.agg in (COUNT, SUM):
+            kind = "count" if query.agg == COUNT else (
+                "sum" if self.nonnegative_values else "mass")
+            in_rows = rows["covered_boundary"][kind]
+            all_rows = rows["boundary"][kind]
+            mass_in = in_rows[b1] - in_rows[b0]
+            mass_out = (all_rows[b1] - all_rows[b0]) - mass_in
+            lower, upper = estimate - mass_in, estimate + mass_out
+        return estimate, lower, upper
+
+    def _answer_reduced(self, fragments: FragmentTable,
+                        query: SpatialAggregation, viewport: Viewport,
+                        levels: int, b0: int, b1: int) -> tuple:
+        """The pyramid-coarsened brush: slice-difference the count
+        canvas, 2x2-reduce it ``levels`` times, crop it to ``viewport``,
+        then run the ordinary gather join + boundary-mass bounds there.
+        Returns (estimate, lower, upper, points in ``viewport``).
+
+        Count planes hold small integers, so the pairwise reduction is
+        exact — the answer is bitwise-equal to re-scattering the brushed
+        points at the coarse viewport, and the cropped canvas's total is
+        exactly the brushed points inside the query window.  O(pixels)
+        per brush rather than the O(regions) row difference, but still
+        point-count-free.
+        """
+        if query.agg != COUNT:
+            raise QueryError(
+                "pyramid-reduced tcube answers serve COUNT only; "
+                f"got {query.agg!r}")
+        canvas = self.range_canvas("count", b0, b1).reshape(
+            self.viewport.height, self.viewport.width)
+        for __ in range(levels):
+            canvas = reduce2x2(canvas, "sum")
+        # Crop to the query window: reduced pixel (j, i) is absolute
+        # coarse pixel (cube.row0 / scale + j, cube.col0 / scale + i),
+        # and reduce_levels_for guaranteed the query window lies inside.
+        scale = 1 << levels
+        offx = viewport.col0 - self.viewport.col0 // scale
+        offy = viewport.row0 - self.viewport.row0 // scale
+        canvas = canvas[offy:offy + viewport.height,
+                        offx:offx + viewport.width]
+        flat = np.ascontiguousarray(canvas).ravel()
+        estimate = _join_covered(fragments, {"count": flat}, COUNT)
+        lower, upper = boundary_mass_bounds(fragments, estimate, flat)
+        return estimate, lower, upper, int(flat.sum())
 
     # -- incremental maintenance ------------------------------------------
 
@@ -615,28 +599,22 @@ class TemporalCanvasCube:
                 self.prefix["mass"] = self.prefix["sum"].copy()
                 self.nonnegative_values = False
 
-        weights = {"count": None}
-        if vals is not None:
-            weights["sum"] = vals
-            if "mass" in self.prefix:
-                weights["mass"] = np.abs(vals)
-
+        # Tail deltas from the tail bucket on; every stored plane folds
+        # on its own (the mass plane, when stored, folds |v|).
         width = len(self.active_pixels)
         base = max(0, num - 1)
-        lin = (buckets - base) * width + cols
         slices = new_num - base
-        for kind, w in weights.items():
+        canvases = {kind: np.zeros(slices * width) for kind in self.prefix}
+        deltas = _fold_cells(canvases, buckets - base, cols, vals, slices,
+                             width)
+        for kind, delta in deltas.items():
             plane = self.prefix[kind]
-            delta = np.bincount(lin, weights=w, minlength=slices * width
-                                ).astype(np.float64).reshape(slices, width)
             if num > 0:
                 plane[num] += delta[0]
-                tail = delta[1:]
-            else:
-                tail = delta
-            if len(tail):
-                plane = np.vstack([plane, plane[-1] + np.cumsum(tail,
-                                                                axis=0)])
+                delta = delta[1:]
+            if len(delta):
+                plane = np.vstack([plane,
+                                   plane[-1] + np.cumsum(delta, axis=0)])
             self.prefix[kind] = plane
         self._totals.clear()
         self._joins.clear()
@@ -644,8 +622,27 @@ class TemporalCanvasCube:
                                       + len(pixel_ids))
 
 
+def _fold_cells(canvases: dict, buckets: np.ndarray, cols: np.ndarray,
+                values: np.ndarray | None, slices: int, width: int) -> dict:
+    """Fold points into their (bucket, active column) cells with the
+    point pipeline's :func:`~repro.core.pipeline.fold`; returns each
+    stored kind's ``(slices, width)`` deltas (a ``mass`` canvas
+    aliasing ``sum`` is not stored twice).
+
+    The build and :meth:`TemporalCanvasCube.append` share it.  Each
+    cell folds its points in point order, and ``np.add.at`` into zeros
+    equals ``np.bincount`` in element order, so the deltas are the
+    per-bucket bincounts bit for bit.
+    """
+    fold(canvases, buckets * width + cols, values)
+    sums = canvases.get("sum")
+    return {kind: canvas.reshape(slices, width)
+            for kind, canvas in canvases.items()
+            if not (kind == "mass" and canvas is sums)}
+
+
 def build_temporal_canvas_cube(
-    table: PointTable,
+    table,
     viewport: Viewport,
     time_column: str,
     bucket_seconds: int,
@@ -653,99 +650,91 @@ def build_temporal_canvas_cube(
     residual_filters=(),
     origin: int | None = None,
 ) -> TemporalCanvasCube:
-    """Bucket, scatter, and prefix-sum a table into a cube."""
+    """Bucket, scatter, and prefix-sum a table into a cube.
+
+    The point pass is :mod:`repro.core.pipeline`'s: ``table`` — a point
+    table or a source over one; the ``tcube-raster`` backend passes the
+    engine's :class:`~repro.core.pipeline.TableSource`, so the residual
+    filter mask is the one already cached — is filtered and projected
+    into ``viewport``, and each point folds into its (bucket, active
+    pixel) cell.  A ``mass`` plane is stored only when the source cannot
+    prove the values non-negative, the rule the bounded canvases use.
+    """
     t_start = time.perf_counter()
     bucket_seconds = int(bucket_seconds)
     if bucket_seconds < 1:
         raise QueryError("bucket_seconds must be >= 1")
-    col = table.column(time_column)
-    if col.kind != TIMESTAMP:
-        raise QueryError(
-            f"{time_column!r} is not a timestamp column (kind "
-            f"{col.kind!r})")
+    source = as_source(table)
     residual_filters = tuple(residual_filters)
+    query = SpatialAggregation(COUNT if value_column is None else SUM,
+                               value_column, residual_filters)
 
-    mask = combine_filters(list(residual_filters)).mask(table)
-    keep = np.flatnonzero(mask)
-    pixel_ids, valid = viewport.pixel_ids_of(table.x[keep], table.y[keep])
-    covers_all = bool(valid.all())
-    if not covers_all:
-        keep = keep[valid]
-        pixel_ids = pixel_ids[valid]
-    tvals = col.values[keep]
+    with span("tcube.build") as sp:
+        with source.span():
+            (table, rows), = source.chunks(query)  # in memory: one chunk
+            col = table.column(time_column)
+            if col.kind != TIMESTAMP:
+                raise QueryError(
+                    f"{time_column!r} is not a timestamp column (kind "
+                    f"{col.kind!r})")
+            rows, pix, values = project(table, rows, query, Window(viewport))
+            tvals = col.values if rows is None else col.values[rows]
+            if origin is None and len(tvals):
+                origin = int(tvals.min()) // bucket_seconds * bucket_seconds
+            buckets = ((tvals - (origin or 0))
+                       // bucket_seconds).astype(np.int64)
+            if len(buckets) and int(buckets.min()) < 0:
+                raise QueryError("points precede the cube origin")
+            num_buckets = int(buckets.max()) + 1 if len(buckets) else 0
+            if num_buckets > MAX_TCUBE_SLICES:
+                raise CubeError(
+                    f"{num_buckets} time slices exceed the cube cap "
+                    f"{MAX_TCUBE_SLICES}; use a coarser bucket")
+            active = np.unique(pix)
+            width = int(len(active))
+            kinds = ["count"]
+            if value_column is not None:
+                kinds += (["sum"] if source.nonnegative(query)
+                          else ["sum", "mass"])
+            estimated = len(kinds) * (num_buckets + 1) * width * 8
+            if estimated > MAX_TCUBE_BYTES:
+                raise CubeError(
+                    f"cube would need ~{estimated // (1024 * 1024)} MB "
+                    f"(cap {MAX_TCUBE_BYTES // (1024 * 1024)} MB); use a "
+                    f"coarser bucket")
+            canvases = new_canvases(source, query, kinds,
+                                    num_buckets * width)
+            deltas = _fold_cells(canvases, buckets,
+                                 np.searchsorted(active, pix), values,
+                                 num_buckets, width)
+        prefix = {}
+        with span("tcube.prefix"):
+            for kind, delta in deltas.items():
+                # Row-by-row adds: each column's left fold, the same bits
+                # as np.cumsum(axis=0) without its strided column walk.
+                plane = np.zeros((num_buckets + 1, width))
+                for b in range(num_buckets):
+                    np.add(plane[b], delta[b], out=plane[b + 1])
+                prefix[kind] = plane
+        sp.set(points=len(pix), buckets=num_buckets, active_pixels=width)
 
-    values = None
-    nonneg = True
-    kinds = ["count"]
-    if value_column is not None:
-        vcol = table.column(value_column)
-        if vcol.kind == "categorical":
-            raise QueryError(
-                f"cannot aggregate categorical column {value_column!r}")
-        values = vcol.values.astype(np.float64, copy=False)[keep]
-        nonneg = bool(len(values) == 0 or values.min() >= 0)
-        kinds.append("sum")
-        if not nonneg:
-            kinds.append("mass")
-
-    def finish(active, prefix, origin_, num_buckets):
-        build_stats = {
-            "points_total": len(table),
-            "points_in_cube": int(len(pixel_ids)),
+    return TemporalCanvasCube(
+        viewport=viewport, time_column=time_column,
+        bucket_seconds=bucket_seconds, origin=origin,
+        active_pixels=active, prefix=prefix,
+        value_column=value_column, residual_filters=residual_filters,
+        nonnegative_values="mass" not in prefix,
+        covers_all_points=len(pix) == source.filtered_count(query),
+        stats={
+            "points_total": len(source.table),
+            "points_in_cube": int(len(pix)),
             "buckets": num_buckets,
-            "active_pixels": int(len(active)),
+            "active_pixels": width,
             "build_s": time.perf_counter() - t_start,
-        }
-        return TemporalCanvasCube(
-            viewport=viewport, time_column=time_column,
-            bucket_seconds=bucket_seconds, origin=origin_,
-            active_pixels=active, prefix=prefix,
-            value_column=value_column, residual_filters=residual_filters,
-            nonnegative_values=nonneg, covers_all_points=covers_all,
-            stats=build_stats)
-
-    if len(tvals) == 0:
-        active = np.empty(0, dtype=np.int64)
-        prefix = {k: np.zeros((1, 0)) for k in kinds}
-        return finish(active, prefix, origin, 0)
-
-    if origin is None:
-        origin = int(tvals.min()) // bucket_seconds * bucket_seconds
-    buckets = ((tvals - origin) // bucket_seconds).astype(np.int64)
-    if int(buckets.min()) < 0:
-        raise QueryError("points precede the cube origin")
-    num_buckets = int(buckets.max()) + 1
-    if num_buckets > MAX_TCUBE_SLICES:
-        raise CubeError(
-            f"{num_buckets} time slices exceed the cube cap "
-            f"{MAX_TCUBE_SLICES}; use a coarser bucket")
-    active = np.unique(pixel_ids)
-    width = int(len(active))
-    estimated = len(kinds) * (num_buckets + 1) * width * 8
-    if estimated > MAX_TCUBE_BYTES:
-        raise CubeError(
-            f"cube would need ~{estimated // (1024 * 1024)} MB "
-            f"(cap {MAX_TCUBE_BYTES // (1024 * 1024)} MB); use a "
-            f"coarser bucket")
-    cols = np.searchsorted(active, pixel_ids)
-
-    # One bincount per kind over the flattened (bucket, active pixel)
-    # cells: each cell accumulates its points in table order, so the
-    # deltas are bitwise-reproducible.
-    cells = buckets * width + cols
-    prefix = {}
-    for kind in kinds:
-        weights = (None if kind == "count" else values if kind == "sum"
-                   else np.abs(values))
-        delta = np.bincount(cells, weights=weights,
-                            minlength=num_buckets * width)
-        plane = np.zeros((num_buckets + 1, width))
-        np.cumsum(delta.reshape(num_buckets, width), axis=0, out=plane[1:])
-        prefix[kind] = plane
-    return finish(active, prefix, origin, num_buckets)
+        })
 
 
-# -- context probes ------------------------------------------------------------
+# -- cube selection ------------------------------------------------------------
 
 
 def find_answering_cube(ctx, table: PointTable, query: SpatialAggregation,
@@ -757,35 +746,63 @@ def find_answering_cube(ctx, table: PointTable, query: SpatialAggregation,
     return None
 
 
-def tcube_servable(ctx, table: PointTable, query: SpatialAggregation,
-                   viewport: Viewport) -> bool:
-    """Whether ``method='tcube-raster'`` could serve this query — either
-    a cached cube already answers, or one build within the slice/memory
-    caps would.  Cheap (no scatter); the session's brush gate."""
+def cube_for_brush(ctx, table: PointTable, query: SpatialAggregation,
+                   viewport: Viewport):
+    """Which cube serves this brush — the one selection rule.
+
+    Returns the cached :class:`TemporalCanvasCube` that answers
+    ``query`` at ``viewport``; else the build spec (the
+    :attr:`TemporalCanvasCube.spec` tuple) of the cube one build within
+    :data:`MAX_TCUBE_SLICES` / :data:`MAX_TCUBE_BYTES` would make; else
+    None (re-scatter instead).  Cheap — it never scatters.  The
+    session's brush gate and the ``tcube-raster`` backend both ask it.
+    """
     if query.agg not in TCUBE_AGGREGATES:
-        return False
-    tr, __ = split_time_filter(query)
-    if tr is None:
-        return False
-    if not table.has_column(tr.column) or \
+        return None
+    tr, residual = split_time_filter(query)
+    if tr is None or not table.has_column(tr.column) or \
             table.column(tr.column).kind != TIMESTAMP:
-        return False
-    if query.agg != COUNT:
-        if not table.has_column(query.value_column) or \
-                table.column(query.value_column).kind == "categorical":
-            return False
-    if find_answering_cube(ctx, table, query, viewport) is not None:
-        return True
-    if len(table) == 0:
-        return True
+        return None
+    value_column = None if query.agg == COUNT else query.value_column
+    if value_column is not None and (
+            not table.has_column(value_column)
+            or table.column(value_column).kind == "categorical"):
+        return None
+    cube = find_answering_cube(ctx, table, query, viewport)
+    if cube is not None:
+        return cube
     tvals = table.column(tr.column).values
-    bucket = infer_bucket_seconds(tr.start, tr.end,
-                                  int(tvals.min()), int(tvals.max()))
-    if bucket is None:
-        return False
-    origin = int(tvals.min()) // bucket * bucket
-    num_buckets = (int(tvals.max()) - origin) // bucket + 1
-    planes = 1 if query.agg == COUNT else 2
-    bound_active = min(len(table), viewport.num_pixels)
-    estimated = planes * (num_buckets + 1) * bound_active * 8
-    return estimated <= MAX_TCUBE_BYTES
+    if len(tvals) == 0:
+        bucket = max(1, int(tr.end) - int(tr.start))
+    else:
+        tmin, tmax = int(tvals.min()), int(tvals.max())
+        bucket = infer_bucket_seconds(tr.start, tr.end, tmin, tmax)
+        if bucket is None:
+            return None
+        num_buckets = (tmax - tmin // bucket * bucket) // bucket + 1
+        planes = 1 if value_column is None else 2
+        bound_active = min(len(table), viewport.num_pixels)
+        if planes * (num_buckets + 1) * bound_active * 8 > MAX_TCUBE_BYTES:
+            return None
+    return (viewport, tr.column, int(bucket), value_column, residual)
+
+
+def find_timeline_cube(ctx, table: PointTable, time_column: str,
+                       bucket_seconds: int, filters, value_column=None,
+                       viewport: Viewport | None = None
+                       ) -> TemporalCanvasCube | None:
+    """A cached non-empty cube slicing ``table`` into ``bucket_seconds``
+    buckets of ``time_column`` under exactly ``filters`` (and holding
+    ``value_column`` sums, when given) — the timeline's peek, never a
+    build.  With ``viewport`` the cube must be on it; without, it must
+    hold every filtered point (``covers_all_points``)."""
+    for cube in ctx.cached_tcubes(table):
+        if (cube is not None and cube.num_buckets
+                and cube.time_column == time_column
+                and cube.bucket_seconds == bucket_seconds
+                and value_column in (None, cube.value_column)
+                and (cube.covers_all_points if viewport is None
+                     else cube.viewport == viewport)
+                and _same_filters(cube.residual_filters, filters)):
+            return cube
+    return None

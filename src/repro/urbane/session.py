@@ -284,12 +284,8 @@ class InteractiveSession(GestureSession):
     """Replays exploration gestures against an in-process engine."""
 
     def __init__(self, manager: DataManager, dataset: str, regions: str,
-                 method: str = "bounded", resolution: int = 512,
-                 tcube: bool = True):
+                 method: str = "bounded", resolution: int = 512):
         self.manager = manager
-        #: Route timeline brushes through the temporal canvas cube when
-        #: one can serve them (built on the first brush, hit afterwards).
-        self.tcube = bool(tcube)
         super().__init__(dataset, regions, method, int(resolution))
 
     def set_region_level(self, regions: str) -> AggregationResult:
@@ -314,7 +310,7 @@ class InteractiveSession(GestureSession):
 
     def _run(self, op: str, query: SpatialAggregation) -> AggregationResult:
         method = self.method
-        if self.tcube and op == "time-brush":
+        if op == "time-brush":
             method = self._brush_method(query)
         try:
             return self.manager.aggregate(
@@ -337,11 +333,11 @@ class InteractiveSession(GestureSession):
 
         A brush only changes the :class:`TimeRange` predicate, which is
         exactly what the temporal canvas cube answers in O(pixels); when
-        :func:`tcube_servable` says the cube path applies (aggregate,
-        alignment, and budget-wise) the gesture runs ``tcube-raster``
+        :func:`~repro.core.tcube.cube_for_brush` finds a cached cube or
+        a build within the caps, the gesture runs ``tcube-raster``
         (building the cube on the first brush, hitting it afterwards).
         """
-        from ..core.tcube import tcube_servable
+        from ..core.tcube import cube_for_brush
 
         engine = self.manager.engine
         try:
@@ -349,7 +345,8 @@ class InteractiveSession(GestureSession):
             regions = self.manager.region_set(self.state.regions)
             viewport = self._viewport or engine.plan_viewport(
                 regions, self.resolution, None)
-            if tcube_servable(engine.ctx, table, query, viewport):
+            if cube_for_brush(engine.ctx, table, query,
+                              viewport) is not None:
                 return "tcube-raster"
         except ReproError:
             pass

@@ -127,42 +127,32 @@ class TimelineView:
         labeled extent the exact path would produce.
         """
         from ..core.heatmatrix import RegionTimeMatrix, pixel_region_labels
-        from ..core.tcube import _same_filters
+        from ..core.tcube import find_timeline_cube
 
-        ctx = self.manager.engine.ctx
-        for cube in ctx.cached_tcubes(table):
-            if cube is None or cube.viewport != viewport:
-                continue
-            if cube.bucket_seconds != bucket_s or \
-                    cube.time_column != time_column:
-                continue
-            if not _same_filters(cube.residual_filters, filters):
-                continue
-            if value_column is not None and \
-                    cube.value_column != value_column:
-                continue
-            if cube.num_buckets == 0:
-                continue
-            labels = pixel_region_labels(fragments)
-            counts = cube.region_matrix(labels, len(regions), "count")
-            live = np.flatnonzero(counts.any(axis=0))
-            if len(live) == 0:
-                continue
-            lo, hi = int(live[0]), int(live[-1]) + 1
-            values = (counts if value_column is None
-                      else cube.region_matrix(labels, len(regions), "sum"))
-            return RegionTimeMatrix(
-                regions=regions,
-                bucket_starts=cube.bucket_starts[lo:hi],
-                values=values[:, lo:hi],
-                bucket_seconds=bucket_s,
-                stats={
-                    "source": "tcube",
-                    "points_labeled": int(round(counts.sum())),
-                    "epsilon_world_units": viewport.pixel_diag,
-                },
-            )
-        return None
+        cube = find_timeline_cube(self.manager.engine.ctx, table,
+                                  time_column, bucket_s, filters,
+                                  value_column, viewport=viewport)
+        if cube is None:
+            return None
+        labels = pixel_region_labels(fragments)
+        counts = cube.region_matrix(labels, len(regions), "count")
+        live = np.flatnonzero(counts.any(axis=0))
+        if len(live) == 0:
+            return None
+        lo, hi = int(live[0]), int(live[-1]) + 1
+        values = (counts if value_column is None
+                  else cube.region_matrix(labels, len(regions), "sum"))
+        return RegionTimeMatrix(
+            regions=regions,
+            bucket_starts=cube.bucket_starts[lo:hi],
+            values=values[:, lo:hi],
+            bucket_seconds=bucket_s,
+            stats={
+                "source": "tcube",
+                "points_labeled": int(round(counts.sum())),
+                "epsilon_world_units": viewport.pixel_diag,
+            },
+        )
 
     def series(
         self,
@@ -226,26 +216,16 @@ class TimelineView:
         point set at the identical origin, so the per-bucket totals are
         the same ``bincount`` the exact path computes.
         """
-        from ..core.tcube import _same_filters
+        from ..core.tcube import find_timeline_cube
 
-        ctx = self.manager.engine.ctx
-        for cube in ctx.cached_tcubes(table):
-            if cube is None or not cube.covers_all_points:
-                continue
-            if cube.bucket_seconds != bucket_s or \
-                    cube.time_column != time_column:
-                continue
-            if not _same_filters(cube.residual_filters, filters):
-                continue
-            if value_column is not None and \
-                    cube.value_column != value_column:
-                continue
-            if cube.num_buckets == 0:
-                continue
-            kind = "count" if value_column is None else "sum"
-            return TimeSeries(cube.bucket_starts,
-                              cube.bucket_totals(kind), bucket_s, label)
-        return None
+        cube = find_timeline_cube(self.manager.engine.ctx, table,
+                                  time_column, bucket_s, filters,
+                                  value_column)
+        if cube is None:
+            return None
+        kind = "count" if value_column is None else "sum"
+        return TimeSeries(cube.bucket_starts, cube.bucket_totals(kind),
+                          bucket_s, label)
 
     def _inside_mask(self, table, regions, region_name) -> np.ndarray:
         """Point-in-region mask, cached in the engine's unified cache.

@@ -16,9 +16,9 @@ from repro.core import (
     TCUBE_AGGREGATES,
     bounded_raster_join,
     build_temporal_canvas_cube,
+    cube_for_brush,
     infer_bucket_seconds,
     split_time_filter,
-    tcube_servable,
 )
 from repro.core.tcube import find_answering_cube
 from repro.errors import CubeError, QueryError
@@ -304,16 +304,16 @@ class TestEngineIntegration:
         assert result.stats["plan"]["decision"]["chosen"] == "tcube-raster"
         assert result.stats["tcube"]["hit"]
 
-    def test_tcube_servable_gates(self, cube_table, simple_regions):
+    def test_cube_for_brush_gates(self, cube_table, simple_regions):
         engine = SpatialAggregationEngine(default_resolution=256)
         viewport = engine.plan_viewport(simple_regions, None, None)
         ctx = engine.ctx
         aligned = brush_query("count", None, T0, T0 + 2 * HOUR)
-        assert tcube_servable(ctx, cube_table, aligned, viewport)
+        assert cube_for_brush(ctx, cube_table, aligned, viewport) is not None
         no_time = SpatialAggregation.count()
-        assert not tcube_servable(ctx, cube_table, no_time, viewport)
+        assert cube_for_brush(ctx, cube_table, no_time, viewport) is None
         bad_agg = brush_query("min", "fare", T0, T0 + 2 * HOUR)
-        assert not tcube_servable(ctx, cube_table, bad_agg, viewport)
+        assert cube_for_brush(ctx, cube_table, bad_agg, viewport) is None
 
     def test_cache_byte_accounting(self, cube_table, simple_regions):
         engine = SpatialAggregationEngine(default_resolution=256)

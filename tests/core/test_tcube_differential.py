@@ -1,0 +1,179 @@
+"""Differential suite: the temporal canvas cube against a fresh scatter.
+
+Hypothesis draws a table (integral, possibly negative ``fare``; random
+timestamps; points a little outside the viewport), residual filters, a
+bucket width, an aligned or clamped brush, an aggregate and an append
+split point, then checks three things:
+
+* the cube's answer — estimate, ``lower`` and ``upper`` — equals the
+  bounded raster join over the same brushed query bitwise (AVG within
+  1e-12);
+* every prefix plane equals a per-bucket reference fold (one
+  ``np.bincount`` per bucket, summed bucket by bucket);
+* a cube built on the time-ordered head and ``append``-ed with the tail
+  answers the brush exactly as a cube rebuilt from the whole table.
+
+Integral fares keep SUM exact in any association, so the append and
+rebuild folds may group a split bucket differently and still agree.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core import (
+    SpatialAggregation,
+    bounded_raster_join,
+    build_temporal_canvas_cube,
+)
+from repro.raster import Viewport, build_fragment_table
+from repro.table import Comparison, PointTable, TimeRange, combine_filters
+from repro.table import timestamp_column
+
+HOUR = 3_600
+T0 = 1_000_000 // HOUR * HOUR + 1_234  # not on any bucket edge
+AGGS = (("count", None), ("sum", "fare"), ("avg", "fare"))
+OPS = ("<", "<=", ">", ">=", "!=")
+
+SETTINGS = settings(deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def tables(draw) -> PointTable:
+    """≤1.5k points over a window a little wider than the regions, with
+    pixel-sharing duplicates, integral fares (signed or not) and
+    timestamps spread over up to three days."""
+    n = draw(st.integers(1, 1_500))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = gen.uniform(-10, 110, n)
+    y = gen.uniform(-10, 110, n)
+    dup = gen.random(n) < 0.2
+    x[dup] = np.round(x[dup])
+    y[dup] = np.round(y[dup])
+    fare = np.floor(gen.normal(draw(st.sampled_from([-2.0, 8.0, 30.0])),
+                               9.0, n))
+    span = draw(st.integers(1, 72)) * HOUR
+    t = T0 + gen.integers(0, span, n)
+    return PointTable.from_arrays(x, y, name="cube-diff", fare=fare,
+                                  t=timestamp_column("t", t))
+
+
+@st.composite
+def residuals(draw) -> tuple:
+    return tuple(Comparison("fare", draw(st.sampled_from(OPS)),
+                            draw(st.sampled_from([-4.0, 0.0, 6.0, 15.0])))
+                 for _ in range(draw(st.integers(0, 2))))
+
+
+@st.composite
+def brushes(draw, bucket: int) -> TimeRange:
+    """A brush on the bucket grid; edges may clamp past the data."""
+    first = T0 // bucket
+    last = (T0 + 72 * HOUR) // bucket
+    k0 = draw(st.integers(first - 2, last + 1))
+    k1 = draw(st.integers(k0, last + 3))
+    return TimeRange("t", k0 * bucket, k1 * bucket)
+
+
+def assert_match(got, want, agg):
+    for name in ("values", "lower", "upper"):
+        a, b = getattr(got, name), getattr(want, name)
+        if a is None or b is None:
+            assert a is None and b is None, name
+            continue
+        if agg == "avg":
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12,
+                                       equal_nan=True, err_msg=name)
+        else:
+            assert np.array_equal(a, b, equal_nan=True), name
+
+
+def reference_planes(table, viewport, residual, bucket, origin, cube):
+    """Per-bucket bincounts of the filtered in-viewport points over the
+    cube's active pixels, summed bucket by bucket."""
+    keep = combine_filters(list(residual)).mask(table)
+    pix, inside = viewport.pixel_ids_of(table.x, table.y)
+    keep &= inside
+    active = np.unique(pix[keep])
+    np.testing.assert_array_equal(cube.active_pixels, active)
+    cols = np.searchsorted(active, pix[keep])
+    buckets = (table.values("t")[keep] - (origin or 0)) // bucket
+    fare = table.values("fare")[keep]
+    weights = {"count": None, "sum": fare, "mass": np.abs(fare)}
+    planes = {}
+    for kind in cube.prefix:
+        plane = np.zeros((cube.num_buckets + 1, len(active)))
+        for b in range(cube.num_buckets):
+            rows = buckets == b
+            w = weights[kind]
+            plane[b + 1] = plane[b] + np.bincount(
+                cols[rows], weights=None if w is None else w[rows],
+                minlength=len(active))
+        planes[kind] = plane
+    return planes
+
+
+@SETTINGS
+@given(table=tables(), residual=residuals(), data=st.data(),
+       bucket=st.sampled_from([900, HOUR, 2 * HOUR, 6 * HOUR]),
+       agg=st.sampled_from(AGGS), resolution=st.integers(16, 96),
+       split=st.floats(0.0, 1.0))
+def test_cube_matches_scatter_reference_and_rebuild(
+        simple_regions, table, residual, data, bucket, agg, resolution,
+        split):
+    viewport = Viewport.fit(simple_regions.bbox, resolution)
+    fragments = build_fragment_table(list(simple_regions.geometries),
+                                     viewport)
+    value_column = None if agg[0] == "count" else "fare"
+    cube = build_temporal_canvas_cube(table, viewport, "t", bucket,
+                                      value_column=value_column,
+                                      residual_filters=residual)
+
+    # The planes: a per-bucket reference fold, and the mass plane stored
+    # exactly when the column is not provably non-negative.
+    expected = ["count"]
+    if value_column is not None:
+        expected.append("sum")
+        if table.values("fare").min() < 0:
+            expected.append("mass")
+    assert sorted(cube.prefix) == sorted(expected)
+    for kind, plane in reference_planes(table, viewport, residual, bucket,
+                                        cube.origin, cube).items():
+        assert np.array_equal(cube.prefix[kind], plane), kind
+
+    # The answer: bitwise the bounded join's over the brushed query.
+    brush = data.draw(brushes(bucket))
+    query = SpatialAggregation(agg[0], agg[1], residual + (brush,))
+    assert cube.can_answer(query, viewport)
+    got = cube.answer(simple_regions, fragments, query)
+    want = bounded_raster_join(table, simple_regions, query, viewport,
+                               fragments=fragments)
+    assert_match(got, want, agg[0])
+    assert got.stats["points_in_viewport"] == want.stats["points_in_viewport"]
+
+    # Append-then-brush equals rebuild-then-brush.
+    ordered = table.take(np.argsort(table.values("t"), kind="stable"))
+    cut = int(round(split * len(ordered)))
+    head = ordered.take(np.arange(cut))
+    tail = ordered.take(np.arange(cut, len(ordered)))
+    live = build_temporal_canvas_cube(head, viewport, "t", bucket,
+                                      value_column=value_column,
+                                      residual_filters=residual)
+    keep = combine_filters(list(residual)).mask(tail)
+    pix, inside = viewport.pixel_ids_of(tail.x, tail.y)
+    rows = np.flatnonzero(keep & inside)
+    live.append(pix[rows], tail.values("t")[rows],
+                values=(None if value_column is None
+                        else tail.values("fare")[rows]),
+                all_in_viewport=bool(inside[keep].all()))
+    rebuilt = build_temporal_canvas_cube(ordered, viewport, "t", bucket,
+                                         value_column=value_column,
+                                         residual_filters=residual,
+                                         origin=live.origin)
+    assert live.covers_all_points == rebuilt.covers_all_points
+    assert live.can_answer(query, viewport)
+    assert_match(live.answer(simple_regions, fragments, query),
+                 rebuilt.answer(simple_regions, fragments, query), agg[0])

@@ -124,6 +124,19 @@ class TestReducedAnswers:
                                   np.asarray(getattr(want, name))), name
         assert got.stats["tcube"]["reduced_levels"] == level
 
+    def test_reduced_counts_points_inside_the_crop(self, cube, brush_table,
+                                                   simple_regions, grid):
+        """A crop reports the brushed points inside its own window, not
+        the whole cube's: the cropped count canvas is exact."""
+        qv = grid.viewport(1, 16, 8, 64, 64)
+        query = _count_brush()
+        got = cube.answer(simple_regions, _frags(simple_regions, qv),
+                          query, viewport=qv)
+        want = bounded_raster_join(brush_table, simple_regions, query,
+                                   _plain(qv))
+        assert got.stats["points_in_viewport"] == \
+            want.stats["points_in_viewport"] == 2118
+
     def test_base_answer_reports_zero_levels(self, cube, simple_regions,
                                              base_viewport):
         got = cube.answer(

@@ -152,3 +152,53 @@ def test_accurate_join_names_its_time(city, city_regions):
         accurate_raster_join(table, city_regions, query, viewport)
     assert [c["name"] for c in root.to_dict()["children"]] == [
         "fragments", "scatter", "gather", "refine"]
+
+
+def test_tcube_build_and_answer_spans(city, city_regions):
+    """A building brush splits its time into ``tcube.build`` (the point
+    pipeline's ``scatter``, then the prefix sum along time) and
+    ``tcube.answer``; the next brush on the same cube opens only
+    ``tcube.answer``."""
+    from repro.data.temporal import DEFAULT_EPOCH
+
+    day = 86_400
+    engine = SpatialAggregationEngine(default_resolution=512)
+    table = generate_taxi_trips(city, 60_000, seed=3)
+    # Warm the polygon pass and the residual filter's mask: the build
+    # reuses the mask the engine cached for the unbrushed view.
+    engine.execute(table, city_regions,
+                   SpatialAggregation.sum_of("fare", F("fare") > 5),
+                   method="bounded")
+
+    def brush(lo, hi):
+        query = SpatialAggregation.sum_of("fare", F("fare") > 5).during(
+            "t", DEFAULT_EPOCH + lo * day, DEFAULT_EPOCH + hi * day)
+        root = Tracer().start("query")
+        with root:
+            result = engine.execute(table, city_regions, query,
+                                    method="tcube-raster")
+        tree = root.to_dict()
+        run = next(n for n in _walk(tree, [])
+                   if n["name"] == "backend.run")
+        return tree, run, result.stats["tcube"]
+
+    tree, run, stats = brush(2, 9)
+    assert stats["built"]
+    assert [c["name"] for c in run["children"]] == [
+        "tcube.build", "tcube.answer"]
+    build, answer = run["children"]
+    assert build["attrs"] == {
+        "points": stats["build"]["points_in_cube"],
+        "buckets": stats["build"]["buckets"],
+        "active_pixels": stats["build"]["active_pixels"]}
+    assert [c["name"] for c in build["children"]] == [
+        "scatter", "tcube.prefix"]
+    assert answer["attrs"] == {"slices_touched": 7, "reduced_levels": 0}
+    coverage = leaf_coverage(tree)
+    assert coverage >= 0.9, f"coverage {coverage:.2f}\n{render(tree)}"
+
+    tree, run, stats = brush(10, 13)
+    assert stats["hit"]
+    assert [c["name"] for c in run["children"]] == ["tcube.answer"]
+    assert run["children"][0]["attrs"] == {"slices_touched": 3,
+                                           "reduced_levels": 0}

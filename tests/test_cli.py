@@ -159,8 +159,9 @@ class TestStoreQueryCommand:
 
 class TestRetiredFlags:
     """The fork flags went with the forks, the speculation flags with
-    the speculative prefetcher, and ``serve --shards`` with the routed
-    worker pool; argparse rejects them."""
+    the speculative prefetcher, ``serve --shards`` with the routed
+    worker pool, and ``session --no-tcube`` with the session's cube
+    opt-out; argparse rejects them."""
 
     @pytest.mark.parametrize("argv", [
         ["query", SQL, "--workers", "2"],
@@ -177,6 +178,7 @@ class TestRetiredFlags:
         ["serve", "--speculate-budget-ms", "100"],
         ["serve", "--model-dir", "d"],
         ["serve", "--shards", "2"],
+        ["session", "--data", "d", "--regions", "r", "--no-tcube"],
     ])
     def test_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -234,13 +234,6 @@ class TestSessionBrush:
         np.testing.assert_array_equal(result.lower, want.lower)
         np.testing.assert_array_equal(result.upper, want.upper)
 
-    def test_tcube_opt_out(self, manager):
-        session = InteractiveSession(manager, "pts", "simple",
-                                     method="bounded", resolution=256,
-                                     tcube=False)
-        session.brush_time(T0 + 2 * HOUR, T0 + 9 * HOUR)
-        assert session.log[-1].backend == "bounded"
-
     def test_unalignable_brush_falls_back(self, manager):
         session = InteractiveSession(manager, "pts", "simple",
                                      method="bounded", resolution=256)
