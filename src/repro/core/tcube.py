@@ -626,8 +626,7 @@ def _fold_cells(canvases: dict, buckets: np.ndarray, cols: np.ndarray,
                 values: np.ndarray | None, slices: int, width: int) -> dict:
     """Fold points into their (bucket, active column) cells with the
     point pipeline's :func:`~repro.core.pipeline.fold`; returns each
-    stored kind's ``(slices, width)`` deltas (a ``mass`` canvas
-    aliasing ``sum`` is not stored twice).
+    kind's ``(slices, width)`` deltas.
 
     The build and :meth:`TemporalCanvasCube.append` share it.  Each
     cell folds its points in point order, and ``np.add.at`` into zeros
@@ -635,10 +634,8 @@ def _fold_cells(canvases: dict, buckets: np.ndarray, cols: np.ndarray,
     per-bucket bincounts bit for bit.
     """
     fold(canvases, buckets * width + cols, values)
-    sums = canvases.get("sum")
     return {kind: canvas.reshape(slices, width)
-            for kind, canvas in canvases.items()
-            if not (kind == "mass" and canvas is sums)}
+            for kind, canvas in canvases.items()}
 
 
 def build_temporal_canvas_cube(
