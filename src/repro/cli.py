@@ -284,8 +284,11 @@ def _cmd_session(args) -> int:
             # does — aligned gestures are what the temporal cube serves.
             third = third // 86400 * 86400
             t0 = t0 // 86400 * 86400
+        # A sweep on one cube key: the first brush re-scatters, the
+        # second builds the temporal cube, the third hits it.
         session.brush_time(t0, t0 + third)
         session.brush_time(t0 + third, t0 + 2 * third)
+        session.brush_time(t0, t0 + 2 * third)
         session.clear_time_brush()
     numeric = [c for c in table.column_names
                if table.column(c).kind == "numeric"]

@@ -4,9 +4,11 @@ Adapts :mod:`repro.core.tcube` to the :class:`Backend` protocol.  The
 planner prices it at O(pixels + active pixels) — but *only* when a
 cached cube can already answer the query (cost is infinite otherwise):
 ``method="auto"`` never pays a cube build on a guess, mirroring the
-``cube`` backend's contract.  Running it explicitly (or via the
-session's brush gate) does pay the one-time build, which then
-amortizes across every subsequent brush step.
+``cube`` backend's contract.  Running it explicitly does pay the
+one-time build, which then amortizes across every subsequent brush
+step; the session's brush gate routes here only for a cached cube or
+a brush key that repeats (see
+:func:`~repro.core.tcube.cube_for_repeated_brush`).
 """
 
 from __future__ import annotations

@@ -47,6 +47,10 @@ from ..errors import QueryError
 
 _TOKEN_COUNTER = itertools.count(1)
 
+#: How many recently seen keys :meth:`QueryCache.note_seen` remembers.
+#: A key is a few small tuples, so the memory is a few kilobytes.
+MAX_SEEN_KEYS = 64
+
 _TOKEN_ATTR = "_repro_cache_token"
 _REVISION_ATTR = "_repro_cache_revision"
 
@@ -198,6 +202,8 @@ class QueryCache:
         self._lock = threading.RLock()
         #: Per-key build latches for single-flight get_or_build.
         self._building: dict[tuple, threading.Lock] = {}
+        #: Keys asked about but not necessarily built (see note_seen).
+        self._seen: OrderedDict[tuple, None] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -261,7 +267,10 @@ class QueryCache:
             latch = self._building.get(key)
             leader = latch is None
             if leader:
+                # Held from birth: a waiter arriving before the build
+                # starts must block, not find a free latch and spin.
                 latch = self._building[key] = threading.Lock()
+                latch.acquire()
         if not leader:
             # Wait for the leader's build, then read what it stored.
             with latch:
@@ -274,14 +283,31 @@ class QueryCache:
                     return _defensive(entry.value)
             # Leader failed (builder raised) — fall through and build.
             return self.get_or_build(key, builder, nbytes=nbytes)
-        with latch:
-            try:
-                value = builder()
-                self.put(key, value, nbytes=nbytes)
-            finally:
-                with self._lock:
-                    self._building.pop(key, None)
+        try:
+            value = builder()
+            self.put(key, value, nbytes=nbytes)
+        finally:
+            with self._lock:
+                self._building.pop(key, None)
+            latch.release()
         return _defensive(value)
+
+    def note_seen(self, key: tuple) -> bool:
+        """Record a sighting of ``key``; return whether it was seen
+        before.
+
+        The memory is an LRU of the last :data:`MAX_SEEN_KEYS` keys,
+        independent of the entries, so a caller can decide to build an
+        artifact only for a key that repeats.  :meth:`clear` forgets it.
+        """
+        with self._lock:
+            if key in self._seen:
+                self._seen.move_to_end(key)
+                return True
+            self._seen[key] = None
+            if len(self._seen) > MAX_SEEN_KEYS:
+                self._seen.popitem(last=False)
+            return False
 
     def _evict(self) -> None:
         # Evict LRU-first until within budget; the newest entry always
@@ -334,6 +360,7 @@ class QueryCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._seen.clear()
             self._bytes = 0
 
     # -- introspection -----------------------------------------------------

@@ -160,6 +160,17 @@ class ExecutionContext:
         key = ("tcube", fingerprint(table), spec)
         return self.cache.get_or_build(key, builder)
 
+    def saw_tcube_key(self, table: PointTable, spec: tuple) -> bool:
+        """Record a brush that could build the cube ``spec``; return
+        whether the same (table, spec) key was seen before.
+
+        The memory is the cache's bounded LRU of seen keys
+        (:meth:`~repro.core.cache.QueryCache.note_seen`), so server
+        threads sharing this context share it and ``clear()`` empties
+        it.
+        """
+        return self.cache.note_seen(("tcube", fingerprint(table), spec))
+
     def cached_tcubes(self, table: PointTable) -> list:
         """Every temporal canvas cube materialized for this table —
         what the planner (and the timeline view) probe before paying a

@@ -37,7 +37,8 @@ Cube construction is the point pipeline's filter → project → fold
 cumsum, so the one-time build amortizes within a few brush steps.
 Appends (streaming) fold into the tail bucket in place instead of
 invalidating the cube.  :func:`cube_for_brush` is the one rule for
-which cube serves a brush.
+which cube serves a brush, and :func:`cube_for_repeated_brush` builds
+one only for a brush key that repeats.
 """
 
 from __future__ import annotations
@@ -626,9 +627,11 @@ def _fold_cells(canvases: dict, buckets: np.ndarray, cols: np.ndarray,
                 values: np.ndarray | None, slices: int, width: int) -> dict:
     """Fold points into their (bucket, active column) cells with the
     point pipeline's :func:`~repro.core.pipeline.fold`; returns each
-    kind's ``(slices, width)`` deltas.
+    kind's canvas as a ``(slices, width)`` view of per-bucket deltas.
 
-    The build and :meth:`TemporalCanvasCube.append` share it.  Each
+    The build (with buckets shifted down one row, so the view is the
+    prefix plane before its in-place sum) and
+    :meth:`TemporalCanvasCube.append` share it.  Each
     cell folds its points in point order, and ``np.add.at`` into zeros
     equals ``np.bincount`` in element order, so the deltas are the
     per-bucket bincounts bit for bit.
@@ -699,20 +702,21 @@ def build_temporal_canvas_cube(
                     f"cube would need ~{estimated // (1024 * 1024)} MB "
                     f"(cap {MAX_TCUBE_BYTES // (1024 * 1024)} MB); use a "
                     f"coarser bucket")
+            # Fold bucket b into row b + 1 of the plane itself; row 0
+            # stays the zero prefix, so no separate delta array is held.
             canvases = new_canvases(source, query, kinds,
-                                    num_buckets * width)
-            deltas = _fold_cells(canvases, buckets,
+                                    (num_buckets + 1) * width)
+            prefix = _fold_cells(canvases, buckets + 1,
                                  np.searchsorted(active, pix), values,
-                                 num_buckets, width)
-        prefix = {}
+                                 num_buckets + 1, width)
         with span("tcube.prefix"):
-            for kind, delta in deltas.items():
-                # Row-by-row adds: each column's left fold, the same bits
-                # as np.cumsum(axis=0) without its strided column walk.
-                plane = np.zeros((num_buckets + 1, width))
+            for plane in prefix.values():
+                # Row-by-row adds in place: row b + 1 holds bucket b's
+                # delta until it becomes prefix[b] + delta[b], the same
+                # operands as np.cumsum(axis=0) without its strided
+                # column walk.
                 for b in range(num_buckets):
-                    np.add(plane[b], delta[b], out=plane[b + 1])
-                prefix[kind] = plane
+                    np.add(plane[b], plane[b + 1], out=plane[b + 1])
         sp.set(points=len(pix), buckets=num_buckets, active_pixels=width)
 
     return TemporalCanvasCube(
@@ -782,6 +786,25 @@ def cube_for_brush(ctx, table: PointTable, query: SpatialAggregation,
         if planes * (num_buckets + 1) * bound_active * 8 > MAX_TCUBE_BYTES:
             return None
     return (viewport, tr.column, int(bucket), value_column, residual)
+
+
+def cube_for_repeated_brush(ctx, table: PointTable,
+                            query: SpatialAggregation, viewport: Viewport):
+    """:func:`cube_for_brush`, building only for a brush key that repeats.
+
+    A cached cube that answers the brush still serves it.  Otherwise the
+    build spec comes back only when its key ``("tcube",
+    fingerprint(table), spec)`` was seen before
+    (:meth:`~repro.core.context.ExecutionContext.saw_tcube_key`); a
+    first sighting records the key and returns None, so the caller
+    re-scatters.  The steps of a sweep share one key: step 1
+    re-scatters, step 2 builds, later steps hit.  A one-off brush — the
+    single brush under a freshly drawn filter — never pays a build.
+    """
+    chosen = cube_for_brush(ctx, table, query, viewport)
+    if chosen is None or isinstance(chosen, TemporalCanvasCube):
+        return chosen
+    return chosen if ctx.saw_tcube_key(table, chosen) else None
 
 
 def find_timeline_cube(ctx, table: PointTable, time_column: str,

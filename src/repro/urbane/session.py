@@ -332,12 +332,15 @@ class InteractiveSession(GestureSession):
         """Pick the backend for a time-brush gesture.
 
         A brush only changes the :class:`TimeRange` predicate, which is
-        exactly what the temporal canvas cube answers in O(pixels); when
-        :func:`~repro.core.tcube.cube_for_brush` finds a cached cube or
-        a build within the caps, the gesture runs ``tcube-raster``
-        (building the cube on the first brush, hitting it afterwards).
+        exactly what the temporal canvas cube answers in O(pixels).  The
+        gesture runs ``tcube-raster`` when
+        :func:`~repro.core.tcube.cube_for_repeated_brush` finds a cached
+        cube, or a build within the caps whose key the engine has seen
+        before; otherwise it re-scatters with the configured method.  So
+        a sweep's first step re-scatters, its second builds the cube and
+        the rest hit it, while a one-off brush never pays a build.
         """
-        from ..core.tcube import cube_for_brush
+        from ..core.tcube import cube_for_repeated_brush
 
         engine = self.manager.engine
         try:
@@ -345,8 +348,8 @@ class InteractiveSession(GestureSession):
             regions = self.manager.region_set(self.state.regions)
             viewport = self._viewport or engine.plan_viewport(
                 regions, self.resolution, None)
-            if cube_for_brush(engine.ctx, table, query,
-                              viewport) is not None:
+            if cube_for_repeated_brush(engine.ctx, table, query,
+                                       viewport) is not None:
                 return "tcube-raster"
         except ReproError:
             pass

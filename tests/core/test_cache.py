@@ -316,6 +316,115 @@ class TestThreadSafety:
         assert ("k",) in cache
         assert not cache._building
 
+    def test_waiter_arriving_before_the_build_blocks(self, monkeypatch):
+        """A waiter that arrives after the leader registered its latch
+        but before the build starts must block on the latch until the
+        leader stores, not find the latch free and spin.
+
+        The leader is paused in exactly that window: its first release
+        of the main lock after registering the latch runs the waiter
+        until it blocks on the latch (or finishes).  A waiter that
+        enters the latch a second time is spinning, and fails."""
+        import threading
+        from types import SimpleNamespace
+
+        from repro.core import cache as cache_mod
+
+        cache = QueryCache()
+        key = ("slow",)
+        leader = threading.current_thread()
+        blocked, done = threading.Event(), threading.Event()
+        entries, errors, builds, out = [], [], [], {}
+
+        class Latch:
+            def __init__(self):
+                self._lock = threading.Lock()
+
+            def acquire(self, blocking=True, timeout=-1):
+                if threading.current_thread() is leader:
+                    return self._lock.acquire(blocking, timeout)
+                entries.append(1)
+                if len(entries) > 1:
+                    raise AssertionError("waiter re-entered the latch")
+                if not self._lock.acquire(blocking=False):
+                    blocked.set()
+                    self._lock.acquire()
+                return True
+
+            def release(self):
+                self._lock.release()
+
+            def __enter__(self):
+                return self.acquire()
+
+            def __exit__(self, *exc):
+                self.release()
+
+        class PausingLock:
+            def __init__(self, inner):
+                self.inner = inner
+                self.paused = False
+
+            def __enter__(self):
+                self.inner.acquire()
+
+            def __exit__(self, *exc):
+                self.inner.release()
+                if (threading.current_thread() is leader
+                        and not self.paused and key in cache._building):
+                    self.paused = True
+                    waiter.start()
+                    for _ in range(500):
+                        if blocked.is_set() or done.wait(0.01):
+                            break
+
+        def build():
+            builds.append(1)
+            return object()
+
+        def wait_for_build():
+            try:
+                out["waiter"] = cache.get_or_build(key, build)
+            except BaseException as exc:
+                errors.append(exc)
+            finally:
+                done.set()
+
+        waiter = threading.Thread(target=wait_for_build)
+        cache._lock = PausingLock(cache._lock)
+        monkeypatch.setattr(cache_mod, "threading", SimpleNamespace(
+            Lock=Latch, RLock=threading.RLock))
+        out["leader"] = cache.get_or_build(key, build)
+        waiter.join(5)
+        assert not errors
+        assert blocked.is_set()
+        assert len(builds) == 1
+        assert out["waiter"] is out["leader"]
+        assert cache.misses == 2  # one per caller
+        assert cache.single_flight_waits == 1
+
+
+class TestSeenKeys:
+    def test_second_sighting_is_seen(self):
+        cache = QueryCache()
+        assert not cache.note_seen(("a",))
+        assert cache.note_seen(("a",))
+        assert not cache.note_seen(("b",))
+        assert ("a",) not in cache  # remembered, never stored
+
+    def test_bounded_lru(self):
+        from repro.core.cache import MAX_SEEN_KEYS
+
+        cache = QueryCache()
+        for i in range(MAX_SEEN_KEYS):
+            cache.note_seen((i,))
+        assert cache.note_seen((0,))  # touched: now the newest
+        cache.note_seen(("new",))  # evicts key 1, the oldest
+        assert len(cache._seen) == MAX_SEEN_KEYS
+        assert cache.note_seen((0,))
+        assert not cache.note_seen((1,))
+        assert len(cache._seen) == MAX_SEEN_KEYS
+
 
 class TestDefensiveCopies:
     def test_cached_result_is_copied_on_read(self, simple_regions):

@@ -15,6 +15,14 @@ split point, then checks three things:
 
 Integral fares keep SUM exact in any association, so the append and
 rebuild folds may group a split bucket differently and still agree.
+
+A second property drives drawn brush sequences through an
+``InteractiveSession``: aggregates and residual filters from small
+pools (so keys repeat) and fresh ones (one-off keys), brushes on drawn
+bucket grids, and a ``clear_caches()`` at a drawn step.  Each step is a
+first-sighting re-scatter, a cube build or a cube hit; whichever it
+is, the answer equals the bounded raster join bitwise (AVG within
+1e-12), and the path is the one the repeat rule predicts.
 """
 
 from __future__ import annotations
@@ -25,12 +33,15 @@ from hypothesis import strategies as st
 
 from repro.core import (
     SpatialAggregation,
+    SpatialAggregationEngine,
     bounded_raster_join,
     build_temporal_canvas_cube,
+    cube_for_brush,
 )
 from repro.raster import Viewport, build_fragment_table
 from repro.table import Comparison, PointTable, TimeRange, combine_filters
 from repro.table import timestamp_column
+from repro.urbane import DataManager, InteractiveSession
 
 HOUR = 3_600
 T0 = 1_000_000 // HOUR * HOUR + 1_234  # not on any bucket edge
@@ -69,12 +80,12 @@ def residuals(draw) -> tuple:
 
 
 @st.composite
-def brushes(draw, bucket: int) -> TimeRange:
+def brushes(draw, bucket: int, min_buckets: int = 0) -> TimeRange:
     """A brush on the bucket grid; edges may clamp past the data."""
     first = T0 // bucket
     last = (T0 + 72 * HOUR) // bucket
     k0 = draw(st.integers(first - 2, last + 1))
-    k1 = draw(st.integers(k0, last + 3))
+    k1 = draw(st.integers(k0 + min_buckets, last + 3))
     return TimeRange("t", k0 * bucket, k1 * bucket)
 
 
@@ -177,3 +188,60 @@ def test_cube_matches_scatter_reference_and_rebuild(
     assert live.can_answer(query, viewport)
     assert_match(live.answer(simple_regions, fragments, query),
                  rebuilt.answer(simple_regions, fragments, query), agg[0])
+
+
+@st.composite
+def brush_steps(draw) -> list:
+    """Up to eight (aggregate, residual filters, brush) steps.  Most
+    draw from pools of two aggregates and two filter tuples, so keys
+    repeat; the rest draw a fresh filter tuple (a one-off key)."""
+    aggs = draw(st.lists(st.sampled_from(AGGS), min_size=2, max_size=2))
+    pool = [(), draw(residuals())]
+    steps = []
+    for _ in range(draw(st.integers(1, 8))):
+        residual = (draw(residuals()) if draw(st.booleans())
+                    and draw(st.booleans()) else draw(st.sampled_from(pool)))
+        bucket = draw(st.sampled_from([HOUR, 6 * HOUR]))
+        steps.append((draw(st.sampled_from(aggs)), residual,
+                      draw(brushes(bucket, min_buckets=1))))
+    return steps
+
+
+@SETTINGS
+@given(table=tables(), steps=brush_steps(), resolution=st.integers(16, 96),
+       clear_at=st.integers(0, 8))
+def test_session_brushes_match_bounded_on_every_path(
+        simple_regions, table, steps, resolution, clear_at):
+    manager = DataManager(SpatialAggregationEngine())
+    manager.add_dataset(table, "pts")
+    manager.add_region_set(simple_regions, "simple")
+    session = InteractiveSession(manager, "pts", "simple",
+                                 method="bounded", resolution=resolution)
+    ctx = manager.engine.ctx
+    viewport = ctx.plan_viewport(simple_regions, resolution, None)
+    fragments = build_fragment_table(list(simple_regions.geometries),
+                                     viewport)
+    seen = set()  # the repeat rule's memory, modelled independently
+    for step, (agg, residual, brush) in enumerate(steps):
+        if step == clear_at:
+            manager.clear_caches()
+            seen.clear()
+        session.state.agg = SpatialAggregation(agg[0], agg[1])
+        session.state.filters = residual
+        query = SpatialAggregation(agg[0], agg[1], residual + (brush,))
+        chosen = cube_for_brush(ctx, table, query, viewport)
+
+        got = session.brush_time(brush.start, brush.end)
+
+        backend = session.log[-1].backend
+        if chosen is None or (isinstance(chosen, tuple)
+                              and chosen not in seen):
+            assert backend == "bounded"  # no cube, or a first sighting
+        else:
+            assert backend == "tcube-raster"
+            assert got.stats["tcube"]["built"] == isinstance(chosen, tuple)
+        if isinstance(chosen, tuple):
+            seen.add(chosen)
+        want = bounded_raster_join(table, simple_regions, query, viewport,
+                                   fragments=fragments)
+        assert_match(got, want, agg[0])

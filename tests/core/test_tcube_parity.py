@@ -11,6 +11,7 @@ build.
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +89,23 @@ class TestPinnedCubes:
                     all_in_viewport=bool(valid.all()))
         assert sorted(cube.prefix) == ["count", "sum"]
         assert cube_digest(cube) == FARE_HOURLY_APPENDED
+
+
+class TestBuildPeak:
+    """The build folds into the prefix planes and sums them in place,
+    so it holds about one cube, not a delta array beside it."""
+
+    @pytest.mark.parametrize("value_column", [None, "tip"])
+    def test_peak_below_one_and_a_half_cubes(self, taxi, viewport,
+                                             value_column):
+        tracemalloc.start()
+        try:
+            cube = build_temporal_canvas_cube(
+                taxi, viewport, "t", HOUR, value_column=value_column)
+            __, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * cube.memory_bytes()
 
 
 # Recorded from the per-cube bincount build and append (numpy 2.4).

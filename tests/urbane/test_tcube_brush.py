@@ -210,29 +210,99 @@ class TestSparkline:
         assert series.sparkline(width) == want
 
 
+def tcube_keys(manager) -> list:
+    return [k for k in manager.engine.ctx.cache.keys() if k[0] == "tcube"]
+
+
 class TestSessionBrush:
     def test_brush_routes_to_tcube_and_hits(self, manager):
         session = InteractiveSession(manager, "pts", "simple",
                                      method="bounded", resolution=256)
+        # First sighting of the key: re-scatter, remember the key.
         session.brush_time(T0 + 2 * HOUR, T0 + 9 * HOUR)
         first = session.log[-1]
         assert first.op == "time-brush"
-        assert first.backend == "tcube-raster"
+        assert first.backend == "bounded"
+        assert not tcube_keys(manager)
+        # Same key again: build the cube.
         session.brush_time(T0 + 3 * HOUR, T0 + 10 * HOUR)
-        second = session.log[-1]
-        assert second.backend == "tcube-raster"
+        assert session.log[-1].backend == "tcube-raster"
+        assert session.last_result.stats["tcube"]["built"]
+        # And from then on: hit it.
+        session.brush_time(T0 + 4 * HOUR, T0 + 11 * HOUR)
+        assert session.log[-1].backend == "tcube-raster"
         assert session.last_result.stats["tcube"]["hit"]
 
     def test_brush_result_matches_bounded(self, manager, simple_regions):
         session = InteractiveSession(manager, "pts", "simple",
                                      method="bounded", resolution=256)
-        result = session.brush_time(T0 + HOUR, T0 + 6 * HOUR)
-        want = manager.engine.execute(
-            manager.dataset("pts"), simple_regions, hour_brush(1, 6),
-            method="bounded")
-        np.testing.assert_array_equal(result.values, want.values)
-        np.testing.assert_array_equal(result.lower, want.lower)
-        np.testing.assert_array_equal(result.upper, want.upper)
+        table = manager.dataset("pts")
+        # Re-scatter, build, hit: every step equals a fresh bounded join.
+        for lo, hi in ((1, 6), (2, 7), (0, 30)):
+            result = session.brush_time(T0 + lo * HOUR, T0 + hi * HOUR)
+            want = manager.engine.execute(
+                table, simple_regions, hour_brush(lo, hi),
+                method="bounded")
+            np.testing.assert_array_equal(result.values, want.values)
+            np.testing.assert_array_equal(result.lower, want.lower)
+            np.testing.assert_array_equal(result.upper, want.upper)
+        assert session.last_result.stats["tcube"]["hit"]
+
+    def test_one_off_filtered_brush_never_builds(self, manager):
+        session = InteractiveSession(manager, "pts", "simple",
+                                     method="bounded", resolution=256)
+        session.add_filter(F("fare") > 6.5)
+        session.brush_time(T0 + 2 * HOUR, T0 + 9 * HOUR)
+        assert session.log[-1].backend == "bounded"
+        session.clear_time_brush()
+        session.clear_filters()
+        assert not tcube_keys(manager)
+
+    def test_sessions_on_one_manager_share_seen_keys(self, manager):
+        one = InteractiveSession(manager, "pts", "simple",
+                                 method="bounded", resolution=256)
+        two = InteractiveSession(manager, "pts", "simple",
+                                 method="bounded", resolution=256)
+        one.brush_time(T0 + 2 * HOUR, T0 + 9 * HOUR)
+        assert one.log[-1].backend == "bounded"
+        # The other analyst's brush on the same key is the repeat.
+        two.brush_time(T0 + 5 * HOUR, T0 + 8 * HOUR)
+        assert two.log[-1].backend == "tcube-raster"
+        assert two.last_result.stats["tcube"]["built"]
+
+    def test_clear_caches_forgets_seen_keys(self, manager):
+        session = InteractiveSession(manager, "pts", "simple",
+                                     method="bounded", resolution=256)
+        session.brush_time(T0 + 2 * HOUR, T0 + 9 * HOUR)
+        manager.clear_caches()
+        assert not manager.engine.ctx.cache._seen
+        session.brush_time(T0 + 3 * HOUR, T0 + 10 * HOUR)
+        assert session.log[-1].backend == "bounded"
+
+    def test_seen_keys_stay_within_capacity(self, manager):
+        from repro.core.cache import MAX_SEEN_KEYS
+
+        session = InteractiveSession(manager, "pts", "simple",
+                                     method="bounded", resolution=256)
+        cache = manager.engine.ctx.cache
+        # Every threshold is a new residual filter, so a new key.
+        for i in range(MAX_SEEN_KEYS + 8):
+            session.state.filters = (F("fare") > float(i),)
+            session.brush_time(T0 + 2 * HOUR, T0 + 9 * HOUR)
+            assert len(cache._seen) <= MAX_SEEN_KEYS
+        assert len(cache._seen) == MAX_SEEN_KEYS
+        assert not tcube_keys(manager)
+
+    def test_explicit_method_builds_on_first_call(self, manager,
+                                                  simple_regions):
+        table = manager.dataset("pts")
+        engine = manager.engine
+        first = engine.execute(table, simple_regions, hour_brush(2, 9),
+                               method="tcube-raster")
+        assert first.stats["tcube"]["built"]
+        again = engine.execute(table, simple_regions, hour_brush(3, 9),
+                               method="tcube-raster")
+        assert again.stats["tcube"]["hit"]
 
     def test_unalignable_brush_falls_back(self, manager):
         session = InteractiveSession(manager, "pts", "simple",
