@@ -18,7 +18,7 @@ START, END = month_window(0)
 QUERY = SpatialAggregation.count().during("t", START, END)
 
 
-@pytest.mark.parametrize("method", ["bounded", "accurate", "grid", "rtree"])
+@pytest.mark.parametrize("method", ["bounded", "accurate", "grid"])
 def test_mapview_refresh(benchmark, warm_engine, bench_taxi, bench_regions,
                          method):
     taxi = bench_taxi["800k"]

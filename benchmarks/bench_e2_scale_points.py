@@ -17,8 +17,7 @@ QUERY = SpatialAggregation.count()
 
 
 @pytest.mark.parametrize("scale", ["50k", "200k", "800k"])
-@pytest.mark.parametrize("method", ["bounded", "accurate", "grid", "rtree",
-                                    "quadtree"])
+@pytest.mark.parametrize("method", ["bounded", "accurate", "grid"])
 def test_scale_points(benchmark, warm_engine, bench_taxi, bench_regions,
                       scale, method):
     taxi = bench_taxi[scale]

@@ -60,7 +60,7 @@ def bench_datasets(bench_city, bench_taxi):
 @pytest.fixture(scope="session")
 def warm_engine(bench_regions, bench_taxi):
     """Engine with its unified cache pre-warmed (polygon rasters and
-    baseline indexes resident), so benchmarks measure per-query work
+    grid indexes resident), so benchmarks measure per-query work
     (the interactive scenario)."""
     engine = SpatialAggregationEngine(default_resolution=512)
     from repro.core import SpatialAggregation
@@ -72,9 +72,5 @@ def warm_engine(bench_regions, bench_taxi):
     for table in bench_taxi.values():
         engine.execute(table, bench_regions["neighborhoods"], query,
                        method="grid")
-        engine.execute(table, bench_regions["neighborhoods"], query,
-                       method="rtree")
-        engine.execute(table, bench_regions["neighborhoods"], query,
-                       method="quadtree")
     assert engine.cache_stats()["entries"] > 0
     return engine

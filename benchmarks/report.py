@@ -191,7 +191,7 @@ def main() -> None:
     month_query = count.during("t", start, end)
     rows = []
     lat = {}
-    for method in ("bounded", "accurate", "grid", "rtree"):
+    for method in ("bounded", "accurate", "grid"):
         ms = _median_ms(lambda m=method: engine.execute(
             taxi[800_000], neighborhoods, month_query, method=m))
         lat[method] = ms
@@ -206,8 +206,7 @@ def main() -> None:
         + f"\n\n800,000 taxi rows, 71 neighborhoods, 512px canvas.",
         f"Reproduced: bounded raster join is "
         f"{lat['grid'] / lat['bounded']:.1f}x faster than the grid "
-        f"index join ({lat['rtree'] / lat['bounded']:.1f}x vs. R-tree) "
-        f"and stays below 100 ms.")
+        f"index join and stays below 100 ms.")
 
     # -- E2: latency vs |P| ---------------------------------------------
     print("E2 scale points...")
@@ -215,7 +214,7 @@ def main() -> None:
     e2 = {}
     for n, table in taxi.items():
         row = [f"{n:,}"]
-        for method in ("bounded", "accurate", "grid", "rtree"):
+        for method in ("bounded", "accurate", "grid"):
             ms = _median_ms(lambda m=method, t=table: engine.execute(
                 t, neighborhoods, count, method=m))
             e2[(n, method)] = ms
@@ -228,15 +227,13 @@ def main() -> None:
         "All methods scale ~linearly in |P|; the bounded raster join's "
         "constant is far smaller than the exact index joins'; the "
         "accurate variant sits between.",
-        _table(("points", "bounded (ms)", "accurate (ms)", "grid (ms)",
-                "rtree (ms)"), rows)
+        _table(("points", "bounded (ms)", "accurate (ms)", "grid (ms)"),
+               rows)
         + f"\n\nNaive brute-force anchor at 50k points: "
           f"{naive_ms:.0f} ms.",
         f"Reproduced: at 800k points the bounded join wins "
         f"{e2[(800_000, 'grid')] / e2[(800_000, 'bounded')]:.1f}x over "
-        f"grid and {e2[(800_000, 'rtree')] / e2[(800_000, 'bounded')]:.1f}x "
-        f"over R-tree; ordering bounded < accurate < grid < rtree holds "
-        f"at every scale.")
+        f"grid; ordering bounded < accurate < grid holds at every scale.")
 
     # -- E3: latency vs |R| ---------------------------------------------
     print("E3 scale regions...")

@@ -34,7 +34,7 @@ def main() -> None:
     query = SpatialAggregation.count()
     print(f"Query: {query.describe()}\n")
 
-    methods = ("bounded", "accurate", "grid", "rtree")
+    methods = ("bounded", "accurate", "grid")
     results = {}
     print(f"{'method':<10} {'latency':>9}   result (top neighborhood)")
     for method in methods:

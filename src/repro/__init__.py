@@ -8,8 +8,8 @@ The package implements the demo's full stack from scratch:
 * ``repro.raster`` — the software rendering pipeline the joins run on;
 * ``repro.geometry`` / ``repro.index`` / ``repro.table`` — the
   geometric, indexing and columnar substrates;
-* ``repro.baselines`` — exact index joins and the pre-aggregation cube
-  the paper compares against;
+* ``repro.baselines`` — the exact grid index join, the naive scan and
+  the pre-aggregation cube the paper compares against;
 * ``repro.data`` — synthetic urban data (city model, region
   hierarchies, taxi / 311 / crime generators);
 * ``repro.urbane`` — the headless visual-analytics framework (map,

@@ -3,7 +3,6 @@
 * :func:`naive_join` — brute-force exact ground truth;
 * :func:`grid_index_join` — uniform-grid index join (the paper's
   index-based baseline);
-* :func:`rtree_index_join` — R-tree variant of the index join;
 * :class:`DataCube` — traditional pre-aggregation, fast only for
   anticipated queries;
 * :func:`assign_regions` — exact point->region labeling used by tests
@@ -14,14 +13,10 @@ from .assign import assign_regions
 from .cube import DataCube
 from .grid_join import grid_index_join
 from .naive import naive_join
-from .quadtree_join import quadtree_index_join
-from .rtree_join import rtree_index_join
 
 __all__ = [
     "DataCube",
     "assign_regions",
     "grid_index_join",
     "naive_join",
-    "quadtree_index_join",
-    "rtree_index_join",
 ]

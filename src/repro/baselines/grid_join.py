@@ -40,8 +40,8 @@ def grid_index_join(
 
     t1 = time.perf_counter()
     if index is None:
-        index = PointGridIndex(table.x, table.y, table.bbox,
-                               nx=grid_resolution, ny=grid_resolution)
+        index = PointGridIndex.over(table.x, table.y,
+                                    cells=grid_resolution)
     t_index = time.perf_counter() - t1
 
     t2 = time.perf_counter()

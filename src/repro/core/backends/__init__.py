@@ -1,10 +1,9 @@
 """Backend registry: every execution strategy behind one interface.
 
-Importing this package registers the nine built-in backends —
-``bounded``, ``accurate``, ``tiled`` (raster family), ``grid``,
-``rtree``, ``quadtree``, ``naive`` (exact baselines), ``cube`` and
-``tcube-raster`` (pre-aggregation).  Third-party and test backends plug
-in with the same
+Importing this package registers the seven built-in backends —
+``bounded``, ``accurate``, ``tiled`` (raster family), ``naive``,
+``grid`` (exact baselines), ``cube`` and ``tcube-raster``
+(pre-aggregation).  Third-party and test backends plug in with the same
 :func:`register_backend` decorator; the executor resolves every method
 name through :func:`get_backend`, so there is no dispatch ladder to
 extend.

@@ -1,6 +1,6 @@
-"""Exact baseline backends: naive scan and the three index joins.
+"""Exact baseline backends: naive scan and the grid index join.
 
-Cost model: an index join pays an index build (waived when the unified
+Cost model: the index join pays an index build (waived when the unified
 cache already holds one for this table), a candidate-refinement term
 scaling with points x average polygon vertices, and a per-region probe
 overhead.  The naive scan pays points x *total* vertices — the anchor
@@ -12,8 +12,6 @@ from __future__ import annotations
 # Submodule imports (not repro.baselines) to stay cycle-free.
 from ...baselines.grid_join import grid_index_join
 from ...baselines.naive import naive_join
-from ...baselines.quadtree_join import quadtree_index_join
-from ...baselines.rtree_join import rtree_index_join
 from .base import Backend, BackendCapabilities, ExecutionPlan
 from .registry import register_backend
 
@@ -21,14 +19,15 @@ from .registry import register_backend
 _REFINE_FACTOR = 0.5
 #: Fixed probe overhead per region (index descent, bbox query).
 _PER_REGION = 50.0
+#: Index build cost per point.
+_BUILD_FACTOR = 2.0
 
 
-def _index_cost(table, regions, ctx, kind: str, build_factor: float
-                ) -> float:
+def _index_cost(table, regions, ctx) -> float:
     avg_vertices = regions.total_vertices / max(1, len(regions))
     build = 0.0
-    if ctx is None or not ctx.has_index(kind, table):
-        build = build_factor * len(table)
+    if ctx is None or not ctx.has_index(table):
+        build = _BUILD_FACTOR * len(table)
     return (build + _REFINE_FACTOR * len(table) * avg_vertices
             + _PER_REGION * len(regions))
 
@@ -56,40 +55,8 @@ class GridIndexBackend(Backend):
     capabilities = BackendCapabilities(exact=True)
 
     def estimate_cost(self, table, regions, plan, ctx=None) -> float:
-        return _index_cost(table, regions, ctx, "grid", build_factor=2.0)
+        return _index_cost(table, regions, ctx)
 
     def run(self, ctx, plan: ExecutionPlan):
         return grid_index_join(plan.table, plan.regions, plan.query,
                                index=ctx.grid_index(plan.table))
-
-
-@register_backend
-class RTreeIndexBackend(Backend):
-    """Point R-tree index join."""
-
-    name = "rtree"
-    capabilities = BackendCapabilities(exact=True)
-
-    def estimate_cost(self, table, regions, plan, ctx=None) -> float:
-        return 1.2 * _index_cost(table, regions, ctx, "rtree",
-                                 build_factor=2.5)
-
-    def run(self, ctx, plan: ExecutionPlan):
-        return rtree_index_join(plan.table, plan.regions, plan.query,
-                                index=ctx.rtree_index(plan.table))
-
-
-@register_backend
-class QuadTreeIndexBackend(Backend):
-    """PR-quadtree index join."""
-
-    name = "quadtree"
-    capabilities = BackendCapabilities(exact=True)
-
-    def estimate_cost(self, table, regions, plan, ctx=None) -> float:
-        return 1.3 * _index_cost(table, regions, ctx, "quadtree",
-                                 build_factor=2.5)
-
-    def run(self, ctx, plan: ExecutionPlan):
-        return quadtree_index_join(plan.table, plan.regions, plan.query,
-                                   index=ctx.quadtree_index(plan.table))

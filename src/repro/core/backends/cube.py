@@ -44,9 +44,12 @@ def _build_spec(table, query) -> tuple:
                 continue
             tvals = (table.column(expr.column).values
                      if table.has_column(expr.column) else None)
-            if tvals is None or len(tvals) == 0:
+            if tvals is None:
                 continue
-            span = int(tvals.max()) - int(tvals.min()) + 1
+            # An empty table still materializes the (one, empty) bucket,
+            # so it answers the same brushes a populated one does.
+            span = (int(tvals.max()) - int(tvals.min()) + 1
+                    if len(tvals) else 1)
             if math.ceil(span / bucket) <= MAX_TIME_BUCKETS:
                 time_column = expr.column
                 bucket_s = bucket

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .. import kernels
 from ..errors import QueryError
-from ..index import PointGridIndex, QuadTree, RTree
+from ..index import PointGridIndex
 from ..obs.trace import span
 from ..raster import FragmentTable, Viewport
 from ..raster.fragments import polygon_pass
@@ -115,25 +115,11 @@ class ExecutionContext:
     def grid_index(self, table: PointTable) -> PointGridIndex:
         key = ("grid-index", fingerprint(table))
         return self.cache.get_or_build(
-            key,
-            lambda: PointGridIndex(table.x, table.y, table.bbox,
-                                   nx=128, ny=128))
+            key, lambda: PointGridIndex.over(table.x, table.y, cells=128))
 
-    def rtree_index(self, table: PointTable) -> RTree:
-        key = ("rtree-index", fingerprint(table))
-        return self.cache.get_or_build(
-            key, lambda: RTree.from_points(table.x, table.y,
-                                           leaf_capacity=64))
-
-    def quadtree_index(self, table: PointTable) -> QuadTree:
-        key = ("quadtree-index", fingerprint(table))
-        return self.cache.get_or_build(
-            key, lambda: QuadTree(table.x, table.y, table.bbox,
-                                  capacity=256))
-
-    def has_index(self, kind: str, table: PointTable) -> bool:
-        """Whether an index of ``kind`` (grid/rtree/quadtree) is cached."""
-        return (f"{kind}-index", fingerprint(table)) in self.cache
+    def has_index(self, table: PointTable) -> bool:
+        """Whether the grid index over ``table`` is cached."""
+        return ("grid-index", fingerprint(table)) in self.cache
 
     def cube_for(self, table: PointTable, regions: RegionSet,
                  build_spec: tuple, builder):

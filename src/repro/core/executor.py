@@ -5,9 +5,9 @@ like Urbane talks to.  Since the multi-layer refactor it is a thin
 facade over three explicit layers:
 
 * the **backend registry** (:mod:`repro.core.backends`) — every
-  strategy (raster variants, index joins, naive scan, data cube) behind
-  one :class:`~repro.core.backends.Backend` interface, resolved by name
-  with no if/elif dispatch;
+  strategy (raster variants, grid index join, naive scan, data cube)
+  behind one :class:`~repro.core.backends.Backend` interface, resolved
+  by name with no if/elif dispatch;
 * the **cost-based planner** (:mod:`repro.core.planner`) —
   ``method="auto"`` prices the capability-eligible backends from table/
   region statistics, the requested precision, and cache state, and
@@ -38,10 +38,11 @@ from .query import SpatialAggregation
 from .regions import RegionSet
 from .result import AggregationResult
 
-#: The built-in methods; custom backends registered via
-#: :func:`repro.core.backends.register_backend` are accepted too.
-METHODS = ("auto", "bounded", "accurate", "tiled", "grid", "rtree",
-           "quadtree", "naive", "cube", "tcube-raster")
+#: The built-in methods: ``auto`` plus every backend registered when
+#: :mod:`repro.core.backends` was imported.  Custom backends registered
+#: later via :func:`repro.core.backends.register_backend` are accepted
+#: too.
+METHODS = ("auto",) + backend_names()
 
 
 class SpatialAggregationEngine:

@@ -130,8 +130,8 @@ class TableSource:
         if self.ctx is not None:
             return self.ctx.grid_index(self.table)
         if self._index is None:
-            t = self.table
-            self._index = PointGridIndex(t.x, t.y, t.bbox, nx=128, ny=128)
+            self._index = PointGridIndex.over(self.table.x, self.table.y,
+                                              cells=128)
         return self._index
 
     def chunks(self, query, boxes=None):

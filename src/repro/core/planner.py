@@ -111,9 +111,7 @@ class CostBasedPlanner:
             "fragments_cached": (
                 plan.viewport is not None
                 and ctx.has_fragments(regions, plan.viewport)),
-            "indexes_cached": sorted(
-                kind for kind in ("grid", "rtree", "quadtree")
-                if ctx.has_index(kind, table)),
+            "indexes_cached": ["grid"] if ctx.has_index(table) else [],
             "cube_cached": any(
                 cube.can_answer(regions, plan.query)
                 for cube in ctx.cached_cubes(table, regions)),

@@ -1,17 +1,9 @@
 """Spatial index substrate.
 
-The exact comparators in the paper's evaluation are index-based joins;
-this package provides the structures they build on: uniform grids for
-points and polygons, an STR-packed R-tree and a PR quadtree.
+The paper's exact comparator is an index join over a uniform grid; this
+package provides the point grid it builds on.
 """
 
-from .grid import PointGridIndex, PolygonGridIndex
-from .quadtree import QuadTree
-from .rtree import RTree
+from .grid import PointGridIndex
 
-__all__ = [
-    "PointGridIndex",
-    "PolygonGridIndex",
-    "QuadTree",
-    "RTree",
-]
+__all__ = ["PointGridIndex"]

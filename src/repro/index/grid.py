@@ -1,13 +1,9 @@
-"""Uniform grid indexes.
+"""Uniform point grid index.
 
-Two flavors, matching the structures the index-join baseline in the
-paper's evaluation uses:
-
-* :class:`PointGridIndex` — buckets points into a uniform grid (CSR
-  layout: points sorted by cell with per-cell offsets).  Range queries
-  return candidate point ids.
-* :class:`PolygonGridIndex` — maps each grid cell to the polygons whose
-  bounding box overlaps it.
+:class:`PointGridIndex` buckets points into a uniform grid (CSR layout:
+points sorted by cell with per-cell offsets), the structure the
+index-join baseline in the paper's evaluation uses.  Range queries
+return candidate point ids.
 """
 
 from __future__ import annotations
@@ -16,7 +12,6 @@ import numpy as np
 
 from ..errors import GeometryError
 from ..geometry import BBox
-from ..geometry.polygon import Geometry
 
 
 class PointGridIndex:
@@ -44,6 +39,21 @@ class PointGridIndex:
         self.offsets = np.searchsorted(
             sorted_cells, np.arange(nx * ny + 1), side="left"
         )
+
+    @classmethod
+    def over(cls, x: np.ndarray, y: np.ndarray,
+             cells: int) -> "PointGridIndex":
+        """A ``cells`` x ``cells`` grid over the points' own envelope.
+
+        No points give a degenerate box at the origin; every query on
+        that grid returns no candidates.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        bbox = (BBox(float(x.min()), float(y.min()),
+                     float(x.max()), float(y.max()))
+                if len(x) else BBox(0.0, 0.0, 0.0, 0.0))
+        return cls(x, y, bbox, nx=cells, ny=cells)
 
     def __len__(self) -> int:
         return len(self._x)
@@ -109,75 +119,3 @@ class PointGridIndex:
             & (y >= query.ymin) & (y <= query.ymax)
         )
         return cand[keep]
-
-
-class PolygonGridIndex:
-    """Uniform grid mapping cells to overlapping polygon ids (by bbox)."""
-
-    def __init__(self, geometries: list[Geometry], bbox: BBox,
-                 nx: int = 64, ny: int = 64):
-        if nx < 1 or ny < 1:
-            raise GeometryError("grid needs at least one cell per axis")
-        self.bbox = bbox
-        self.nx = int(nx)
-        self.ny = int(ny)
-        self.geometries = list(geometries)
-
-        width = max(bbox.width, 1e-300)
-        height = max(bbox.height, 1e-300)
-        buckets: list[list[int]] = [[] for _ in range(nx * ny)]
-        for gid, geom in enumerate(self.geometries):
-            gb = geom.bbox
-            inter = bbox.intersection(gb)
-            if inter is None:
-                continue
-            ix0 = max(int(np.floor((inter.xmin - bbox.xmin) / width * nx)), 0)
-            ix1 = min(int(np.floor((inter.xmax - bbox.xmin) / width * nx)), nx - 1)
-            iy0 = max(int(np.floor((inter.ymin - bbox.ymin) / height * ny)), 0)
-            iy1 = min(int(np.floor((inter.ymax - bbox.ymin) / height * ny)), ny - 1)
-            for iy in range(iy0, iy1 + 1):
-                row = iy * nx
-                for ix in range(ix0, ix1 + 1):
-                    buckets[row + ix].append(gid)
-        self._buckets = [np.asarray(b, dtype=np.int64) for b in buckets]
-
-    def candidates_for_cells(self, cell_x: np.ndarray, cell_y: np.ndarray):
-        """Candidate polygon-id arrays for an array of cell coordinates."""
-        cells = cell_y * self.nx + cell_x
-        return [self._buckets[c] for c in cells]
-
-    def candidates_at(self, x: float, y: float) -> np.ndarray:
-        """Candidate polygon ids for one query point."""
-        width = max(self.bbox.width, 1e-300)
-        height = max(self.bbox.height, 1e-300)
-        ix = int(np.clip((x - self.bbox.xmin) / width * self.nx, 0, self.nx - 1))
-        iy = int(np.clip((y - self.bbox.ymin) / height * self.ny, 0, self.ny - 1))
-        return self._buckets[iy * self.nx + ix]
-
-    def cell_ids_of_points(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Flat cell id of each point (clamped to the grid)."""
-        width = max(self.bbox.width, 1e-300)
-        height = max(self.bbox.height, 1e-300)
-        cx = np.clip(((np.asarray(x) - self.bbox.xmin) / width * self.nx)
-                     .astype(np.int64), 0, self.nx - 1)
-        cy = np.clip(((np.asarray(y) - self.bbox.ymin) / height * self.ny)
-                     .astype(np.int64), 0, self.ny - 1)
-        return cy * self.nx + cx
-
-    def bucket(self, cell_id: int) -> np.ndarray:
-        """Candidate polygon ids of a flat cell id."""
-        return self._buckets[cell_id]
-
-    @property
-    def num_cells(self) -> int:
-        return self.nx * self.ny
-
-    def stats(self) -> dict:
-        """Occupancy statistics (used to tune cell sizes in benchmarks)."""
-        sizes = np.array([len(b) for b in self._buckets])
-        return {
-            "cells": int(sizes.size),
-            "empty_cells": int((sizes == 0).sum()),
-            "max_candidates": int(sizes.max(initial=0)),
-            "mean_candidates": float(sizes.mean()) if sizes.size else 0.0,
-        }

@@ -18,8 +18,8 @@ from repro.core import (
 from repro.errors import CubeError, QueryError
 from repro.table import F, PointTable, timestamp_column
 
-BUILTIN = ("bounded", "accurate", "tiled", "grid", "rtree", "quadtree",
-           "naive", "cube")
+BUILTIN = ("bounded", "accurate", "tiled", "naive", "grid", "cube",
+           "tcube-raster")
 
 
 def _table(n=2000, seed=0):
@@ -33,10 +33,8 @@ def _table(n=2000, seed=0):
 
 class TestRegistry:
     def test_all_builtins_registered(self):
-        names = backend_names()
-        for name in BUILTIN:
-            assert name in names
-        assert set(BUILTIN) <= set(METHODS)
+        assert backend_names() == BUILTIN
+        assert METHODS == ("auto",) + backend_names()
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(QueryError):

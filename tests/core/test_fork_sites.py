@@ -75,8 +75,7 @@ def _assert_same(got, want) -> None:
 
 
 class TestPointPassesNeverFork:
-    @pytest.mark.parametrize("method", ["bounded", "accurate", "grid",
-                                        "rtree"])
+    @pytest.mark.parametrize("method", ["bounded", "accurate", "grid"])
     def test_in_memory_join(self, pools, table, simple_regions, method):
         query = SpatialAggregation.sum_of("fare")
         got = _engine(EAGER).execute(table, simple_regions, query,

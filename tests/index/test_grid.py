@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GeometryError
-from repro.geometry import BBox, regular_polygon
-from repro.index import PointGridIndex, PolygonGridIndex
+from repro.geometry import BBox
+from repro.index import PointGridIndex
 
 BOX = BBox(0, 0, 100, 100)
 
@@ -62,6 +62,14 @@ class TestPointGridIndex:
         assert idx.cell_of(-100, -100) == (0, 0)
         assert idx.cell_of(1e9, 1e9) == (3, 3)
 
+    def test_over_fits_the_points(self):
+        x, y = _points(200, seed=3)
+        idx = PointGridIndex.over(x, y, cells=8)
+        assert (idx.bbox.xmin, idx.bbox.xmax) == (x.min(), x.max())
+        assert (idx.bbox.ymin, idx.bbox.ymax) == (y.min(), y.max())
+        assert idx.nx == idx.ny == 8
+        assert len(idx.query_bbox(BOX)) == 200
+
     def test_invalid_resolution(self):
         x, y = _points(10)
         with pytest.raises(GeometryError):
@@ -76,39 +84,3 @@ class TestPointGridIndex:
         q = BBox(x0, y0, x0 + w, y0 + h)
         got = np.sort(idx.query_bbox_exact(q))
         assert (got == _brute_bbox(x, y, q)).all()
-
-
-class TestPolygonGridIndex:
-    def _regions(self):
-        return [regular_polygon(25, 25, 20, 8),
-                regular_polygon(70, 70, 15, 5),
-                regular_polygon(50, 20, 10, 6)]
-
-    def test_candidates_cover_containing_polygons(self):
-        geoms = self._regions()
-        idx = PolygonGridIndex(geoms, BOX, nx=16, ny=16)
-        gen = np.random.default_rng(5)
-        pts = gen.uniform(0, 100, size=(500, 2))
-        for px, py in pts:
-            cand = set(idx.candidates_at(px, py).tolist())
-            for gid, geom in enumerate(geoms):
-                if geom.contains_point(px, py):
-                    assert gid in cand
-
-    def test_stats(self):
-        idx = PolygonGridIndex(self._regions(), BOX, nx=8, ny=8)
-        stats = idx.stats()
-        assert stats["cells"] == 64
-        assert stats["max_candidates"] >= 1
-        assert 0 <= stats["empty_cells"] < 64
-
-    def test_cell_ids_of_points(self):
-        idx = PolygonGridIndex(self._regions(), BOX, nx=4, ny=4)
-        ids = idx.cell_ids_of_points(np.array([0.0, 99.0]),
-                                     np.array([0.0, 99.0]))
-        assert ids.tolist() == [0, 15]
-
-    def test_geometry_outside_box_ignored(self):
-        far = regular_polygon(500, 500, 10, 4)
-        idx = PolygonGridIndex([far], BOX, nx=4, ny=4)
-        assert idx.stats()["max_candidates"] == 0

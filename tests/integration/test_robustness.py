@@ -13,13 +13,14 @@ from repro.core import (
     SpatialAggregation,
     SpatialAggregationEngine,
     accurate_raster_join,
+    backend_names,
     bounded_raster_join,
 )
 from repro.baselines import naive_join
-from repro.errors import GeometryError, QueryError, SchemaError
+from repro.errors import GeometryError, ReproError, SchemaError
 from repro.geometry import BBox, Polygon, regular_polygon
 from repro.raster import Viewport
-from repro.table import F, PointTable
+from repro.table import F, PointTable, timestamp_column
 
 
 def _engine():
@@ -66,11 +67,34 @@ class TestNastyButLegalInputs:
             fare=gen.exponential(5, 1000))
         query = SpatialAggregation.count(F("fare") > 1e18)
         engine = _engine()
-        for method in ("bounded", "accurate", "grid", "rtree", "quadtree",
-                       "naive", "tiled"):
+        for method in ("bounded", "accurate", "grid", "naive", "tiled"):
             result = engine.execute(table, simple_regions, query,
                                     method=method)
             assert (result.values == 0).all(), method
+
+    def test_empty_table_every_backend(self, simple_regions):
+        """A backend that answers a day-aligned time brush on one row
+        answers it on no rows too: zeros, not an error."""
+        day = 86_400
+        query = SpatialAggregation.count().during("t", day, 3 * day)
+
+        def table(n):
+            return PointTable.from_arrays(
+                np.full(n, 25.0), np.full(n, 25.0),
+                t=timestamp_column("t", np.full(n, 2 * day)))
+
+        answered = []
+        for method in backend_names():
+            try:
+                _engine().execute(table(1), simple_regions, query,
+                                  method=method)
+            except ReproError:
+                continue
+            result = _engine().execute(table(0), simple_regions, query,
+                                       method=method)
+            assert (result.values == 0).all(), method
+            answered.append(method)
+        assert {"naive", "grid", "cube"} <= set(answered)
 
     def test_all_points_outside_regions(self, simple_regions):
         table = PointTable.from_arrays([500.0, 600.0], [500.0, 600.0])

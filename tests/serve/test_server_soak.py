@@ -9,7 +9,9 @@ disconnects mid-query frees its capacity.
 import json
 import socket
 import time
+import urllib.error
 import urllib.parse
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -194,6 +196,21 @@ class TestHostileFraming:
         assert head.startswith(b"HTTP/1.1 400 "), head
         assert json.loads(payload)["error"] == "ProtocolError"
         assert ServeClient(server).health()["ok"] is True
+
+    @pytest.mark.parametrize("method", ["rtree", "quadtree"])
+    def test_retired_method_is_a_400(self, server, method):
+        body = json.dumps(encode_request(
+            "trips", "simple", query=SpatialAggregation.count(),
+            method=method)).encode()
+        request = urllib.request.Request(
+            server + "/v1/query", data=body,
+            headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as info:
+            urllib.request.urlopen(request, timeout=10)
+        assert info.value.code == 400
+        payload = json.loads(info.value.read())
+        assert payload["error"] == "QueryError"
+        assert "'grid'" in payload["message"]
 
 
 class TestStreamingOverHTTP:

@@ -160,8 +160,9 @@ class TestStoreQueryCommand:
 class TestRetiredFlags:
     """The fork flags went with the forks, the speculation flags with
     the speculative prefetcher, ``serve --shards`` with the routed
-    worker pool, and ``session --no-tcube`` with the session's cube
-    opt-out; argparse rejects them."""
+    worker pool, ``session --no-tcube`` with the session's cube opt-out,
+    and ``--method rtree``/``quadtree`` with the R-tree and quadtree
+    index joins; argparse rejects them."""
 
     @pytest.mark.parametrize("argv", [
         ["query", SQL, "--workers", "2"],
@@ -186,3 +187,15 @@ class TestRetiredFlags:
         assert exit_info.value.code == 2
         flag = next(arg for arg in reversed(argv) if arg.startswith("--"))
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["query", SQL, "--method", "rtree"],
+        ["session", "--data", "d", "--regions", "r", "--method", "quadtree"],
+    ])
+    def test_retired_method_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"invalid choice: {argv[-1]!r}" in err
+        assert "'grid'" in err
