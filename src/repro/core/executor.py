@@ -59,7 +59,7 @@ class SpatialAggregationEngine:
         # ``parallel`` (a retired ParallelConfig) and ``workers`` are
         # accepted and ignored: the engine runs in one process.  They go
         # with the frozen benchmark probes that still pass them
-        # (ROADMAP item 5).
+        # (ROADMAP item 3).
         self.ctx = ExecutionContext(
             default_resolution=default_resolution,
             max_canvas_resolution=max_canvas_resolution,

@@ -8,7 +8,7 @@ so nothing here selects an execution path any more.
 Two names survive because the frozen benchmark (``bench/``) imports
 them: :class:`ParallelConfig`, a field-only value the engine accepts and
 ignores, and :func:`parallel_bounded_raster_join`, an alias of the
-serial bounded join.  Both go when ROADMAP item 5 retires the
+serial bounded join.  Both go when ROADMAP item 3 retires the
 ``core.parallel.*`` and ``shard.*`` probes.
 """
 

@@ -21,12 +21,14 @@ that reuse:
   cached blocks, deriving coarse blocks from cached finer ones (a 2x2
   reduction, see :mod:`repro.raster.pyramid`), and scattering only the
   uncovered delta — every missing block of a frame in *one* point pass
-  (:mod:`repro.core.pipeline`'s block sink), so a store streams each
-  partition once per cold frame instead of once per block.  Blocks are
-  cached *full*
-  (never clipped to the viewport) under the unified cache's byte
-  budget, so an edge block scattered for one frame serves complete for
-  the next pan.
+  into :mod:`repro.core.pipeline`'s block sink, the canvas of the
+  blocks' bounding rectangle.  So a cold frame costs what the direct
+  join costs (an in-memory table scans in row order when the blocks
+  hold a quarter of it or more), and a store streams each partition
+  once per cold frame instead of once per block.  Blocks are cached
+  *full* (never clipped to the viewport) under the unified cache's
+  byte budget, so an edge block scattered for one frame serves
+  complete for the next pan.
 
 Invalidation is generation-checked, not presence-checked: block keys
 embed ``fingerprint(table)``, which carries the table's revision
@@ -247,8 +249,9 @@ def assemble_canvases(ctx, source, query: SpatialAggregation,
     preference order: reuse a cached plane; else derive it from four
     cached children one level down (2x2 reduction — the zoom-out path);
     else list its missing kinds.  Then *one* point pass of ``source``
-    fills every listed block (the pipeline's block sink), so a store
-    streams each partition once per frame, not once per block.  Each
+    fills every listed block (the pipeline's block sink: one canvas over
+    their bounding block rectangle), so a store streams each partition
+    once per frame, not once per block.  Each
     block is handed copies of only the kinds it was missing.  Derived
     and fresh planes are cached full-size only after the pass returns —
     a cancelled frame installs nothing — so the *next* gesture
@@ -333,6 +336,8 @@ def assemble_canvases(ctx, source, query: SpatialAggregation,
                         planes[kind] = plane
             scatter_sp.set(blocks=len(needs), partitions=fresh.paged,
                            points=fresh.points)
+            if source.narrowed is not None:
+                scatter_sp.set(narrowed=source.narrowed)
             info["points_scattered"] = fresh.points
         # Install the new planes and paste the frame.  The canvases are
         # allocated here, where they are first written, so their fresh

@@ -107,6 +107,18 @@ class PointGridIndex:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(chunks)
 
+    def count_bbox(self, query: BBox) -> int:
+        """``len(query_bbox(query))``, read from the CSR offsets without
+        building the id array."""
+        if not self.bbox.intersects(query):
+            return 0
+        ix0, ix1, iy0, iy1 = self._cell_range(query)
+        if ix0 > ix1 or iy0 > iy1:
+            return 0
+        rows = np.arange(iy0, iy1 + 1) * self.nx
+        return int((self.offsets[rows + ix1 + 1]
+                    - self.offsets[rows + ix0]).sum())
+
     def query_bbox_exact(self, query: BBox) -> np.ndarray:
         """Point ids exactly inside ``query`` (candidates + refinement)."""
         cand = self.query_bbox(query)

@@ -328,7 +328,7 @@ class QueryService:
             "region_sets": self.manager.region_set_names,
             # Inert: the frozen serve-analysts workload still reads these
             # three counters.  Retire with the legacy bench shims
-            # (ROADMAP item 7).  /v1/metrics does not export it.
+            # (ROADMAP item 3).  /v1/metrics does not export it.
             "speculate": {"observed": 0, "completed": 0, "hits": 0},
         }
 

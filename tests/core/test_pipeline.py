@@ -120,8 +120,10 @@ class TestMassRule:
 
 class TestSinks:
     def test_blocks_match_grid_viewport_pixels(self):
-        """A point lands in the block pixel the grid viewport puts it
-        in: one transform for both."""
+        """A point lands in the block-plane pixel the grid viewport puts
+        it in: one transform for both.  The L-shaped list leaves block
+        (1, 1) of its bounding rectangle unlisted, and no point may fold
+        into it."""
         grid = CanvasGrid(0.0, 0.0, 0.5, 0.5, block=16)
         level = 1
         blocks = [(0, 0), (2, 1), (1, 0)]
@@ -129,14 +131,21 @@ class TestSinks:
         gen = np.random.default_rng(3)
         x, y = gen.uniform(-5, 60, 4_000), gen.uniform(-5, 60, 4_000)
         pix, inside = sink.locate(x, y)
+        canvas = np.zeros(sink.size)
+        np.add.at(canvas, pix[inside], 1.0)
         vp = grid.viewport(level, 0, 0, 48, 32)
         ix, iy = vp.pixel_of(x, y)
         for slot, (bx, by) in enumerate(blocks):
             own = (ix // 16 == bx) & (iy // 16 == by)
-            assert (inside & (pix // 256 == slot)).sum() == own.sum()
-            local = pix[inside & (pix // 256 == slot)] % 256
-            want = (iy[own] % 16) * 16 + ix[own] % 16
-            assert np.array_equal(np.sort(local), np.sort(want))
+            want = np.zeros((16, 16))
+            np.add.at(want, (iy[own] % 16, ix[own] % 16), 1.0)
+            assert own.any()
+            assert np.array_equal(sink.plane(canvas, slot), want)
+        unlisted = (ix // 16 == 1) & (iy // 16 == 1)
+        assert unlisted.any() and not inside[unlisted].any()
+        listed = sum(((ix // 16 == bx) & (iy // 16 == by)).sum()
+                     for bx, by in blocks)
+        assert inside.sum() == listed
 
     def test_tiles_partition_the_canvas(self):
         table = _table()

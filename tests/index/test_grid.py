@@ -84,3 +84,45 @@ class TestPointGridIndex:
         q = BBox(x0, y0, x0 + w, y0 + h)
         got = np.sort(idx.query_bbox_exact(q))
         assert (got == _brute_bbox(x, y, q)).all()
+
+
+def _box(x0, y0, w, h):
+    return BBox(x0, y0, x0 + w, y0 + h)
+
+
+class TestCountBBox:
+    """``count_bbox`` is ``len(query_bbox)`` read off the CSR offsets."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-150, 150), st.floats(-150, 150), st.floats(0, 200),
+           st.floats(0, 200), st.integers(1, 40))
+    def test_random_boxes(self, x0, y0, w, h, res):
+        x, y = _points(500, seed=5)
+        idx = PointGridIndex(x, y, BOX, nx=res, ny=res)
+        q = _box(x0, y0, w, h)
+        assert idx.count_bbox(q) == len(idx.query_bbox(q))
+
+    def test_disjoint_degenerate_and_partly_outside_boxes(self):
+        x, y = _points(seed=6)
+        idx = PointGridIndex.over(x, y, cells=16)
+        boxes = [
+            BBox(-50, -50, -10, -10),       # disjoint, below-left
+            BBox(150, 150, 200, 300),        # disjoint, above-right
+            BBox(0, 120, 100, 130),          # disjoint in y only
+            BBox(40, 40, 40, 40),            # a point
+            BBox(10, 0, 10, 100),            # a vertical segment
+            BBox(0, 55.5, 100, 55.5),        # a horizontal segment
+            BBox(-20, -20, 30, 30),          # partly outside, corner
+            BBox(90, -5, 140, 105),          # partly outside, edge
+            BBox(-1e9, -1e9, 1e9, 1e9),      # the whole grid and more
+        ]
+        for q in boxes:
+            assert idx.count_bbox(q) == len(idx.query_bbox(q)), q
+        assert idx.count_bbox(boxes[-1]) == len(x)
+        assert idx.count_bbox(boxes[0]) == 0
+
+    def test_empty_index(self):
+        empty = np.empty(0)
+        idx = PointGridIndex.over(empty, empty, cells=8)
+        for q in (BBox(0, 0, 0, 0), BBox(-1, -1, 1, 1), BBox(5, 5, 9, 9)):
+            assert idx.count_bbox(q) == len(idx.query_bbox(q)) == 0

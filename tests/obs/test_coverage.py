@@ -74,6 +74,35 @@ def test_cold_store_pyramid_trace_covers_wall_time(traced_store,
     assert coverage >= 0.9, f"coverage {coverage:.2f}\n{render(tree)}"
 
 
+def test_pyramid_scatter_says_whether_the_table_was_narrowed(
+        simple_regions):
+    """A cold frame's blocks hold the whole table, so the scatter scans
+    it in row order; a one-block-column pan's delta holds a sliver, so
+    the scatter gathers it through the grid index."""
+    engine = SpatialAggregationEngine(default_resolution=256)
+    table = make_store_table(30_000, seed=5)
+    query = SpatialAggregation.count(F("fare") > 5)
+    gv = engine.plan_grid_viewport(simple_regions, 256)
+
+    def scatter_attrs(viewport):
+        root = Tracer().start("query")
+        with root:
+            engine.execute(table, simple_regions, query, method="bounded",
+                           viewport=viewport)
+        scatters = [n for n in _walk(root.to_dict(), [])
+                    if n["name"] == "scatter"]
+        assert len(scatters) == 1
+        return scatters[0]["attrs"]
+
+    cold = scatter_attrs(gv)
+    assert cold["narrowed"] is False
+    assert cold["points"] > 0
+    side = gv.grid.block
+    pan = scatter_attrs(gv.pan(side, 0))
+    assert pan["narrowed"] is True
+    assert pan["blocks"] == -(-gv.height // side)
+
+
 def test_untraced_query_records_nothing(traced_store, simple_regions):
     from repro.obs import current_span
 
