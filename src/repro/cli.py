@@ -436,8 +436,18 @@ def _cmd_store_inspect(args) -> int:
             bbox = ("none" if info.bbox is None else
                     f"({info.bbox.xmin:.4g},{info.bbox.ymin:.4g})-"
                     f"({info.bbox.xmax:.4g},{info.bbox.ymax:.4g})")
-            print(f"  {info.directory}: rows={info.rows:,} "
+            print(f"  {info.file}: rows={info.rows:,} "
                   f"key={info.key} bbox={bbox} bytes={info.nbytes:,}")
+    if args.check:
+        from .store.format import check_partition
+
+        problems = [problem for info in manifest.partitions
+                    for problem in check_partition(dataset.path, info)]
+        for problem in problems:
+            print(f"  BAD {problem}")
+        print(f"  check: {dataset.num_partitions} partitions, "
+              f"{len(problems)} problems")
+        return 1 if problems else 0
     return 0
 
 
@@ -620,6 +630,9 @@ def build_parser() -> argparse.ArgumentParser:
     sti.add_argument("path", help="store directory")
     sti.add_argument("--partitions", action="store_true",
                      help="list every partition's zone-map summary")
+    sti.add_argument("--check", action="store_true",
+                     help="verify every partition file's size, footer "
+                          "and column checksums; exit 1 on any mismatch")
     sti.set_defaults(func=_cmd_store_inspect)
 
     stq = sto_sub.add_parser("query",

@@ -37,6 +37,7 @@ one cache from a thread pool):
 from __future__ import annotations
 
 import itertools
+import mmap
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -96,14 +97,17 @@ def bump_revision(obj) -> int:
 
 
 def _is_mmap_backed(arr: np.ndarray) -> bool:
-    """Whether ``arr``'s buffer is an ``np.memmap`` (directly or through
-    a view chain).  Views keep their source alive via ``.base``, so
-    walking the chain finds the owning mapping."""
+    """Whether ``arr``'s buffer is a file mapping (directly or through a
+    view chain).  Views keep their source alive via ``.base``, and a
+    ``frombuffer`` view via its memoryview's ``.obj``, so walking the
+    chain finds the owning ``mmap.mmap`` — an ``np.memmap``'s base is
+    one too."""
     node = arr
     while node is not None:
-        if isinstance(node, np.memmap):
+        if isinstance(node, mmap.mmap):
             return True
-        node = getattr(node, "base", None)
+        node = (node.obj if isinstance(node, memoryview)
+                else getattr(node, "base", None))
     return False
 
 

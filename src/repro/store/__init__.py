@@ -2,11 +2,13 @@
 
 Columnar, partitioned, mmap-backed storage for point tables larger
 than memory: :class:`DatasetWriter` ingests tables or chunk streams
-into spatially-sorted fixed-size partitions with zone-map footers;
-:class:`Dataset` opens a store directory and exposes partitions as
-zero-copy memmap views; :class:`PartitionPruner` turns zone maps into
-answer-preserving partition skips; :func:`execute_dataset` runs the
-raster-join pipeline partition-streamed, bitwise-equal to the
+into spatially-sorted fixed-size partitions, one file each with its
+columns at aligned offsets and a zone-map footer (format v2, see
+:mod:`repro.store.format`); :class:`Dataset` opens a store directory
+and mounts a partition as one ``mmap`` with a zero-copy
+``np.frombuffer`` view per column; :class:`PartitionPruner` turns zone
+maps into answer-preserving partition skips; :func:`execute_dataset`
+runs the raster-join pipeline partition-streamed, bitwise-equal to the
 in-memory engine.
 """
 

@@ -2,14 +2,18 @@
 
 A :class:`Dataset` opens a store directory from its manifest alone —
 no column bytes are touched until a partition is actually scanned.
-:meth:`Dataset.partition_table` maps a partition's raw column files
-with :class:`numpy.memmap` and wraps them in a zero-copy
-:class:`~repro.table.PointTable` (float64/int64/int32 files satisfy the
-table's dtype contracts exactly, so no conversion copies happen).
-Mounted partitions are kept in an LRU keyed by partition index; when
-``memory_budget_bytes`` is set, least-recently-scanned mappings are
-dropped once the mapped total exceeds it — the OS reclaims the pages,
-and a later touch simply remaps the file.
+:meth:`Dataset.partition_table` mounts a partition with one ``open``,
+one ``fstat`` and one read-only ``mmap`` of its file, and wraps an
+:func:`numpy.frombuffer` view per column (at the offsets the manifest
+lists) in a zero-copy :class:`~repro.table.PointTable` — float64/int64/
+int32 bytes satisfy the table's dtype contracts exactly, so no
+conversion copies happen.  A missing file, or one whose size is not
+the manifest's, raises :class:`~repro.errors.SchemaError` and leaves
+the LRU untouched.  Mounted partitions are kept in an LRU keyed by
+partition index; when ``memory_budget_bytes`` is set, least-recently-
+scanned mappings are dropped once the mapped total (raw column bytes)
+exceeds it — the OS reclaims the pages, and a later touch simply
+remaps the file.
 
 The pages a query actually reads are resident only transiently, so
 peak RSS of an out-of-core scan is O(partition + canvas), never
@@ -18,21 +22,22 @@ O(dataset) — the property the acceptance benchmark measures.
 
 from __future__ import annotations
 
+import os
 import threading
 from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import SchemaError
 from ..obs.trace import span
 from ..table import PointTable
-from ..table.column import CATEGORICAL, Column
+from ..table.column import Column
 from .format import (
     KIND_DTYPES,
     Manifest,
     PartitionInfo,
-    column_filename,
+    file_layout,
+    map_partition,
     read_manifest,
 )
 
@@ -44,6 +49,8 @@ class Dataset:
                  memory_budget_bytes: int | None = None):
         self.path = Path(path)
         self.manifest = manifest
+        self._root = os.fspath(self.path)
+        self._layout = file_layout(manifest.columns)
         self.memory_budget_bytes = memory_budget_bytes
         self._mounted: OrderedDict[int, tuple[PointTable, int]] = \
             OrderedDict()
@@ -120,33 +127,13 @@ class Dataset:
             return table
 
     def _map_partition(self, info: PartitionInfo) -> PointTable:
-        pdir = self.path / info.directory
-        x = self._map_file(pdir / "x.bin", "<f8", info.rows)
-        y = self._map_file(pdir / "y.bin", "<f8", info.rows)
-        columns: dict[str, Column] = {}
-        for i, spec in enumerate(self.manifest.columns):
-            raw = self._map_file(pdir / column_filename(i, spec.name),
-                                 KIND_DTYPES[spec.kind], info.rows)
-            if spec.kind == CATEGORICAL:
-                columns[spec.name] = Column(spec.name, spec.kind, raw,
-                                            spec.categories)
-            else:
-                columns[spec.name] = Column(spec.name, spec.kind, raw)
-        return PointTable(x, y, columns,
-                          name=f"{self.name}/{info.directory}")
-
-    @staticmethod
-    def _map_file(path: Path, dtype: str, rows: int) -> np.ndarray:
-        if rows == 0:
-            return np.empty(0, dtype=dtype)
-        if not path.exists():
-            raise SchemaError(f"store is missing column file {path}")
-        expected = rows * np.dtype(dtype).itemsize
-        actual = path.stat().st_size
-        if actual != expected:
-            raise SchemaError(
-                f"{path} holds {actual} bytes, footer says {expected}")
-        return np.memmap(path, dtype=dtype, mode="r", shape=(rows,))
+        views = map_partition(os.path.join(self._root, info.file), info,
+                              self._layout)
+        columns = {spec.name: Column(spec.name, spec.kind, views[spec.name],
+                                     spec.categories)
+                   for spec in self.manifest.columns}
+        return PointTable(views["x"], views["y"], columns,
+                          name=f"{self.name}/{info.file}")
 
     def iter_partition_tables(self, indices=None):
         """Yield (index, table) over (surviving) partitions in manifest
@@ -171,10 +158,8 @@ class Dataset:
             columns = {}
             for spec in self.manifest.columns:
                 raw = np.empty(0, dtype=KIND_DTYPES[spec.kind])
-                columns[spec.name] = (
-                    Column(spec.name, spec.kind, raw, spec.categories)
-                    if spec.kind == CATEGORICAL
-                    else Column(spec.name, spec.kind, raw))
+                columns[spec.name] = Column(spec.name, spec.kind, raw,
+                                            spec.categories)
             return PointTable(np.empty(0), np.empty(0), columns,
                               name=name or self.name)
         return PointTable.concat(tables, name=name or self.name)

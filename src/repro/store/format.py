@@ -1,34 +1,47 @@
-"""On-disk format of the out-of-core dataset store (schema v1).
+"""On-disk format of the out-of-core dataset store (format v2).
 
-A store is a directory of fixed-size **partitions** sorted by a spatial
-grid key (x/y cell, optional time bucket)::
+A store is a directory of fixed-size **partitions**, one file each,
+sorted by a spatial grid key (x/y cell, optional time bucket)::
 
     store/
-      manifest.json           # schema, grid, category domains, partition index
-      p00000/
-        footer.json           # zone maps for this partition
-        x.bin  y.bin          # raw little-endian float64 coordinates
-        c0_fare.bin ...       # one raw column file per attribute
+      manifest.json     # schema, grid, category domains, partition index
+      p00000.part       # one partition: raw columns, then its footer
+      p00001.part
+      ...
 
-Column files are raw little-endian arrays (``<f8`` numeric, ``<i8``
-timestamp, ``<i4`` categorical codes) so a :class:`numpy.memmap` over
-the file *is* the column — zero parse, zero copy.  Categorical codes
-refer to one **global, append-only** category list per column stored in
-the manifest, so partitions written at different times stay mutually
+A partition file is its raw columns followed by a JSON footer and the
+footer's length::
+
+    x | pad | y | pad | c0 | pad | ... | footer JSON | len(footer) <u8
+
+Columns come in schema order — x, y, then the attributes in manifest
+order — each starting at a 64-byte-aligned offset.  They are raw
+little-endian arrays (``<f8`` coordinates and numeric, ``<i8``
+timestamp, ``<i4`` categorical codes), so a :func:`numpy.frombuffer`
+view into one ``mmap`` of the file *is* the column: zero parse, zero
+copy, one ``open`` per partition.  Categorical codes refer to one
+**global, append-only** category list per column stored in the
+manifest, so partitions written at different times stay mutually
 consistent and concatenate without re-encoding.
 
-Each partition's ``footer.json`` holds its **zone maps** — the metadata
-pruning runs on (GeoBlocks-style): point bbox, per-column min/max (NaNs
-counted separately), time min/max, and a category-presence bitset.  The
-manifest duplicates every footer so a query prunes the whole store from
-one small JSON read; the footer remains the per-partition authority
-(``repro store inspect --check`` verifies the two agree).
+The footer holds the partition's **zone maps** — the metadata pruning
+runs on (GeoBlocks-style): point bbox, per-column min/max (NaNs counted
+separately), time min/max, and a category-presence bitset — and its
+column table, ``[offset, nbytes, crc32]`` per column.  The manifest
+duplicates every footer and adds the file's name and size, so a query
+prunes the whole store, and mounts any partition, from one small JSON
+read.  The footer keeps each file self-describing;
+``repro store inspect --check`` verifies that the two agree and
+recomputes every column's checksum.
 """
 
 from __future__ import annotations
 
 import json
-import re
+import mmap
+import os
+import struct
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,13 +51,18 @@ from ..errors import SchemaError
 from ..geometry import BBox
 from ..table.column import CATEGORICAL, NUMERIC, TIMESTAMP
 
-#: Version stamped into manifests and footers; readers reject anything newer.
-STORE_FORMAT_VERSION = 1
+#: Version stamped into manifests and footers; readers read exactly this.
+STORE_FORMAT_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
-FOOTER_NAME = "footer.json"
 
-#: Column kind -> the little-endian dtype of its raw ``.bin`` file.
+#: Every column starts at a multiple of this many bytes into its file.
+COLUMN_ALIGN = 64
+
+#: The file's last 8 bytes: the footer's length, little-endian.
+FOOTER_LENGTH = struct.Struct("<Q")
+
+#: Column kind -> the little-endian dtype of its raw bytes.
 KIND_DTYPES = {
     NUMERIC: "<f8",
     TIMESTAMP: "<i8",
@@ -52,10 +70,9 @@ KIND_DTYPES = {
 }
 
 
-def column_filename(index: int, name: str) -> str:
-    """Filesystem-safe ``.bin`` name for attribute column ``index``."""
-    safe = re.sub(r"[^A-Za-z0-9_.-]", "_", name)[:48]
-    return f"c{index}_{safe}.bin"
+def partition_filename(seq: int) -> str:
+    """The file name of the ``seq``-th partition written to a store."""
+    return f"p{seq:05d}.part"
 
 
 @dataclass(frozen=True)
@@ -82,18 +99,23 @@ class ColumnSpec:
 
 @dataclass
 class PartitionInfo:
-    """One partition's manifest entry: location, size, and zone maps."""
+    """One partition's manifest entry: file, zone maps, column table."""
 
-    directory: str
+    file: str                            #: file name in the store root
     rows: int
     key: tuple[int, int]                 #: (grid cell id, time bucket)
     bbox: BBox | None                    #: point envelope; None when empty
     zones: dict[str, dict] = field(default_factory=dict)
     nbytes: int = 0                      #: total raw column bytes
+    file_bytes: int = 0                  #: size of the partition file
+    #: column name -> (offset, nbytes, crc32), x and y included.
+    columns: dict[str, tuple[int, int, int]] = field(default_factory=dict)
 
-    def to_json(self) -> dict:
+    def footer_json(self) -> dict:
+        """The trailing footer: this entry less the file's name and
+        size, which the file itself knows."""
         return {
-            "dir": self.directory,
+            "format_version": STORE_FORMAT_VERSION,
             "rows": self.rows,
             "key": list(self.key),
             "bbox": ([self.bbox.xmin, self.bbox.ymin,
@@ -101,19 +123,54 @@ class PartitionInfo:
                      if self.bbox is not None else None),
             "zones": self.zones,
             "nbytes": self.nbytes,
+            "columns": {name: list(entry)
+                        for name, entry in self.columns.items()},
         }
+
+    def to_json(self) -> dict:
+        payload = self.footer_json()
+        del payload["format_version"]
+        return {"file": self.file, "file_bytes": self.file_bytes, **payload}
 
     @classmethod
     def from_json(cls, payload: dict) -> "PartitionInfo":
         box = payload.get("bbox")
         return cls(
-            directory=payload["dir"],
+            file=payload["file"],
             rows=int(payload["rows"]),
             key=tuple(payload["key"]),
             bbox=BBox(*box) if box is not None else None,
             zones=payload.get("zones") or {},
             nbytes=int(payload.get("nbytes", 0)),
+            file_bytes=int(payload["file_bytes"]),
+            columns={name: tuple(int(v) for v in entry)
+                     for name, entry in payload["columns"].items()},
         )
+
+    def check_layout(self, layout: list[tuple[str, str]]) -> None:
+        """Raise :class:`SchemaError` unless the column table places
+        every ``(name, dtype)`` of ``layout`` aligned and whole before
+        the footer, so the views a mount makes cannot fail."""
+        end = self.file_bytes - FOOTER_LENGTH.size
+        for name, dtype in layout:
+            entry = self.columns.get(name)
+            if entry is None:
+                raise SchemaError(
+                    f"partition {self.file} has no column {name!r}")
+            offset, nbytes, _ = entry
+            if (offset % COLUMN_ALIGN or offset + nbytes > end
+                    or nbytes != self.rows * np.dtype(dtype).itemsize):
+                raise SchemaError(
+                    f"partition {self.file}: column {name!r} at "
+                    f"[{offset}, +{nbytes}) does not hold {self.rows} "
+                    f"{dtype} rows in a {self.file_bytes}-byte file")
+
+
+def file_layout(columns: list[ColumnSpec]) -> list[tuple[str, str]]:
+    """``(name, dtype)`` of every column in file order: x, y, then the
+    attribute columns in schema order."""
+    return [("x", "<f8"), ("y", "<f8")] + [
+        (spec.name, KIND_DTYPES[spec.kind]) for spec in columns]
 
 
 # -- zone maps ---------------------------------------------------------------
@@ -244,15 +301,11 @@ class Manifest:
 
     @classmethod
     def from_json(cls, payload: dict) -> "Manifest":
-        version = int(payload.get("format_version", -1))
-        if version > STORE_FORMAT_VERSION:
-            raise SchemaError(
-                f"store format v{version} is newer than this reader "
-                f"(v{STORE_FORMAT_VERSION})")
+        _check_version(payload, "store")
         grid = payload.get("grid") or {}
         gbox = grid.get("bbox")
         tinfo = payload.get("time")
-        return cls(
+        manifest = cls(
             name=payload.get("name", "store"),
             partition_rows=int(payload["partition_rows"]),
             grid_nx=int(grid.get("nx", 1)),
@@ -265,6 +318,24 @@ class Manifest:
             partitions=[PartitionInfo.from_json(p)
                         for p in payload["partitions"]],
         )
+        layout = file_layout(manifest.columns)
+        for info in manifest.partitions:
+            info.check_layout(layout)
+        return manifest
+
+
+def _check_version(payload: dict, what: str) -> None:
+    """Reject anything but this reader's format, naming the way out."""
+    version = int(payload.get("format_version", 1))
+    if version > STORE_FORMAT_VERSION:
+        raise SchemaError(
+            f"{what} format v{version} is newer than this reader "
+            f"(v{STORE_FORMAT_VERSION})")
+    if version < STORE_FORMAT_VERSION:
+        raise SchemaError(
+            f"{what} is format v{version}, this reader reads only "
+            f"v{STORE_FORMAT_VERSION}: rebuild it from its source with "
+            f"`repro store build`")
 
 
 def write_manifest(path: Path, manifest: Manifest) -> None:
@@ -281,12 +352,123 @@ def read_manifest(path: Path) -> Manifest:
     return Manifest.from_json(json.loads(manifest_path.read_text()))
 
 
-def write_footer(partition_dir: Path, info: PartitionInfo) -> None:
-    payload = {"format_version": STORE_FORMAT_VERSION, **info.to_json()}
-    (partition_dir / FOOTER_NAME).write_text(
-        json.dumps(payload, indent=1) + "\n")
+# -- partition files -------------------------------------------------------
 
 
-def read_footer(partition_dir: Path) -> PartitionInfo:
-    payload = json.loads((Path(partition_dir) / FOOTER_NAME).read_text())
-    return PartitionInfo.from_json(payload)
+def write_partition(path: Path, columns: list[tuple[str, np.ndarray]], *,
+                    key: tuple[int, int], bbox: BBox | None,
+                    zones: dict[str, dict]) -> PartitionInfo:
+    """Write one partition file and return its manifest entry.
+
+    ``columns`` are ``(name, contiguous little-endian array)`` pairs in
+    file order (:func:`file_layout`).  Each lands at the next
+    :data:`COLUMN_ALIGN` boundary; the footer and its length follow.
+    """
+    path = Path(path)
+    table: dict[str, tuple[int, int, int]] = {}
+    offset = 0
+    with open(path, "xb") as handle:
+        for name, raw in columns:
+            pad = -offset % COLUMN_ALIGN
+            handle.write(bytes(pad))
+            offset += pad
+            handle.write(raw)
+            table[name] = (offset, raw.nbytes, zlib.crc32(raw))
+            offset += raw.nbytes
+        info = PartitionInfo(
+            path.name, len(columns[0][1]), key, bbox, zones,
+            nbytes=sum(nbytes for _, nbytes, _ in table.values()),
+            columns=table)
+        footer = json.dumps(info.footer_json()).encode()
+        handle.write(footer)
+        handle.write(FOOTER_LENGTH.pack(len(footer)))
+    info.file_bytes = offset + len(footer) + FOOTER_LENGTH.size
+    return info
+
+
+def map_partition(path: str, info: PartitionInfo,
+                  layout: list[tuple[str, str]]) -> dict[str, np.ndarray]:
+    """Mount one partition file: one ``open``, one ``fstat``, one
+    read-only ``mmap``, and a zero-copy ``np.frombuffer`` view per
+    ``(name, dtype)`` of ``layout`` at the offsets ``info`` lists.
+
+    A missing file, or one whose size is not ``info.file_bytes``,
+    raises :class:`SchemaError`.  The offsets need no check here:
+    :meth:`PartitionInfo.check_layout` vetted them when the manifest
+    was read.
+    """
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError as exc:
+        raise SchemaError(f"cannot open partition file {path}: "
+                          f"{exc.strerror}") from None
+    try:
+        size = os.fstat(fd).st_size
+        if size != info.file_bytes:
+            raise SchemaError(f"{path} holds {size} bytes, manifest says "
+                              f"{info.file_bytes}")
+        buf = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+    finally:
+        os.close(fd)
+    return {name: np.frombuffer(buf, dtype, count=info.rows,
+                                offset=info.columns[name][0])
+            for name, dtype in layout}
+
+
+def read_footer(path) -> PartitionInfo:
+    """The manifest entry a partition file gives by itself: its
+    trailing footer plus the file's name and size."""
+    path = Path(path)
+    try:
+        with open(path, "rb") as handle:
+            size = handle.seek(0, os.SEEK_END)
+            if size < FOOTER_LENGTH.size:
+                raise SchemaError(f"{path.name} is too short for a footer")
+            handle.seek(size - FOOTER_LENGTH.size)
+            (length,) = FOOTER_LENGTH.unpack(
+                handle.read(FOOTER_LENGTH.size))
+            if length > size - FOOTER_LENGTH.size:
+                raise SchemaError(f"{path.name}: footer length {length} "
+                                  f"exceeds the file")
+            handle.seek(size - FOOTER_LENGTH.size - length)
+            payload = json.loads(handle.read(length))
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:  # bad UTF-8 or JSON
+        raise SchemaError(f"{path.name}: unreadable footer ({exc})") \
+            from None
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{path.name}: footer is not a JSON object")
+    _check_version(payload, f"partition {path.name}")
+    return PartitionInfo.from_json(
+        {**payload, "file": path.name, "file_bytes": size})
+
+
+def check_partition(root: Path, info: PartitionInfo) -> list[str]:
+    """Everything wrong with one partition file against its manifest
+    entry — size, trailing footer, each column's crc32 — as messages
+    naming the file (and column); empty when the file is sound."""
+    path = Path(root) / info.file
+    try:
+        size = path.stat().st_size
+    except FileNotFoundError:
+        return [f"{info.file}: file is missing"]
+    if size != info.file_bytes:
+        return [f"{info.file}: {size} bytes, manifest says "
+                f"{info.file_bytes}"]
+    problems = []
+    try:
+        if read_footer(path).to_json() != info.to_json():
+            problems.append(
+                f"{info.file}: footer differs from the manifest entry")
+    except (SchemaError, KeyError, TypeError) as exc:
+        problems.append(f"{info.file}: bad footer ({exc})")
+    with open(path, "rb") as handle:
+        for name, (offset, nbytes, crc) in info.columns.items():
+            handle.seek(offset)
+            actual = zlib.crc32(handle.read(nbytes))
+            if actual != crc:
+                problems.append(
+                    f"{info.file}: column {name!r} crc32 {actual:#010x}, "
+                    f"manifest says {crc:#010x}")
+    return problems

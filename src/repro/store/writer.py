@@ -28,15 +28,15 @@ from ..geometry import BBox
 from ..table import PointTable
 from ..table.column import CATEGORICAL, TIMESTAMP
 from .format import (
-    KIND_DTYPES,
     ColumnSpec,
     Manifest,
     PartitionInfo,
     build_zones,
-    column_filename,
+    file_layout,
+    partition_filename,
     read_manifest,
-    write_footer,
     write_manifest,
+    write_partition,
 )
 
 DEFAULT_PARTITION_ROWS = 65_536
@@ -107,7 +107,7 @@ class DatasetWriter:
                     label: code for code, label
                     in enumerate(spec.categories)}
         for info in manifest.partitions:
-            seq = int(info.directory.lstrip("p"))
+            seq = int(Path(info.file).stem.lstrip("p"))
             self._partitions.append((info.key, seq, info))
             self._seq = max(self._seq, seq + 1)
 
@@ -135,8 +135,6 @@ class DatasetWriter:
                 raise SchemaError(
                     f"time_column {self.time_column!r} is not a timestamp "
                     f"column of the ingested schema")
-        if self.grid_bbox is None and len(table):
-            self.grid_bbox = table.bbox
 
     def _check_schema(self, table: PointTable) -> None:
         names = [s.name for s in self._specs]
@@ -175,14 +173,15 @@ class DatasetWriter:
         if box is None or box.width <= 0 or box.height <= 0:
             cell = np.zeros(len(table), dtype=np.int64)
         else:
-            cx = np.floor((table.x - box.xmin) / box.width
-                          * self.grid_nx).astype(np.int64)
-            cy = np.floor((table.y - box.ymin) / box.height
-                          * self.grid_ny).astype(np.int64)
-            # Out-of-grid points clamp to edge cells: the grid is only a
+            # Out-of-grid points clamp to edge cells (before the cast, so
+            # far-off points cannot overflow it): the grid is only a
             # locality hint — zone maps are computed from actual data.
-            np.clip(cx, 0, self.grid_nx - 1, out=cx)
-            np.clip(cy, 0, self.grid_ny - 1, out=cy)
+            cx = np.clip(np.floor((table.x - box.xmin) / box.width
+                                  * self.grid_nx),
+                         0, self.grid_nx - 1).astype(np.int64)
+            cy = np.clip(np.floor((table.y - box.ymin) / box.height
+                                  * self.grid_ny),
+                         0, self.grid_ny - 1).astype(np.int64)
             cell = cy * self.grid_nx + cx
         if self.time_bucket_seconds and self.time_column is not None:
             tvals = table.column(self.time_column).values
@@ -201,13 +200,16 @@ class DatasetWriter:
         """Buffer one chunk, flushing any partition-sized key groups."""
         if self._closed:
             raise SchemaError("writer is closed")
-        if len(table) == 0:
-            return
         if self._specs is None:
             self._init_schema(table)
         else:
             self._check_schema(table)
+        # An empty chunk still declares its schema and category labels.
         fields = self._encode(table)
+        if len(table) == 0:
+            return
+        if self.grid_bbox is None:
+            self.grid_bbox = table.bbox
 
         keys = self._keys_of(table)
         order = np.argsort(keys, kind="stable")
@@ -264,30 +266,16 @@ class DatasetWriter:
 
     def _write_partition(self, key: tuple,
                          fields: dict[str, np.ndarray]) -> None:
-        directory = f"p{self._seq:05d}"
         seq = self._seq
         self._seq += 1
-        pdir = self.path / directory
-        pdir.mkdir(parents=True, exist_ok=False)
-        rows = len(fields["x"])
-        nbytes = 0
-        zone_inputs: dict[str, tuple[str, np.ndarray]] = {}
-        for label, arr, dtype in (("x", fields["x"], "<f8"),
-                                  ("y", fields["y"], "<f8")):
-            raw = np.ascontiguousarray(arr).astype(dtype, copy=False)
-            raw.tofile(pdir / f"{label}.bin")
-            nbytes += raw.nbytes
-        for i, spec in enumerate(self._specs):
-            dtype = KIND_DTYPES[spec.kind]
-            raw = np.ascontiguousarray(
-                fields[spec.name]).astype(dtype, copy=False)
-            raw.tofile(pdir / column_filename(i, spec.name))
-            nbytes += raw.nbytes
-            zone_inputs[spec.name] = (spec.kind, fields[spec.name])
-        bbox, zones = build_zones(fields["x"], fields["y"], zone_inputs)
-        info = PartitionInfo(directory, rows, key, bbox, zones,
-                             nbytes=nbytes)
-        write_footer(pdir, info)
+        columns = [(name, np.ascontiguousarray(fields[name], dtype=dtype))
+                   for name, dtype in file_layout(self._specs)]
+        bbox, zones = build_zones(
+            fields["x"], fields["y"],
+            {spec.name: (spec.kind, fields[spec.name])
+             for spec in self._specs})
+        info = write_partition(self.path / partition_filename(seq), columns,
+                               key=key, bbox=bbox, zones=zones)
         self._partitions.append((key, seq, info))
 
     # -- finish ------------------------------------------------------------

@@ -15,18 +15,23 @@ from repro.core import SpatialAggregation
 from repro.core.cache import estimate_nbytes
 from repro.errors import QueryError, SchemaError
 from repro.serve import mount_datasets
-from repro.store import Dataset
+from repro.store import Dataset, build_store
 from repro.table import save_npz
 from repro.urbane import DataManager
 
 
 class TestMmapSizing:
-    def test_mmap_columns_cost_nothing(self, store):
+    def test_mmap_columns_cost_nothing(self, store, tmp_path):
         part = store.partition_table(0)
         assert estimate_nbytes(part.x) == 0
-        # astype(copy=False) views keep the memmap base chain.
+        # astype(copy=False) views keep the base chain down to the mmap.
         values = part.column("fare").values.astype(np.float64, copy=False)
         assert estimate_nbytes(values) == 0
+        # An np.memmap's base is an mmap.mmap too.
+        np.arange(16, dtype=np.float64).tofile(tmp_path / "raw.bin")
+        mapped = np.memmap(tmp_path / "raw.bin", dtype=np.float64, mode="r")
+        assert estimate_nbytes(mapped) == 0
+        assert estimate_nbytes(mapped[4:]) == 0
 
     def test_materialized_copies_still_charged(self, store):
         part = store.partition_table(0)
@@ -73,6 +78,45 @@ class TestLRUMounting:
         ds.partition_table(0)
         ds.drop_mounts()
         assert ds.mount_stats()["partitions_mapped"] == 0
+
+
+class TestMountErrors:
+    """A damaged partition file fails its mount as a SchemaError and
+    leaves the mount LRU as it was."""
+
+    @pytest.fixture
+    def fresh(self, store_table, tmp_path):
+        return build_store(store_table.take(np.arange(6_000)),
+                           tmp_path / "s", partition_rows=1_024, grid=2)
+
+    @pytest.mark.parametrize("damage", ["missing", "truncated", "extended"])
+    def test_damaged_file_raises_schema_error(self, fresh, damage):
+        ds = Dataset.open(fresh.path, memory_budget_bytes=max(
+            p.nbytes for p in fresh.partitions) * 2)
+        ds.partition_table(0)
+        ds.partition_table(1)
+        before = ds.mount_stats()
+        path = ds.path / ds.partitions[2].file
+        if damage == "missing":
+            path.unlink()
+        elif damage == "truncated":
+            path.write_bytes(path.read_bytes()[:-1])
+        else:
+            with open(path, "ab") as handle:
+                handle.write(b"\0")
+        with pytest.raises(SchemaError, match=ds.partitions[2].file):
+            ds.partition_table(2)
+        assert ds.mount_stats() == before
+        assert list(ds._mounted) == [0, 1]
+        # The LRU still works: a hit, then a mount that evicts.
+        ds.partition_table(0)
+        ds.partition_table(3)
+        stats = ds.mount_stats()
+        assert stats["hits"] == before["hits"] + 1
+        assert stats["mapped_bytes"] == sum(
+            nbytes for _, nbytes in ds._mounted.values())
+        assert stats["mounts"] - stats["evictions"] == \
+            stats["partitions_mapped"]
 
 
 class TestMountThreadSafety:

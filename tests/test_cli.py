@@ -157,6 +157,53 @@ class TestStoreQueryCommand:
         assert "disc" in out
 
 
+class TestStoreInspectCheck:
+    @pytest.fixture
+    def store(self, data_files, tmp_path):
+        path = tmp_path / "store"
+        assert main(["store", "build", "--data", data_files["data"],
+                     "--out", str(path), "--partition-rows", "4096",
+                     "--grid", "2"]) == 0
+        return path
+
+    def test_clean_store_passes(self, store, capsys):
+        capsys.readouterr()
+        assert main(["store", "inspect", str(store), "--check",
+                     "--partitions"]) == 0
+        out = capsys.readouterr().out
+        assert "p00000.part: rows=" in out
+        assert "BAD" not in out and ", 0 problems" in out
+
+    def test_flipped_column_byte_is_named(self, store, capsys):
+        from repro.store import read_manifest
+
+        info = read_manifest(store).partitions[1]
+        offset, nbytes, _ = info.columns["fare"]
+        path = store / info.file
+        data = bytearray(path.read_bytes())
+        data[offset + nbytes // 2] ^= 0x01
+        path.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["store", "inspect", str(store), "--check"]) == 1
+        bad = [line for line in capsys.readouterr().out.splitlines()
+               if "BAD" in line]
+        assert len(bad) == 1
+        assert info.file in bad[0] and "column 'fare'" in bad[0]
+
+    def test_truncated_file_fails(self, store, capsys):
+        from repro.store import read_manifest
+
+        info = read_manifest(store).partitions[0]
+        path = store / info.file
+        path.write_bytes(path.read_bytes()[:info.columns["y"][0]])
+        capsys.readouterr()
+        assert main(["store", "inspect", str(store), "--check"]) == 1
+        bad = [line for line in capsys.readouterr().out.splitlines()
+               if "BAD" in line]
+        assert len(bad) == 1 and info.file in bad[0]
+        assert f"manifest says {info.file_bytes}" in bad[0]
+
+
 class TestRetiredFlags:
     """The fork flags went with the forks, the speculation flags with
     the speculative prefetcher, ``serve --shards`` with the routed
