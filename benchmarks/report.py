@@ -544,47 +544,6 @@ def main() -> None:
         f"passes; the matrix and the SQL front end are interactive-"
         f"grade.")
 
-    # -- E12: streaming ----------------------------------------------------
-    print("E12 streaming...")
-    from repro.data import generate_social_posts
-    from repro.stream import PointStream
-    from repro.table import timestamp_column as _ts_col
-
-    posts, __ = generate_social_posts(city, 400_000, seed=11)
-    stream = PointStream(neighborhoods, resolution=512,
-                         bucket_seconds=1_800)
-    stream.append(posts)
-    stream.table()
-    tail = posts.take(np.arange(len(posts) - 25_000, len(posts)))
-    tmax = int(posts.values("t").max())
-    batch = tail.with_column(_ts_col(
-        "t", np.full(len(tail), tmax, dtype=np.int64)))
-    ms_append = _median_ms(lambda: stream.append(batch), repeats=5)
-    ms_snapshot = _median_ms(stream.matrix, repeats=5)
-    now = stream.last_timestamp
-    window_query = SpatialAggregation.count(F("topic") == "events")
-    ms_window = _median_ms(lambda: engine.execute(
-        stream.window_table(now - 6 * 3_600, now + 1), neighborhoods,
-        window_query, viewport=stream.viewport, method="bounded"))
-    ms_history = _median_ms(lambda: engine.execute(
-        stream.table(), neighborhoods, window_query,
-        viewport=stream.viewport, method="bounded"))
-    report.add(
-        "E12 — social-sensor streaming",
-        "Batches keep arriving while views stay open: per-batch "
-        "ingestion is cheap and flat, live snapshots are O(1), and a "
-        "sliding-window query costs O(window) rather than O(history).",
-        _table(("operation", "median latency"),
-               [("append 25k-row batch (incremental state)",
-                 f"{ms_append:.2f} ms"),
-                ("region x time snapshot", f"{ms_snapshot:.2f} ms"),
-                ("6h sliding-window filtered query", f"{ms_window:.1f} ms"),
-                ("same query over full history", f"{ms_history:.1f} ms")]),
-        f"Reproduced the streaming claim: ingestion sustains "
-        f"~{25_000 / ms_append * 1000 / 1e6:.0f}M rows/s and window "
-        f"queries are {ms_history / ms_window:.1f}x cheaper than "
-        f"re-aggregating the history.")
-
     # -- E14: temporal canvas cube brush latency -------------------------
     print("E14 tcube brush...")
     from bench_tcube_brush import run_brush

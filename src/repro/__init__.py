@@ -37,7 +37,6 @@ from . import (
     geometry,
     index,
     raster,
-    stream,
     table,
     urbane,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "geometry",
     "index",
     "raster",
-    "stream",
     "table",
     "urbane",
 ]

@@ -63,6 +63,19 @@ def epsilon_for_viewport(viewport: Viewport) -> float:
     return viewport.pixel_diag
 
 
+def boundary_mass(fragments: FragmentTable, mass_canvas: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-region ``(mass_in, mass_out)``: the ``mass_canvas`` total over
+    each region's covered boundary pixels, and over its uncovered ones
+    (all boundary pixels minus the covered)."""
+    n = fragments.num_polygons
+    mass_in = gather_sum(mass_canvas, fragments.covered_boundary_pixels,
+                         fragments.covered_boundary_polys, n)
+    mass_all = gather_sum(mass_canvas, fragments.boundary_pixels,
+                          fragments.boundary_polys, n)
+    return mass_in, mass_all - mass_in
+
+
 def boundary_mass_bounds(
     fragments: FragmentTable,
     estimate: np.ndarray,
@@ -79,12 +92,7 @@ def boundary_mass_bounds(
         lower = estimate - mass(covered boundary pixels)
         upper = estimate + mass(uncovered boundary pixels)
     """
-    n = fragments.num_polygons
-    mass_in = gather_sum(mass_canvas, fragments.covered_boundary_pixels,
-                         fragments.covered_boundary_polys, n)
-    mass_all = gather_sum(mass_canvas, fragments.boundary_pixels,
-                          fragments.boundary_polys, n)
-    mass_out = mass_all - mass_in
+    mass_in, mass_out = boundary_mass(fragments, mass_canvas)
     return estimate - mass_in, estimate + mass_out
 
 

@@ -35,10 +35,11 @@ follows from the two.
 Cube construction is the point pipeline's filter → project → fold
 (:mod:`repro.core.pipeline`) into (bucket, active pixel) cells plus a
 cumsum, so the one-time build amortizes within a few brush steps.
-Appends (streaming) fold into the tail bucket in place instead of
-invalidating the cube.  :func:`cube_for_brush` is the one rule for
-which cube serves a brush, and :func:`cube_for_repeated_brush` builds
-one only for a brush key that repeats.
+A built cube is immutable: its prefix planes are read-only, so a cube
+shared through the engine cache can never be written by a reader.
+:func:`cube_for_brush` is the one rule for which cube serves a brush,
+and :func:`cube_for_repeated_brush` builds one only for a brush key
+that repeats.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ class TemporalCanvasCube:
     value column is stored; ``mass`` (sum of |value|, for the SUM error
     bounds) only when the column has negative values — for non-negative
     columns the sum plane *is* the mass plane, the same reuse
-    :mod:`repro.core.bounded` applies.
+    :mod:`repro.core.bounded` applies.  The planes are read-only.
     """
 
     def __init__(self, viewport: Viewport, time_column: str,
@@ -155,7 +156,6 @@ class TemporalCanvasCube:
                  active_pixels: np.ndarray, prefix: dict[str, np.ndarray],
                  value_column: str | None = None,
                  residual_filters: tuple = (),
-                 nonnegative_values: bool = True,
                  covers_all_points: bool = True,
                  stats: dict | None = None):
         self.viewport = viewport
@@ -166,7 +166,6 @@ class TemporalCanvasCube:
         self.prefix = prefix
         self.value_column = value_column
         self.residual_filters = tuple(residual_filters)
-        self.nonnegative_values = bool(nonnegative_values)
         self.covers_all_points = bool(covers_all_points)
         self.stats = stats or {}
         self._totals: dict[str, np.ndarray] = {}
@@ -190,6 +189,12 @@ class TemporalCanvasCube:
         return ((self.origin or 0)
                 + np.arange(self.num_buckets, dtype=np.int64)
                 * self.bucket_seconds)
+
+    @property
+    def nonnegative_values(self) -> bool:
+        """Whether the stored values are provably non-negative, so the
+        sum plane doubles as the mass plane."""
+        return "mass" not in self.prefix
 
     @property
     def spec(self) -> tuple:
@@ -536,110 +541,6 @@ class TemporalCanvasCube:
         lower, upper = boundary_mass_bounds(fragments, estimate, flat)
         return estimate, lower, upper, int(flat.sum())
 
-    # -- incremental maintenance ------------------------------------------
-
-    def append(self, pixel_ids: np.ndarray, tvals: np.ndarray,
-               values: np.ndarray | None = None,
-               all_in_viewport: bool = True) -> None:
-        """Fold a batch of new points into the tail of the cube.
-
-        Streaming batches arrive in event-log order, so new points may
-        only land in the current tail bucket (its prefix row is bumped
-        in place) or later ones (cumsum-extended rows) — never in
-        settled history.  New pixels extend the active set; their past
-        prefix entries are zero by construction, so history stays exact.
-        """
-        if self.value_column is not None and values is None:
-            raise QueryError(
-                f"cube stores {self.value_column!r} sums; append needs "
-                f"the matching values")
-        pixel_ids = np.asarray(pixel_ids, dtype=np.int64)
-        tvals = np.asarray(tvals)
-        self.covers_all_points = self.covers_all_points and bool(
-            all_in_viewport)
-        if len(pixel_ids) == 0:
-            return
-
-        if self.origin is None:
-            self.origin = (int(tvals.min()) // self.bucket_seconds
-                           * self.bucket_seconds)
-        buckets = ((tvals - self.origin)
-                   // self.bucket_seconds).astype(np.int64)
-        num = self.num_buckets
-        if int(buckets.min()) < num - 1:
-            raise QueryError(
-                "append may only touch the tail bucket onward; batch "
-                f"reaches back to bucket {int(buckets.min())} < {num - 1}")
-        new_num = max(num, int(buckets.max()) + 1)
-        if new_num > MAX_TCUBE_SLICES:
-            raise CubeError(
-                f"appending would grow the cube to {new_num} slices "
-                f"(cap {MAX_TCUBE_SLICES})")
-
-        # Column growth for never-before-seen pixels.
-        uniq = np.unique(pixel_ids)
-        missing = uniq[np.isin(uniq, self.active_pixels,
-                               assume_unique=True, invert=True)]
-        if len(missing):
-            new_active = np.union1d(self.active_pixels, missing)
-            old_cols = np.searchsorted(new_active, self.active_pixels)
-            for kind, plane in self.prefix.items():
-                grown = np.zeros((plane.shape[0], len(new_active)))
-                grown[:, old_cols] = plane
-                self.prefix[kind] = grown
-            self.active_pixels = new_active
-        cols = np.searchsorted(self.active_pixels, pixel_ids)
-
-        vals = None
-        if self.value_column is not None:
-            vals = np.asarray(values, dtype=np.float64)
-            if self.nonnegative_values and len(vals) and vals.min() < 0:
-                # Non-negativity just broke.  All historical |v| sums
-                # equal the v sums, so the mass plane starts as a copy
-                # of the sum plane and diverges from here on.
-                self.prefix["mass"] = self.prefix["sum"].copy()
-                self.nonnegative_values = False
-
-        # Tail deltas from the tail bucket on; every stored plane folds
-        # on its own (the mass plane, when stored, folds |v|).
-        width = len(self.active_pixels)
-        base = max(0, num - 1)
-        slices = new_num - base
-        canvases = {kind: np.zeros(slices * width) for kind in self.prefix}
-        deltas = _fold_cells(canvases, buckets - base, cols, vals, slices,
-                             width)
-        for kind, delta in deltas.items():
-            plane = self.prefix[kind]
-            if num > 0:
-                plane[num] += delta[0]
-                delta = delta[1:]
-            if len(delta):
-                plane = np.vstack([plane,
-                                   plane[-1] + np.cumsum(delta, axis=0)])
-            self.prefix[kind] = plane
-        self._totals.clear()
-        self._joins.clear()
-        self.stats["points_total"] = (self.stats.get("points_total", 0)
-                                      + len(pixel_ids))
-
-
-def _fold_cells(canvases: dict, buckets: np.ndarray, cols: np.ndarray,
-                values: np.ndarray | None, slices: int, width: int) -> dict:
-    """Fold points into their (bucket, active column) cells with the
-    point pipeline's :func:`~repro.core.pipeline.fold`; returns each
-    kind's canvas as a ``(slices, width)`` view of per-bucket deltas.
-
-    The build (with buckets shifted down one row, so the view is the
-    prefix plane before its in-place sum) and
-    :meth:`TemporalCanvasCube.append` share it.  Each
-    cell folds its points in point order, and ``np.add.at`` into zeros
-    equals ``np.bincount`` in element order, so the deltas are the
-    per-bucket bincounts bit for bit.
-    """
-    fold(canvases, buckets * width + cols, values)
-    return {kind: canvas.reshape(slices, width)
-            for kind, canvas in canvases.items()}
-
 
 def build_temporal_canvas_cube(
     table,
@@ -648,7 +549,6 @@ def build_temporal_canvas_cube(
     bucket_seconds: int,
     value_column: str | None = None,
     residual_filters=(),
-    origin: int | None = None,
 ) -> TemporalCanvasCube:
     """Bucket, scatter, and prefix-sum a table into a cube.
 
@@ -657,8 +557,10 @@ def build_temporal_canvas_cube(
     engine's :class:`~repro.core.pipeline.TableSource`, so the residual
     filter mask is the one already cached — is filtered and projected
     into ``viewport``, and each point folds into its (bucket, active
-    pixel) cell.  A ``mass`` plane is stored only when the source cannot
-    prove the values non-negative, the rule the bounded canvases use.
+    pixel) cell.  The bucket grid starts at ``tmin // bucket_seconds *
+    bucket_seconds``.  A ``mass`` plane is stored only when the source
+    cannot prove the values non-negative, the rule the bounded canvases
+    use.
     """
     t_start = time.perf_counter()
     bucket_seconds = int(bucket_seconds)
@@ -679,12 +581,10 @@ def build_temporal_canvas_cube(
                     f"{col.kind!r})")
             rows, pix, values = project(table, rows, query, Window(viewport))
             tvals = col.values if rows is None else col.values[rows]
-            if origin is None and len(tvals):
-                origin = int(tvals.min()) // bucket_seconds * bucket_seconds
+            origin = (int(tvals.min()) // bucket_seconds * bucket_seconds
+                      if len(tvals) else None)
             buckets = ((tvals - (origin or 0))
                        // bucket_seconds).astype(np.int64)
-            if len(buckets) and int(buckets.min()) < 0:
-                raise QueryError("points precede the cube origin")
             num_buckets = int(buckets.max()) + 1 if len(buckets) else 0
             if num_buckets > MAX_TCUBE_SLICES:
                 raise CubeError(
@@ -704,11 +604,15 @@ def build_temporal_canvas_cube(
                     f"coarser bucket")
             # Fold bucket b into row b + 1 of the plane itself; row 0
             # stays the zero prefix, so no separate delta array is held.
+            # Each cell folds its points in point order, and np.add.at
+            # into zeros equals np.bincount in element order, so the rows
+            # are the per-bucket bincounts bit for bit.
             canvases = new_canvases(source, query, kinds,
                                     (num_buckets + 1) * width)
-            prefix = _fold_cells(canvases, buckets + 1,
-                                 np.searchsorted(active, pix), values,
-                                 num_buckets + 1, width)
+            fold(canvases, (buckets + 1) * width
+                 + np.searchsorted(active, pix), values)
+            prefix = {kind: canvas.reshape(num_buckets + 1, width)
+                      for kind, canvas in canvases.items()}
         with span("tcube.prefix"):
             for plane in prefix.values():
                 # Row-by-row adds in place: row b + 1 holds bucket b's
@@ -717,6 +621,7 @@ def build_temporal_canvas_cube(
                 # column walk.
                 for b in range(num_buckets):
                     np.add(plane[b], plane[b + 1], out=plane[b + 1])
+                plane.flags.writeable = False
         sp.set(points=len(pix), buckets=num_buckets, active_pixels=width)
 
     return TemporalCanvasCube(
@@ -724,7 +629,6 @@ def build_temporal_canvas_cube(
         bucket_seconds=bucket_seconds, origin=origin,
         active_pixels=active, prefix=prefix,
         value_column=value_column, residual_filters=residual_filters,
-        nonnegative_values="mass" not in prefix,
         covers_all_points=len(pix) == source.filtered_count(query),
         stats={
             "points_total": len(source.table),

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..errors import QueryCancelled, QueryError
 from ..geometry import BBox
-from ..raster import Viewport, build_fragment_table, gather_sum
+from ..raster import Viewport, build_fragment_table
 from .aggregates import (
     BOUNDABLE_AGGREGATES,
     COUNT,
@@ -38,6 +38,7 @@ from .aggregates import (
     canvas_kinds,
 )
 from .bounded import gather_partial
+from .bounds import boundary_mass
 from .pipeline import Window, as_source, fill
 from .query import SpatialAggregation
 from .regions import RegionSet
@@ -140,15 +141,9 @@ def fold_tile_join(geometries, local_ids: list[int],
         part.maxs[remap] = np.maximum(part.maxs[remap], local_part.maxs)
 
     if query.agg in BOUNDABLE_AGGREGATES:
-        m_in = gather_sum(mass_canvas,
-                          local_fragments.covered_boundary_pixels,
-                          local_fragments.covered_boundary_polys,
-                          len(local_ids))
-        m_all = gather_sum(mass_canvas, local_fragments.boundary_pixels,
-                           local_fragments.boundary_polys,
-                           len(local_ids))
+        m_in, m_out = boundary_mass(local_fragments, mass_canvas)
         mass_in[remap] += m_in
-        mass_out[remap] += m_all - m_in
+        mass_out[remap] += m_out
 
 
 @dataclass

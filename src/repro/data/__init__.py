@@ -17,7 +17,6 @@ from .regions import (
     region_hierarchy,
     voronoi_regions,
 )
-from .social import TOPICS, Burst, generate_social_posts, social_pattern
 from .taxi import PAYMENT_TYPES, VENDORS, generate_taxi_trips
 from .temporal import (
     DEFAULT_EPOCH,
@@ -33,7 +32,6 @@ from .temporal import (
 
 __all__ = [
     "AGENCIES",
-    "Burst",
     "COMPLAINT_TYPES",
     "CityModel",
     "DEFAULT_EPOCH",
@@ -46,20 +44,17 @@ __all__ = [
     "SECONDS_PER_DAY",
     "SECONDS_PER_HOUR",
     "SECONDS_PER_WEEK",
-    "TOPICS",
     "TemporalPattern",
     "VENDORS",
     "daytime_pattern",
     "generate_complaints",
     "generate_crimes",
-    "generate_social_posts",
     "generate_taxi_trips",
     "grid_regions",
     "load_demo_workload",
     "month_window",
     "nighttime_pattern",
     "region_hierarchy",
-    "social_pattern",
     "taxi_pattern",
     "voronoi_regions",
 ]

@@ -34,7 +34,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from ..core.cache import fingerprint
 from ..core.tiling import iter_tiled_partials
-from ..errors import ProtocolError, QueryError
+from ..errors import ProtocolError
 from ..obs import REGISTRY, SlowQueryLog, Tracer, record_query_stats
 from ..obs.trace import activate, span
 from ..urbane.datamanager import DataManager
@@ -67,7 +67,6 @@ class QueryService:
         self.flight = SingleFlight()
         self.executor = ThreadPoolExecutor(
             max_workers=max_concurrency, thread_name_prefix="repro-query")
-        self._streams: dict[str, object] = {}
         self.queries = 0
         self.stream_queries = 0
         self.errors = 0
@@ -77,28 +76,6 @@ class QueryService:
         # timed; the span fast path makes the quiet case near-free.
         self.tracer = Tracer(retain=trace_retain)
         self.slowlog = SlowQueryLog(threshold_ms=slow_query_ms)
-
-    # -- registration ------------------------------------------------------
-
-    def add_stream(self, stream, name: str) -> str:
-        """Serve a live :class:`~repro.stream.buffer.PointStream`.
-
-        The stream's consolidated table is resolved *per query*, so
-        appends between requests are picked up automatically — and
-        because consolidation produces a fresh table object per append,
-        stale cached results stop matching by construction.
-        """
-        if name in self._streams or name in self.manager.dataset_names:
-            raise QueryError(f"dataset {name!r} already registered")
-        self._streams[name] = stream
-        return name
-
-    def _resolve_table(self, dataset: str):
-        """(table, stream version or None) for a dataset name."""
-        stream = self._streams.get(dataset)
-        if stream is not None:
-            return stream.table(), stream.version
-        return self.manager.dataset(dataset), None
 
     # -- keys --------------------------------------------------------------
 
@@ -113,7 +90,7 @@ class QueryService:
         gestures from different sessions coalesce and share cache
         entries.
         """
-        table, _version = self._resolve_table(req["dataset"])
+        table = self.manager.dataset(req["dataset"])
         regions = self.manager.region_set(req["regions"])
         query = req["query"]
         if query is None:
@@ -137,21 +114,18 @@ class QueryService:
     def _run(self, req: dict, key: tuple, cancel: threading.Event):
         """Engine execution (thread-pool side)."""
         engine = self.manager.engine
-        table, stream_version = self._resolve_table(req["dataset"])
+        table = self.manager.dataset(req["dataset"])
         regions = self.manager.region_set(req["regions"])
         deadline = req["deadline_ms"]
         if deadline is None:
             deadline = self.default_deadline_ms
 
         def build():
-            result = engine.execute(
+            return engine.execute(
                 table, regions, req["query"], method=req["method"],
                 resolution=req["resolution"], epsilon=req["epsilon"],
                 exact=bool(req["exact"]), viewport=req.get("viewport"),
                 deadline_ms=deadline, cancel=cancel)
-            if stream_version is not None:
-                result.stats["stream_version"] = stream_version
-            return result
 
         # run_in_executor does not propagate contextvars, so the
         # request's root span (when tracing) rides in on the request
@@ -251,7 +225,7 @@ class QueryService:
         async with self.admission.slot(req.get("timeout_s")):
             self.queries += 1
             self.stream_queries += 1
-            table, _version = self._resolve_table(req["dataset"])
+            table = self.manager.dataset(req["dataset"])
             regions = self.manager.region_set(req["regions"])
             if req["query"] is None:
                 raise ProtocolError("request has no parsed query")
@@ -323,8 +297,7 @@ class QueryService:
             },
             "tracer": self.tracer.stats(),
             "slowlog": self.slowlog.stats(),
-            "datasets": sorted(self.manager.dataset_names
-                               + list(self._streams)),
+            "datasets": sorted(self.manager.dataset_names),
             "region_sets": self.manager.region_set_names,
             # Inert: the frozen serve-analysts workload still reads these
             # three counters.  Retire with the legacy bench shims

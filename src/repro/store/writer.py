@@ -8,12 +8,13 @@ flushed to disk immediately, and when the total buffered rows exceed
 ``buffer_rows`` the largest buffers are evicted as (possibly partial)
 partitions.  The writer never needs more than one chunk plus the
 buffer budget resident — that is what lets it sit at the end of a
-chunked CSV reader or a live :class:`~repro.stream.PointStream`.
+chunked CSV reader.  A writer builds a fresh store: its target must be
+a missing or empty directory.
 
-Category domains are **global and append-only**: each categorical
-column keeps one label list in the manifest, chunk codes are re-encoded
-on ingest, and new labels append — so partitions written years apart
-remain code-compatible and zone-map bitsets never go stale.
+Category domains are **global**: each categorical column keeps one
+label list in the manifest, chunk codes are re-encoded on ingest, and
+labels first seen in a later chunk take the next code — so every
+partition of a store shares one code space and zone-map bitsets agree.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .format import (
     build_zones,
     file_layout,
     partition_filename,
-    read_manifest,
     write_manifest,
     write_partition,
 )
@@ -47,8 +47,8 @@ class DatasetWriter:
     """Write a partitioned columnar store from table chunks.
 
     Use as a context manager; :meth:`close` flushes every buffer and
-    writes the manifest.  ``append=True`` reopens an existing store and
-    adds partitions (schema and grid come from its manifest).
+    writes the manifest.  ``path`` must not exist or be an empty
+    directory.
     """
 
     def __init__(self, path, *, partition_rows: int = DEFAULT_PARTITION_ROWS,
@@ -57,8 +57,7 @@ class DatasetWriter:
                  time_bucket_seconds: int | None = None,
                  grid_bbox: BBox | None = None,
                  name: str | None = None,
-                 buffer_rows: int | None = None,
-                 append: bool = False):
+                 buffer_rows: int | None = None):
         if partition_rows < 1:
             raise SchemaError("partition_rows must be >= 1")
         self.path = Path(path)
@@ -82,34 +81,11 @@ class DatasetWriter:
         self._buffered_total = 0
         self._closed = False
 
-        if append:
-            self._load_existing()
-        elif self.path.exists() and any(self.path.iterdir()):
-            raise SchemaError(
-                f"{self.path} exists and is not empty; pass append=True "
-                f"to add partitions to an existing store")
-        else:
-            self.path.mkdir(parents=True, exist_ok=True)
-
-    def _load_existing(self) -> None:
-        manifest = read_manifest(self.path)
-        self.name = manifest.name
-        self.partition_rows = manifest.partition_rows
-        self.grid_nx = manifest.grid_nx
-        self.grid_ny = manifest.grid_ny
-        self.grid_bbox = manifest.grid_bbox
-        self.time_column = manifest.time_column
-        self.time_bucket_seconds = manifest.time_bucket_seconds
-        self._specs = list(manifest.columns)
-        for spec in self._specs:
-            if spec.kind == CATEGORICAL:
-                self._cat_codes[spec.name] = {
-                    label: code for code, label
-                    in enumerate(spec.categories)}
-        for info in manifest.partitions:
-            seq = int(Path(info.file).stem.lstrip("p"))
-            self._partitions.append((info.key, seq, info))
-            self._seq = max(self._seq, seq + 1)
+        if self.path.exists() and not self.path.is_dir():
+            raise SchemaError(f"{self.path} is not a directory")
+        if self.path.exists() and any(self.path.iterdir()):
+            raise SchemaError(f"{self.path} exists and is not empty")
+        self.path.mkdir(parents=True, exist_ok=True)
 
     # -- schema ------------------------------------------------------------
 

@@ -13,7 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import AggregationResult, RegionSet, SpatialAggregation
+from ..core import (
+    AggregationResult,
+    SpatialAggregation,
+    pixel_region_labels,
+)
 from ..raster import Viewport
 from ..table import PointTable
 from .color import colors_for_values
@@ -65,17 +69,6 @@ class MapView:
         self.ramp = ramp
         self.mode = mode
 
-    def _region_pixels(self, regions: RegionSet,
-                       viewport: Viewport) -> np.ndarray:
-        """Flat region-id-per-pixel layer (cached via the engine's
-        fragment cache; covered boundary pixels paint like interiors)."""
-        fragments = self.manager.engine.fragments_for(regions, viewport)
-        layer = np.full(viewport.num_pixels, -1, dtype=np.int64)
-        layer[fragments.covered_boundary_pixels] = \
-            fragments.covered_boundary_polys
-        layer[fragments.interior_pixels] = fragments.interior_polys
-        return layer
-
     def choropleth(self, dataset: str, regions: str,
                    query: SpatialAggregation,
                    method: str = "bounded",
@@ -93,7 +86,8 @@ class MapView:
                                         method=method,
                                         viewport=agg_viewport)
         paint_viewport = viewport or agg_viewport
-        pixel_regions = self._region_pixels(region_set, paint_viewport)
+        pixel_regions = pixel_region_labels(
+            self.manager.engine.fragments_for(region_set, paint_viewport))
         return Choropleth(result=result, viewport=paint_viewport,
                           pixel_regions=pixel_regions, ramp=self.ramp,
                           mode=self.mode)

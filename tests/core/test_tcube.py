@@ -1,8 +1,8 @@
-"""Temporal canvas cube: build, answer, append, planner integration.
+"""Temporal canvas cube: build, answer, immutability, planner integration.
 
 The load-bearing claims: cube answers are *bitwise* equal to the serial
 bounded raster join for COUNT (always) and SUM (integer-valued data),
-within float round-off for AVG; appends match a from-scratch rebuild;
+within float round-off for AVG; a built cube's planes are read-only;
 and the planner only ever routes ``auto`` to the cube when a cached one
 already answers.
 """
@@ -21,7 +21,7 @@ from repro.core import (
     split_time_filter,
 )
 from repro.core.tcube import find_answering_cube
-from repro.errors import CubeError, QueryError
+from repro.errors import CubeError
 from repro.raster import Viewport, build_fragment_table
 from repro.table import PointTable, TimeRange, timestamp_column
 
@@ -214,48 +214,23 @@ class TestBuildAndAnswer:
         assert np.all(got.values == 0)
 
 
-class TestAppend:
-    def test_append_matches_rebuild(self, cube_table, viewport):
-        order = np.argsort(cube_table.column("t").values, kind="stable")
-        sorted_table = cube_table.take(order)
-        cut = len(sorted_table) // 2
-        head = sorted_table.take(np.arange(cut))
-        tail = sorted_table.take(np.arange(cut, len(sorted_table)))
-
-        cube = build_temporal_canvas_cube(head, viewport, "t", HOUR,
-                                          value_column="fare")
-        pixel_ids, valid = viewport.pixel_ids_of(tail.x, tail.y)
-        cube.append(pixel_ids[valid],
-                    tail.column("t").values[valid],
-                    values=tail.values("fare")[valid],
-                    all_in_viewport=bool(valid.all()))
-
-        full = build_temporal_canvas_cube(sorted_table, viewport, "t", HOUR,
-                                          value_column="fare")
-        np.testing.assert_array_equal(cube.active_pixels, full.active_pixels)
-        for kind in full.prefix:
-            np.testing.assert_allclose(cube.prefix[kind], full.prefix[kind],
-                                       rtol=0, atol=1e-9)
-        np.testing.assert_array_equal(cube.prefix["count"],
-                                      full.prefix["count"])
-
-    def test_append_rejects_settled_history(self, cube_table, viewport):
-        cube = build_temporal_canvas_cube(cube_table, viewport, "t", HOUR)
-        with pytest.raises(QueryError):
-            cube.append(np.array([0]), np.array([T0]))  # bucket 0 << tail
-
-    def test_append_extends_buckets_and_pixels(self, viewport):
-        t = timestamp_column("t", np.array([T0 + 10], dtype=np.int64))
-        table = PointTable.from_arrays(np.array([50.0]), np.array([50.0]),
-                                       name="one", t=t)
-        cube = build_temporal_canvas_cube(table, viewport, "t", HOUR)
-        assert cube.num_buckets == 1
-        pid, valid = viewport.pixel_ids_of(np.array([20.0]),
-                                           np.array([80.0]))
-        cube.append(pid, np.array([T0 + 5 * HOUR + 1]))
-        assert cube.num_buckets == 6
-        assert cube.num_active_pixels == 2
-        assert cube.bucket_totals("count").sum() == 2
+class TestImmutable:
+    @pytest.mark.parametrize("value_column,kinds", [
+        (None, ["count"]),
+        ("fare", ["count", "sum"]),
+        ("delta", ["count", "mass", "sum"]),
+    ])
+    def test_prefix_planes_are_read_only(self, cube_table, viewport,
+                                         value_column, kinds):
+        """A cube shared through the engine cache is never written: every
+        prefix plane of a COUNT, SUM and signed-SUM cube is read-only."""
+        cube = build_temporal_canvas_cube(cube_table, viewport, "t", HOUR,
+                                          value_column=value_column)
+        assert sorted(cube.prefix) == kinds
+        for plane in cube.prefix.values():
+            assert not plane.flags.writeable
+            with pytest.raises(ValueError):
+                plane[0, 0] = 1.0
 
 
 class TestEngineIntegration:

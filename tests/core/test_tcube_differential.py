@@ -2,19 +2,14 @@
 
 Hypothesis draws a table (integral, possibly negative ``fare``; random
 timestamps; points a little outside the viewport), residual filters, a
-bucket width, an aligned or clamped brush, an aggregate and an append
-split point, then checks three things:
+bucket width, an aligned or clamped brush and an aggregate, then
+checks two things:
 
 * the cube's answer — estimate, ``lower`` and ``upper`` — equals the
   bounded raster join over the same brushed query bitwise (AVG within
   1e-12);
 * every prefix plane equals a per-bucket reference fold (one
-  ``np.bincount`` per bucket, summed bucket by bucket);
-* a cube built on the time-ordered head and ``append``-ed with the tail
-  answers the brush exactly as a cube rebuilt from the whole table.
-
-Integral fares keep SUM exact in any association, so the append and
-rebuild folds may group a split bucket differently and still agree.
+  ``np.bincount`` per bucket, summed bucket by bucket).
 
 A second property drives drawn brush sequences through an
 ``InteractiveSession``: aggregates and residual filters from small
@@ -130,11 +125,9 @@ def reference_planes(table, viewport, residual, bucket, origin, cube):
 @SETTINGS
 @given(table=tables(), residual=residuals(), data=st.data(),
        bucket=st.sampled_from([900, HOUR, 2 * HOUR, 6 * HOUR]),
-       agg=st.sampled_from(AGGS), resolution=st.integers(16, 96),
-       split=st.floats(0.0, 1.0))
-def test_cube_matches_scatter_reference_and_rebuild(
-        simple_regions, table, residual, data, bucket, agg, resolution,
-        split):
+       agg=st.sampled_from(AGGS), resolution=st.integers(16, 96))
+def test_cube_matches_scatter_reference(
+        simple_regions, table, residual, data, bucket, agg, resolution):
     viewport = Viewport.fit(simple_regions.bbox, resolution)
     fragments = build_fragment_table(list(simple_regions.geometries),
                                      viewport)
@@ -164,30 +157,6 @@ def test_cube_matches_scatter_reference_and_rebuild(
                                fragments=fragments)
     assert_match(got, want, agg[0])
     assert got.stats["points_in_viewport"] == want.stats["points_in_viewport"]
-
-    # Append-then-brush equals rebuild-then-brush.
-    ordered = table.take(np.argsort(table.values("t"), kind="stable"))
-    cut = int(round(split * len(ordered)))
-    head = ordered.take(np.arange(cut))
-    tail = ordered.take(np.arange(cut, len(ordered)))
-    live = build_temporal_canvas_cube(head, viewport, "t", bucket,
-                                      value_column=value_column,
-                                      residual_filters=residual)
-    keep = combine_filters(list(residual)).mask(tail)
-    pix, inside = viewport.pixel_ids_of(tail.x, tail.y)
-    rows = np.flatnonzero(keep & inside)
-    live.append(pix[rows], tail.values("t")[rows],
-                values=(None if value_column is None
-                        else tail.values("fare")[rows]),
-                all_in_viewport=bool(inside[keep].all()))
-    rebuilt = build_temporal_canvas_cube(ordered, viewport, "t", bucket,
-                                         value_column=value_column,
-                                         residual_filters=residual,
-                                         origin=live.origin)
-    assert live.covers_all_points == rebuilt.covers_all_points
-    assert live.can_answer(query, viewport)
-    assert_match(live.answer(simple_regions, fragments, query),
-                 rebuilt.answer(simple_regions, fragments, query), agg[0])
 
 
 @st.composite

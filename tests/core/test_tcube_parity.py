@@ -1,5 +1,5 @@
-"""Pinned cube planes: any rewrite of the cube build or append must
-reproduce these bits.
+"""Pinned cube planes: any rewrite of the cube build must reproduce
+these bits.
 
 Each digest covers a cube's ``origin``, ``active_pixels`` and every
 ``prefix[kind]`` plane (name, dtype, shape and bytes).  The planes are
@@ -75,21 +75,6 @@ class TestPinnedCubes:
         assert sorted(cube.prefix) == ["count", "mass", "sum"]
         assert cube_digest(cube) == SIGNED_HOURLY
 
-    def test_append_second_half(self, taxi, viewport):
-        order = np.argsort(taxi.values("t"), kind="stable")
-        ordered = taxi.take(order)
-        cut = len(ordered) // 2
-        head = ordered.take(np.arange(cut))
-        tail = ordered.take(np.arange(cut, len(ordered)))
-        cube = build_temporal_canvas_cube(head, viewport, "t", HOUR,
-                                          value_column="fare")
-        pixel_ids, valid = viewport.pixel_ids_of(tail.x, tail.y)
-        cube.append(pixel_ids[valid], tail.values("t")[valid],
-                    values=tail.values("fare")[valid],
-                    all_in_viewport=bool(valid.all()))
-        assert sorted(cube.prefix) == ["count", "sum"]
-        assert cube_digest(cube) == FARE_HOURLY_APPENDED
-
 
 class TestBuildPeak:
     """The build folds into the prefix planes and sums them in place,
@@ -108,12 +93,10 @@ class TestBuildPeak:
         assert peak < 1.5 * cube.memory_bytes()
 
 
-# Recorded from the per-cube bincount build and append (numpy 2.4).
+# Recorded from the per-cube bincount build (numpy 2.4).
 COUNT_DAILY = (
     "cdee2cc02b81235eb56ed388c2040e962d6c159f58ce48ab246ed7425093a581")
 TIP_HOURLY_FILTERED = (
     "4b09abf2487575097d9485d34319d97e00d0ff6e6a4166d6eb2325fc9356b33c")
 SIGNED_HOURLY = (
     "968854312c16ffa8f7effc84f28f664c981a8d8731af096a168a72a6beefc33a")
-FARE_HOURLY_APPENDED = (
-    "3c8c89bd5d5307d64388989179cd4fe3e89a58b3cd2cdc2bf69c31de4e12a873")

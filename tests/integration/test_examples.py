@@ -22,8 +22,7 @@ def test_examples_exist():
     names = {p.name for p in ALL_EXAMPLES}
     assert {"quickstart.py", "taxi_exploration.py",
             "neighborhood_ranking.py", "accuracy_tuning.py",
-            "interactive_session.py", "rhythm_analysis.py",
-            "streaming_feed.py"} <= names
+            "interactive_session.py", "rhythm_analysis.py"} <= names
 
 
 @pytest.mark.parametrize("path", ALL_EXAMPLES, ids=lambda p: p.name)
@@ -43,12 +42,6 @@ class TestRunExamples:
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert "bounded" in proc.stdout
         assert "exact values inside the bounds:       True" in proc.stdout
-
-    def test_streaming_feed(self):
-        proc = _run("streaming_feed.py")
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        assert "planted bursts" in proc.stdout
-        assert "running matrix" in proc.stdout
 
     def test_neighborhood_ranking(self):
         proc = _run("neighborhood_ranking.py")

@@ -104,44 +104,6 @@ class TestExecute:
         assert not served.exact
 
 
-class TestStreamedDatasets:
-    @staticmethod
-    def _batch(gen, n, t_start, name="live"):
-        from repro.table import PointTable, timestamp_column
-
-        t = np.sort(gen.integers(t_start, t_start + 1_000, n))
-        return PointTable.from_arrays(
-            gen.uniform(0, 100, n), gen.uniform(0, 100, n), name=name,
-            t=timestamp_column("t", t))
-
-    def test_stream_dataset_reflects_appends(self, service, manager,
-                                             simple_regions):
-        from repro.stream import PointStream
-
-        gen = np.random.default_rng(1)
-        stream = PointStream(simple_regions, resolution=128)
-        stream.append(self._batch(gen, 1_000, 0))
-        service.add_stream(stream, "live")
-
-        req = decode_request(encode_request(
-            "live", "simple", query=SpatialAggregation.count()))
-        before = asyncio.run(service.execute(req))
-        stream.append(self._batch(gen, 2_000, 1_000))
-        after = asyncio.run(service.execute(req))
-        assert after.values.sum() > before.values.sum()
-        assert after.stats["stream_version"] > before.stats["stream_version"]
-
-    def test_duplicate_registration_rejected(self, service, simple_regions):
-        from repro.stream import PointStream
-
-        stream = PointStream(simple_regions, resolution=64)
-        service.add_stream(stream, "live2")
-        with pytest.raises(QueryError):
-            service.add_stream(stream, "live2")
-        with pytest.raises(QueryError):
-            service.add_stream(stream, "trips")
-
-
 class TestStreaming:
     def test_stream_yields_partials_ending_final(self, service, manager,
                                                  simple_regions):

@@ -208,14 +208,6 @@ class TestFormatV1Rejected:
         with pytest.raises(SchemaError, match="repro store build"):
             Dataset.open(path)
 
-    def test_append_names_the_rebuild(self, tmp_path):
-        path = _v1_store(tmp_path / "old")
-        with pytest.raises(SchemaError, match="repro store build"):
-            DatasetWriter(path, append=True)
-        # Nothing was written into the old store.
-        assert sorted(p.name for p in path.iterdir()) == [
-            "manifest.json", "p00000"]
-
 
 # -- layout round trip --------------------------------------------------------
 

@@ -125,24 +125,19 @@ class TestChunkedIngestion:
             writer.add_chunk(a)  # still usable after the rejection
 
 
-class TestAppend:
-    def test_append_extends_store(self, tmp_path):
-        first = make_store_table(1_000, seed=10)
-        second = make_store_table(1_000, seed=11)
-        path = tmp_path / "grow"
-        build_store(first, path, partition_rows=256, grid=2)
-        with DatasetWriter(path, append=True) as writer:
-            writer.add_chunk(second)
-        ds = Dataset.open(path)
-        assert len(ds) == 2_000
-        both = PointTable.concat([first, second], name="both")
-        assert_same_rows(ds.to_table(), both)
-
-    def test_nonempty_dir_requires_append(self, tmp_path):
+class TestTargetPath:
+    def test_nonempty_dir_rejected(self, tmp_path):
         path = tmp_path / "busy"
         build_store(make_store_table(100, seed=12), path)
-        with pytest.raises(SchemaError, match="append=True"):
+        with pytest.raises(SchemaError, match="exists and is not empty"):
             DatasetWriter(path)
+
+    def test_file_path_rejected(self, tmp_path):
+        path = tmp_path / "plain.txt"
+        path.write_text("not a store")
+        with pytest.raises(SchemaError, match="plain.txt is not a directory"):
+            DatasetWriter(path)
+        assert path.read_text() == "not a store"
 
     def test_failed_fresh_build_leaves_nothing(self, tmp_path):
         path = tmp_path / "failed"

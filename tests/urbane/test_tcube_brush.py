@@ -2,8 +2,8 @@
 
 Covers the urbane-facing wiring: ``TimeSeries.brush`` edge cases, the
 series/matrix fast paths, the cached inside-mask, session brush
-routing, and the streaming cube's incremental appends — each checked
-for equality against the serial exact/bounded paths it shortcuts.
+routing — each checked for equality against the serial exact/bounded
+paths it shortcuts.
 """
 
 import numpy as np
@@ -11,8 +11,6 @@ import pytest
 
 from repro.core import SpatialAggregation, SpatialAggregationEngine
 from repro.core.heatmatrix import region_time_matrix
-from repro.errors import QueryError
-from repro.stream import PointStream
 from repro.table import F, PointTable, TimeRange, timestamp_column
 from repro.urbane import DataManager, InteractiveSession, TimelineView
 from repro.urbane.timeline import TimeSeries
@@ -312,75 +310,3 @@ class TestSessionBrush:
         result = session.brush_time(T0 + 2 * HOUR + 17, T0 + 9 * HOUR + 3)
         assert session.log[-1].backend == "bounded"
         assert result.values.sum() > 0
-
-
-class TestStreamingCube:
-    def _batches(self, parts=3):
-        table = make_table(n=9_000, seed=5)
-        order = np.argsort(table.column("t").values, kind="stable")
-        table = table.take(order)
-        cuts = np.linspace(0, len(table), parts + 1).astype(int)
-        return [table.take(np.arange(lo, hi))
-                for lo, hi in zip(cuts[:-1], cuts[1:])], table
-
-    def test_brush_matches_bounded_after_appends(self, simple_regions):
-        from repro.core import bounded_raster_join
-
-        batches, full = self._batches()
-        stream = PointStream(simple_regions, resolution=256,
-                             bucket_seconds=HOUR)
-        stream.append(batches[0])
-        stream.tcube()  # build mid-stream; later appends fold in
-        for batch in batches[1:]:
-            stream.append(batch)
-
-        start, end = T0 + 2 * HOUR, T0 + 20 * HOUR
-        got = stream.brush(start, end)
-        query = SpatialAggregation.count().during("t", start, end)
-        want = bounded_raster_join(full, simple_regions, query,
-                                   stream.viewport,
-                                   fragments=stream.fragments)
-        np.testing.assert_array_equal(got.values, want.values)
-        np.testing.assert_array_equal(got.lower, want.lower)
-        np.testing.assert_array_equal(got.upper, want.upper)
-
-    def test_sum_brush_with_live_cube(self, simple_regions):
-        from repro.core import bounded_raster_join
-
-        batches, full = self._batches()
-        stream = PointStream(simple_regions, resolution=256,
-                             bucket_seconds=HOUR)
-        for batch in batches:
-            stream.append(batch)
-        start, end = T0, T0 + SPAN_HOURS * HOUR
-        got = stream.brush(start, end, agg="sum", value_column="fare")
-        query = SpatialAggregation.sum_of("fare").during("t", start, end)
-        want = bounded_raster_join(full, simple_regions, query,
-                                   stream.viewport,
-                                   fragments=stream.fragments)
-        np.testing.assert_array_equal(got.values, want.values)
-
-    def test_incremental_append_equals_rebuild(self, simple_regions):
-        from repro.core import build_temporal_canvas_cube
-
-        batches, full = self._batches()
-        stream = PointStream(simple_regions, resolution=256,
-                             bucket_seconds=HOUR)
-        stream.append(batches[0])
-        live = stream.tcube()
-        for batch in batches[1:]:
-            stream.append(batch)
-        rebuilt = build_temporal_canvas_cube(
-            full, stream.viewport, "t", HOUR, origin=live.origin)
-        np.testing.assert_array_equal(live.active_pixels,
-                                      rebuilt.active_pixels)
-        np.testing.assert_array_equal(live.prefix["count"],
-                                      rebuilt.prefix["count"])
-
-    def test_unaligned_brush_rejected(self, simple_regions):
-        batches, _ = self._batches()
-        stream = PointStream(simple_regions, resolution=256,
-                             bucket_seconds=HOUR)
-        stream.append(batches[0])
-        with pytest.raises(QueryError):
-            stream.brush(T0 + 7, T0 + HOUR)

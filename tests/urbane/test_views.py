@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import SpatialAggregation
+from repro.core import SpatialAggregation, pixel_region_labels
 from repro.baselines import naive_join
 from repro.errors import QueryError
 from repro.table import F
@@ -63,6 +63,12 @@ class TestMapView:
         assert ch.pixel_regions.shape == (ch.viewport.num_pixels,)
         drawn = ch.pixel_regions[ch.pixel_regions >= 0]
         assert drawn.max() < len(demo.regions["neighborhoods"])
+        # The painted layer is the one pixel labeler over the engine's
+        # (cached) fragments.
+        fragments = manager.engine.fragments_for(
+            demo.regions["neighborhoods"], ch.viewport)
+        np.testing.assert_array_equal(ch.pixel_regions,
+                                      pixel_region_labels(fragments))
 
     def test_image_and_ppm(self, manager, tmp_path):
         view = MapView(manager, resolution=96)
