@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
 
 from ..core.aggregates import PartialAggregate, accumulate_exact
 from ..core.query import SpatialAggregation

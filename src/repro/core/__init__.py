@@ -39,7 +39,7 @@ from .backends import (
     register_backend,
     unregister_backend,
 )
-from .cache import QueryCache, bump_revision, fingerprint
+from .cache import QueryCache, fingerprint
 from .context import ExecutionContext
 from .executor import (
     DEFAULT_RESOLUTION,
@@ -53,7 +53,6 @@ from .heatmatrix import (
     pixel_region_labels,
     region_time_matrix,
 )
-from .histogram import RegionHistograms, region_histograms
 from .multipass import bounded_raster_join_multi
 from .parallel import ParallelConfig, parallel_bounded_raster_join
 from .pyramid import (
@@ -107,7 +106,6 @@ __all__ = [
     "ParsedQuery",
     "PartialAggregate",
     "QueryCache",
-    "RegionHistograms",
     "RegionSet",
     "RegionTimeMatrix",
     "SUM",
@@ -121,7 +119,6 @@ __all__ = [
     "assembled_bounded_join",
     "backend_names",
     "block_coverage",
-    "bump_revision",
     "boundary_mass_bounds",
     "bounded_raster_join",
     "bounded_raster_join_multi",
@@ -137,7 +134,6 @@ __all__ = [
     "parallel_bounded_raster_join",
     "parse_query",
     "pixel_region_labels",
-    "region_histograms",
     "region_time_matrix",
     "register_backend",
     "relative_bound_width",

@@ -7,9 +7,9 @@ raw ``id()`` values.  ``id()`` keys have a latent reuse bug: once a
 table is garbage collected its address can be handed to a brand-new
 table, and a stale index would silently answer for the wrong data.
 Fingerprints are drawn from a process-global monotone counter and
-attached to the object, so a token is never reused, and each carries a
-revision number that :func:`bump_revision` increments to invalidate
-every derived entry.
+attached to the object, so a token is never reused.  Tables, stores and
+cubes are immutable (a derived table gets a new token), so a token
+never needs invalidating.
 
 The store itself is an LRU with per-entry byte accounting, a byte and
 entry budget, and hit/miss/eviction counters — the numbers surfaced as
@@ -53,7 +53,6 @@ _TOKEN_COUNTER = itertools.count(1)
 MAX_SEEN_KEYS = 64
 
 _TOKEN_ATTR = "_repro_cache_token"
-_REVISION_ATTR = "_repro_cache_revision"
 
 #: Guards token assignment so two threads fingerprinting the same new
 #: object cannot race to different tokens.
@@ -63,7 +62,7 @@ _TOKEN_LOCK = threading.Lock()
 def fingerprint(obj) -> tuple:
     """A stable, never-reused cache token for ``obj``.
 
-    Returns ``(type name, token, revision)``.  The token is assigned on
+    Returns ``(type name, token)``.  The token is assigned on
     first sight from a global counter and stored on the object, so —
     unlike ``id()`` — two objects can never share one even across
     garbage collection.  Hashable objects that reject attributes (e.g.
@@ -80,20 +79,7 @@ def fingerprint(obj) -> tuple:
                 except (AttributeError, TypeError):
                     # No __dict__ (slots, builtins): key by value.
                     return (type(obj).__name__, obj)
-    return (type(obj).__name__, token, getattr(obj, _REVISION_ATTR, 0))
-
-
-def bump_revision(obj) -> int:
-    """Invalidate every cache entry derived from ``obj``.
-
-    Increments the object's revision so its :func:`fingerprint` — and
-    therefore every cache key built from it — changes.  Returns the new
-    revision.
-    """
-    with _TOKEN_LOCK:
-        rev = getattr(obj, _REVISION_ATTR, 0) + 1
-        object.__setattr__(obj, _REVISION_ATTR, rev)
-    return rev
+    return (type(obj).__name__, token)
 
 
 def _is_mmap_backed(arr: np.ndarray) -> bool:

@@ -159,8 +159,8 @@ class ExecutionContext:
 
     def cached_tcubes(self, table: PointTable) -> list:
         """Every temporal canvas cube materialized for this table —
-        what the planner (and the timeline view) probe before paying a
-        build or a re-scatter."""
+        what the planner probes before paying a build or a
+        re-scatter."""
         tfp = fingerprint(table)
         return [cube for k in self.cache.keys()
                 if k[0] == "tcube" and k[1] == tfp

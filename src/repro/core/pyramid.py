@@ -30,13 +30,11 @@ that reuse:
   byte budget, so an edge block scattered for one frame serves
   complete for the next pan.
 
-Invalidation is generation-checked, not presence-checked: block keys
-embed ``fingerprint(table)``, which carries the table's revision
-counter.  A stream append or store spill bumps the revision
-(:func:`~repro.core.cache.bump_revision`), which changes every derived
-key at every level at once — a coarser ancestor surviving an eviction
-of its level-0 source can never answer for the new generation, because
-no new-generation key can reach it.
+Block keys embed ``fingerprint(table)``.  Tables and stores are
+immutable and a derived table gets a fresh token, so a cached block can
+never go stale: a coarse block that outlives the eviction of its
+level-0 sources still holds exactly what a fresh scatter would, and a
+different table can never key to it.
 """
 
 from __future__ import annotations
@@ -230,11 +228,8 @@ def block_key(table_fp: tuple, query: SpatialAggregation, kind: str,
               grid: CanvasGrid, level: int, bx: int, by: int) -> tuple:
     """Cache key of one block plane.
 
-    ``table_fp`` embeds the table's revision counter, so invalidation
-    is generational: appends/spills bump the revision and every block
-    of every level becomes unreachable at once (a stale entry may stay
-    resident until evicted, but no current-generation query can key to
-    it).
+    ``table_fp`` is the table's never-reused :func:`fingerprint`; the
+    table is immutable, so the key alone decides the block's values.
     """
     return ("canvas-block", table_fp, repr(query.filters),
             query.value_column, kind, grid, level, bx, by)

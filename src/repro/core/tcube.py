@@ -156,7 +156,6 @@ class TemporalCanvasCube:
                  active_pixels: np.ndarray, prefix: dict[str, np.ndarray],
                  value_column: str | None = None,
                  residual_filters: tuple = (),
-                 covers_all_points: bool = True,
                  stats: dict | None = None):
         self.viewport = viewport
         self.time_column = time_column
@@ -166,7 +165,6 @@ class TemporalCanvasCube:
         self.prefix = prefix
         self.value_column = value_column
         self.residual_filters = tuple(residual_filters)
-        self.covers_all_points = bool(covers_all_points)
         self.stats = stats or {}
         self._totals: dict[str, np.ndarray] = {}
         # Per-fragment-table prefix gathers (see _join_rows): keyed by
@@ -305,38 +303,13 @@ class TemporalCanvasCube:
         return out
 
     def bucket_totals(self, kind: str = "count") -> np.ndarray:
-        """Per-bucket viewport-wide totals (the timeline series)."""
+        """Per-bucket viewport-wide totals (:meth:`answer`'s point count)."""
         cached = self._totals.get(kind)
         if cached is None:
             plane = self.prefix[kind]
             cached = (plane[1:] - plane[:-1]).sum(axis=1)
             self._totals[kind] = cached
         return cached.copy()
-
-    def region_matrix(self, labels: np.ndarray, num_regions: int,
-                      kind: str = "count") -> np.ndarray:
-        """Assemble the (region, bucket) matrix from the cube's slices.
-
-        ``labels`` is the pixel -> region map from
-        :func:`~repro.core.heatmatrix.pixel_region_labels`; the result
-        matches :func:`~repro.core.heatmatrix.region_time_matrix` (same
-        pixel-center labeling) over the cube's full bucket span.
-        """
-        num = self.num_buckets
-        out = np.zeros((num_regions, num), dtype=np.float64)
-        if num == 0 or self.num_active_pixels == 0:
-            return out
-        lab = labels[self.active_pixels]
-        sel = np.flatnonzero(lab >= 0)
-        if len(sel) == 0:
-            return out
-        lab = lab[sel].astype(np.int64)
-        plane = self.prefix[kind]
-        for b in range(num):
-            delta = plane[b + 1, sel] - plane[b, sel]
-            out[:, b] = np.bincount(lab, weights=delta,
-                                    minlength=num_regions)[:num_regions]
-        return out
 
     # -- the query path ----------------------------------------------------
 
@@ -629,7 +602,6 @@ def build_temporal_canvas_cube(
         bucket_seconds=bucket_seconds, origin=origin,
         active_pixels=active, prefix=prefix,
         value_column=value_column, residual_filters=residual_filters,
-        covers_all_points=len(pix) == source.filtered_count(query),
         stats={
             "points_total": len(source.table),
             "points_in_cube": int(len(pix)),
@@ -710,23 +682,3 @@ def cube_for_repeated_brush(ctx, table: PointTable,
         return chosen
     return chosen if ctx.saw_tcube_key(table, chosen) else None
 
-
-def find_timeline_cube(ctx, table: PointTable, time_column: str,
-                       bucket_seconds: int, filters, value_column=None,
-                       viewport: Viewport | None = None
-                       ) -> TemporalCanvasCube | None:
-    """A cached non-empty cube slicing ``table`` into ``bucket_seconds``
-    buckets of ``time_column`` under exactly ``filters`` (and holding
-    ``value_column`` sums, when given) — the timeline's peek, never a
-    build.  With ``viewport`` the cube must be on it; without, it must
-    hold every filtered point (``covers_all_points``)."""
-    for cube in ctx.cached_tcubes(table):
-        if (cube is not None and cube.num_buckets
-                and cube.time_column == time_column
-                and cube.bucket_seconds == bucket_seconds
-                and value_column in (None, cube.value_column)
-                and (cube.covers_all_points if viewport is None
-                     else cube.viewport == viewport)
-                and _same_filters(cube.residual_filters, filters)):
-            return cube
-    return None

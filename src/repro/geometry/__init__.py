@@ -2,8 +2,8 @@
 
 Everything the spatial-aggregation engine needs is implemented here from
 scratch: points and boxes, polygons with holes, exact predicates,
-clipping, triangulation, simplification, hulls, projections, GeoJSON IO
-and bounded Voronoi diagrams (used to synthesize region hierarchies).
+clipping, triangulation, projections, GeoJSON IO and bounded Voronoi
+diagrams (used to synthesize region hierarchies).
 """
 
 from .bbox import BBox
@@ -16,7 +16,6 @@ from .geojson import (
     read_geojson,
     write_geojson,
 )
-from .hull import convex_hull
 from .point import (
     as_points,
     dedupe_consecutive,
@@ -33,15 +32,7 @@ from .polygon import (
     normalize_ring,
     regular_polygon,
 )
-from .predicates import (
-    on_segment,
-    orient2d,
-    point_in_ring,
-    points_in_ring,
-    ring_is_simple,
-    segment_intersection_point,
-    segments_intersect,
-)
+from .predicates import orient2d, point_in_ring, points_in_ring
 from .projection import (
     EARTH_RADIUS_M,
     LocalProjection,
@@ -49,7 +40,6 @@ from .projection import (
     lonlat_to_mercator,
     mercator_to_lonlat,
 )
-from .simplify import simplify_line, simplify_ring
 from .triangulate import triangle_areas, triangulate_ring, triangulate_ring_vertices
 from .voronoi import bounded_voronoi_cells, clip_cells_to_boundary
 
@@ -67,7 +57,6 @@ __all__ = [
     "clip_cells_to_boundary",
     "clip_polygon_convex",
     "clip_ring_to_bbox",
-    "convex_hull",
     "dedupe_consecutive",
     "feature_collection",
     "geometry_from_geojson",
@@ -76,7 +65,6 @@ __all__ = [
     "lonlat_to_mercator",
     "mercator_to_lonlat",
     "normalize_ring",
-    "on_segment",
     "orient2d",
     "parse_feature_collection",
     "point_in_ring",
@@ -86,11 +74,6 @@ __all__ = [
     "polygon_signed_area",
     "read_geojson",
     "regular_polygon",
-    "ring_is_simple",
-    "segment_intersection_point",
-    "segments_intersect",
-    "simplify_line",
-    "simplify_ring",
     "triangle_areas",
     "triangulate_ring",
     "triangulate_ring_vertices",

@@ -22,60 +22,6 @@ def orient2d(ax, ay, bx, by, cx, cy):
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
-def on_segment(px, py, ax, ay, bx, by, tol: float = 1e-12) -> bool:
-    """True if point p lies on the closed segment a-b (within ``tol``)."""
-    cross = orient2d(ax, ay, bx, by, px, py)
-    seg_len = max(abs(bx - ax), abs(by - ay), 1.0)
-    if abs(cross) > tol * seg_len:
-        return False
-    return (
-        min(ax, bx) - tol <= px <= max(ax, bx) + tol
-        and min(ay, by) - tol <= py <= max(ay, by) + tol
-    )
-
-
-def segments_intersect(p1, p2, p3, p4) -> bool:
-    """True if closed segments p1-p2 and p3-p4 intersect (incl. touching)."""
-    p1x, p1y = p1
-    p2x, p2y = p2
-    p3x, p3y = p3
-    p4x, p4y = p4
-    d1 = orient2d(p3x, p3y, p4x, p4y, p1x, p1y)
-    d2 = orient2d(p3x, p3y, p4x, p4y, p2x, p2y)
-    d3 = orient2d(p1x, p1y, p2x, p2y, p3x, p3y)
-    d4 = orient2d(p1x, p1y, p2x, p2y, p4x, p4y)
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
-        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
-    ):
-        return True
-    if d1 == 0 and on_segment(p1x, p1y, p3x, p3y, p4x, p4y):
-        return True
-    if d2 == 0 and on_segment(p2x, p2y, p3x, p3y, p4x, p4y):
-        return True
-    if d3 == 0 and on_segment(p3x, p3y, p1x, p1y, p2x, p2y):
-        return True
-    if d4 == 0 and on_segment(p4x, p4y, p1x, p1y, p2x, p2y):
-        return True
-    return False
-
-
-def segment_intersection_point(p1, p2, p3, p4) -> tuple[float, float] | None:
-    """Intersection point of the *lines* through p1-p2 and p3-p4, if the
-    segments properly intersect; None for parallel/non-crossing segments."""
-    x1, y1 = p1
-    x2, y2 = p2
-    x3, y3 = p3
-    x4, y4 = p4
-    denom = (x1 - x2) * (y3 - y4) - (y1 - y2) * (x3 - x4)
-    if denom == 0:
-        return None
-    t = ((x1 - x3) * (y3 - y4) - (y1 - y3) * (x3 - x4)) / denom
-    u = ((x1 - x3) * (y1 - y2) - (y1 - y3) * (x1 - x2)) / denom
-    if not (0.0 <= t <= 1.0 and 0.0 <= u <= 1.0):
-        return None
-    return (x1 + t * (x2 - x1), y1 + t * (y2 - y1))
-
-
 def ring_edges(ring) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-edge endpoint columns ``(x1, y1, x2, y2)`` of a ring, shaped
     for broadcasting against a point batch.  Geometries that are tested
@@ -132,23 +78,3 @@ def point_in_ring(x: float, y: float, ring) -> bool:
     """Scalar crossing-number test (convenience wrapper)."""
     return bool(points_in_ring(np.array([[x, y]]), ring)[0])
 
-
-def ring_is_simple(ring, tol: float = 1e-12) -> bool:
-    """True when no two non-adjacent edges of the ring intersect.
-
-    Quadratic in the number of vertices; intended for validation of the
-    small polygon rings used as query regions, not for bulk data.
-    """
-    verts = as_points(ring)
-    m = len(verts)
-    if m < 3:
-        return False
-    edges = [(tuple(verts[i]), tuple(verts[(i + 1) % m])) for i in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            # Skip adjacent edges (sharing an endpoint).
-            if j == i + 1 or (i == 0 and j == m - 1):
-                continue
-            if segments_intersect(*edges[i], *edges[j]):
-                return False
-    return True

@@ -21,7 +21,7 @@ from .canvas import (
     scatter_sum,
 )
 from .fragments import FragmentTable, IntervalSet, build_fragment_table
-from .pyramid import PYRAMID_OPS, build_pyramid, reduce2x2
+from .pyramid import PYRAMID_OPS, reduce2x2
 from .scanline import (
     boundary_pixels,
     boundary_pixels_sampled,
@@ -39,7 +39,6 @@ __all__ = [
     "boundary_pixels",
     "boundary_pixels_sampled",
     "build_fragment_table",
-    "build_pyramid",
     "coverage_fragments",
     "reduce2x2",
     "gather_reduce",

@@ -67,18 +67,3 @@ def reduce2x2(plane: np.ndarray, op: str = "sum") -> np.ndarray:
         return blocks.min(axis=(1, 3))
     return blocks.max(axis=(1, 3))
 
-
-def build_pyramid(plane: np.ndarray, levels: int, op: str = "sum"
-                  ) -> list[np.ndarray]:
-    """The full mip chain ``[level 0, level 1, ..., level `levels`]``.
-
-    ``levels`` counts *reductions*: the returned list has ``levels + 1``
-    planes, the first being ``plane`` itself (not a copy).
-    """
-    if levels < 0:
-        raise ExecutionError(f"pyramid levels must be >= 0, got {levels}")
-    chain = [np.asarray(plane)]
-    for _ in range(levels):
-        chain.append(reduce2x2(chain[-1], op))
-    return chain
-

@@ -28,7 +28,6 @@ from .filters import (
     TimeRange,
     TrueFilter,
     combine_filters,
-    estimate_selectivity,
 )
 from .io import iter_csv_chunks, load_csv, load_npz, save_csv, save_npz
 from .table import PointTable, table_from_dict
@@ -52,7 +51,6 @@ __all__ = [
     "categorical_column",
     "categorical_from_codes",
     "combine_filters",
-    "estimate_selectivity",
     "iter_csv_chunks",
     "load_csv",
     "load_npz",

@@ -260,17 +260,3 @@ def combine_filters(filters) -> FilterExpr:
         result = And(result, expr)
     return result
 
-
-def estimate_selectivity(expr: FilterExpr, table: PointTable,
-                         sample_size: int = 10_000, seed: int = 0) -> float:
-    """Estimated fraction of rows matching ``expr`` (sample-based).
-
-    Used by the planner to decide whether filtering before rasterization
-    is worthwhile; exact for tables smaller than the sample size.
-    """
-    if len(table) == 0:
-        return 0.0
-    if len(table) <= sample_size:
-        return float(expr.mask(table).mean())
-    sample = table.sample(sample_size, seed=seed)
-    return float(expr.mask(sample).mean())

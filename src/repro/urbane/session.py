@@ -318,9 +318,9 @@ class InteractiveSession(GestureSession):
                 method=method, resolution=self.resolution,
                 viewport=self._viewport)
         except ReproError:
-            # The cube path can decline late (e.g. a brush that stopped
-            # aligning after an append); the configured method is always
-            # a valid answer.
+            # The cube path can still decline once it runs (its build
+            # re-checks the slice and memory caps, its answer the bucket
+            # alignment); the configured method is always a valid answer.
             if method == self.method:
                 raise
             return self.manager.aggregate(

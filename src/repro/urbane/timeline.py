@@ -37,6 +37,8 @@ class TimeSeries:
 
     def peak(self) -> tuple[int, float]:
         """(bucket start, value) of the maximum bucket."""
+        if len(self.values) == 0:
+            raise QueryError("an empty series has no peak")
         i = int(np.argmax(self.values))
         return int(self.bucket_starts[i]), float(self.values[i])
 
@@ -107,52 +109,10 @@ class TimelineView:
         regions = self.manager.region_set(region_set)
         viewport = Viewport.fit(regions.bbox, resolution)
         fragments = self.manager.engine.fragments_for(regions, viewport)
-        fast = self._matrix_from_tcube(
-            table, regions, viewport, fragments, _BUCKETS[bucket],
-            time_column, tuple(filters), value_column)
-        if fast is not None:
-            return fast
         return region_time_matrix(
             table, regions, viewport, time_column=time_column,
             bucket_seconds=_BUCKETS[bucket], filters=filters,
             value_column=value_column, fragments=fragments)
-
-    def _matrix_from_tcube(self, table, regions, viewport, fragments,
-                           bucket_s, time_column, filters, value_column):
-        """Assemble the heat matrix from a cached temporal canvas cube.
-
-        Peek-only: never builds a cube.  The cube's slices use the same
-        pixel-center labeling as :func:`region_time_matrix`, so counts
-        match that path exactly; the bucket span is trimmed to the
-        labeled extent the exact path would produce.
-        """
-        from ..core.heatmatrix import RegionTimeMatrix, pixel_region_labels
-        from ..core.tcube import find_timeline_cube
-
-        cube = find_timeline_cube(self.manager.engine.ctx, table,
-                                  time_column, bucket_s, filters,
-                                  value_column, viewport=viewport)
-        if cube is None:
-            return None
-        labels = pixel_region_labels(fragments)
-        counts = cube.region_matrix(labels, len(regions), "count")
-        live = np.flatnonzero(counts.any(axis=0))
-        if len(live) == 0:
-            return None
-        lo, hi = int(live[0]), int(live[-1]) + 1
-        values = (counts if value_column is None
-                  else cube.region_matrix(labels, len(regions), "sum"))
-        return RegionTimeMatrix(
-            regions=regions,
-            bucket_starts=cube.bucket_starts[lo:hi],
-            values=values[:, lo:hi],
-            bucket_seconds=bucket_s,
-            stats={
-                "source": "tcube",
-                "points_labeled": int(round(counts.sum())),
-                "epsilon_world_units": viewport.pixel_diag,
-            },
-        )
 
     def series(
         self,
@@ -176,13 +136,6 @@ class TimelineView:
         bucket_s = _BUCKETS[bucket]
         table: PointTable = self.manager.dataset(dataset)
         label = f"{dataset}/{bucket}"
-
-        if region_name is None:
-            fast = self._series_from_tcube(table, bucket_s, time_column,
-                                           tuple(filters), value_column,
-                                           label)
-            if fast is not None:
-                return fast
         mask = combine_filters(list(filters)).mask(table)
 
         if region_name is not None:
@@ -206,26 +159,6 @@ class TimelineView:
             values = np.bincount(idx, minlength=nbuckets).astype(np.float64)
         starts = origin + np.arange(nbuckets, dtype=np.int64) * bucket_s
         return TimeSeries(starts, values, bucket_s, label)
-
-    def _series_from_tcube(self, table, bucket_s, time_column, filters,
-                           value_column, label):
-        """Serve the whole-city series from a cached temporal cube.
-
-        Peek-only, and only when the cube provably holds every filtered
-        point (``covers_all_points``): the cube buckets the identical
-        point set at the identical origin, so the per-bucket totals are
-        the same ``bincount`` the exact path computes.
-        """
-        from ..core.tcube import find_timeline_cube
-
-        cube = find_timeline_cube(self.manager.engine.ctx, table,
-                                  time_column, bucket_s, filters,
-                                  value_column)
-        if cube is None:
-            return None
-        kind = "count" if value_column is None else "sum"
-        return TimeSeries(cube.bucket_starts, cube.bucket_totals(kind),
-                          bucket_s, label)
 
     def _inside_mask(self, table, regions, region_name) -> np.ndarray:
         """Point-in-region mask, cached in the engine's unified cache.

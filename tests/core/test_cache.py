@@ -10,7 +10,6 @@ from repro.core import (
     QueryCache,
     SpatialAggregation,
     SpatialAggregationEngine,
-    bump_revision,
     fingerprint,
 )
 from repro.errors import QueryError
@@ -42,12 +41,6 @@ class TestFingerprint:
             seen.add(fp)
             del t
             gc.collect()
-
-    def test_revision_bump_changes_fingerprint(self):
-        t = _table()
-        before = fingerprint(t)
-        bump_revision(t)
-        assert fingerprint(t) != before
 
 
 class TestQueryCache:
@@ -154,14 +147,6 @@ class TestContextCaching:
         recycled = next((t for t in tables if id(t) == addr_a), None)
         if recycled is not None:
             assert ctx.grid_index(recycled) is not idx_a
-
-    def test_revision_bump_invalidates_derived_entries(self):
-        ctx = ExecutionContext()
-        t = _table(200, seed=5)
-        idx1 = ctx.grid_index(t)
-        assert ctx.grid_index(t) is idx1
-        bump_revision(t)
-        assert ctx.grid_index(t) is not idx1
 
     def test_engine_eviction_observable_in_stats(self, simple_regions):
         engine = SpatialAggregationEngine(default_resolution=64,

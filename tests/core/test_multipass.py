@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import (
     SpatialAggregation,
-    SpatialAggregationEngine,
     bounded_raster_join,
     bounded_raster_join_multi,
 )

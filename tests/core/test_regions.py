@@ -1,6 +1,5 @@
 """Tests for RegionSet."""
 
-import numpy as np
 import pytest
 
 from repro.core import RegionSet

@@ -111,9 +111,6 @@ class TestBuildAndAnswer:
                                               cube.num_active_pixels)
         assert np.all(cube.prefix["count"][0] == 0)
         assert cube.memory_bytes() > 0
-        # Points in [0,100]^2 overhang the regions' viewport, so the
-        # cube records it cannot vouch for whole-table series totals.
-        assert not cube.covers_all_points
         assert cube.nonnegative_values  # fares >= 0: no mass plane
         assert "mass" not in cube.prefix
         in_view = viewport.pixel_ids_of(cube_table.x, cube_table.y)[1].sum()

@@ -13,7 +13,6 @@ from repro.data import (
     generate_crimes,
     generate_taxi_trips,
     grid_regions,
-    load_demo_workload,
     region_hierarchy,
     voronoi_regions,
 )

@@ -1,6 +1,5 @@
 """Tests for GeoJSON encode/decode round trips."""
 
-import numpy as np
 import pytest
 
 from repro.errors import GeometryError

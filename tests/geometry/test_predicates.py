@@ -1,18 +1,10 @@
 """Unit and property tests for repro.geometry.predicates."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry import (
-    orient2d,
-    point_in_ring,
-    points_in_ring,
-    ring_is_simple,
-    segment_intersection_point,
-    segments_intersect,
-)
+from repro.geometry import orient2d, point_in_ring, points_in_ring
 
 SQUARE = [[0, 0], [10, 0], [10, 10], [0, 10]]
 # A concave "U" shape.
@@ -35,38 +27,6 @@ class TestOrient2d:
         cy = np.array([1.0, 2.0])
         out = orient2d(0, 0, 1, 0, cx, cy)
         assert out.shape == (2,)
-
-
-class TestSegmentsIntersect:
-    def test_crossing(self):
-        assert segments_intersect((0, 0), (2, 2), (0, 2), (2, 0))
-
-    def test_parallel_disjoint(self):
-        assert not segments_intersect((0, 0), (1, 0), (0, 1), (1, 1))
-
-    def test_touching_endpoint(self):
-        assert segments_intersect((0, 0), (1, 1), (1, 1), (2, 0))
-
-    def test_collinear_overlap(self):
-        assert segments_intersect((0, 0), (2, 0), (1, 0), (3, 0))
-
-    def test_collinear_disjoint(self):
-        assert not segments_intersect((0, 0), (1, 0), (2, 0), (3, 0))
-
-    def test_t_junction(self):
-        assert segments_intersect((0, 0), (2, 0), (1, -1), (1, 0))
-
-
-class TestSegmentIntersectionPoint:
-    def test_midpoint_cross(self):
-        got = segment_intersection_point((0, 0), (2, 2), (0, 2), (2, 0))
-        assert got == pytest.approx((1.0, 1.0))
-
-    def test_none_for_parallel(self):
-        assert segment_intersection_point((0, 0), (1, 0), (0, 1), (1, 1)) is None
-
-    def test_none_when_outside_segments(self):
-        assert segment_intersection_point((0, 0), (1, 1), (3, 0), (0, 3)) is None
 
 
 class TestPointsInRing:
@@ -124,17 +84,3 @@ class TestPointsInRing:
             return
         assert not point_in_ring(x, y, SQUARE)
 
-
-class TestRingIsSimple:
-    def test_square_simple(self):
-        assert ring_is_simple(SQUARE)
-
-    def test_bowtie_not_simple(self):
-        bowtie = [[0, 0], [2, 2], [2, 0], [0, 2]]
-        assert not ring_is_simple(bowtie)
-
-    def test_concave_simple(self):
-        assert ring_is_simple(U_SHAPE)
-
-    def test_too_few_vertices(self):
-        assert not ring_is_simple([[0, 0], [1, 1]])

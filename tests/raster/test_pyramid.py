@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ExecutionError
-from repro.raster import PYRAMID_OPS, build_pyramid, reduce2x2
+from repro.raster import PYRAMID_OPS, reduce2x2
 
 
 def _block_sum_reference(plane: np.ndarray) -> np.ndarray:
@@ -75,17 +75,6 @@ def test_min_identity_padding_is_inf():
     assert out[0, 0] == -2.0
     assert out[1, 1] == 5.0
     assert out[0, 1] == np.inf
-
-
-def test_build_pyramid_levels_chain():
-    gen = np.random.default_rng(3)
-    plane = gen.integers(0, 9, (37, 52)).astype(np.float64)
-    levels = build_pyramid(plane, 4, "sum")
-    assert len(levels) == 5
-    assert levels[0] is plane
-    for fine, coarse in zip(levels, levels[1:]):
-        np.testing.assert_array_equal(coarse, _block_sum_reference(fine))
-    assert levels[-1].sum() == plane.sum()
 
 
 def test_reduce2x2_rejects_bad_inputs():

@@ -11,7 +11,7 @@ import pytest
 
 from repro.errors import SchemaError
 from repro.store import Dataset, DatasetWriter, build_store
-from repro.table import PointTable, timestamp_column
+from repro.table import PointTable
 
 from .conftest import make_store_table
 

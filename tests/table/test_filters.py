@@ -7,15 +7,12 @@ from hypothesis import strategies as st
 
 from repro.errors import QueryError
 from repro.table import (
-    Between,
     Comparison,
     F,
-    IsIn,
     PointTable,
     TimeRange,
     TrueFilter,
     combine_filters,
-    estimate_selectivity,
     timestamp_column,
 )
 
@@ -156,23 +153,6 @@ class TestCombinators:
         manual = exprs[0].mask(table) & exprs[1].mask(table)
         assert (combined == manual).all()
 
-
-class TestSelectivity:
-    def test_exact_for_small_tables(self, table):
-        sub = table.take(np.arange(1000))
-        expr = F("v") > 0
-        est = estimate_selectivity(expr, sub)
-        assert est == pytest.approx(float(expr.mask(sub).mean()))
-
-    def test_sampled_close(self, table):
-        expr = F("kind") == "a"
-        est = estimate_selectivity(expr, table, sample_size=2000)
-        true = float(expr.mask(table).mean())
-        assert est == pytest.approx(true, abs=0.05)
-
-    def test_empty_table(self):
-        empty = PointTable([], [])
-        assert estimate_selectivity(TrueFilter(), empty) == 0.0
 
 @settings(max_examples=25, deadline=None)
 @given(st.floats(-30, 30), st.floats(0, 10))

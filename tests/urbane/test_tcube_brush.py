@@ -1,7 +1,8 @@
 """Timeline brushing through the temporal canvas cube.
 
 Covers the urbane-facing wiring: ``TimeSeries.brush`` edge cases, the
-series/matrix fast paths, the cached inside-mask, session brush
+timeline's one answer (independent of cached cubes, and equal to one
+bounded join per bucket), the cached inside-mask, session brush
 routing — each checked for equality against the serial exact/bounded
 paths it shortcuts.
 """
@@ -10,7 +11,14 @@ import numpy as np
 import pytest
 
 from repro.core import SpatialAggregation, SpatialAggregationEngine
-from repro.core.heatmatrix import region_time_matrix
+from repro.data import (
+    CityModel,
+    generate_taxi_trips,
+    grid_regions,
+    voronoi_regions,
+)
+from repro.errors import QueryError
+from repro.raster import Viewport
 from repro.table import F, PointTable, TimeRange, timestamp_column
 from repro.urbane import DataManager, InteractiveSession, TimelineView
 from repro.urbane.timeline import TimeSeries
@@ -20,24 +28,30 @@ T0 = 1_000_000 // HOUR * HOUR
 SPAN_HOURS = 36
 
 
-def make_table(n=15_000, seed=77) -> PointTable:
-    """Points wholly inside the simple-regions bbox (covers_all cubes)."""
+def make_table(n=15_000, seed=77, round_fares=True) -> PointTable:
+    """Points wholly inside the simple-regions bbox."""
     gen = np.random.default_rng(seed)
     x = gen.uniform(10, 90, n)
     y = gen.uniform(10, 90, n)
-    fare = np.round(gen.exponential(9.0, n))
+    fare = gen.exponential(9.0, n)
+    if round_fares:
+        fare = np.round(fare)
     t = gen.integers(T0, T0 + SPAN_HOURS * HOUR, n)
     return PointTable.from_arrays(
         x, y, name="brush-pts",
         fare=fare, t=timestamp_column("t", t))
 
 
+def make_manager(table, regions, name="simple") -> DataManager:
+    dm = DataManager(SpatialAggregationEngine(default_resolution=256))
+    dm.add_dataset(table, "pts")
+    dm.add_region_set(regions, name)
+    return dm
+
+
 @pytest.fixture()
 def manager(simple_regions) -> DataManager:
-    dm = DataManager(SpatialAggregationEngine(default_resolution=256))
-    dm.add_dataset(make_table(), "pts")
-    dm.add_region_set(simple_regions, "simple")
-    return dm
+    return make_manager(make_table(), simple_regions)
 
 
 def hour_brush(lo, hi, agg="count", value_column=None):
@@ -82,81 +96,64 @@ class TestBrushEdges:
         np.testing.assert_array_equal(got.upper, want.upper)
 
 
-class TestSeriesFastPath:
-    def test_series_served_from_cube(self, manager, simple_regions):
-        table = manager.dataset("pts")
-        view = TimelineView(manager)
-        exact = view.series("pts", bucket="hour")
-        # Materialize a cube, then the same call must serve from it.
-        manager.engine.execute(table, simple_regions, hour_brush(0, 2),
-                               method="tcube-raster")
-        fast = view._series_from_tcube(table, HOUR, "t", (), None,
-                                       "pts/hour")
-        assert fast is not None
-        np.testing.assert_array_equal(fast.bucket_starts,
-                                      exact.bucket_starts)
-        np.testing.assert_array_equal(fast.values, exact.values)
-        served = view.series("pts", bucket="hour")
-        np.testing.assert_array_equal(served.values, exact.values)
+class TestOneTimelineAnswer:
+    """The timeline bins the table; what the cache holds changes nothing."""
 
-    def test_sum_series_needs_matching_value_column(self, manager,
-                                                    simple_regions):
+    def test_fare_answers_ignore_a_cached_fare_cube(self, simple_regions):
+        # Non-integral fares: a cube's prefix differences would round
+        # differently from the table's per-bucket sums.
+        manager = make_manager(make_table(round_fares=False),
+                               simple_regions)
         table = manager.dataset("pts")
         view = TimelineView(manager)
-        manager.engine.execute(table, simple_regions, hour_brush(0, 2),
-                               method="tcube-raster")
-        # The count-only cube cannot serve a fare-sum series ...
-        assert view._series_from_tcube(table, HOUR, "t", (), "fare",
-                                       "x") is None
-        # ... but a fare cube can, and it matches the exact path.
-        manager.engine.execute(
+
+        def answers():
+            return (view.matrix("pts", "simple", bucket="hour",
+                                value_column="fare", resolution=256),
+                    view.series("pts", bucket="hour", value_column="fare"))
+
+        matrix, series = answers()
+        built = manager.engine.execute(
             table, simple_regions, hour_brush(0, 2, "sum", "fare"),
             method="tcube-raster")
-        fast = view._series_from_tcube(table, HOUR, "t", (), "fare", "x")
-        assert fast is not None
-        exact = view.series("pts", bucket="hour", value_column="fare")
-        np.testing.assert_array_equal(fast.values, exact.values)
-
-    def test_filtered_series_not_served_by_unfiltered_cube(
-            self, manager, simple_regions):
-        table = manager.dataset("pts")
-        view = TimelineView(manager)
-        manager.engine.execute(table, simple_regions, hour_brush(0, 2),
-                               method="tcube-raster")
-        filt = (F("fare") > 5,)
-        assert view._series_from_tcube(table, HOUR, "t", filt, None,
-                                       "x") is None
-
-
-class TestMatrixFastPath:
-    def test_matrix_served_from_cube_matches_exact(self, manager,
-                                                   simple_regions):
-        table = manager.dataset("pts")
-        view = TimelineView(manager)
-        exact = view.matrix("pts", "simple", bucket="hour", resolution=256)
-        assert exact.stats.get("source") != "tcube"
-        manager.engine.execute(table, simple_regions, hour_brush(0, 2),
-                               method="tcube-raster")
-        fast = view.matrix("pts", "simple", bucket="hour", resolution=256)
-        assert fast.stats["source"] == "tcube"
-        np.testing.assert_array_equal(fast.bucket_starts,
-                                      exact.bucket_starts)
-        np.testing.assert_array_equal(fast.values, exact.values)
-
-    def test_matrix_fast_path_agrees_with_direct_join(self, manager,
-                                                      simple_regions):
-        from repro.raster import Viewport
-
-        table = manager.dataset("pts")
-        view = TimelineView(manager)
-        manager.engine.execute(table, simple_regions, hour_brush(0, 2),
-                               method="tcube-raster")
-        fast = view.matrix("pts", "simple", bucket="hour", resolution=256)
-        assert fast.stats["source"] == "tcube"
+        assert built.stats["tcube"]["built"]
         viewport = Viewport.fit(simple_regions.bbox, 256)
-        want = region_time_matrix(table, simple_regions, viewport,
-                                  time_column="t", bucket_seconds=HOUR)
-        np.testing.assert_array_equal(fast.values, want.values)
+        assert any(cube.viewport == viewport and cube.value_column == "fare"
+                   for cube in manager.engine.ctx.cached_tcubes(table))
+        matrix_after, series_after = answers()
+        np.testing.assert_array_equal(matrix_after.bucket_starts,
+                                      matrix.bucket_starts)
+        np.testing.assert_array_equal(matrix_after.values, matrix.values)
+        np.testing.assert_array_equal(series_after.bucket_starts,
+                                      series.bucket_starts)
+        np.testing.assert_array_equal(series_after.values, series.values)
+
+    @pytest.mark.parametrize("partition, bucket, days", [
+        ("grid", "hour", 2),
+        ("voronoi", "day", 30),
+    ])
+    def test_count_columns_equal_bounded_joins(self, partition, bucket,
+                                               days):
+        city = CityModel(seed=5)
+        day = 86_400
+        start = 1_230_768_000
+        table = generate_taxi_trips(city, 20_000, start=start,
+                                    end=start + days * day, seed=9)
+        if partition == "grid":
+            regions = grid_regions(city.bbox, 5, 3, name="zones")
+        else:
+            regions = voronoi_regions(city, 70, name="zones", seed=3)
+        manager = make_manager(table, regions, name="zones")
+        matrix = TimelineView(manager).matrix(
+            "pts", "zones", bucket=bucket, resolution=256)
+        assert matrix.num_buckets > 1
+        width = matrix.bucket_seconds
+        for b, t0 in enumerate(matrix.bucket_starts):
+            query = SpatialAggregation(
+                "count", None, (TimeRange("t", int(t0), int(t0) + width),))
+            want = manager.engine.execute(table, regions, query,
+                                          method="bounded", resolution=256)
+            np.testing.assert_array_equal(matrix.values[:, b], want.values)
 
 
 class TestInsideMaskCache:
@@ -206,6 +203,15 @@ class TestSparkline:
                        len(glyphs) - 1)]
             for v in naive)
         assert series.sparkline(width) == want
+
+
+class TestEmptySeries:
+    def test_peak_of_empty_series_is_a_query_error(self, manager):
+        series = TimelineView(manager).series(
+            "pts", bucket="hour", filters=(F("fare") < 0,))
+        assert len(series) == 0
+        with pytest.raises(QueryError, match="empty series"):
+            series.peak()
 
 
 def tcube_keys(manager) -> list:
