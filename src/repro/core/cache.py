@@ -1,15 +1,15 @@
 """The unified execution cache: content fingerprints + a bounded LRU store.
 
 Every reusable artifact on the execution path — polygon fragment
-tables, point indexes, materialized cubes, full query results — lives
-in one :class:`QueryCache` keyed by *content fingerprints* instead of
-raw ``id()`` values.  ``id()`` keys have a latent reuse bug: once a
-table is garbage collected its address can be handed to a brand-new
-table, and a stale index would silently answer for the wrong data.
-Fingerprints are drawn from a process-global monotone counter and
-attached to the object, so a token is never reused.  Tables, stores and
-cubes are immutable (a derived table gets a new token), so a token
-never needs invalidating.
+tables, point indexes, materialized cubes, pyramid blocks and frozen
+query answers — lives in one :class:`QueryCache` keyed by *content
+fingerprints* instead of raw ``id()`` values.  ``id()`` keys have a
+latent reuse bug: once a table is garbage collected its address can be
+handed to a brand-new table, and a stale index would silently answer
+for the wrong data.  Fingerprints are drawn from a process-global
+monotone counter and attached to the object, so a token is never
+reused.  Tables, stores and cubes are immutable (a derived table gets a
+new token), so a token never needs invalidating.
 
 The store itself is an LRU with per-entry byte accounting, a byte and
 entry budget, and hit/miss/eviction counters — the numbers surfaced as
@@ -27,11 +27,14 @@ one cache from a thread pool):
   artifact instead of duplicating the build (``single_flight_waits``
   counts the piggybacks).  Distinct keys build concurrently — the main
   lock is never held across a build;
-* cached :class:`~repro.core.result.AggregationResult` values are
-  handed out as **defensive copies**: results carry a mutable ``stats``
-  dict that callers routinely annotate, and returning the stored object
-  by reference would let one caller's mutation corrupt every later
-  reader's view.
+* every value is handed out **by reference**, with no copy on read:
+  nothing mutable is cached.  An answer (an ``("answer", ...)`` key,
+  stored by :meth:`~repro.core.executor.SpatialAggregationEngine.execute`)
+  holds read-only ``values`` / ``lower`` / ``upper`` arrays, and each
+  hit wraps them in a new result with a stats dict of its own.  An
+  answer is admitted only on its key's second sighting
+  (:meth:`QueryCache.note_seen`), so one-off queries never push
+  reusable blocks out of the entry budget.
 """
 
 from __future__ import annotations
@@ -156,21 +159,6 @@ def estimate_nbytes(value, _depth: int = 0, _seen: set | None = None) -> int:
     return 64
 
 
-def _defensive(value):
-    """Copy-on-read for mutable cached artifacts.
-
-    Query results are the one cached type whose consumers mutate what
-    they receive (``result.stats`` annotations); everything else
-    (fragment tables, indexes, cubes) is treated as immutable shared
-    state and returned by reference.
-    """
-    from .result import AggregationResult
-
-    if isinstance(value, AggregationResult):
-        return value.copy()
-    return value
-
-
 @dataclass
 class CacheEntry:
     value: object
@@ -220,7 +208,7 @@ class QueryCache:
                 return default
             self.hits += 1
             self._entries.move_to_end(key)
-            return _defensive(entry.value)
+            return entry.value
 
     def peek(self, key: tuple, default=None):
         """Fetch without touching LRU order or counters (planner probes)."""
@@ -252,7 +240,7 @@ class QueryCache:
             if entry is not None:
                 self.hits += 1
                 self._entries.move_to_end(key)
-                return _defensive(entry.value)
+                return entry.value
             self.misses += 1
             latch = self._building.get(key)
             leader = latch is None
@@ -270,7 +258,7 @@ class QueryCache:
                 entry = self._entries.get(key)
                 if entry is not None:
                     self._entries.move_to_end(key)
-                    return _defensive(entry.value)
+                    return entry.value
             # Leader failed (builder raised) — fall through and build.
             return self.get_or_build(key, builder, nbytes=nbytes)
         try:
@@ -280,7 +268,7 @@ class QueryCache:
             with self._lock:
                 self._building.pop(key, None)
             latch.release()
-        return _defensive(value)
+        return value
 
     def note_seen(self, key: tuple) -> bool:
         """Record a sighting of ``key``; return whether it was seen
@@ -342,7 +330,8 @@ class QueryCache:
         """Drop every entry whose key starts with ``prefix``; returns the
         number removed (not counted as evictions)."""
         with self._lock:
-            doomed = [k for k in self._entries if k and k[0] == prefix]
+            doomed = [k for k in dict.keys(self._entries)
+                      if k and k[0] == prefix]
             for key in doomed:
                 self._bytes -= self._entries.pop(key).nbytes
             return len(doomed)
@@ -364,9 +353,11 @@ class QueryCache:
             return key in self._entries
 
     def keys(self) -> list[tuple]:
-        """Snapshot of the current keys (safe to iterate concurrently)."""
+        """Snapshot of the current keys, in insertion order: the plain
+        dict view skips the ``OrderedDict`` iterator's per-key lookup
+        (block keys hash frozen dataclasses)."""
         with self._lock:
-            return list(self._entries)
+            return list(dict.keys(self._entries))
 
     @property
     def total_bytes(self) -> int:

@@ -17,6 +17,9 @@ facade over three explicit layers:
   point indexes, and cubes keyed by content fingerprints with LRU
   eviction, byte accounting, and hit/miss counters surfaced in
   ``result.stats["cache"]``.
+
+Above them sits the **answer tier**: a repeated request returns the
+stored answer's frozen arrays without planning, assembly or gather.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from ..obs.trace import span
 from ..raster import FragmentTable, Viewport
 from ..table import PointTable
 from .backends import ExecutionPlan, backend_names, get_backend, has_backend
+from .cache import fingerprint
 from .context import (
     DEFAULT_RESOLUTION,
     MAX_CANVAS_RESOLUTION,
@@ -120,6 +124,7 @@ class SpatialAggregationEngine:
         viewport: Viewport | None = None,
         deadline_ms: float | None = None,
         cancel=None,
+        cache: bool = True,
     ) -> AggregationResult:
         """Run one spatial aggregation query.
 
@@ -137,12 +142,29 @@ class SpatialAggregationEngine:
         result carries ``stats["plan"]`` (the decision and its inputs)
         and ``stats["cache"]`` (unified-cache counters, including this
         query's own hits/misses).
+
+        A request answered twice before (same data, regions, query,
+        method as requested and knobs) is an answer-tier hit: read-only
+        arrays, ``stats["answer"]`` and no work counters.  ``cache=False``
+        neither reads nor writes the tier.
         """
         t0 = time.perf_counter()
         if resolution is not None and resolution < 1:
             # Fail loudly whichever backend the plan lands on.
             raise GeometryError(
                 f"resolution must be positive, got {resolution}")
+        key = None
+        if cache:
+            key = ("answer", fingerprint(table), fingerprint(regions),
+                   repr(query), method, resolution, epsilon, exact,
+                   deadline_ms, viewport)
+            if key in self.ctx.cache:  # a miss's trace stays span-free
+                with span("answer.hit"):
+                    hit = self._answer_hit(key, t0)
+                if hit is not None:
+                    return hit
+            if not self.ctx.cache.note_seen(key):
+                key = None  # admitted on the second sighting only
         plan = ExecutionPlan(
             table=table, regions=regions, query=query, method=method,
             resolution=resolution, epsilon=epsilon, exact=exact,
@@ -164,6 +186,7 @@ class SpatialAggregationEngine:
                 result = execute_dataset(self.ctx, plan, method=method)
             s.set(rows=result.stats.get("points_after_filter"))
             self._attach_stats(result, plan, hits0, misses0, blocks0, t0)
+            self._store_answer(key, result)
             return result
 
         if method == "auto":
@@ -195,7 +218,31 @@ class SpatialAggregationEngine:
             cost = plan.decision["decision"]["costs"].get(chosen)
             if cost is not None and cost != float("inf"):
                 self.planner.observe(cost, time.perf_counter() - t0)
+        self._store_answer(key, result)
         return result
+
+    def _answer_hit(self, key: tuple,
+                    t0: float) -> AggregationResult | None:
+        """The stored answer for ``key`` in a result of this call's own,
+        or None if it was evicted since the caller's probe."""
+        hits0, misses0 = self.ctx.cache.hits, self.ctx.cache.misses
+        blocks0 = self.ctx.cache.block_snapshot()
+        stored = self.ctx.cache.get(key)
+        if stored is None:
+            return None
+        result = stored.shared({**stored.stats, "answer": {"hit": True}})
+        self._attach_cache(result, hits0, misses0, blocks0, t0)
+        return result
+
+    def _store_answer(self, key: tuple | None,
+                      result: AggregationResult) -> None:
+        """Cache ``result``'s frozen arrays under ``key``, with the stats
+        that describe the answer; a hit drops the work counters."""
+        if key is not None:
+            self.ctx.cache.put(key, result.shared({
+                k: result.stats[k] for k in
+                ("plan", "points_in_viewport", "points_after_filter")
+                if k in result.stats}))
 
     def _attach_stats(self, result: AggregationResult, plan: ExecutionPlan,
                       hits0: int, misses0: int, blocks0: dict,
@@ -206,6 +253,10 @@ class SpatialAggregationEngine:
             # every path (planned, explicit, store, multi) goes through
             # here, so the selection is visible on every result.
             plan.decision["kernel"] = self.ctx.kernel_info()
+        self._attach_cache(result, hits0, misses0, blocks0, t0)
+
+    def _attach_cache(self, result: AggregationResult, hits0: int,
+                      misses0: int, blocks0: dict, t0: float) -> None:
         cache = self.ctx.cache.stats()
         cache["query_hits"] = self.ctx.cache.hits - hits0
         cache["query_misses"] = self.ctx.cache.misses - misses0

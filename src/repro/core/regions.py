@@ -68,8 +68,10 @@ class RegionSet:
             box = box.union(geom.bbox)
         return box
 
-    @property
+    @cached_property
     def total_vertices(self) -> int:
+        """Vertex count over every region, computed once (the planner's
+        cost inputs read it on every query)."""
         return sum(g.num_vertices for g in self._geometries)
 
     def areas(self) -> np.ndarray:

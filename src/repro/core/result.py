@@ -7,7 +7,6 @@ raster join only), and execution statistics for the benchmark harness.
 
 from __future__ import annotations
 
-import copy as _copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,25 +35,18 @@ class AggregationResult:
     def __len__(self) -> int:
         return len(self.values)
 
-    def copy(self) -> "AggregationResult":
-        """An independent deep copy (arrays and the stats dict).
-
-        The serving layer hands one executed result to every coalesced
-        waiter and the unified cache hands results back on hits; a copy
-        per consumer means one caller's mutation (annotating stats,
-        scaling values) can never corrupt another's view.  The region
-        set is shared — it is immutable by convention and fingerprinted
-        by identity, so copying it would defeat downstream caching.
-        """
+    def shared(self, stats: dict) -> "AggregationResult":
+        """A new result over this one's arrays, frozen in place
+        (``writeable=False``), with ``stats`` as its own dict: an answer
+        cached or fanned out to many callers is shared without a copy,
+        and no caller can write into another's."""
+        for arr in (self.values, self.lower, self.upper):
+            if arr is not None:
+                arr.flags.writeable = False
         return AggregationResult(
-            regions=self.regions,
-            values=self.values.copy(),
-            method=self.method,
-            lower=None if self.lower is None else self.lower.copy(),
-            upper=None if self.upper is None else self.upper.copy(),
-            exact=self.exact,
-            stats=_copy.deepcopy(self.stats),
-        )
+            regions=self.regions, values=self.values, method=self.method,
+            lower=self.lower, upper=self.upper, exact=self.exact,
+            stats=stats)
 
     def value_of(self, region_name: str) -> float:
         """Aggregate value of one region, by name."""

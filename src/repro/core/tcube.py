@@ -616,7 +616,9 @@ def build_temporal_canvas_cube(
 
 def find_answering_cube(ctx, table: PointTable, query: SpatialAggregation,
                         viewport: Viewport) -> TemporalCanvasCube | None:
-    """The first cached cube that can answer (peek only, no LRU touch)."""
+    """The earliest-inserted cached cube that can answer (peek only, no
+    LRU touch): :meth:`~repro.core.cache.QueryCache.keys` lists entries
+    in insertion order, not recency order."""
     for cube in ctx.cached_tcubes(table):
         if cube is not None and cube.can_answer(query, viewport):
             return cube

@@ -15,8 +15,8 @@ flight's cooperative cancel token set — a leader's disconnect must not
 kill an answer nine joiners are still waiting for.
 
 The value resolved by the shared task is handed to every participant
-**by reference** — callers that hand out mutable results must copy per
-participant (the query service returns ``result.copy()`` to each).
+**by reference** — the query service gives each participant a result
+of its own over the answer's read-only arrays (``result.shared``).
 """
 
 from __future__ import annotations

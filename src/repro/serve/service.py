@@ -8,13 +8,15 @@ through four stages:
    front of a concurrency semaphore sized to the thread pool; overload
    sheds with ``retry_after_ms`` instead of queueing without bound.
 2. **Coalescing** (:mod:`repro.serve.coalesce`) — requests with the
-   same fingerprint key share one execution; every participant gets an
-   independent ``result.copy()``, so no response aliases another.
+   same fingerprint key share one execution; every participant gets
+   the answer's read-only arrays under a stats dict of its own
+   (``result.shared``), so no response can write into another.
 3. **Execution** — the manager's one engine runs on a thread pool
-   (the event loop never blocks on NumPy); results are cached in that
-   engine's unified cache under a ``("served", ...)`` key, so a
-   repeated query is a cache hit even after its flight has landed, and
-   every query shares its fragments, tcube cubes and pyramid blocks.
+   (the event loop never blocks on NumPy).  The engine's answer tier
+   serves a query repeated after its flight has landed (from its
+   third sighting on), and every query shares the engine's fragments,
+   tcube cubes and pyramid blocks; the ``cache`` knob set to false
+   bypasses the answer tier.
 4. **Streaming** (:meth:`QueryService.stream`) — long queries route
    through the progressive tiled join and yield per-tile partials with
    hard error bounds as they accumulate.
@@ -80,15 +82,14 @@ class QueryService:
     # -- keys --------------------------------------------------------------
 
     def query_key(self, req: dict) -> tuple:
-        """The coalescing/caching identity of a request.
+        """The coalescing identity of a request.
 
         Content fingerprints for the data, the full repr of the frozen
         query (filters included), and every knob that can change the
         answer — ``deadline_ms`` included, since degradation changes
         what comes back, and the viewport (a pinned canvas changes the
         raster answer).  Nothing identifies the client, so identical
-        gestures from different sessions coalesce and share cache
-        entries.
+        gestures from different sessions coalesce.
         """
         table = self.manager.dataset(req["dataset"])
         regions = self.manager.region_set(req["regions"])
@@ -111,35 +112,28 @@ class QueryService:
         req["regions"] = req["regions"] or parsed.regions
         req["query"] = parsed.aggregation
 
-    def _run(self, req: dict, key: tuple, cancel: threading.Event):
+    def _run(self, req: dict, cancel: threading.Event):
         """Engine execution (thread-pool side)."""
-        engine = self.manager.engine
         table = self.manager.dataset(req["dataset"])
         regions = self.manager.region_set(req["regions"])
         deadline = req["deadline_ms"]
         if deadline is None:
             deadline = self.default_deadline_ms
-
-        def build():
-            return engine.execute(
-                table, regions, req["query"], method=req["method"],
-                resolution=req["resolution"], epsilon=req["epsilon"],
-                exact=bool(req["exact"]), viewport=req.get("viewport"),
-                deadline_ms=deadline, cancel=cancel)
-
         # run_in_executor does not propagate contextvars, so the
         # request's root span (when tracing) rides in on the request
         # dict and is re-activated on this pool thread.
         with activate(req.get("_span")), span("execute"):
-            if req.get("cache", True):
-                # The unified cache defensively copies results on read,
-                # so the stored original is never the object handed out.
-                return engine.ctx.cache.get_or_build(key, build)
-            return build()
+            return self.manager.engine.execute(
+                table, regions, req["query"], method=req["method"],
+                resolution=req["resolution"], epsilon=req["epsilon"],
+                exact=bool(req["exact"]), viewport=req.get("viewport"),
+                deadline_ms=deadline, cancel=cancel,
+                cache=req.get("cache", True))
 
     async def execute(self, req: dict):
-        """Serve one non-streaming request; returns a private
-        :class:`~repro.core.result.AggregationResult` copy.
+        """Serve one non-streaming request; returns an
+        :class:`~repro.core.result.AggregationResult` with read-only
+        arrays and a stats dict of its own.
 
         When the request asks for a trace (``trace`` knob) or the
         slow-query log is armed, the whole request runs under a root
@@ -174,8 +168,9 @@ class QueryService:
         return result
 
     async def _execute(self, req: dict):
-        """Serve one non-streaming request; returns a private
-        :class:`~repro.core.result.AggregationResult` copy.
+        """Serve one non-streaming request; returns an
+        :class:`~repro.core.result.AggregationResult` with read-only
+        arrays and a stats dict of its own.
 
         Coalescing happens *before* admission: joiners of an in-flight
         identical query never consume a slot (they do no work), so
@@ -193,7 +188,7 @@ class QueryService:
         async def start(cancel: threading.Event):
             async with self.admission.slot(req.get("timeout_s")):
                 return await loop.run_in_executor(
-                    self.executor, self._run, req, key, cancel)
+                    self.executor, self._run, req, cancel)
 
         try:
             result = await self.flight.run(key, start)
@@ -201,14 +196,14 @@ class QueryService:
             self.errors += 1
             REGISTRY.counter("repro_errors_total").inc()
             raise
-        # Each participant gets an independent copy — coalesced
-        # responses must not alias one another's arrays or stats.
-        copy = result.copy()
+        # Each participant gets its own stats dict over the frozen
+        # arrays — coalesced responses never write into one another.
+        result = result.shared(dict(result.stats))
         # Metrics record once per *served response*: coalesced joiners
         # each count, so registry totals reconcile with summed
         # per-response stats.
-        record_query_stats(copy.stats, time.perf_counter() - t0)
-        return copy
+        record_query_stats(result.stats, time.perf_counter() - t0)
+        return result
 
     # -- streaming queries -------------------------------------------------
 

@@ -126,6 +126,15 @@ class TestQueryCache:
         with pytest.raises(QueryError):
             QueryCache(max_bytes=0)
 
+    def test_keys_list_insertion_order_not_recency(self):
+        cache = QueryCache()
+        for name in ("a", "b", "c"):
+            cache.put((name,), name, nbytes=1)
+        cache.get(("a",))  # touched, but keeps its insertion slot
+        assert cache.keys() == [("a",), ("b",), ("c",)]
+        assert cache.invalidate("b") == 1
+        assert cache.keys() == [("a",), ("c",)]
+
 
 class TestContextCaching:
     def test_index_not_shared_across_tables(self):
@@ -167,6 +176,107 @@ class TestContextCaching:
         warm = engine.execute(t, simple_regions, query, method="bounded")
         assert warm.stats["cache"]["query_hits"] > 0
         assert warm.stats["cache"]["query_misses"] == 0
+
+
+class TestAnswerTier:
+    """``engine.execute``'s answer tier: admitted on a key's second
+    sighting, served from the third, frozen and per-call stats."""
+
+    def _run(self, engine, table, regions, **kwargs):
+        return engine.execute(table, regions, SpatialAggregation.count(),
+                              method="bounded", **kwargs)
+
+    @staticmethod
+    def _answers(engine):
+        return [k for k in engine.ctx.cache.keys() if k[0] == "answer"]
+
+    def test_admitted_only_on_second_sighting(self, simple_regions):
+        engine = SpatialAggregationEngine(default_resolution=64)
+        t = _table(500, seed=21)
+        first = self._run(engine, t, simple_regions)
+        assert "answer" not in first.stats and not self._answers(engine)
+        assert first.values.flags.writeable
+        second = self._run(engine, t, simple_regions)
+        assert "answer" not in second.stats  # built, then stored
+        assert len(self._answers(engine)) == 1
+        third = self._run(engine, t, simple_regions)
+        assert third.stats["answer"] == {"hit": True}
+        assert third.values is second.values
+        assert third.stats["cache"]["query_hits"] == 1
+        assert third.stats["cache"]["query_misses"] == 0
+
+    def test_hit_arrays_are_read_only(self, simple_regions):
+        engine = SpatialAggregationEngine(default_resolution=64)
+        t = _table(500, seed=22)
+        for _ in range(3):
+            hit = self._run(engine, t, simple_regions)
+        for arr in (hit.values, hit.lower, hit.upper):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_hit_stats_are_per_call(self, simple_regions):
+        engine = SpatialAggregationEngine(default_resolution=64)
+        t = _table(500, seed=23)
+        built = [self._run(engine, t, simple_regions) for _ in range(2)]
+        a = self._run(engine, t, simple_regions)
+        b = self._run(engine, t, simple_regions)
+        assert a.stats is not b.stats
+        a.stats["poison"] = True
+        a.stats["answer"]["hit"] = "edited"
+        assert "poison" not in b.stats
+        assert self._run(engine, t, simple_regions).stats["answer"] == {
+            "hit": True}
+        # What describes the answer stays; the builder's work does not.
+        assert b.stats["plan"]["decision"]["chosen"] == "bounded"
+        for k in ("points_in_viewport", "points_after_filter"):
+            assert b.stats[k] == built[-1].stats[k]
+        assert "time_point_pass_s" not in b.stats
+        assert b.stats["time_execute_s"] >= 0.0
+
+    def test_cache_false_neither_reads_nor_writes(self, simple_regions):
+        engine = SpatialAggregationEngine(default_resolution=64)
+        t = _table(500, seed=24)
+        for _ in range(3):
+            off = self._run(engine, t, simple_regions, cache=False)
+            assert "answer" not in off.stats
+        assert not self._answers(engine)
+        # An answer stored by cached calls is not read with cache=False.
+        for _ in range(2):
+            self._run(engine, t, simple_regions)
+        assert len(self._answers(engine)) == 1
+        off = self._run(engine, t, simple_regions, cache=False)
+        assert "answer" not in off.stats and off.values.flags.writeable
+
+    def test_new_table_object_misses(self, simple_regions):
+        engine = SpatialAggregationEngine(default_resolution=64)
+        t = _table(500, seed=25)
+        for _ in range(3):
+            self._run(engine, t, simple_regions)
+        same_rows = _table(500, seed=25)
+        assert "answer" not in self._run(engine, same_rows,
+                                         simple_regions).stats
+
+    def test_budget_that_evicts_every_answer_still_answers(
+            self, simple_regions):
+        from repro.core import bounded_raster_join
+
+        # One entry: each run's fragment put evicts the other
+        # resolution's answer, so every lookup misses.
+        engine = SpatialAggregationEngine(cache_max_entries=1)
+        t = _table(500, seed=26)
+        want = {}
+        for res in (64, 48):
+            vp = engine.plan_viewport(simple_regions, res, None)
+            want[res] = bounded_raster_join(
+                t, simple_regions, SpatialAggregation.count(), vp)
+        for _ in range(4):
+            for res in (64, 48):
+                got = self._run(engine, t, simple_regions, resolution=res)
+                assert "answer" not in got.stats
+                for part in ("values", "lower", "upper"):
+                    assert np.array_equal(getattr(got, part),
+                                          getattr(want[res], part))
+        assert engine.cache_stats()["evictions"] > 0
 
 
 class TestThreadSafety:
@@ -412,21 +522,24 @@ class TestSeenKeys:
 
 
 class TestDefensiveCopies:
-    def test_cached_result_is_copied_on_read(self, simple_regions):
+    def test_cached_answer_is_frozen_and_stats_per_reader(
+            self, simple_regions):
         engine = SpatialAggregationEngine(default_resolution=64)
         t = _table(500, seed=11)
         query = SpatialAggregation.count()
-        key = ("served", fingerprint(t))
-        built = engine.ctx.cache.get_or_build(
-            key, lambda: engine.execute(t, simple_regions, query,
-                                        method="bounded"))
-        again = engine.ctx.cache.get(key)
+        for _ in range(2):  # the second sighting stores the answer
+            built = engine.execute(t, simple_regions, query,
+                                   method="bounded")
+        again = engine.execute(t, simple_regions, query, method="bounded")
         assert again is not built
+        assert again.stats["answer"] == {"hit": True}
         assert np.array_equal(again.values, built.values)
-        # Mutating one reader's view must not leak into the next's.
+        # No reader can write into the shared arrays ...
+        with pytest.raises(ValueError):
+            again.values[:] = -1.0
+        # ... and one reader's stats edit never reaches the next reader.
         again.stats["poison"] = True
-        again.values[:] = -1.0
-        third = engine.ctx.cache.get(key)
+        third = engine.execute(t, simple_regions, query, method="bounded")
         assert "poison" not in third.stats
         assert np.array_equal(third.values, built.values)
 
@@ -435,21 +548,3 @@ class TestDefensiveCopies:
         arr = np.arange(5)
         cache.put(("a",), arr)
         assert cache.get(("a",)) is arr
-
-    def test_result_copy_is_independent(self, simple_regions):
-        from repro.core import bounded_raster_join
-        from repro.raster import Viewport
-
-        t = _table(1_000, seed=12)
-        vp = Viewport.fit(simple_regions.bbox, 64)
-        r = bounded_raster_join(t, simple_regions, 
-                                SpatialAggregation.count(), vp)
-        r.stats["nested"] = {"deep": [1, 2]}
-        c = r.copy()
-        assert c.values is not r.values
-        assert np.array_equal(c.values, r.values)
-        assert c.lower is not r.lower and np.array_equal(c.lower, r.lower)
-        c.stats["nested"]["deep"].append(3)
-        assert r.stats["nested"]["deep"] == [1, 2]
-        # The region set is intentionally shared (fingerprint identity).
-        assert c.regions is r.regions

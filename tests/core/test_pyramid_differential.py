@@ -127,7 +127,10 @@ def assert_match(got, want, agg):
 
 def run_frame(engine, table, regions, query, viewport) -> tuple:
     """Execute one frame traced; its result and the ``narrowed``
-    attribute of its ``scatter`` span (None when nothing scattered)."""
+    attribute of its ``scatter`` span (None when nothing scattered).
+    Stored answers are dropped first, so a repeated frame is assembled
+    again rather than served by the answer tier."""
+    engine.ctx.cache.invalidate("answer")
     root = Tracer().start("frame")
     with root:
         result = engine.execute(table, regions, query, method="bounded",

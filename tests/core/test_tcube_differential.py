@@ -199,6 +199,8 @@ def test_session_brushes_match_bounded_on_every_path(
         session.state.filters = residual
         query = SpatialAggregation(agg[0], agg[1], residual + (brush,))
         chosen = cube_for_brush(ctx, table, query, viewport)
+        # A repeated step must reach the cube path, not a stored answer.
+        ctx.cache.invalidate("answer")
 
         got = session.brush_time(brush.start, brush.end)
 

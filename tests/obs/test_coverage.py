@@ -231,3 +231,34 @@ def test_tcube_build_and_answer_spans(city, city_regions):
     assert [c["name"] for c in run["children"]] == ["tcube.answer"]
     assert run["children"][0]["attrs"] == {"slices_touched": 3,
                                            "reduced_levels": 0}
+
+
+def test_answer_hit_span_covers_a_hit(city, city_regions):
+    """From a request's third sighting on, the answer tier serves it:
+    the hit's trace is one ``answer.hit`` span (lookup, result wrapper
+    and stats) with no planning or backend below it, and it covers most
+    of the hit's execute.  A miss opens no ``answer.hit`` span."""
+    engine = SpatialAggregationEngine(default_resolution=512)
+    table = generate_taxi_trips(city, 20_000, seed=3)
+    query = SpatialAggregation.sum_of("fare")
+
+    def traced():
+        root = Tracer().start("query")
+        with root:
+            result = engine.execute(table, city_regions, query)
+        return root.to_dict(), result
+
+    for _ in range(2):
+        tree, result = traced()
+        assert [c["name"] for c in tree["children"]] == [
+            "plan", "backend.run"]
+    coverage = []
+    for _ in range(5):
+        tree, result = traced()
+        assert result.stats["answer"] == {"hit": True}
+        assert [c["name"] for c in tree["children"]] == ["answer.hit"]
+        assert not tree["children"][0]["children"]
+        coverage.append(leaf_coverage(tree))
+    # Best of five: a hit takes tens of microseconds, so one scheduler
+    # hiccup outside the span must not decide the check.
+    assert max(coverage) >= 0.4, f"coverage {coverage}\n{render(tree)}"

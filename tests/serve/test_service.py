@@ -29,27 +29,48 @@ class TestExecute:
 
     def test_each_caller_gets_independent_copy(self, service):
         query = SpatialAggregation.count()
+        # The second request stores the answer; the third and fourth
+        # are answer-tier hits over the same frozen arrays.
+        for _ in range(2):
+            asyncio.run(service.execute(make_req(query)))
         a = asyncio.run(service.execute(make_req(query)))
         b = asyncio.run(service.execute(make_req(query)))
         assert a is not b
-        assert a.values is not b.values
-        a.values[:] = -1
+        assert a.stats["answer"] == b.stats["answer"] == {"hit": True}
+        with pytest.raises(ValueError):
+            a.values[:] = -1
         a.stats["poison"] = True
-        assert not np.array_equal(a.values, b.values)
         assert "poison" not in b.stats
+        assert np.array_equal(a.values, b.values)
 
-    def test_repeat_query_hits_cache_not_engine(self, service):
+    def test_repeat_query_hits_cache_not_engine(self, service, monkeypatch):
         query = SpatialAggregation.count()
-        asyncio.run(service.execute(make_req(query)))
-        before = service.manager.engine.ctx.cache.stats()["hits"]
-        asyncio.run(service.execute(make_req(query)))
-        assert service.manager.engine.ctx.cache.stats()["hits"] > before
+        for _ in range(2):  # first sighting, then built and stored
+            asyncio.run(service.execute(make_req(query)))
+        engine = service.manager.engine
+
+        def fail(*_args):
+            pytest.fail("an answer-tier hit planned or ran a backend")
+
+        monkeypatch.setattr(engine.planner, "choose", fail)
+        monkeypatch.setattr("repro.core.executor.get_backend", fail)
+        before = engine.ctx.cache.stats()["hits"]
+        hit = asyncio.run(service.execute(make_req(query)))
+        assert hit.stats["answer"] == {"hit": True}
+        assert engine.ctx.cache.stats()["hits"] > before
 
     def test_cache_false_bypasses_the_cache(self, service):
         query = SpatialAggregation.count()
-        key = service.query_key(make_req(query, cache=False))
-        asyncio.run(service.execute(make_req(query, cache=False)))
-        assert service.manager.engine.ctx.cache.get(key) is None
+        cache = service.manager.engine.ctx.cache
+        for _ in range(3):
+            off = asyncio.run(service.execute(make_req(query, cache=False)))
+            assert "answer" not in off.stats
+        assert not [k for k in cache.keys() if k[0] == "answer"]
+        for _ in range(2):
+            asyncio.run(service.execute(make_req(query)))
+        assert [k for k in cache.keys() if k[0] == "answer"]
+        off = asyncio.run(service.execute(make_req(query, cache=False)))
+        assert "answer" not in off.stats
 
     def test_key_distinguishes_every_knob(self, service):
         query = SpatialAggregation.count()
