@@ -155,14 +155,11 @@ class SpatialAggregationEngine:
                 f"resolution must be positive, got {resolution}")
         key = None
         if cache:
-            key = ("answer", fingerprint(table), fingerprint(regions),
-                   repr(query), method, resolution, epsilon, exact,
-                   deadline_ms, viewport)
-            if key in self.ctx.cache:  # a miss's trace stays span-free
-                with span("answer.hit"):
-                    hit = self._answer_hit(key, t0)
-                if hit is not None:
-                    return hit
+            key = self.answer_key(table, regions, query, method, resolution,
+                                  epsilon, exact, deadline_ms, viewport)
+            hit = self.stored_answer(key)
+            if hit is not None:
+                return hit
             if not self.ctx.cache.note_seen(key):
                 key = None  # admitted on the second sighting only
         plan = ExecutionPlan(
@@ -221,17 +218,38 @@ class SpatialAggregationEngine:
         self._store_answer(key, result)
         return result
 
-    def _answer_hit(self, key: tuple,
-                    t0: float) -> AggregationResult | None:
-        """The stored answer for ``key`` in a result of this call's own,
-        or None if it was evicted since the caller's probe."""
-        hits0, misses0 = self.ctx.cache.hits, self.ctx.cache.misses
-        blocks0 = self.ctx.cache.block_snapshot()
-        stored = self.ctx.cache.get(key)
-        if stored is None:
+    def answer_key(self, table: PointTable, regions: RegionSet,
+                   query: SpatialAggregation, method: str = "auto",
+                   resolution: int | None = None,
+                   epsilon: float | None = None, exact: bool = False,
+                   deadline_ms: float | None = None,
+                   viewport: Viewport | None = None) -> tuple:
+        """The answer-tier key of an :meth:`execute` call with these
+        arguments: content fingerprints of the data, the query's repr,
+        the method as requested and every knob that can change the
+        answer."""
+        return ("answer", fingerprint(table), fingerprint(regions),
+                repr(query), method, resolution, epsilon, exact,
+                deadline_ms, viewport)
+
+    def stored_answer(self, key: tuple) -> AggregationResult | None:
+        """The stored answer for ``key`` in a result of this call's own
+        (read-only arrays, ``stats["answer"]``), or None on a miss.
+
+        Does no planning or execution and holds the cache lock only
+        briefly, so a caller may probe from any thread.
+        """
+        if key not in self.ctx.cache:  # a miss's trace stays span-free
             return None
-        result = stored.shared({**stored.stats, "answer": {"hit": True}})
-        self._attach_cache(result, hits0, misses0, blocks0, t0)
+        t0 = time.perf_counter()
+        with span("answer.hit"):
+            hits0, misses0 = self.ctx.cache.hits, self.ctx.cache.misses
+            blocks0 = self.ctx.cache.block_snapshot()
+            stored = self.ctx.cache.get(key)
+            if stored is None:  # evicted since the probe
+                return None
+            result = stored.shared({**stored.stats, "answer": {"hit": True}})
+            self._attach_cache(result, hits0, misses0, blocks0, t0)
         return result
 
     def _store_answer(self, key: tuple | None,

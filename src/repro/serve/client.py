@@ -1,31 +1,40 @@
 """Stdlib client for the query service.
 
 ``http.client`` only — usable from any Python without the repro
-package's heavier imports beyond NumPy.  One connection per request
-(the server speaks ``Connection: close``), blocking calls, and typed
-errors: a 429 raises :class:`~repro.errors.OverloadedError` carrying
-the server's ``retry_after_ms`` so callers can implement honest
-back-off; 4xx payloads raise :class:`~repro.errors.ProtocolError` (or
+package's heavier imports beyond NumPy.  Each thread keeps one
+connection open across its calls (the server keeps connections alive);
+when a *reused* connection turns out to have been closed by the server
+while it sat idle — reset or closed before any response byte — the
+request is sent once more on a fresh connection, which is safe because
+every request is read-only.  :meth:`ServeClient.close` (or a ``with``
+block) closes the connections.  Blocking calls, and typed errors: a
+429 raises :class:`~repro.errors.OverloadedError` carrying the
+server's ``retry_after_ms`` so callers can implement honest back-off;
+4xx payloads raise :class:`~repro.errors.ProtocolError` (or
 :class:`~repro.errors.QueryError` when the server says the query
 itself was bad).
 
 Streaming responses (``stream=True``) yield one decoded partial dict
 per NDJSON line as the server produces them — ``http.client`` strips
-the chunked framing transparently.
+the chunked framing transparently.  A stream runs on a connection of
+its own, closed when the stream ends.
 
 Retry on shed: with ``max_retries > 0`` (opt-in; default 0 preserves
 the raise-immediately contract) a 429 is retried up to that many times,
 sleeping the server's own ``retry_after_ms`` hint scaled by an
 exponential back-off factor per attempt — the client backs off exactly
 as hard as the server asked, harder each time.  Only overload is
-retried; 4xx/5xx and connection errors raise immediately.
+retried; 4xx/5xx and connection errors (past the one resend on a
+fresh connection) raise immediately.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
+import weakref
 from urllib.parse import quote, urlsplit
 
 from ..errors import OverloadedError, ProtocolError, QueryError, ServeError
@@ -62,6 +71,11 @@ def _raise_for_payload(status: int, payload: dict,
     raise ServeError(f"server error {status}: {message}")
 
 
+def _close_all(conns: list) -> None:
+    for conn in list(conns):
+        conn.close()
+
+
 class ServeClient:
     """Blocking client for a ``repro serve`` endpoint."""
 
@@ -77,6 +91,11 @@ class ServeClient:
         self.timeout_s = float(timeout_s)
         self.max_retries = int(max_retries)
         self.retries = 0
+        #: One kept connection per calling thread, all of them listed
+        #: so close() (or collecting the client) closes every one.
+        self._local = threading.local()
+        self._conns: list[http.client.HTTPConnection] = []
+        weakref.finalize(self, _close_all, self._conns)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -84,32 +103,50 @@ class ServeClient:
         return http.client.HTTPConnection(self.host, self.port,
                                           timeout=self.timeout_s)
 
-    def _get_json(self, path: str) -> dict:
-        conn = self._connect()
-        try:
-            conn.request("GET", path)
-            resp = conn.getresponse()
-            payload = json.loads(resp.read().decode("utf-8"))
-            if resp.status != 200:
-                _raise_for_payload(resp.status, payload,
-                                   resp.getheader("Retry-After"))
-            return payload
-        finally:
-            conn.close()
+    def _request(self, method: str, path: str,
+                 body: str | None = None) -> bytes:
+        """One request over this thread's kept connection; the body of a
+        200 response, or the typed error of any other."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._connect()
+            self._conns.append(conn)
+        headers = {"Content-Type": "application/json"} if body else {}
+        reused = conn.sock is not None
+        while True:
+            try:
+                conn.request(method, path, body=body, headers=headers)
+                resp = conn.getresponse()
+                data = resp.read()
+                break
+            # RemoteDisconnected is a ConnectionResetError: the server
+            # closed the connection before any response byte.
+            except (ConnectionResetError, BrokenPipeError):
+                conn.close()
+                if not reused:
+                    raise
+                reused = False
+            except BaseException:
+                conn.close()
+                raise
+        if resp.status != 200:
+            _raise_for_payload(resp.status, json.loads(data.decode("utf-8")),
+                               resp.getheader("Retry-After"))
+        return data
 
-    def _get_text(self, path: str) -> str:
-        conn = self._connect()
-        try:
-            conn.request("GET", path)
-            resp = conn.getresponse()
-            body = resp.read()
-            if resp.status != 200:
-                _raise_for_payload(resp.status,
-                                   json.loads(body.decode("utf-8")),
-                                   resp.getheader("Retry-After"))
-            return body.decode("utf-8")
-        finally:
-            conn.close()
+    def _get_json(self, path: str) -> dict:
+        return json.loads(self._request("GET", path).decode("utf-8"))
+
+    def close(self) -> None:
+        """Close every connection this client holds; a later call opens
+        a new one."""
+        _close_all(self._conns)
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
 
     # -- endpoints ---------------------------------------------------------
 
@@ -125,7 +162,8 @@ class ServeClient:
 
     def metrics_prometheus(self) -> str:
         """The metrics registry in the Prometheus text format."""
-        return self._get_text("/v1/metrics?format=prometheus")
+        return self._request(
+            "GET", "/v1/metrics?format=prometheus").decode("utf-8")
 
     def trace(self, request_id: str | None = None) -> dict:
         """Retained trace ids (no argument) or one full span tree."""
@@ -168,7 +206,9 @@ class ServeClient:
         attempt = 0
         while True:
             try:
-                return self._query_once(body)
+                payload = self._request("POST", "/v1/query",
+                                        json.dumps(body))
+                return result_from_json(json.loads(payload.decode("utf-8")))
             except OverloadedError as exc:
                 if attempt >= self.max_retries:
                     raise
@@ -177,20 +217,6 @@ class ServeClient:
                 time.sleep(min(delay_s, MAX_BACKOFF_S))
                 attempt += 1
                 self.retries += 1
-
-    def _query_once(self, body: dict) -> RemoteResult:
-        conn = self._connect()
-        try:
-            conn.request("POST", "/v1/query", body=json.dumps(body),
-                         headers={"Content-Type": "application/json"})
-            resp = conn.getresponse()
-            payload = json.loads(resp.read().decode("utf-8"))
-            if resp.status != 200:
-                _raise_for_payload(resp.status, payload,
-                                   resp.getheader("Retry-After"))
-            return result_from_json(payload)
-        finally:
-            conn.close()
 
     def stream(self, dataset: str, regions: str, query=None, sql=None,
                **knobs):

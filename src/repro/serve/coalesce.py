@@ -61,44 +61,44 @@ class SingleFlight:
         one out sets the cancel event and cancels the shared task.
         """
         flight = self._flights.get(key)
-        if flight is None:
-            role = "leader"
-            cancel = threading.Event()
-            # ensure_future copies the *current* context at task
-            # creation, so the leader's execution inherits any active
-            # trace span from this caller.
-            task = asyncio.ensure_future(start(cancel))
-            flight = Flight(task=task, cancel=cancel)
-            self._flights[key] = flight
-            self.leaders += 1
+        role = "leader" if flight is None else "joiner"
+        with span("flight.wait", role=role):
+            if flight is None:
+                cancel = threading.Event()
+                # ensure_future copies the *current* context at task
+                # creation, so the leader's admission wait and execution
+                # nest under this flight.wait span: its self time is
+                # only the wait for a slot's hand-off and the pool.
+                task = asyncio.ensure_future(start(cancel))
+                flight = Flight(task=task, cancel=cancel)
+                self._flights[key] = flight
+                self.leaders += 1
 
-            def _cleanup(t: asyncio.Task) -> None:
-                # Drop the registry entry and retrieve the exception so
-                # an all-participants-cancelled flight never logs a
-                # "exception was never retrieved" warning.
-                if self._flights.get(key) is flight:
-                    del self._flights[key]
-                if not t.cancelled():
-                    t.exception()
+                def _cleanup(t: asyncio.Task) -> None:
+                    # Drop the registry entry and retrieve the exception
+                    # so an all-participants-cancelled flight never logs
+                    # an "exception was never retrieved" warning.
+                    if self._flights.get(key) is flight:
+                        del self._flights[key]
+                    if not t.cancelled():
+                        t.exception()
 
-            task.add_done_callback(_cleanup)
-        else:
-            role = "joiner"
-            self.coalesced += 1
-        flight.refs += 1
-        try:
-            # shield(): cancelling *this* caller must not cancel the
-            # shared task other participants still await.
-            with span("flight.wait", role=role):
+                task.add_done_callback(_cleanup)
+            else:
+                self.coalesced += 1
+            flight.refs += 1
+            try:
+                # shield(): cancelling *this* caller must not cancel the
+                # shared task other participants still await.
                 return await asyncio.shield(flight.task)
-        except asyncio.CancelledError:
-            if not flight.task.done():
-                flight.refs -= 1
-                if flight.refs <= 0:
-                    flight.cancel.set()
-                    flight.task.cancel()
-                    self.cancelled_flights += 1
-            raise
+            except asyncio.CancelledError:
+                if not flight.task.done():
+                    flight.refs -= 1
+                    if flight.refs <= 0:
+                        flight.cancel.set()
+                        flight.task.cancel()
+                        self.cancelled_flights += 1
+                raise
 
     def stats(self) -> dict:
         lookups = self.leaders + self.coalesced

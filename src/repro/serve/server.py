@@ -31,8 +31,15 @@ cancelled, which unwinds admission (slot freed) and single-flight
 (refcount dropped, engine cancelled between tiles once the last
 participant leaves).
 
-One request per connection (``Connection: close``) — the protocol is
-request/response, and skipping keep-alive keeps the parser honest.
+Connections are kept alive: a client sends one request after another
+on one connection, each answered in full before the next is read (no
+pipelining — bytes that arrive while a query runs count as a
+disconnect).  Only a 200 unary response says ``Connection:
+keep-alive``; an error, a streamed response, a request saying
+``Connection: close``, an HTTP/1.0 request or :data:`IDLE_TIMEOUT_S`
+without a request closes the connection.  Bodies are framed by
+``Content-Length`` alone: a request with ``Transfer-Encoding`` is a 400
+and closes, so a chunked body can never be read as the next request.
 """
 
 from __future__ import annotations
@@ -59,11 +66,18 @@ from .service import QueryService
 _MAX_BODY_BYTES = 8 * 1024 * 1024
 _MAX_HEADER_LINES = 100
 
+#: Seconds a kept-alive connection may sit without a request before the
+#: server closes it.
+IDLE_TIMEOUT_S = 30.0
+
+#: Seconds stop() waits for its closed connections' handlers to unwind.
+_STOP_GRACE_S = 5.0
+
 
 def _head(status: str, content_type: str, length: int | None,
-          extra: dict | None = None) -> bytes:
+          extra: dict | None = None, keep_alive: bool = False) -> bytes:
     lines = [f"HTTP/1.1 {status}", f"Content-Type: {content_type}",
-             "Connection: close"]
+             "Connection: keep-alive" if keep_alive else "Connection: close"]
     if length is None:
         lines.append("Transfer-Encoding: chunked")
     else:
@@ -118,6 +132,8 @@ class QueryServer:
         self.host = host
         self._requested_port = port
         self._server: asyncio.AbstractServer | None = None
+        #: Open connections and the tasks serving them.
+        self._open: dict[asyncio.StreamWriter, asyncio.Task] = {}
         self.connections = 0
         self.disconnects = 0
 
@@ -138,8 +154,17 @@ class QueryServer:
         return f"http://{self.host}:{self.port}"
 
     async def stop(self) -> None:
+        """Stop listening and close every open connection, idle
+        kept-alive ones included (on Python 3.12.1+ ``wait_closed``
+        waits for them all).  A query in flight is cancelled as if its
+        client had gone."""
         if self._server is not None:
             self._server.close()
+            for writer in list(self._open):
+                writer.close()
+            if self._open:
+                await asyncio.wait(list(self._open.values()),
+                                   timeout=_STOP_GRACE_S)
             await self._server.wait_closed()
             self._server = None
         self.service.close()
@@ -147,37 +172,55 @@ class QueryServer:
     async def serve_forever(self) -> None:
         if self._server is None:
             await self.start()
-        async with self._server:
+        try:
             await self._server.serve_forever()
+        finally:
+            await self.stop()
 
     # -- request handling --------------------------------------------------
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         self.connections += 1
+        self._open[writer] = asyncio.current_task()
         try:
-            method, path, headers = await self._read_head(reader)
-            length = _content_length(headers.get("content-length", "0"))
-            body = await reader.readexactly(length) if length else b""
-            await self._dispatch(method, path, body, reader, writer)
+            while True:
+                try:
+                    async with asyncio.timeout(IDLE_TIMEOUT_S):
+                        request_line = await reader.readline()
+                except TimeoutError:
+                    break
+                if not request_line:
+                    break  # clean EOF between requests
+                method, path, version, headers = await self._read_head(
+                    request_line, reader)
+                if "transfer-encoding" in headers:
+                    raise ProtocolError("Transfer-Encoding is not "
+                                        "supported; send Content-Length")
+                length = _content_length(headers.get("content-length", "0"))
+                body = await reader.readexactly(length) if length else b""
+                keep_alive = (version == "HTTP/1.1" and "close" not in
+                              headers.get("connection", "").lower())
+                if not await self._dispatch(method, path, body, reader,
+                                            writer, keep_alive):
+                    break
         except (asyncio.IncompleteReadError, ConnectionResetError,
                 BrokenPipeError):
             self.disconnects += 1
         except Exception as exc:  # noqa: BLE001 - boundary: report as JSON
             await self._send_error(writer, exc)
         finally:
+            self._open.pop(writer, None)
             try:
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
-    async def _read_head(self, reader: asyncio.StreamReader):
-        request_line = await reader.readline()
-        if not request_line:
-            raise asyncio.IncompleteReadError(b"", 1)
+    async def _read_head(self, request_line: bytes,
+                         reader: asyncio.StreamReader):
         try:
-            method, path, _version = request_line.decode("ascii").split()
+            method, path, version = request_line.decode("ascii").split()
         except ValueError:
             raise ProtocolError(
                 f"malformed request line {request_line!r}") from None
@@ -190,37 +233,35 @@ class QueryServer:
             headers[name.strip().lower()] = value.strip()
         else:
             raise ProtocolError("too many header lines")
-        return method, path, headers
+        return method, path, version, headers
 
     async def _dispatch(self, method: str, path: str, body: bytes,
                         reader: asyncio.StreamReader,
-                        writer: asyncio.StreamWriter) -> None:
+                        writer: asyncio.StreamWriter,
+                        keep_alive: bool) -> bool:
+        """Answer one request; True when the connection stays open."""
         if method == "GET" and path == "/v1/health":
-            await self._send_json(writer, "200 OK", {"ok": True, "v": 1})
-            return
+            return await self._send_json(writer, "200 OK",
+                                         {"ok": True, "v": 1}, keep_alive)
         if method == "GET" and path == "/v1/stats":
             from .protocol import jsonable
 
-            await self._send_json(writer, "200 OK",
-                                  jsonable(self.service.stats()))
-            return
+            return await self._send_json(writer, "200 OK",
+                                         jsonable(self.service.stats()),
+                                         keep_alive)
         if method == "GET" and path.split("?", 1)[0] == "/v1/metrics":
-            await self._metrics(path, writer)
-            return
+            return await self._metrics(path, writer, keep_alive)
         if method == "GET" and (path == "/v1/trace"
                                 or path.startswith("/v1/trace/")):
-            await self._trace(path, writer)
-            return
+            return await self._trace(path, writer, keep_alive)
         if method == "GET" and path == "/v1/slow":
-            await self._send_json(
+            return await self._send_json(
                 writer, "200 OK",
                 {"v": 1, "kind": "slow_queries",
                  "slowlog": self.service.slowlog.stats(),
-                 "entries": self.service.slowlog.entries()})
-            return
+                 "entries": self.service.slowlog.entries()}, keep_alive)
         if method == "GET" and path.split("?", 1)[0] == "/v1/viewport":
-            await self._plan_viewport(path, writer)
-            return
+            return await self._plan_viewport(path, writer, keep_alive)
         if method == "POST" and path == "/v1/query":
             try:
                 text = body.decode("utf-8")
@@ -229,16 +270,15 @@ class QueryServer:
             req = decode_request(json.loads(text))
             if req["stream"]:
                 await self._stream_query(req, writer)
-            else:
-                await self._unary_query(req, reader, writer)
-            return
-        await self._send_json(
+                return False
+            return await self._unary_query(req, reader, writer, keep_alive)
+        return await self._send_json(
             writer, "404 Not Found",
             {"kind": "error", "error": "NotFound",
              "message": f"no route {method} {path}"})
 
-    async def _metrics(self, path: str,
-                       writer: asyncio.StreamWriter) -> None:
+    async def _metrics(self, path: str, writer: asyncio.StreamWriter,
+                       keep_alive: bool) -> bool:
         """GET /v1/metrics: the process-wide registry, refreshed with
         the service's current gauge readings.  JSON by default;
         ``?format=prometheus`` renders the text exposition format."""
@@ -250,45 +290,39 @@ class QueryServer:
         params = parse_qs(urlsplit(path).query)
         fmt = params.get("format", ["json"])[0]
         if fmt == "prometheus":
-            body = REGISTRY.render_prometheus().encode("utf-8")
-            try:
-                writer.write(_head("200 OK",
-                                   "text/plain; version=0.0.4",
-                                   len(body)) + body)
-                await writer.drain()
-            except (ConnectionResetError, BrokenPipeError):
-                self.disconnects += 1
-            return
-        await self._send_json(writer, "200 OK",
-                              {"v": 1, "kind": "metrics",
-                               **REGISTRY.snapshot()})
+            return await self._send(
+                writer, "200 OK", "text/plain; version=0.0.4",
+                REGISTRY.render_prometheus().encode("utf-8"),
+                keep_alive=keep_alive)
+        return await self._send_json(writer, "200 OK",
+                                     {"v": 1, "kind": "metrics",
+                                      **REGISTRY.snapshot()}, keep_alive)
 
-    async def _trace(self, path: str,
-                     writer: asyncio.StreamWriter) -> None:
+    async def _trace(self, path: str, writer: asyncio.StreamWriter,
+                     keep_alive: bool) -> bool:
         """GET /v1/trace lists retained request ids; /v1/trace/<id>
         returns that request's full span tree."""
         tracer = self.service.tracer
         if path == "/v1/trace":
-            await self._send_json(writer, "200 OK",
-                                  {"v": 1, "kind": "traces",
-                                   "tracer": tracer.stats(),
-                                   "request_ids": tracer.ids()})
-            return
+            return await self._send_json(writer, "200 OK",
+                                         {"v": 1, "kind": "traces",
+                                          "tracer": tracer.stats(),
+                                          "request_ids": tracer.ids()},
+                                         keep_alive)
         request_id = path[len("/v1/trace/"):]
         payload = tracer.get(request_id)
         if payload is None:
-            await self._send_json(
+            return await self._send_json(
                 writer, "404 Not Found",
                 {"kind": "error", "error": "NotFound",
                  "message": f"no retained trace {request_id!r}"})
-            return
-        await self._send_json(writer, "200 OK",
-                              {"v": 1, "kind": "trace",
-                               "request_id": request_id,
-                               "trace": payload})
+        return await self._send_json(writer, "200 OK",
+                                     {"v": 1, "kind": "trace",
+                                      "request_id": request_id,
+                                      "trace": payload}, keep_alive)
 
-    async def _plan_viewport(self, path: str,
-                             writer: asyncio.StreamWriter) -> None:
+    async def _plan_viewport(self, path: str, writer: asyncio.StreamWriter,
+                             keep_alive: bool) -> bool:
         """GET /v1/viewport: the canvas-grid viewport the server plans
         for a region set — the anchor for client-side pan/zoom."""
         from urllib.parse import parse_qs, urlsplit
@@ -309,12 +343,14 @@ class QueryServer:
         region_set = self.service.manager.region_set(regions)
         viewport = self.service.manager.engine.plan_grid_viewport(
             region_set, resolution)
-        await self._send_json(writer, "200 OK",
-                              {"v": 1, "kind": "viewport",
-                               "viewport": viewport_to_json(viewport)})
+        return await self._send_json(writer, "200 OK",
+                                     {"v": 1, "kind": "viewport",
+                                      "viewport": viewport_to_json(viewport)},
+                                     keep_alive)
 
     async def _unary_query(self, req: dict, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter) -> None:
+                           writer: asyncio.StreamWriter,
+                           keep_alive: bool) -> bool:
         # Race the query against connection EOF: a client that hangs up
         # must release its slot (admission) and its vote (coalescing)
         # immediately, not when the result is ready.
@@ -332,9 +368,13 @@ class QueryServer:
                     await work
                 except (asyncio.CancelledError, Exception):  # noqa: BLE001
                     pass
-                return
+                return False
             result = work.result()
-            await self._send_json(writer, "200 OK", result_to_json(result))
+            # A watch that fired alongside the answer consumed a byte
+            # of whatever followed: answer, then close.
+            return await self._send_json(
+                writer, "200 OK", result_to_json(result),
+                keep_alive and not eof_watch.done())
         except asyncio.CancelledError:
             work.cancel()
             raise
@@ -343,7 +383,13 @@ class QueryServer:
         except Exception as exc:  # noqa: BLE001 - boundary
             await self._send_error(writer, exc)
         finally:
+            # The watch's pending read must be gone before the next
+            # request's read starts on this reader.
             eof_watch.cancel()
+            await asyncio.wait({eof_watch})
+            if not eof_watch.cancelled():
+                eof_watch.exception()  # retrieve a reset; we close
+        return False
 
     async def _stream_query(self, req: dict,
                             writer: asyncio.StreamWriter) -> None:
@@ -379,20 +425,31 @@ class QueryServer:
 
     # -- response writers --------------------------------------------------
 
-    async def _send_json(self, writer: asyncio.StreamWriter, status: str,
-                         payload: dict, extra: dict | None = None) -> None:
-        body = _json_bytes(payload)
+    async def _send(self, writer: asyncio.StreamWriter, status: str,
+                    content_type: str, body: bytes,
+                    extra: dict | None = None,
+                    keep_alive: bool = False) -> bool:
+        """Write one whole response; True when the connection stays
+        open for the next request."""
         try:
-            writer.write(_head(status, "application/json", len(body), extra)
-                         + body)
+            writer.write(_head(status, content_type, len(body), extra,
+                               keep_alive) + body)
             await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
             self.disconnects += 1
+            return False
+        return keep_alive
+
+    async def _send_json(self, writer: asyncio.StreamWriter, status: str,
+                         payload: dict, keep_alive: bool = False,
+                         extra: dict | None = None) -> bool:
+        return await self._send(writer, status, "application/json",
+                                _json_bytes(payload), extra, keep_alive)
 
     async def _send_error(self, writer: asyncio.StreamWriter,
                           exc: Exception) -> None:
         status, payload, extra = _error_response(exc)
-        await self._send_json(writer, status, payload, extra)
+        await self._send_json(writer, status, payload, extra=extra)
 
 
 class ServerThread:

@@ -2,22 +2,27 @@
 
 :class:`QueryService` is the asyncio-facing seam between the HTTP
 layer and the (synchronous, NumPy-bound) engine.  Each request flows
-through four stages:
+through these stages:
 
-1. **Admission** (:mod:`repro.serve.admission`) — a bounded queue in
+1. **Stored answers** — a request whose answer the engine's answer
+   tier holds (a query seen twice before, same data and knobs) is
+   answered on the event loop, before coalescing, admission and the
+   pool: it does no work, so it is never shed.  The ``cache`` knob set
+   to false skips the probe.
+2. **Admission** (:mod:`repro.serve.admission`) — a bounded queue in
    front of a concurrency semaphore sized to the thread pool; overload
    sheds with ``retry_after_ms`` instead of queueing without bound.
-2. **Coalescing** (:mod:`repro.serve.coalesce`) — requests with the
-   same fingerprint key share one execution; every participant gets
-   the answer's read-only arrays under a stats dict of its own
+3. **Coalescing** (:mod:`repro.serve.coalesce`) — requests with the
+   same key (:meth:`QueryService.query_key`, the engine's answer-tier
+   key) share one execution; every participant gets the answer's
+   read-only arrays under a stats dict of its own
    (``result.shared``), so no response can write into another.
-3. **Execution** — the manager's one engine runs on a thread pool
-   (the event loop never blocks on NumPy).  The engine's answer tier
-   serves a query repeated after its flight has landed (from its
-   third sighting on), and every query shares the engine's fragments,
-   tcube cubes and pyramid blocks; the ``cache`` knob set to false
-   bypasses the answer tier.
-4. **Streaming** (:meth:`QueryService.stream`) — long queries route
+4. **Execution** — the manager's one engine runs on a thread pool
+   (the event loop never blocks on NumPy).  Every query shares the
+   engine's fragments, tcube cubes and pyramid blocks, and the
+   engine stores an answer on its key's second sighting; the
+   ``cache`` knob set to false bypasses the answer tier.
+5. **Streaming** (:meth:`QueryService.stream`) — long queries route
    through the progressive tiled join and yield per-tile partials with
    hard error bounds as they accumulate.
 
@@ -34,11 +39,10 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from ..core.cache import fingerprint
 from ..core.tiling import iter_tiled_partials
 from ..errors import ProtocolError
 from ..obs import REGISTRY, SlowQueryLog, Tracer, record_query_stats
-from ..obs.trace import activate, span
+from ..obs.trace import activate, current_span, span
 from ..urbane.datamanager import DataManager
 from .admission import AdmissionController
 from .coalesce import SingleFlight
@@ -82,24 +86,28 @@ class QueryService:
     # -- keys --------------------------------------------------------------
 
     def query_key(self, req: dict) -> tuple:
-        """The coalescing identity of a request.
+        """The identity of a request: the engine's answer-tier key of
+        the call :meth:`_run` makes, so one key both coalesces a
+        request and probes for its stored answer.
 
-        Content fingerprints for the data, the full repr of the frozen
-        query (filters included), and every knob that can change the
-        answer — ``deadline_ms`` included, since degradation changes
-        what comes back, and the viewport (a pinned canvas changes the
-        raster answer).  Nothing identifies the client, so identical
-        gestures from different sessions coalesce.
+        Nothing identifies the client, so identical gestures from
+        different sessions coalesce and share stored answers.
         """
-        table = self.manager.dataset(req["dataset"])
-        regions = self.manager.region_set(req["regions"])
         query = req["query"]
         if query is None:
             raise ProtocolError("request has no parsed query")
-        return ("served", fingerprint(table), fingerprint(regions),
-                repr(query), req["method"], req["resolution"],
-                req["epsilon"], bool(req["exact"]), req["deadline_ms"],
-                req.get("viewport"))
+        return self.manager.engine.answer_key(
+            self.manager.dataset(req["dataset"]),
+            self.manager.region_set(req["regions"]), query,
+            method=req["method"], resolution=req["resolution"],
+            epsilon=req["epsilon"], exact=bool(req["exact"]),
+            deadline_ms=self._deadline_ms(req),
+            viewport=req.get("viewport"))
+
+    def _deadline_ms(self, req: dict) -> float | None:
+        if req["deadline_ms"] is None:
+            return self.default_deadline_ms
+        return req["deadline_ms"]
 
     # -- one-shot queries --------------------------------------------------
 
@@ -112,22 +120,19 @@ class QueryService:
         req["regions"] = req["regions"] or parsed.regions
         req["query"] = parsed.aggregation
 
-    def _run(self, req: dict, cancel: threading.Event):
+    def _run(self, req: dict, cancel: threading.Event, parent):
         """Engine execution (thread-pool side)."""
         table = self.manager.dataset(req["dataset"])
         regions = self.manager.region_set(req["regions"])
-        deadline = req["deadline_ms"]
-        if deadline is None:
-            deadline = self.default_deadline_ms
-        # run_in_executor does not propagate contextvars, so the
-        # request's root span (when tracing) rides in on the request
-        # dict and is re-activated on this pool thread.
-        with activate(req.get("_span")), span("execute"):
+        # run_in_executor does not propagate contextvars, so the span
+        # the flight runs under (when tracing) is handed over and
+        # re-activated on this pool thread.
+        with activate(parent), span("execute"):
             return self.manager.engine.execute(
                 table, regions, req["query"], method=req["method"],
                 resolution=req["resolution"], epsilon=req["epsilon"],
                 exact=bool(req["exact"]), viewport=req.get("viewport"),
-                deadline_ms=deadline, cancel=cancel,
+                deadline_ms=self._deadline_ms(req), cancel=cancel,
                 cache=req.get("cache", True))
 
     async def execute(self, req: dict):
@@ -147,7 +152,6 @@ class QueryService:
             return await self._execute(req)
         request_id = self.tracer.new_request_id()
         root = self.tracer.start("request", request_id=request_id)
-        req["_span"] = root
         result = None
         try:
             with root:
@@ -172,36 +176,43 @@ class QueryService:
         :class:`~repro.core.result.AggregationResult` with read-only
         arrays and a stats dict of its own.
 
-        Coalescing happens *before* admission: joiners of an in-flight
-        identical query never consume a slot (they do no work), so
-        under a burst of identical requests the admission queue only
-        sees distinct work.  A shed leader sheds its joiners with it —
-        shared fate, shared ``retry_after``.
+        A stored answer is served right here on the event loop: it
+        takes no admission slot, no flight and no pool thread, so it is
+        never shed.  Anything else coalesces *before* admission:
+        joiners of an in-flight identical query never consume a slot
+        (they do no work), so under a burst of identical requests the
+        admission queue only sees distinct work.  A shed leader sheds
+        its joiners with it — shared fate, shared ``retry_after``.
         """
         t0 = time.perf_counter()
         if req.get("sql"):
             self._parse_sql(req)
         self.queries += 1
         key = self.query_key(req)
-        loop = asyncio.get_running_loop()
+        result = None
+        if req.get("cache", True):
+            result = self.manager.engine.stored_answer(key)
+        if result is None:
+            loop = asyncio.get_running_loop()
 
-        async def start(cancel: threading.Event):
-            async with self.admission.slot(req.get("timeout_s")):
-                return await loop.run_in_executor(
-                    self.executor, self._run, req, cancel)
+            async def start(cancel: threading.Event):
+                async with self.admission.slot(req.get("timeout_s")):
+                    return await loop.run_in_executor(
+                        self.executor, self._run, req, cancel,
+                        current_span())
 
-        try:
-            result = await self.flight.run(key, start)
-        except Exception:
-            self.errors += 1
-            REGISTRY.counter("repro_errors_total").inc()
-            raise
-        # Each participant gets its own stats dict over the frozen
-        # arrays — coalesced responses never write into one another.
-        result = result.shared(dict(result.stats))
+            try:
+                result = await self.flight.run(key, start)
+            except Exception:
+                self.errors += 1
+                REGISTRY.counter("repro_errors_total").inc()
+                raise
+            # Each participant gets its own stats dict over the frozen
+            # arrays — coalesced responses never write into one another.
+            result = result.shared(dict(result.stats))
         # Metrics record once per *served response*: coalesced joiners
-        # each count, so registry totals reconcile with summed
-        # per-response stats.
+        # and stored answers each count, so registry totals reconcile
+        # with summed per-response stats.
         record_query_stats(result.stats, time.perf_counter() - t0)
         return result
 

@@ -142,7 +142,10 @@ def test_trace_endpoint_round_trip(server):
     tree = payload["trace"]
     assert tree["name"] == "request"
     assert tree["attrs"]["request_id"] == ref["request_id"]
-    names = {c["name"] for c in tree["children"]}
+    # A miss: the leader's admission wait and execution nest under its
+    # flight.wait.
+    (wait,) = [c for c in tree["children"] if c["name"] == "flight.wait"]
+    names = {c["name"] for c in wait["children"]}
     assert "execute" in names
     assert "admission.wait" in names
 

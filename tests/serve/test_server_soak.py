@@ -197,6 +197,49 @@ class TestHostileFraming:
         assert json.loads(payload)["error"] == "ProtocolError"
         assert ServeClient(server).health()["ok"] is True
 
+    def test_chunked_body_is_a_400_then_eof(self, server):
+        parsed = urllib.parse.urlparse(server)
+        with socket.create_connection((parsed.hostname, parsed.port),
+                                      timeout=5) as sock:
+            # Read by Content-Length alone, the chunked body would be
+            # taken for a second request.
+            sock.sendall(b"GET /v1/health HTTP/1.1\r\nHost: x\r\n"
+                         b"Transfer-Encoding: chunked\r\n\r\n"
+                         b"1a\r\nGET /v1/stats HTTP/1.1\r\n\r\n\r\n"
+                         b"0\r\n\r\n")
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        assert reply.count(b"HTTP/1.1 ") == 1, reply
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), head
+        assert b"Connection: close" in head
+        assert json.loads(payload)["error"] == "ProtocolError"
+
+    def test_two_requests_on_one_socket_get_two_responses(self, server):
+        body = json.dumps(encode_request(
+            "trips", "simple", query=SpatialAggregation.count())).encode()
+        parsed = urllib.parse.urlparse(server)
+        with socket.create_connection((parsed.hostname, parsed.port),
+                                      timeout=5) as sock:
+            sock.sendall(b"GET /v1/health HTTP/1.1\r\nHost: x\r\n\r\n")
+            reply = b""
+            while b"}" not in reply:
+                reply += sock.recv(4096)
+            sock.sendall(b"POST /v1/query HTTP/1.1\r\nHost: x\r\n"
+                         b"Connection: close\r\n"
+                         + f"Content-Length: {len(body)}\r\n\r\n".encode()
+                         + body)
+            while chunk := sock.recv(4096):
+                reply += chunk
+        first, _, rest = reply.partition(b"\r\n\r\n")
+        assert first.startswith(b"HTTP/1.1 200 "), first
+        assert b"Connection: keep-alive" in first
+        assert rest.startswith(b'{"ok": true, "v": 1}HTTP/1.1 200 '), rest
+        second, _, payload = rest.partition(b"\r\n\r\n")
+        assert b"Connection: close" in second
+        assert json.loads(payload)["kind"] == "result"
+
     @pytest.mark.parametrize("method", ["rtree", "quadtree"])
     def test_retired_method_is_a_400(self, server, method):
         body = json.dumps(encode_request(

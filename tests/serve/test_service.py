@@ -88,6 +88,36 @@ class TestExecute:
         assert base not in keys
         assert len(keys) == len(variants)
 
+    def test_key_applies_the_default_deadline(self, manager):
+        from repro.serve import QueryService
+
+        svc = QueryService(manager, default_deadline_ms=40.0)
+        try:
+            query = SpatialAggregation.count()
+            assert (svc.query_key(make_req(query))
+                    == svc.query_key(make_req(query, deadline_ms=40.0)))
+        finally:
+            svc.close()
+
+    def test_traced_miss_nests_the_work_under_the_leaders_wait(
+            self, service):
+        served = asyncio.run(service.execute(make_req(
+            SpatialAggregation.count(F("fare") > 4), trace=True)))
+        tree = service.tracer.get(served.stats["trace"]["request_id"])
+        parents = {}
+
+        def walk(node, parent):
+            parents.setdefault(node["name"], parent)
+            for child in node["children"]:
+                walk(child, node)
+
+        walk(tree, None)
+        wait = parents["execute"]
+        assert wait["name"] == "flight.wait"
+        assert wait["attrs"]["role"] == "leader"
+        assert parents["admission.wait"] is wait
+        assert parents["flight.wait"]["name"] == "request"
+
     def test_sql_requests_served(self, service):
         served = asyncio.run(service.execute(make_req(
             sql="SELECT COUNT(*) FROM trips, simple "
