@@ -27,6 +27,7 @@ import time
 import numpy as np
 
 from .. import kernels
+from ..index import stable_argsort
 from ..obs.trace import span
 from ..raster import FragmentTable, Viewport, build_fragment_table
 from ..raster.scanline import _stack_edges
@@ -57,7 +58,7 @@ def _candidate_pairs(fragments: FragmentTable, pix: np.ndarray
     partial[fragments.boundary_pixels] = True
     candidates = np.flatnonzero(partial[pix])
     cand_pix = pix[candidates]
-    order = np.argsort(cand_pix, kind="stable")
+    order = stable_argsort(cand_pix, fragments.viewport.num_pixels)
     cand_pix = cand_pix[order]
     iv = fragments.intervals
     lo = np.searchsorted(cand_pix, iv.partial_starts)

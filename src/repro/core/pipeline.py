@@ -125,8 +125,12 @@ class TableSource:
 
     def nonnegative(self, query) -> bool:
         """Every value is >= 0 and not NaN, so ``|v| == v``."""
-        values = query.values_for(self.table)
-        return not len(values) or bool(values.min() >= 0)
+        def probe() -> bool:
+            values = query.values_for(self.table)
+            return not len(values) or bool(values.min() >= 0)
+
+        return self._column_fact("column-nonnegative", query.value_column,
+                                 probe)
 
     def integral(self, column: str) -> bool:
         """Whether every value of ``column`` is an exact integer below
@@ -143,9 +147,15 @@ class TableSource:
                         and np.all(values == np.floor(values))
                         and np.all(np.abs(values) < 2.0 ** 53))
 
+        return self._column_fact("column-integral", column, probe)
+
+    def _column_fact(self, name: str, column: str, probe) -> bool:
+        """``probe()``, cached under ``(name, fingerprint(table),
+        column)`` when there is a context: tables are immutable, so a
+        fact about a column never goes stale."""
         if self.ctx is None:
             return probe()
-        key = ("column-integral", fingerprint(self.table), column)
+        key = (name, fingerprint(self.table), column)
         return bool(self.ctx.cache.get_or_build(key, probe))
 
     def _grid_index(self) -> PointGridIndex:

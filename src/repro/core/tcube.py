@@ -50,6 +50,7 @@ import time
 import numpy as np
 
 from ..errors import CubeError, QueryError
+from ..index import dense_rank, stable_argsort
 from ..obs.trace import span
 from ..raster import FragmentTable, Viewport
 from ..raster.pyramid import reduce2x2
@@ -303,13 +304,15 @@ class TemporalCanvasCube:
         return out
 
     def bucket_totals(self, kind: str = "count") -> np.ndarray:
-        """Per-bucket viewport-wide totals (:meth:`answer`'s point count)."""
+        """Per-bucket viewport-wide totals (:meth:`answer`'s point
+        count), computed once and read-only like the planes."""
         cached = self._totals.get(kind)
         if cached is None:
             plane = self.prefix[kind]
             cached = (plane[1:] - plane[:-1]).sum(axis=1)
+            cached.flags.writeable = False
             self._totals[kind] = cached
-        return cached.copy()
+        return cached
 
     # -- the query path ----------------------------------------------------
 
@@ -338,20 +341,18 @@ class TemporalCanvasCube:
             "boundary": (fragments.boundary_pixels,
                          fragments.boundary_polys),
         }
+        # Canvas pixel -> active column, -1 where no point landed.
+        column_of = np.full(self.viewport.num_pixels, -1, dtype=np.int32)
+        column_of[self.active_pixels] = np.arange(self.num_active_pixels,
+                                                  dtype=np.int32)
         for name, (pix, polys) in pairings.items():
-            width = self.num_active_pixels
-            if width and len(pix):
-                idx = np.minimum(np.searchsorted(self.active_pixels, pix),
-                                 width - 1)
-                present = self.active_pixels[idx] == pix
-                cols = idx[present]
-                p = polys[present].astype(np.int64)
-            else:
-                cols = np.empty(0, dtype=np.int64)
-                p = np.empty(0, dtype=np.int64)
+            cols = column_of[pix]
+            present = cols >= 0
+            cols = cols[present]
+            p = polys[present]
             per_kind: dict[str, np.ndarray] = {}
             if len(p):
-                order = np.argsort(p, kind="stable")
+                order = stable_argsort(p, n)
                 p_sorted = p[order]
                 starts = np.flatnonzero(
                     np.r_[True, p_sorted[1:] != p_sorted[:-1]])
@@ -563,7 +564,7 @@ def build_temporal_canvas_cube(
                 raise CubeError(
                     f"{num_buckets} time slices exceed the cube cap "
                     f"{MAX_TCUBE_SLICES}; use a coarser bucket")
-            active = np.unique(pix)
+            active, columns = dense_rank(pix, viewport.num_pixels)
             width = int(len(active))
             kinds = ["count"]
             if value_column is not None:
@@ -582,8 +583,7 @@ def build_temporal_canvas_cube(
             # are the per-bucket bincounts bit for bit.
             canvases = new_canvases(source, query, kinds,
                                     (num_buckets + 1) * width)
-            fold(canvases, (buckets + 1) * width
-                 + np.searchsorted(active, pix), values)
+            fold(canvases, (buckets + 1) * width + columns, values)
             prefix = {kind: canvas.reshape(num_buckets + 1, width)
                       for kind, canvas in canvases.items()}
         with span("tcube.prefix"):

@@ -12,6 +12,7 @@ import numpy as np
 
 from ..errors import GeometryError
 from ..geometry import BBox
+from .keys import stable_argsort
 
 
 class PointGridIndex:
@@ -34,11 +35,10 @@ class PointGridIndex:
         cell_ids = cy * nx + cx
 
         # CSR: order[i] lists point ids sorted by cell; offsets per cell.
-        self.order = np.argsort(cell_ids, kind="stable")
-        sorted_cells = cell_ids[self.order]
-        self.offsets = np.searchsorted(
-            sorted_cells, np.arange(nx * ny + 1), side="left"
-        )
+        self.order = stable_argsort(cell_ids, nx * ny)
+        self.offsets = np.zeros(nx * ny + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cell_ids, minlength=nx * ny),
+                  out=self.offsets[1:])
 
     @classmethod
     def over(cls, x: np.ndarray, y: np.ndarray,

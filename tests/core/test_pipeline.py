@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SpatialAggregation, make_tiles
+from repro.core.context import ExecutionContext
 from repro.core.pipeline import (
     Blocks,
     DatasetSource,
@@ -116,6 +117,17 @@ class TestMassRule:
         assert canvases["mass"] is not canvases["sum"]
         fold(canvases, np.array([0, 0]), np.array([-2.0, 3.0]))
         assert canvases["sum"][0] == 1.0 and canvases["mass"][0] == 5.0
+
+    def test_proof_is_read_once_per_table_and_column(self, monkeypatch):
+        """With a context the proof is cached, like ``integral``: a
+        later source over the same table reads no values."""
+        table = _table(fare=np.arange(10.0))
+        ctx = ExecutionContext()
+        query = SpatialAggregation.sum_of("fare")
+        assert TableSource(table, ctx).nonnegative(query)
+        monkeypatch.setattr(SpatialAggregation, "values_for",
+                            lambda *args: pytest.fail("column re-read"))
+        assert TableSource(table, ctx).nonnegative(query)
 
 
 class TestSinks:

@@ -220,7 +220,8 @@ class TestImmutable:
     def test_prefix_planes_are_read_only(self, cube_table, viewport,
                                          value_column, kinds):
         """A cube shared through the engine cache is never written: every
-        prefix plane of a COUNT, SUM and signed-SUM cube is read-only."""
+        prefix plane of a COUNT, SUM and signed-SUM cube is read-only,
+        and so are the per-bucket totals, handed out without a copy."""
         cube = build_temporal_canvas_cube(cube_table, viewport, "t", HOUR,
                                           value_column=value_column)
         assert sorted(cube.prefix) == kinds
@@ -228,6 +229,10 @@ class TestImmutable:
             assert not plane.flags.writeable
             with pytest.raises(ValueError):
                 plane[0, 0] = 1.0
+        totals = cube.bucket_totals("count")
+        assert cube.bucket_totals("count") is totals
+        with pytest.raises(ValueError):
+            totals[0] = 1.0
 
 
 class TestEngineIntegration:
