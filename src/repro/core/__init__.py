@@ -25,7 +25,6 @@ from .aggregates import (
 )
 from .bounded import bounded_raster_join
 from .bounds import (
-    boundary_mass_bounds,
     epsilon_for_viewport,
     relative_bound_width,
     resolution_for_epsilon,
@@ -119,7 +118,6 @@ __all__ = [
     "assembled_bounded_join",
     "backend_names",
     "block_coverage",
-    "boundary_mass_bounds",
     "bounded_raster_join",
     "bounded_raster_join_multi",
     "build_temporal_canvas_cube",

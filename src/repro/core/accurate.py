@@ -49,10 +49,10 @@ def _candidate_pairs(fragments: FragmentTable, pix: np.ndarray
     """``(candidates, pair candidates, pair regions)``.
 
     Candidates are the points (indices into ``pix``) whose pixel is
-    PARTIAL for some region.  Sorted by pixel, the candidates of one
-    PARTIAL run are one slice, found by two ``searchsorted`` calls; a
-    pair is a (PARTIAL run, candidate in it), grouped by region, then by
-    run, pixel and point order.
+    PARTIAL for some region (a canvas mask of the PARTIAL runs).  Sorted
+    by pixel, the candidates of one PARTIAL run are one slice, found by
+    two ``searchsorted`` calls; a pair is a (PARTIAL run, candidate in
+    it), grouped by region, then by run, pixel and point order.
     """
     partial = np.zeros(fragments.viewport.num_pixels, dtype=bool)
     partial[fragments.boundary_pixels] = True
@@ -65,7 +65,7 @@ def _candidate_pairs(fragments: FragmentTable, pix: np.ndarray
     counts = np.searchsorted(cand_pix,
                              iv.partial_starts + iv.partial_lengths) - lo
     pair_cand = order[kernels.active().expand_ranges(lo, counts)]
-    return candidates, pair_cand, np.repeat(iv.partial_polys, counts)
+    return candidates, pair_cand, np.repeat(iv.runs("partial")[2], counts)
 
 
 def _refine(geometries, xs: np.ndarray, ys: np.ndarray,

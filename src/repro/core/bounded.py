@@ -9,7 +9,8 @@ The fast, approximate variant: both sides of the join are *drawn*.
 2. **Polygon pass** — each region's fragments (pixels whose center the
    region covers) are generated by scanline rasterization.
 3. **Join** — each region folds the blended values of its FULL pixel
-   runs and its center-covered boundary pixels into its accumulator.
+   runs and its covered (center-covered boundary) runs into its
+   accumulator.
 
 Cost is O(|P| + #fragments), independent of polygon complexity per
 point — the asymptotic win over index joins.  The only error source is
@@ -29,9 +30,6 @@ from ..raster import (
     FragmentTable,
     Viewport,
     build_fragment_table,
-    gather_reduce,
-    gather_runs,
-    gather_sum,
 )
 from .aggregates import (
     BOUNDABLE_AGGREGATES,
@@ -39,7 +37,7 @@ from .aggregates import (
     PartialAggregate,
     canvas_kinds,
 )
-from .bounds import boundary_mass_bounds, epsilon_for_viewport
+from .bounds import boundary_mass, epsilon_for_viewport
 from .pipeline import Window, as_source, fill
 from .query import SpatialAggregation
 from .regions import RegionSet
@@ -47,32 +45,25 @@ from .result import AggregationResult
 
 
 def gather_partial(part: PartialAggregate, canvases: dict,
-                   fragments: FragmentTable,
-                   covered: bool = True) -> PartialAggregate:
+                   fragments: FragmentTable, covered: bool = True,
+                   memo: dict | None = None) -> PartialAggregate:
     """The join step: fold every region's FULL runs — and with
-    ``covered`` its center-covered boundary pixels — into the per-region
-    partial ``part``.
+    ``covered`` its covered runs (center-covered boundary pixels) — into
+    the per-region partial ``part``.
 
-    Runs fold through one :func:`~repro.raster.gather_runs` per canvas,
-    boundary pixels pair by pair; every raster path (bounded, pyramid,
-    tiled, store, the accurate join's interior) joins here, so they all
-    fold the same values in the same order.
+    Each run family folds through one :func:`~repro.raster.gather_runs`
+    per canvas; every raster path (bounded, pyramid, tiled, store, the
+    accurate join's interior) joins here, so they all fold the same
+    values in the same order.  ``memo``: see
+    :meth:`~repro.raster.IntervalSet.gather`.
     """
     n = fragments.num_polygons
-    starts, stops, polys = fragments.intervals.full_runs_by_start()
-    if covered:
-        pix = fragments.covered_boundary_pixels
-        pix_polys = fragments.covered_boundary_polys
+    families = ("full", "covered") if covered else ("full",)
 
     def gather(kind, ufunc, fill):
-        canvas = canvases[kind]
-        out = gather_runs(canvas, starts, stops, polys, n, ufunc, fill)
-        if not covered:
-            return out
-        if ufunc is np.add:
-            return out + gather_sum(canvas, pix, pix_polys, n)
-        return ufunc(out, gather_reduce(canvas, pix, pix_polys, n, ufunc,
-                                        fill))
+        out = [fragments.intervals.gather(f, canvases[kind], n, ufunc, fill,
+                                          memo) for f in families]
+        return out[0] if len(out) == 1 else ufunc(*out)
 
     if part.counts is not None:
         part.counts += gather("count", np.add, 0.0)
@@ -87,12 +78,22 @@ def gather_partial(part: PartialAggregate, canvases: dict,
     return part
 
 
-def _join_covered(fragments: FragmentTable, canvases: dict, agg: str
-                  ) -> np.ndarray:
-    """Join step over all center-covered pixels (FULL runs + covered
-    boundary) — the pure raster estimate."""
-    return gather_partial(PartialAggregate.empty(agg, fragments.num_polygons),
-                          canvases, fragments).finalize()
+def join_with_bounds(fragments: FragmentTable, canvases: dict, agg: str
+                     ) -> tuple:
+    """``(estimate, lower, upper)``: the join step over all center-covered
+    pixels (FULL and covered runs) — the pure raster estimate — and, for
+    additive aggregates, its boundary-mass bounds (else None).  One memo
+    spans both, so the covered runs gather once when the mass canvas is
+    the estimate's (COUNT; SUM over values proven non-negative)."""
+    memo: dict = {}
+    estimate = gather_partial(
+        PartialAggregate.empty(agg, fragments.num_polygons), canvases,
+        fragments, memo=memo).finalize()
+    if agg not in BOUNDABLE_AGGREGATES:
+        return estimate, None, None
+    mass_in, mass_out = boundary_mass(
+        fragments, canvases["count" if agg == COUNT else "mass"], memo)
+    return estimate, estimate - mass_in, estimate + mass_out
 
 
 def bounded_raster_join(
@@ -126,11 +127,8 @@ def bounded_raster_join(
 
     t2 = time.perf_counter()
     with span("gather"):
-        estimate = _join_covered(fragments, canvases, query.agg)
-        lower = upper = None
-        if query.agg in BOUNDABLE_AGGREGATES:
-            mass = canvases["count" if query.agg == COUNT else "mass"]
-            lower, upper = boundary_mass_bounds(fragments, estimate, mass)
+        estimate, lower, upper = join_with_bounds(fragments, canvases,
+                                                  query.agg)
     t_join = time.perf_counter() - t2
 
     stats = {

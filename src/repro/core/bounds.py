@@ -10,7 +10,7 @@ pixels* — pixels intersected by a region's boundary.  Two bounds follow:
   :func:`resolution_for_epsilon`.
 * **a-posteriori (numeric)**: after rendering, the point mass actually
   observed in each region's boundary pixels gives hard per-region
-  value intervals; see :func:`boundary_mass_bounds`.
+  value intervals; see :func:`boundary_mass`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from ..errors import QueryError
 from ..geometry import BBox
-from ..raster import FragmentTable, Viewport, gather_sum
+from ..raster import FragmentTable, Viewport
 
 
 def resolution_for_epsilon(bbox: BBox, epsilon: float,
@@ -63,37 +63,26 @@ def epsilon_for_viewport(viewport: Viewport) -> float:
     return viewport.pixel_diag
 
 
-def boundary_mass(fragments: FragmentTable, mass_canvas: np.ndarray
+def boundary_mass(fragments: FragmentTable, mass_canvas: np.ndarray,
+                  memo: dict | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Per-region ``(mass_in, mass_out)``: the ``mass_canvas`` total over
-    each region's covered boundary pixels, and over its uncovered ones
-    (all boundary pixels minus the covered)."""
-    n = fragments.num_polygons
-    mass_in = gather_sum(mass_canvas, fragments.covered_boundary_pixels,
-                         fragments.covered_boundary_polys, n)
-    mass_all = gather_sum(mass_canvas, fragments.boundary_pixels,
-                          fragments.boundary_polys, n)
-    return mass_in, mass_all - mass_in
+    each region's covered runs, and over the rest of its PARTIAL runs
+    (all of them minus the covered), one run gather each (``memo``: see
+    :meth:`~repro.raster.IntervalSet.gather`).
 
-
-def boundary_mass_bounds(
-    fragments: FragmentTable,
-    estimate: np.ndarray,
-    mass_canvas: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Hard per-region intervals for an additive aggregate.
-
-    ``estimate`` is the raster estimate per region; ``mass_canvas`` holds
-    the per-pixel *absolute* contribution mass (point count for COUNT,
-    sum of |value| for SUM).  Points in a region's covered boundary
-    pixels might truly be outside (subtract), and points in uncovered
-    boundary pixels might truly be inside (add):
-
-        lower = estimate - mass(covered boundary pixels)
-        upper = estimate + mass(uncovered boundary pixels)
+    ``mass_canvas`` holds the per-pixel *absolute* contribution mass
+    (point count for COUNT, sum of |value| for SUM).  Points in a
+    region's covered boundary pixels might truly be outside, and points
+    in its uncovered ones might truly be inside, so an additive raster
+    estimate has the hard interval ``[estimate - mass_in, estimate +
+    mass_out]``.
     """
-    mass_in, mass_out = boundary_mass(fragments, mass_canvas)
-    return estimate - mass_in, estimate + mass_out
+    mass_in, mass_all = (
+        fragments.intervals.gather(f, mass_canvas, fragments.num_polygons,
+                                   memo=memo)
+        for f in ("covered", "partial"))
+    return mass_in, mass_all - mass_in
 
 
 def relative_bound_width(lower: np.ndarray, upper: np.ndarray,

@@ -27,9 +27,9 @@ from .regions import RegionSet
 
 
 def pixel_region_labels(fragments: FragmentTable) -> np.ndarray:
-    """Flat pixel -> region id map (-1 = no region) from a fragment
-    table.  Covered-boundary pixels paint first so interior claims win
-    where they disagree."""
+    """Flat pixel -> region id map (-1 = no region) painted from a
+    fragment table's runs: covered, then FULL (interior claims win where
+    they disagree), each in polygon order (later regions win overlaps)."""
     labels = np.full(fragments.viewport.num_pixels, -1, dtype=np.int32)
     labels[fragments.covered_boundary_pixels] = (
         fragments.covered_boundary_polys)

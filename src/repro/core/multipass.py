@@ -14,9 +14,8 @@ from __future__ import annotations
 import time
 
 from ..raster import FragmentTable, Viewport, build_fragment_table
-from .aggregates import BOUNDABLE_AGGREGATES, COUNT, canvas_kinds
-from .bounded import _join_covered
-from .bounds import boundary_mass_bounds
+from .aggregates import canvas_kinds
+from .bounded import join_with_bounds
 from .pipeline import Window, as_source, fill, refill
 from .query import SpatialAggregation
 from .regions import RegionSet
@@ -60,13 +59,8 @@ def bounded_raster_join_multi(
                                           canvas_kinds(query.agg),
                                           viewport.num_pixels)
             canvases = canvas_sets[key]
-            estimate = _join_covered(fragments, canvases, query.agg)
-
-            lower = upper = None
-            if query.agg in BOUNDABLE_AGGREGATES:
-                mass = canvases["count" if query.agg == COUNT else "mass"]
-                lower, upper = boundary_mass_bounds(fragments, estimate,
-                                                    mass)
+            estimate, lower, upper = join_with_bounds(
+                fragments, canvases, query.agg)
             results[i] = AggregationResult(
                 regions=regions,
                 values=estimate,

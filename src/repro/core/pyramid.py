@@ -50,9 +50,9 @@ from ..obs.trace import span
 from ..raster import FragmentTable, Viewport
 from ..raster.pyramid import PYRAMID_OPS, reduce2x2
 from ..table import PointTable
-from .aggregates import BOUNDABLE_AGGREGATES, COUNT, canvas_kinds
-from .bounded import _join_covered
-from .bounds import boundary_mass_bounds, epsilon_for_viewport
+from .aggregates import canvas_kinds
+from .bounded import join_with_bounds
+from .bounds import epsilon_for_viewport
 from .cache import fingerprint
 from .pipeline import FILLS, Blocks, as_source, fill
 from .query import SpatialAggregation
@@ -162,11 +162,6 @@ class GridViewport(Viewport):
     def pixel_of(self, x, y) -> tuple[np.ndarray, np.ndarray]:
         ix, iy = self.grid.level_pixel(x, y, self.level)
         return ix - self.col0, iy - self.row0
-
-    @property
-    def base_origin(self) -> tuple[int, int]:
-        """(col, row) of the top-left pixel in base (level-0) units."""
-        return self.col0 << self.level, self.row0 << self.level
 
     # -- grid-snapped gestures -------------------------------------------
 
@@ -435,11 +430,8 @@ def assembled_bounded_join(
 
     t2 = time.perf_counter()
     with span("gather"):
-        estimate = _join_covered(fragments, canvases, query.agg)
-        lower = upper = None
-        if query.agg in BOUNDABLE_AGGREGATES:
-            mass = canvases["count" if query.agg == COUNT else "mass"]
-            lower, upper = boundary_mass_bounds(fragments, estimate, mass)
+        estimate, lower, upper = join_with_bounds(fragments, canvases,
+                                                  query.agg)
         if "count" in canvases:
             in_viewport = int(round(float(canvases["count"].sum())))
         else:

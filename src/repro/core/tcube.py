@@ -21,16 +21,16 @@ any time-range query a two-slice difference:
    point count.
 
 The gather join is linear in the canvas, so it distributes over the
-prefix sum: :meth:`TemporalCanvasCube.answer` gathers each prefix row
-per region once per fragment table (the same covered / boundary
-pairings :func:`~repro.core.bounded._join_covered` and
-:func:`~repro.core.bounds.boundary_mass_bounds` iterate), after which
-every brush is an O(regions) row difference.  The bounded raster
-join's hard error guarantees survive verbatim: COUNT answers and
-bounds are bitwise-identical to a fresh scatter (integer counts are
-exact in float64 regardless of addition order); SUM matches bitwise
-for integer-valued columns and to float round-off otherwise; AVG
-follows from the two.
+prefix sum: :meth:`TemporalCanvasCube.answer` gathers a prefix row per
+region over the fragment table's runs (the FULL, covered and PARTIAL
+runs :func:`~repro.core.bounded.gather_partial` and
+:func:`~repro.core.bounds.boundary_mass` gather) the first time a brush
+touches that row's bucket edge, after which the brush is an O(regions)
+row difference.  The bounded raster join's hard error guarantees
+survive verbatim: COUNT answers and bounds are bitwise-identical to a
+fresh scatter (integer counts are exact in float64 regardless of
+addition order); SUM matches bitwise for integer-valued columns and to
+float round-off otherwise; AVG follows from the two.
 
 Cube construction is the point pipeline's filter → project → fold
 (:mod:`repro.core.pipeline`) into (bucket, active pixel) cells plus a
@@ -45,19 +45,21 @@ that repeats.
 from __future__ import annotations
 
 import math
+import threading
 import time
 
 import numpy as np
 
 from ..errors import CubeError, QueryError
-from ..index import dense_rank, stable_argsort
+from ..index import dense_rank
 from ..obs.trace import span
 from ..raster import FragmentTable, Viewport
+from ..raster.canvas import run_gather
 from ..raster.pyramid import reduce2x2
 from ..table import TIMESTAMP, PointTable, TimeRange
 from .aggregates import AVG, COUNT, SUM
-from .bounded import _join_covered
-from .bounds import boundary_mass_bounds, epsilon_for_viewport
+from .bounded import join_with_bounds
+from .bounds import epsilon_for_viewport
 from .pipeline import Window, as_source, fold, new_canvases, project
 from .query import SpatialAggregation
 from .regions import RegionSet
@@ -167,11 +169,14 @@ class TemporalCanvasCube:
         self.value_column = value_column
         self.residual_filters = tuple(residual_filters)
         self.stats = stats or {}
-        self._totals: dict[str, np.ndarray] = {}
-        # Per-fragment-table prefix gathers (see _join_rows): keyed by
-        # id() with a strong reference held inside, so an id can never
-        # be recycled while its entry lives.
-        self._joins: dict[int, tuple[FragmentTable, dict]] = {}
+        #: Per-bucket point counts (:meth:`answer`'s point count): exact
+        #: differences of the count rows' totals, read-only.
+        self.bucket_counts = np.diff(prefix["count"].sum(axis=1))
+        self.bucket_counts.flags.writeable = False
+        # Join-row memos by id(fragment table), least recently used
+        # first; each holds its table, so an id is never recycled.
+        self._joins: dict[int, _RunRows] = {}
+        self._lock = threading.Lock()
 
     # -- geometry of the cube ---------------------------------------------
 
@@ -303,74 +308,19 @@ class TemporalCanvasCube:
                                        - self.prefix[kind][b0])
         return out
 
-    def bucket_totals(self, kind: str = "count") -> np.ndarray:
-        """Per-bucket viewport-wide totals (:meth:`answer`'s point
-        count), computed once and read-only like the planes."""
-        cached = self._totals.get(kind)
-        if cached is None:
-            plane = self.prefix[kind]
-            cached = (plane[1:] - plane[:-1]).sum(axis=1)
-            cached.flags.writeable = False
-            self._totals[kind] = cached
-        return cached
-
     # -- the query path ----------------------------------------------------
 
-    def _join_rows(self, fragments: FragmentTable) -> dict:
-        """Per-region gathers of every prefix row, per fragment pairing.
-
-        The gather join is *linear* in the canvas, so it distributes
-        over the prefix sum: gathering each prefix row once per
-        (cube, fragment table) turns every later brush into an
-        O(regions) row difference — the join itself is prefix-summed.
-        Three pairings mirror the bounded path: ``covered`` (the
-        estimate), ``covered_boundary`` and ``boundary`` (the mass
-        bounds).  Additive gathers of the integer-exact count/sum
-        planes keep the bitwise-equality guarantees intact.
-        """
-        cached = self._joins.get(id(fragments))
-        if cached is not None and cached[0] is fragments:
-            return cached[1]
-        n = fragments.num_polygons
-        nrows = self.num_buckets + 1
-        state: dict[str, dict[str, np.ndarray]] = {}
-        pairings = {
-            "covered": (fragments.covered_pixels, fragments.covered_polys),
-            "covered_boundary": (fragments.covered_boundary_pixels,
-                                 fragments.covered_boundary_polys),
-            "boundary": (fragments.boundary_pixels,
-                         fragments.boundary_polys),
-        }
-        # Canvas pixel -> active column, -1 where no point landed.
-        column_of = np.full(self.viewport.num_pixels, -1, dtype=np.int32)
-        column_of[self.active_pixels] = np.arange(self.num_active_pixels,
-                                                  dtype=np.int32)
-        for name, (pix, polys) in pairings.items():
-            cols = column_of[pix]
-            present = cols >= 0
-            cols = cols[present]
-            p = polys[present]
-            per_kind: dict[str, np.ndarray] = {}
-            if len(p):
-                order = stable_argsort(p, n)
-                p_sorted = p[order]
-                starts = np.flatnonzero(
-                    np.r_[True, p_sorted[1:] != p_sorted[:-1]])
-                groups = p_sorted[starts]
-                src = cols[order]
-                for kind, plane in self.prefix.items():
-                    rows = np.zeros((nrows, n))
-                    rows[:, groups] = np.add.reduceat(
-                        plane[:, src], starts, axis=1)
-                    per_kind[kind] = rows
-            else:
-                for kind in self.prefix:
-                    per_kind[kind] = np.zeros((nrows, n))
-            state[name] = per_kind
-        if len(self._joins) >= 4:  # a cube rarely sees >1-2 region sets
-            self._joins.pop(next(iter(self._joins)))
-        self._joins[id(fragments)] = (fragments, state)
-        return state
+    def _run_rows(self, fragments: FragmentTable) -> "_RunRows":
+        """The join-row memo of one fragment table, kept in an LRU of
+        four (a cube rarely sees more than one or two region sets)."""
+        with self._lock:
+            rows = self._joins.pop(id(fragments), None)
+            if rows is None:
+                rows = _RunRows(fragments, self.active_pixels)
+                if len(self._joins) >= 4:
+                    self._joins.pop(next(iter(self._joins)))
+            self._joins[id(fragments)] = rows
+        return rows
 
     def answer(self, regions: RegionSet, fragments: FragmentTable,
                query: SpatialAggregation,
@@ -379,9 +329,9 @@ class TemporalCanvasCube:
 
         Serves the same estimate + boundary-mass bounds the bounded
         raster join computes, but from prefix-gathered join rows (see
-        :meth:`_join_rows`): after the first gesture against a region
-        set, a brush step costs O(regions), independent of both point
-        count and canvas size.
+        :class:`_RunRows`): once a brush's bucket edges have been
+        gathered, a brush step costs O(regions), independent of both
+        point count and canvas size.
 
         ``viewport`` (default: the cube's own) may be a same-grid
         viewport ``d`` pyramid levels coarser — the zoom-out brush.
@@ -412,7 +362,7 @@ class TemporalCanvasCube:
         t0 = time.perf_counter()
         with span("tcube.answer", slices_touched=b1 - b0,
                   reduced_levels=levels):
-            brushed = int(round(self.bucket_totals("count")[b0:b1].sum()))
+            brushed = int(round(self.bucket_counts[b0:b1].sum()))
             if levels:
                 estimate, lower, upper, in_viewport = self._answer_reduced(
                     fragments, query, viewport, levels, b0, b1)
@@ -454,30 +404,31 @@ class TemporalCanvasCube:
     def _answer_rows(self, fragments: FragmentTable,
                      query: SpatialAggregation, b0: int, b1: int) -> tuple:
         """(estimate, lower, upper) as differences of the prefix-gathered
-        join rows at the cube's own viewport."""
-        rows = self._join_rows(fragments)
-        covered = rows["covered"]
-        if query.agg == COUNT:
-            estimate = covered["count"][b1] - covered["count"][b0]
-        elif query.agg == SUM:
-            estimate = covered["sum"][b1] - covered["sum"][b0]
-        else:  # AVG — same nan-for-empty convention as _join_covered
-            sums = covered["sum"][b1] - covered["sum"][b0]
-            counts = covered["count"][b1] - covered["count"][b0]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                estimate = sums / counts
-            estimate[counts == 0] = np.nan
+        join rows at the cube's own viewport (see :class:`_RunRows`)."""
+        kinds = {COUNT: ("count",), SUM: ("sum",), AVG: ("sum", "count")}[
+            query.agg]
+        signed = query.agg == SUM and not self.nonnegative_values
+        mass = "mass" if signed else kinds[0]
+        wanted = [(f, k) for f in ("full", "covered") for k in kinds]
+        if query.agg != AVG:
+            wanted += [("covered", mass), ("partial", mass)]
+        rows = self._run_rows(fragments).fill(
+            self.prefix, [(f, k, b) for f, k in wanted for b in (b0, b1)])
 
-        lower = upper = None
-        if query.agg in (COUNT, SUM):
-            kind = "count" if query.agg == COUNT else (
-                "sum" if self.nonnegative_values else "mass")
-            in_rows = rows["covered_boundary"][kind]
-            all_rows = rows["boundary"][kind]
-            mass_in = in_rows[b1] - in_rows[b0]
-            mass_out = (all_rows[b1] - all_rows[b0]) - mass_in
-            lower, upper = estimate - mass_in, estimate + mass_out
-        return estimate, lower, upper
+        def brushed(kind, *families):
+            edge = [sum(rows[f, kind, b] for f in families) for b in (b0, b1)]
+            return edge[1] - edge[0]
+
+        if query.agg == AVG:  # same nan-for-empty convention as the join
+            counts = brushed("count", "full", "covered")
+            with np.errstate(divide="ignore", invalid="ignore"):
+                estimate = brushed("sum", "full", "covered") / counts
+            estimate[counts == 0] = np.nan
+            return estimate, None, None
+        estimate = brushed(kinds[0], "full", "covered")
+        mass_in = brushed(mass, "covered")
+        mass_out = brushed(mass, "partial") - mass_in
+        return estimate, estimate - mass_in, estimate + mass_out
 
     def _answer_reduced(self, fragments: FragmentTable,
                         query: SpatialAggregation, viewport: Viewport,
@@ -511,9 +462,58 @@ class TemporalCanvasCube:
         canvas = canvas[offy:offy + viewport.height,
                         offx:offx + viewport.width]
         flat = np.ascontiguousarray(canvas).ravel()
-        estimate = _join_covered(fragments, {"count": flat}, COUNT)
-        lower, upper = boundary_mass_bounds(fragments, estimate, flat)
-        return estimate, lower, upper, int(flat.sum())
+        return (*join_with_bounds(fragments, {"count": flat}, COUNT),
+                int(flat.sum()))
+
+
+class _RunRows:
+    """Per-region gathers of prefix rows over one fragment table's runs,
+    filled lazily, one (run family, kind, bucket) row at a time: the
+    gather join is *linear* in the canvas, so a brush is a difference of
+    two gathered prefix rows per run family.  Each family's runs are
+    mapped once to ranges of active columns (runs over no active pixel
+    drop out) and prepared as one :func:`~repro.raster.canvas.run_gather`,
+    so a row costs one gather.  Only the rows a brush touches are ever
+    gathered.
+    """
+
+    def __init__(self, fragments: FragmentTable, active: np.ndarray):
+        # A strong reference: the cube keys memos by id(fragments).
+        self.fragments = fragments
+        self.active = active
+        self.gathers: dict = {}
+        self.rows: dict[tuple, np.ndarray] = {}
+
+    def fill(self, prefix: dict, keys: list) -> dict:
+        """The memo, with every ``(family, kind, bucket)`` row of
+        ``keys`` gathered; the misses (and the first miss's column
+        mapping) are one ``tcube.rows`` span."""
+        missing = list(dict.fromkeys(k for k in keys if k not in self.rows))
+        if not missing:
+            return self.rows
+        n = self.fragments.num_polygons
+        with span("tcube.rows", rows=len(missing)):
+            if not self.gathers:
+                # Active pixels before each pixel id, so a run's first
+                # and stop columns are two lookups.
+                before = np.zeros(self.fragments.viewport.num_pixels + 1,
+                                  dtype=np.int64)
+                before[self.active + 1] = 1
+                np.cumsum(before, out=before)
+                gathers = {}
+                for family in ("full", "covered", "partial"):
+                    starts, lengths, polys = \
+                        self.fragments.intervals.runs(family)
+                    lo, hi = before[starts], before[starts + lengths]
+                    keep = hi > lo
+                    gathers[family] = run_gather(
+                        len(self.active), lo[keep], hi[keep], polys[keep],
+                        n, order=np.argsort(lo[keep]))
+                self.gathers = gathers
+            for family, kind, b in missing:
+                self.rows[family, kind, b] = self.gathers[family](
+                    prefix[kind][b], np.add, 0.0)
+        return self.rows
 
 
 def build_temporal_canvas_cube(
@@ -595,20 +595,21 @@ def build_temporal_canvas_cube(
                 for b in range(num_buckets):
                     np.add(plane[b], plane[b + 1], out=plane[b + 1])
                 plane.flags.writeable = False
+            cube = TemporalCanvasCube(
+                viewport=viewport, time_column=time_column,
+                bucket_seconds=bucket_seconds, origin=origin,
+                active_pixels=active, prefix=prefix,
+                value_column=value_column,
+                residual_filters=residual_filters,
+                stats={
+                    "points_total": len(source.table),
+                    "points_in_cube": int(len(pix)),
+                    "buckets": num_buckets,
+                    "active_pixels": width,
+                })
         sp.set(points=len(pix), buckets=num_buckets, active_pixels=width)
-
-    return TemporalCanvasCube(
-        viewport=viewport, time_column=time_column,
-        bucket_seconds=bucket_seconds, origin=origin,
-        active_pixels=active, prefix=prefix,
-        value_column=value_column, residual_filters=residual_filters,
-        stats={
-            "points_total": len(source.table),
-            "points_in_cube": int(len(pix)),
-            "buckets": num_buckets,
-            "active_pixels": width,
-            "build_s": time.perf_counter() - t_start,
-        })
+    cube.stats["build_s"] = time.perf_counter() - t_start
+    return cube
 
 
 # -- cube selection ------------------------------------------------------------

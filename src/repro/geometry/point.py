@@ -37,13 +37,6 @@ def as_points(coords) -> np.ndarray:
     return arr
 
 
-def points_equal(a, b, tol: float = 1e-12) -> bool:
-    """True if two points coincide within ``tol`` (Chebyshev distance)."""
-    ax, ay = a
-    bx, by = b
-    return abs(ax - bx) <= tol and abs(ay - by) <= tol
-
-
 def dedupe_consecutive(points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Drop consecutive duplicate vertices from a vertex list.
 

@@ -68,20 +68,19 @@ def gather_max(canvas, pixel_ids, group_ids, num_groups, fill=-np.inf):
 def expand_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Expand (start, length) runs into one flat int64 index array.
 
-    The ragged-range trick: ``repeat`` the starts, then add a
-    per-element offset reconstructed from the cumulative lengths —
-    no Python loop, output order is run order then position-in-run.
+    The ragged-range trick: element ``k`` of run ``r`` is ``starts[r] +
+    k``, i.e. the output position plus ``starts[r] - (first output
+    position of r)`` — one ``repeat`` of that per-run shift plus an
+    ``arange``, no Python loop; output order is run order then
+    position-in-run.
     """
+    lengths = np.asarray(lengths, dtype=np.int64)
     total = int(lengths.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    keep = lengths > 0
-    starts = np.asarray(starts, dtype=np.int64)[keep]
-    lengths = np.asarray(lengths, dtype=np.int64)[keep]
-    flat_starts = np.repeat(starts, lengths)
-    cum = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    offsets = np.arange(total) - np.repeat(cum, lengths)
-    return flat_starts + offsets
+    shift = np.asarray(starts, dtype=np.int64) - (np.cumsum(lengths)
+                                                   - lengths)
+    return np.repeat(shift, lengths) + np.arange(total)
 
 
 def functions() -> dict:

@@ -19,6 +19,10 @@ from .. import kernels
 from ..errors import ExecutionError
 from ..kernels import numpy_impl as _numpy_impl
 
+#: Mean run length below which :func:`gather_runs` expands the runs (a
+#: ``reduceat`` segment costs about this many expanded pixels).
+SHORT_RUN_PIXELS = 4
+
 
 def scatter_count(pixel_ids: np.ndarray, num_pixels: int) -> np.ndarray:
     """Additive blending of unit contributions: point count per pixel."""
@@ -65,35 +69,71 @@ def gather_reduce(canvas: np.ndarray, pixel_ids: np.ndarray,
 
 def gather_runs(canvas: np.ndarray, starts: np.ndarray, stops: np.ndarray,
                 group_ids: np.ndarray, num_groups: int,
-                ufunc, fill: float) -> np.ndarray:
+                ufunc, fill: float, order: np.ndarray | None = None
+                ) -> np.ndarray:
     """The join step over pixel runs: reduce ``canvas[start:stop]`` of
-    every run with ``ufunc`` (``np.add`` / ``np.minimum`` /
-    ``np.maximum``), then fold the per-run results into their groups
-    (``fill`` where a group has no run).
+    every (non-empty) run with ``ufunc`` (``np.add`` / ``np.minimum`` /
+    ``np.maximum``) into its group (``fill`` where a group has no run).
+    COUNT and MIN/MAX equal a per-pixel gather bitwise; a float SUM is a
+    reassociated fold of the same values (see :func:`run_gather`)."""
+    return run_gather(len(canvas), starts, stops, group_ids, num_groups,
+                      order)(canvas, ufunc, fill)
 
-    One ``ufunc.reduceat`` at the interleaved (start, stop) bounds.  Its
-    odd outputs reduce the gaps between consecutive runs and are
-    dropped; ``starts`` must ascend so those gaps telescope to at most
-    one pass over the canvas (in any other order each gap may reach back
-    across most of it).  COUNT and MIN/MAX equal a per-pixel gather
-    bitwise; a float SUM is a reassociated fold of the same values.
+
+def run_gather(size: int, starts: np.ndarray, stops: np.ndarray,
+               group_ids: np.ndarray, num_groups: int,
+               order: np.ndarray | None = None):
+    """:func:`gather_runs` prepared once, as ``gather(canvas, ufunc,
+    fill)`` for canvases of ``size`` pixels.
+
+    Long runs: one ``ufunc.reduceat`` at the interleaved (start, stop)
+    bounds in ascending start order (``order``, or as given), whose odd
+    outputs (the gaps) are dropped — in start order they telescope to
+    one pass over the canvas — then a ``bincount`` / ``ufunc.at`` of the
+    per-run results.  Runs averaging under :data:`SHORT_RUN_PIXELS` (a
+    segment per run costs more than their pixels) are expanded group by
+    group up front, and each group reduces as one segment.
     """
-    if len(starts) == 0:
-        return np.full(num_groups, fill)
-    # ``reduceat`` indices must be < len(canvas): a run ending at the
-    # canvas end reduces up to its last pixel, which is folded in after
-    # (a one-pixel run there is that pixel, reduceat's equal-bounds case).
-    last = len(canvas) - 1
+    lengths = stops - starts
+    if len(starts) == 0 or lengths.sum() < SHORT_RUN_PIXELS * len(starts):
+        if (np.diff(group_ids) < 0).any():
+            by_group = np.argsort(group_ids, kind="stable")
+            starts, lengths, group_ids = (
+                a[by_group] for a in (starts, lengths, group_ids))
+        pix = kernels.active().expand_ranges(starts, lengths)
+        first = np.searchsorted(group_ids, np.arange(num_groups + 1))
+        has = first[1:] > first[:-1]
+        pixels = np.zeros(num_groups, dtype=np.intp)
+        pixels[has] = np.add.reduceat(lengths, first[:-1][has])
+        live = pixels > 0
+        heads = (np.cumsum(pixels) - pixels)[live]
+
+        def gather(canvas, ufunc, fill):
+            out = np.full(num_groups, fill)
+            with np.errstate(invalid="ignore"):  # NaN poisons its group
+                out[live] = ufunc.reduceat(canvas[pix], heads)
+            return out
+        return gather
+    if order is not None:
+        starts, stops, lengths, group_ids = (
+            a[order] for a in (starts, stops, lengths, group_ids))
+    # ``reduceat`` indices must be < size: a run ending at the canvas
+    # end reduces up to its last pixel, which is folded in after (a
+    # one-pixel run there is that pixel, reduceat's equal-bounds case).
+    last = size - 1
     bounds = np.empty(2 * len(starts), dtype=np.intp)
     bounds[0::2] = starts
     bounds[1::2] = np.minimum(stops, last)
-    with np.errstate(invalid="ignore"):  # a NaN pixel poisons its group
-        per_run = ufunc.reduceat(canvas, bounds)[0::2]
-        tail = (stops > last) & (stops - starts > 1)
-        per_run[tail] = ufunc(per_run[tail], canvas[last])
-        if ufunc is np.add:
-            return np.bincount(group_ids, weights=per_run,
-                               minlength=num_groups)
-        out = np.full(num_groups, fill)
-        ufunc.at(out, group_ids, per_run)
-    return out
+    tail = (stops > last) & (lengths > 1)
+
+    def gather(canvas, ufunc, fill):
+        with np.errstate(invalid="ignore"):  # NaN poisons its group
+            per_run = ufunc.reduceat(canvas, bounds)[0::2]
+            per_run[tail] = ufunc(per_run[tail], canvas[last])
+            if ufunc is np.add:
+                return np.bincount(group_ids, weights=per_run,
+                                   minlength=num_groups)
+            out = np.full(num_groups, fill)
+            ufunc.at(out, group_ids, per_run)
+        return out
+    return gather

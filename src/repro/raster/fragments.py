@@ -1,17 +1,18 @@
 """Polygon fragment tables.
 
 Rasterizing a *set* of regions produces its :class:`FragmentTable`:
-per-polygon FULL / PARTIAL interval runs (:class:`IntervalSet`), the
-flat ``(pixel_id, polygon_id)`` boundary pairs and which of them are
-center-covered.  :func:`build_fragment_table` is the polygon-side render
-pass of the raster join: one batched sweep over the whole region set
-(:mod:`repro.raster.scanline` has the stages).  Nothing per-pixel is
-stored beyond the boundary: every join gathers the FULL runs directly
-(:func:`repro.raster.canvas.gather_runs`), so interior pixels are never
-expanded.  Since Urbane re-queries the same region sets while the user
-brushes filters, the tables are cached per (regions, viewport) by the
-executor; a table is complete when it is returned, so the cache can size
-it once.
+per-polygon FULL, PARTIAL and covered interval runs
+(:class:`IntervalSet`) and nothing per pixel.
+:func:`build_fragment_table` is the polygon-side render pass of the
+raster join: one batched sweep over the whole region set
+(:mod:`repro.raster.scanline` has the stages).  Every reader works on
+the runs — the joins and boundary-mass bounds gather them
+(:func:`repro.raster.canvas.gather_runs`), the accurate join marks its
+candidates from them, label canvases are painted from them — so no
+pixel pair is expanded unless a caller asks for one.  Since Urbane
+re-queries the same region sets while the user brushes filters, the
+tables are cached per (regions, viewport) by the executor; a table is
+complete when it is returned, so the cache can size it once.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 
 from .. import kernels
 from ..geometry.polygon import Geometry
+from .canvas import gather_runs
 from .scanline import (
     _boundary_runs,
     _classify_spans,
@@ -40,13 +42,15 @@ class IntervalSet:
     into **FULL** runs (guaranteed-interior — every point in the run is
     inside the polygon), **PARTIAL** runs (cells the boundary may pass
     through, needing exact tests) and implicit **EMPTY** cells
-    (everything else).  Runs are maximal sequences of consecutive flat
-    pixel ids within one raster row, stored CSR-style per polygon:
+    (everything else).  The **covered** runs are the center-covered
+    sub-runs of the PARTIAL runs: what the pure raster pass counts
+    besides the FULL runs.  Runs are maximal sequences of consecutive
+    flat pixel ids within one raster row, stored CSR-style per polygon:
     polygon ``g`` owns runs ``full_offsets[g]:full_offsets[g + 1]``.
 
     Built directly by the polygon pass — PARTIAL runs are the boundary
-    cover merged per (polygon, row), FULL runs the coverage spans minus
-    the PARTIAL runs.
+    cover merged per (polygon, row), covered runs their overlaps with
+    the coverage spans, FULL runs the spans minus the PARTIAL runs.
     """
 
     full_offsets: np.ndarray    # (num_polygons + 1,) int64 run indices
@@ -55,10 +59,15 @@ class IntervalSet:
     partial_offsets: np.ndarray
     partial_starts: np.ndarray
     partial_lengths: np.ndarray
-    #: FULL run indices in ascending start order — the order the run
-    #: gather walks the canvas in (computed at build time, so the
-    #: cache's byte ledger counts it).
+    covered_offsets: np.ndarray
+    covered_starts: np.ndarray
+    covered_lengths: np.ndarray
+    #: Run indices of each family in ascending start order — the order
+    #: the run gather walks the canvas in (computed at build time, so
+    #: the cache's byte ledger counts them).
     full_order: np.ndarray
+    partial_order: np.ndarray
+    covered_order: np.ndarray
 
     @property
     def full_pixels(self) -> int:
@@ -76,25 +85,28 @@ class IntervalSet:
     def num_partial_runs(self) -> int:
         return len(self.partial_starts)
 
-    @property
-    def full_polys(self) -> np.ndarray:
-        """int32 polygon id of each FULL run."""
-        return _run_owners(self.full_offsets)
-
-    @property
-    def partial_polys(self) -> np.ndarray:
-        """int32 polygon id of each PARTIAL run."""
-        return _run_owners(self.partial_offsets)
-
-    def full_runs_by_start(self) -> tuple[np.ndarray, np.ndarray,
+    def runs(self, family: str) -> tuple[np.ndarray, np.ndarray,
                                           np.ndarray]:
-        """``(starts, stops, polygon ids)`` of the FULL runs in ascending
-        start order — what :func:`~repro.raster.canvas.gather_runs`
-        takes."""
-        order = self.full_order
-        starts = self.full_starts[order]
-        return (starts, starts + self.full_lengths[order],
-                self.full_polys[order])
+        """``(starts, lengths, polygon ids)`` of the ``"full"``,
+        ``"partial"`` or ``"covered"`` runs, grouped by polygon."""
+        offsets = getattr(self, f"{family}_offsets")
+        return (getattr(self, f"{family}_starts"),
+                getattr(self, f"{family}_lengths"), _run_owners(offsets))
+
+    def gather(self, family: str, canvas: np.ndarray, num_groups: int,
+               ufunc=np.add, fill: float = 0.0,
+               memo: dict | None = None) -> np.ndarray:
+        """One run family's join step: :func:`~repro.raster.canvas.gather_runs`
+        over its runs (``reduceat`` takes them in start order).  ``memo``
+        keeps the results by (family, canvas) across one join."""
+        memo = {} if memo is None else memo
+        key = (family, id(canvas), ufunc)
+        if key not in memo:
+            starts, lengths, polys = self.runs(family)
+            memo[key] = gather_runs(canvas, starts, starts + lengths, polys,
+                                    num_groups, ufunc, fill,
+                                    order=getattr(self, f"{family}_order"))
+        return memo[key]
 
 
 def _run_owners(offsets: np.ndarray) -> np.ndarray:
@@ -102,26 +114,38 @@ def _run_owners(offsets: np.ndarray) -> np.ndarray:
                      np.diff(offsets))
 
 
+def _view(*families: str, polys: bool = False, doc: str | None = None
+          ) -> property:
+    """A pixel view expanded from run ``families`` on access: pixel ids,
+    or with ``polys`` their int32 polygon ids."""
+    def expand(self) -> np.ndarray:
+        parts = []
+        for family in families:
+            starts, lengths, owners = self.intervals.runs(family)
+            parts.append(np.repeat(owners, lengths) if polys else
+                         kernels.active().expand_ranges(starts, lengths))
+        return np.concatenate(parts)
+    return property(expand, doc=doc)
+
+
 @dataclass(frozen=True)
 class FragmentTable:
-    """A rasterized region set: interval runs plus boundary pairs.
+    """A rasterized region set: its interval runs, nothing per pixel.
 
-    Every pair array is grouped by ascending polygon id with pixel ids
-    ascending inside a polygon.  The interior and covered pair arrays
-    are *expansions on access* — plain properties, never stored — kept
-    for the readers that want pixels (labeling, the temporal cube's
-    prefix gathers); the joins gather runs.
+    The pixel pairs — interior (FULL), boundary (PARTIAL), covered
+    boundary and all covered — are *expansions on access*, plain
+    properties that are never stored, each grouped by ascending polygon
+    id with pixel ids ascending inside a polygon.  Every join, bound and
+    label canvas reads the runs.
     """
 
-    # Pixels that may straddle their polygon's boundary.
-    boundary_pixels: np.ndarray
-    boundary_polys: np.ndarray
-    #: Indices into the boundary pairs of the center-covered ones.
-    covered_index: np.ndarray
-    #: FULL/PARTIAL interval runs per polygon (see :class:`IntervalSet`).
-    intervals: IntervalSet
+    intervals: IntervalSet  # runs per polygon (:class:`IntervalSet`)
     num_polygons: int
     viewport: Viewport
+
+    def memory_bytes(self) -> int:
+        """Resident bytes: the run arrays (the cache's byte ledger)."""
+        return sum(int(v.nbytes) for v in vars(self.intervals).values())
 
     @property
     def num_interior_fragments(self) -> int:
@@ -129,41 +153,20 @@ class FragmentTable:
 
     @property
     def num_boundary_fragments(self) -> int:
-        return len(self.boundary_pixels)
+        return self.intervals.partial_pixels
 
-    @property
-    def interior_pixels(self) -> np.ndarray:
-        """Pixels fully inside their polygon (center-covered, not
-        boundary): the FULL runs expanded."""
-        iv = self.intervals
-        return kernels.active().expand_ranges(iv.full_starts,
-                                              iv.full_lengths)
-
-    @property
-    def interior_polys(self) -> np.ndarray:
-        iv = self.intervals
-        return np.repeat(iv.full_polys, iv.full_lengths)
-
-    @property
-    def covered_boundary_pixels(self) -> np.ndarray:
-        """Center-covered boundary pixels (what the pure raster pass
-        counts besides the FULL runs)."""
-        return self.boundary_pixels[self.covered_index]
-
-    @property
-    def covered_boundary_polys(self) -> np.ndarray:
-        return self.boundary_polys[self.covered_index]
-
-    @property
-    def covered_pixels(self) -> np.ndarray:
-        """All center-covered pixels: interior, then covered boundary."""
-        return np.concatenate([self.interior_pixels,
-                               self.covered_boundary_pixels])
-
-    @property
-    def covered_polys(self) -> np.ndarray:
-        return np.concatenate([self.interior_polys,
-                               self.covered_boundary_polys])
+    interior_pixels = _view("full", doc="Pixels fully inside their "
+                            "polygon: the FULL runs expanded.")
+    interior_polys = _view("full", polys=True)
+    boundary_pixels = _view("partial", doc="Pixels that may straddle their "
+                            "polygon's boundary: the PARTIAL runs expanded.")
+    boundary_polys = _view("partial", polys=True)
+    covered_boundary_pixels = _view("covered", doc="Center-covered boundary "
+                                    "pixels: the covered runs expanded.")
+    covered_boundary_polys = _view("covered", polys=True)
+    covered_pixels = _view("full", "covered", doc="All center-covered "
+                           "pixels: interior, then covered boundary.")
+    covered_polys = _view("full", "covered", polys=True)
 
 
 def _by_polygon(keys: np.ndarray, num_polygons: int, num_pixels: int
@@ -187,31 +190,23 @@ def polygon_pass(geometries: list[Geometry], viewport: Viewport
     """The fragment table of a region set and the on-screen (edge, row)
     pairs its boundary pass walked, the unit its cost follows.  Spans and
     PARTIAL runs come out of one vectorized pass each over the stacked
-    edges; FULL runs are the spans minus the PARTIAL runs."""
+    edges; FULL runs are the spans minus the PARTIAL runs, covered runs
+    the spans within them."""
     num_polygons = len(geometries)
     edges = _stack_edges(geometries)
-    partial_starts, partial_lengths, edge_rows = _boundary_runs(
-        edges, viewport)
-    full_starts, full_lengths, covered = _classify_spans(
-        *_coverage_spans(edges, viewport), partial_starts, partial_lengths,
-        viewport.width)
-    full_offsets, full_starts = _by_polygon(full_starts, num_polygons,
-                                            viewport.num_pixels)
-    partial_offsets, partial_starts = _by_polygon(
-        partial_starts, num_polygons, viewport.num_pixels)
-
-    table = FragmentTable(
-        boundary_pixels=kernels.active().expand_ranges(partial_starts,
-                                                        partial_lengths),
-        boundary_polys=np.repeat(_run_owners(partial_offsets),
-                                 partial_lengths),
-        covered_index=covered,
-        intervals=IntervalSet(
-            full_offsets=full_offsets, full_starts=full_starts,
-            full_lengths=full_lengths, partial_offsets=partial_offsets,
-            partial_starts=partial_starts, partial_lengths=partial_lengths,
-            full_order=np.argsort(full_starts)),
-        num_polygons=num_polygons,
-        viewport=viewport,
-    )
+    *partial, edge_rows = _boundary_runs(edges, viewport)
+    spans = _classify_spans(*_coverage_spans(edges, viewport), *partial,
+                            viewport.width)
+    runs = {}
+    for family, (starts, lengths) in (("full", spans[:2]),
+                                      ("partial", partial),
+                                      ("covered", spans[2:])):
+        offsets, starts = _by_polygon(starts, num_polygons,
+                                      viewport.num_pixels)
+        runs.update({f"{family}_offsets": offsets,
+                     f"{family}_starts": starts,
+                     f"{family}_lengths": lengths,
+                     f"{family}_order": np.argsort(starts)})
+    table = FragmentTable(intervals=IntervalSet(**runs),
+                          num_polygons=num_polygons, viewport=viewport)
     return table, edge_rows

@@ -18,8 +18,8 @@ polygons, and pixels are addressed by one sortable key,
    of the pixels each polygon's boundary passes through: one column
    range per on-screen (edge, row) pair, merged per (polygon, row);
 4. :func:`_classify_spans` — FULL runs (spans minus PARTIAL runs) and
-   the center-covered boundary pixels, by interval arithmetic; no
-   stage materializes a pixel outside the boundary.
+   covered runs (spans within PARTIAL runs), by interval arithmetic; no
+   stage materializes a pixel.
 
 :func:`coverage_fragments`, :func:`boundary_pixels` and
 :func:`rasterize_polygon` are the same routines called with one
@@ -376,31 +376,29 @@ def boundary_pixels(geometry: Geometry, viewport: Viewport) -> np.ndarray:
 
 def _classify_spans(span_starts: np.ndarray, span_lengths: np.ndarray,
                     partial_starts: np.ndarray, partial_lengths: np.ndarray,
-                    width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    width: int) -> tuple[np.ndarray, ...]:
     """Coverage spans minus PARTIAL runs, by interval arithmetic:
-    ``(FULL run starts, FULL run lengths, indices of the center-covered
-    pixels into the PARTIAL runs expanded)``.
+    ``(FULL run starts, FULL run lengths, covered run starts, covered
+    run lengths)``, all ascending keys.
 
     Each (span, PARTIAL run) overlap is a cut: the covered-boundary
-    pixels of that span.  The gaps between a span's cuts (and its ends)
-    are the FULL runs.  Nothing is expanded but the cuts — cost follows
-    the number of spans and runs, not the covered or boundary area.
+    pixels of that span, merged into the covered runs.  The gaps
+    between a span's cuts (and its ends) are the FULL runs.  Nothing is
+    expanded — cost follows the number of spans and runs, not the
+    covered or boundary area.
     """
     span_stops = span_starts + span_lengths
     partial_stops = partial_starts + partial_lengths
     # Runs overlapping a span: those ending after its start and
     # starting before its stop — a contiguous range, as both ascend.
     first = np.searchsorted(partial_stops, span_starts, side="right")
-    count = np.searchsorted(partial_starts, span_stops, side="left") - first
-    expand = kernels.active().expand_ranges
-    run = expand(first, np.maximum(count, 0))
-    span = np.repeat(np.arange(len(span_starts)), np.maximum(count, 0))
+    count = np.maximum(
+        np.searchsorted(partial_starts, span_stops, side="left") - first, 0)
+    run = kernels.active().expand_ranges(first, count)
+    span = np.repeat(np.arange(len(span_starts)), count)
+    # Spans ascend and are disjoint, as do the runs: so do the cuts.
     cut_starts = np.maximum(partial_starts[run], span_starts[span])
     cut_stops = np.minimum(partial_stops[run], span_stops[span])
-    # Spans ascend and are disjoint, so these indices ascend too.
-    offsets = np.cumsum(partial_lengths) - partial_lengths
-    covered = expand(offsets[run] + cut_starts - partial_starts[run],
-                     cut_stops - cut_starts)
 
     # A span with k cuts yields k + 1 candidate runs: span start .. first
     # cut, cut .. cut, last cut .. span end.  Run by run both the starts
@@ -410,9 +408,10 @@ def _classify_spans(span_starts: np.ndarray, span_lengths: np.ndarray,
     stops = np.sort(np.concatenate([cut_starts, span_stops]), kind="stable")
     keep = stops > starts
     # Touching spans (or a span pair split only by clipping) were one
-    # pixel run; keep them one FULL run.
-    full_starts, full_lengths = _merge_runs(starts[keep], stops[keep], width)
-    return full_starts, full_lengths, covered
+    # pixel run; keep them one FULL run, and touching cuts one covered
+    # run.
+    return (*_merge_runs(starts[keep], stops[keep], width),
+            *_merge_runs(cut_starts, cut_stops, width))
 
 
 def rasterize_polygon(geometry: Geometry, viewport: Viewport

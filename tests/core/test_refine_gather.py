@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import accurate
+from repro.raster import canvas as raster_canvas
 from repro.raster import (
     build_fragment_table,
     gather_reduce,
@@ -100,9 +101,11 @@ def _pairs(starts, stops, owners):
     return pix, np.repeat(owners, lengths)
 
 
-def _assert_gather(canvas, starts, stops, owners, groups, integral):
+def _assert_gather(canvas, starts, stops, owners, groups, integral,
+                   order=None):
     pix, pix_groups = _pairs(starts, stops, owners)
-    got = gather_runs(canvas, starts, stops, owners, groups, np.add, 0.0)
+    got = gather_runs(canvas, starts, stops, owners, groups, np.add, 0.0,
+                      order=order)
     want = gather_sum(canvas, pix, pix_groups, groups)
     if integral:
         np.testing.assert_array_equal(got, want)
@@ -112,22 +115,31 @@ def _assert_gather(canvas, starts, stops, owners, groups, integral):
         assert (close | (np.isnan(got) & np.isnan(want))).all()
     for ufunc, fill in REDUCERS:
         live = np.where(np.isnan(canvas) | (canvas > 0), canvas, fill)
-        got = gather_runs(live, starts, stops, owners, groups, ufunc, fill)
+        got = gather_runs(live, starts, stops, owners, groups, ufunc, fill,
+                          order=order)
         want = gather_reduce(live, pix, pix_groups, groups, ufunc, fill)
         np.testing.assert_array_equal(got, want)
 
 
 @given(runs(), st.integers(0, 2**32 - 1))
 def test_run_gather_equals_pixel_gather(drawn, seed):
+    """Both gathers — ``reduceat`` per run, and the expanded one for
+    short runs — on runs in start order, and shuffled with ``order``."""
     size, starts, stops, owners, groups = drawn
     gen = np.random.default_rng(seed)
     counts = gen.integers(0, 4, size).astype(np.float64)
-    _assert_gather(counts, starts, stops, owners, groups, integral=True)
     values = gen.normal(0, 100, size)
     values[gen.random(size) < 0.1] = np.nan
-    _assert_gather(np.where(np.isnan(values), 0.0, values), starts, stops,
-                   owners, groups, integral=False)
-    _assert_gather(values, starts, stops, owners, groups, integral=False)
+    shuffle = gen.permutation(len(starts))
+    for short in (0, 10**9):
+        with mock.patch.object(raster_canvas, "SHORT_RUN_PIXELS", short):
+            for runs, order in (((starts, stops, owners), None),
+                                ((starts[shuffle], stops[shuffle],
+                                  owners[shuffle]), np.argsort(shuffle))):
+                _assert_gather(counts, *runs, groups, True, order=order)
+                _assert_gather(np.where(np.isnan(values), 0.0, values),
+                               *runs, groups, False, order=order)
+                _assert_gather(values, *runs, groups, False, order=order)
 
 
 @settings(deadline=None)
@@ -135,11 +147,18 @@ def test_run_gather_equals_pixel_gather(drawn, seed):
 def test_run_gather_over_scene_runs(scene, seed):
     geometries, viewport = scene
     table = build_fragment_table(geometries, viewport)
-    starts, stops, owners = table.intervals.full_runs_by_start()
-    assert (np.diff(starts) >= 0).all()
     gen = np.random.default_rng(seed)
     counts = gen.integers(0, 4, viewport.num_pixels).astype(np.float64)
-    _assert_gather(counts, starts, stops, owners, len(geometries),
-                   integral=True)
-    _assert_gather(gen.normal(0, 100, viewport.num_pixels), starts, stops,
-                   owners, len(geometries), integral=False)
+    values = gen.normal(0, 100, viewport.num_pixels)
+    iv = table.intervals
+    for family in ("full", "covered", "partial"):
+        starts, lengths, owners = iv.runs(family)
+        order = getattr(iv, f"{family}_order")
+        assert (np.diff(starts[order]) >= 0).all()
+        for canvas, integral in ((counts, True), (values, False)):
+            _assert_gather(canvas, starts, starts + lengths, owners,
+                           len(geometries), integral, order=order)
+            got = iv.gather(family, canvas, len(geometries))
+            want = gather_runs(canvas, starts, starts + lengths, owners,
+                               len(geometries), np.add, 0.0, order=order)
+            np.testing.assert_array_equal(got, want)

@@ -7,6 +7,9 @@ and the planner only ever routes ``auto`` to the cube when a cached one
 already answers.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -114,7 +117,7 @@ class TestBuildAndAnswer:
         assert cube.nonnegative_values  # fares >= 0: no mass plane
         assert "mass" not in cube.prefix
         in_view = viewport.pixel_ids_of(cube_table.x, cube_table.y)[1].sum()
-        assert cube.bucket_totals("count").sum() == in_view
+        assert cube.bucket_counts.sum() == in_view
 
     @pytest.mark.parametrize("lo,hi", [(3, 20), (7, 8), (0, SPAN_HOURS)])
     def test_count_bitwise(self, cube, cube_table, simple_regions,
@@ -221,7 +224,7 @@ class TestImmutable:
                                          value_column, kinds):
         """A cube shared through the engine cache is never written: every
         prefix plane of a COUNT, SUM and signed-SUM cube is read-only,
-        and so are the per-bucket totals, handed out without a copy."""
+        and so are the per-bucket point counts."""
         cube = build_temporal_canvas_cube(cube_table, viewport, "t", HOUR,
                                           value_column=value_column)
         assert sorted(cube.prefix) == kinds
@@ -229,10 +232,89 @@ class TestImmutable:
             assert not plane.flags.writeable
             with pytest.raises(ValueError):
                 plane[0, 0] = 1.0
-        totals = cube.bucket_totals("count")
-        assert cube.bucket_totals("count") is totals
         with pytest.raises(ValueError):
-            totals[0] = 1.0
+            cube.bucket_counts[0] = 1.0
+
+
+class TestJoinRowMemo:
+    def test_only_touched_rows_are_gathered(self, cube_table,
+                                            simple_regions, viewport,
+                                            fragments):
+        """A brush gathers the rows at its two bucket edges and nothing
+        else; a brush sharing an edge gathers only the other one."""
+        cube = build_temporal_canvas_cube(cube_table, viewport, "t", HOUR)
+        families = ("full", "covered", "partial")
+        cube.answer(simple_regions, fragments,
+                    brush_query("count", None, T0 + 3 * HOUR, T0 + 9 * HOUR))
+        rows = cube._run_rows(fragments).rows
+        assert set(rows) == {(f, "count", b) for f in families
+                             for b in (3, 9)}
+        cube.answer(simple_regions, fragments,
+                    brush_query("count", None, T0 + 9 * HOUR, T0 + 12 * HOUR))
+        assert set(rows) == {(f, "count", b) for f in families
+                             for b in (3, 9, 12)}
+
+    def test_hot_table_survives_a_fifth_table(self, cube_table,
+                                              simple_regions, viewport):
+        """The per-table memos are an LRU: a table used again after three
+        others is kept, with its rows, when a fifth table arrives; the
+        least recently used one goes."""
+        cube = build_temporal_canvas_cube(cube_table, viewport, "t", HOUR)
+        tables = [build_fragment_table(list(simple_regions.geometries),
+                                       viewport) for _ in range(5)]
+        q = brush_query("count", None, T0 + 2 * HOUR, T0 + 7 * HOUR)
+        for table in tables[:4]:
+            cube.answer(simple_regions, table, q)
+        hot = cube._run_rows(tables[0])
+        cube.answer(simple_regions, tables[4], q)
+        assert len(cube._joins) == 4
+        assert id(tables[1]) not in cube._joins
+        assert cube._run_rows(tables[0]) is hot
+        assert len(hot.rows) == 6
+
+
+    def test_concurrent_brushes_share_the_memos(self, cube_table,
+                                                simple_regions, viewport):
+        """Threads brushing one cube over more fragment tables than the
+        LRU holds (so memos are filled, hit and evicted concurrently)
+        get the serial answers."""
+        cube = build_temporal_canvas_cube(cube_table, viewport, "t", HOUR)
+        tables = [build_fragment_table(list(simple_regions.geometries),
+                                       viewport) for _ in range(6)]
+        brushes = [(lo, lo + width) for lo in range(0, 30, 3)
+                   for width in (1, 6)]
+        want = {b: bounded_raster_join(
+            cube_table, simple_regions,
+            brush_query("count", None, T0 + b[0] * HOUR, T0 + b[1] * HOUR),
+            viewport, fragments=tables[0]) for b in brushes}
+        failures = []
+
+        def worker(seed):
+            gen = np.random.default_rng(seed)
+            for _ in range(40):
+                lo, hi = brushes[gen.integers(len(brushes))]
+                table = tables[gen.integers(len(tables))]
+                got = cube.answer(simple_regions, table, brush_query(
+                    "count", None, T0 + lo * HOUR, T0 + hi * HOUR))
+                for name in ("values", "lower", "upper"):
+                    if not np.array_equal(getattr(got, name),
+                                          getattr(want[lo, hi], name)):
+                        failures.append((lo, hi, name))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,))
+                       for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        assert len(cube._joins) <= 4
 
 
 class TestEngineIntegration:

@@ -8,12 +8,14 @@ import pytest
 
 from repro.core import (
     SpatialAggregation,
+    build_temporal_canvas_cube,
     SpatialAggregationEngine,
     accurate_raster_join,
 )
 from repro.data import generate_taxi_trips
 from repro.obs import Tracer, render
 from repro.obs.trace import leaf_coverage
+from repro.raster import Viewport, build_fragment_table
 from repro.raster.fragments import polygon_pass
 from repro.store import build_store
 from repro.table import F
@@ -231,6 +233,38 @@ def test_tcube_build_and_answer_spans(city, city_regions):
     assert [c["name"] for c in run["children"]] == ["tcube.answer"]
     assert run["children"][0]["attrs"] == {"slices_touched": 3,
                                            "reduced_levels": 0}
+
+
+def test_tcube_rows_span_names_the_lazy_gather(city, city_regions):
+    """A cube brush whose bucket edges were never gathered opens one
+    ``tcube.rows`` span under ``tcube.answer``, its ``rows`` the rows
+    gathered; a brush on gathered edges opens none, and one new edge
+    gathers half as many rows."""
+    from repro.data.temporal import DEFAULT_EPOCH
+
+    day = 86_400
+    table = generate_taxi_trips(city, 20_000, seed=5)
+    viewport = Viewport.fit(city_regions.bbox, 256)
+    fragments = build_fragment_table(list(city_regions.geometries), viewport)
+    cube = build_temporal_canvas_cube(table, viewport, "t", day,
+                                      value_column="fare")
+
+    def brush(lo, hi):
+        query = SpatialAggregation.sum_of("fare").during(
+            "t", DEFAULT_EPOCH + lo * day, DEFAULT_EPOCH + hi * day)
+        root = Tracer().start("query")
+        with root:
+            cube.answer(city_regions, fragments, query)
+        answer, = root.to_dict()["children"]
+        assert answer["name"] == "tcube.answer"
+        return [(c["name"], c["attrs"]) for c in answer.get("children")
+                or []]
+
+    # SUM of a non-negative column: full, covered and PARTIAL rows of
+    # the sum plane (which doubles as the mass plane) at both edges.
+    assert brush(2, 9) == [("tcube.rows", {"rows": 6})]
+    assert brush(2, 9) == []
+    assert brush(9, 12) == [("tcube.rows", {"rows": 3})]
 
 
 def test_answer_hit_span_covers_a_hit(city, city_regions):

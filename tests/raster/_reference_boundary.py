@@ -164,7 +164,9 @@ def _classify_spans(span_starts: np.ndarray, span_lengths: np.ndarray,
 
 def reference_table(geometries, viewport: Viewport) -> dict:
     """The fragment table's arrays as the key-based pass assembled
-    them: boundary pairs, ``covered_index`` and the six run arrays."""
+    them: boundary pairs, ``covered_index``, the covered pairs it picks
+    out and the nine run arrays (covered runs are the covered keys
+    coalesced)."""
     num_polygons, num_pixels = len(geometries), viewport.num_pixels
     edges = _stack_edges(geometries)
     keys = reference_boundary_keys(edges, viewport)
@@ -172,6 +174,8 @@ def reference_table(geometries, viewport: Viewport) -> dict:
         *_coverage_spans(edges, viewport), keys, viewport.width)
     partial_starts, partial_lengths = _merge_touching(
         keys, keys + 1, viewport.width)
+    covered_starts, covered_lengths = _merge_touching(
+        keys[covered], keys[covered] + 1, viewport.width)
 
     def by_polygon(keys):
         offsets = np.searchsorted(keys,
@@ -181,12 +185,18 @@ def reference_table(geometries, viewport: Viewport) -> dict:
 
     full_offsets, _, full_starts = by_polygon(full_starts)
     partial_offsets, _, partial_starts = by_polygon(partial_starts)
+    covered_offsets, _, covered_starts = by_polygon(covered_starts)
     _, polys, pixels = by_polygon(keys)
     return {"boundary_pixels": pixels,
             "boundary_polys": polys.astype(np.int32),
             "covered_index": covered,
+            "covered_boundary_pixels": pixels[covered],
+            "covered_boundary_polys": polys[covered].astype(np.int32),
             "full_offsets": full_offsets, "full_starts": full_starts,
             "full_lengths": full_lengths,
             "partial_offsets": partial_offsets,
             "partial_starts": partial_starts,
-            "partial_lengths": partial_lengths}
+            "partial_lengths": partial_lengths,
+            "covered_offsets": covered_offsets,
+            "covered_starts": covered_starts,
+            "covered_lengths": covered_lengths}
