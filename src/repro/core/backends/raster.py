@@ -17,7 +17,7 @@ from ..accurate import accurate_raster_join
 from ..bounded import bounded_raster_join
 from ..bounds import resolution_for_epsilon
 from ..pipeline import TableSource
-from ..pyramid import GridViewport, assembled_bounded_join, block_coverage
+from ..pyramid import GridViewport, block_coverage, grid_bounded_join
 from ..tiling import tiled_bounded_raster_join
 from .base import Backend, BackendCapabilities, ExecutionPlan
 from .registry import register_backend
@@ -93,11 +93,11 @@ class BoundedRasterBackend(Backend):
             plan.regions, plan.resolution, plan.epsilon)
         fragments = ctx.fragments_for(plan.regions, viewport)
         if isinstance(viewport, GridViewport):
-            # Grid-snapped viewports assemble from the block cache;
-            # only the uncovered delta is scattered.
-            return assembled_bounded_join(
-                ctx, plan.table, plan.regions, plan.query, viewport,
-                fragments=fragments)
+            # Grid-snapped viewports assemble from the block cache once
+            # the view moves; a first sighting runs direct.
+            return grid_bounded_join(ctx, plan.table, plan.regions,
+                                     plan.query, viewport, fragments,
+                                     plan.cancel)
         return bounded_raster_join(plan.table, plan.regions, plan.query,
                                    viewport, fragments=fragments)
 
@@ -155,10 +155,10 @@ class TiledRasterBackend(Backend):
             # Under a grid-snapped viewport the cache blocks *are* the
             # tiles: assembly runs the same per-block pixel partition
             # the tiled join would, with the partials cached across
-            # gestures instead of recomputed.
-            return assembled_bounded_join(
+            # gestures once the view moves.
+            return grid_bounded_join(
                 ctx, plan.table, plan.regions, plan.query, plan.viewport,
-                fragments=ctx.fragments_for(plan.regions, plan.viewport))
+                ctx.fragments_for(plan.regions, plan.viewport), plan.cancel)
         resolution = plan.resolution
         if resolution is None and plan.epsilon is not None:
             resolution = planned_resolution(plan.regions, plan, ctx,

@@ -7,8 +7,8 @@ cached cube can already answer the query (cost is infinite otherwise):
 ``cube`` backend's contract.  Running it explicitly does pay the
 one-time build, which then amortizes across every subsequent brush
 step; the session's brush gate routes here only for a cached cube or
-a brush key that repeats (see
-:func:`~repro.core.tcube.cube_for_repeated_brush`).
+a cube its previous brush asked for too (see
+:meth:`~repro.urbane.InteractiveSession._brush_method`).
 """
 
 from __future__ import annotations

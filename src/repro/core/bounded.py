@@ -119,9 +119,11 @@ def bounded_raster_join(
     t_polygons = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    with source.span():
+    with source.span() as sp:
         points = fill(source, query, Window(viewport),
                       canvas_kinds(query.agg))
+    if source.narrowed is not None:
+        sp.set(narrowed=source.narrowed)
     canvases = points.canvases
     t_points = time.perf_counter() - t1
 

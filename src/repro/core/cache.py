@@ -32,9 +32,9 @@ one cache from a thread pool):
   stored by :meth:`~repro.core.executor.SpatialAggregationEngine.execute`)
   holds read-only ``values`` / ``lower`` / ``upper`` arrays, and each
   hit wraps them in a new result with a stats dict of its own.  An
-  answer is admitted only on its key's second sighting
-  (:meth:`QueryCache.note_seen`), so one-off queries never push
-  reusable blocks out of the entry budget.
+  answer is stored on first sight; pyramid blocks wait until their
+  family's viewport moves (:meth:`QueryCache.note_seen`), so a one-off
+  query leaves only its answer behind.
 """
 
 from __future__ import annotations
@@ -54,6 +54,10 @@ _TOKEN_COUNTER = itertools.count(1)
 #: How many recently seen keys :meth:`QueryCache.note_seen` remembers.
 #: A key is a few small tuples, so the memory is a few kilobytes.
 MAX_SEEN_KEYS = 64
+
+#: Key prefixes (as 1-tuples) :meth:`QueryCache.family` indexes by
+#: ``key[:2]``: a table's cubes are found without walking every key.
+INDEXED = frozenset({("cube",), ("tcube",)})
 
 _TOKEN_ATTR = "_repro_cache_token"
 
@@ -181,7 +185,9 @@ class QueryCache:
         #: Per-key build latches for single-flight get_or_build.
         self._building: dict[tuple, threading.Lock] = {}
         #: Keys asked about but not necessarily built (see note_seen).
-        self._seen: OrderedDict[tuple, None] = OrderedDict()
+        self._seen: OrderedDict[tuple, object] = OrderedDict()
+        #: (prefix, key[1]) -> that family's keys, in insertion order.
+        self._families: dict[tuple, dict[tuple, None]] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -220,11 +226,12 @@ class QueryCache:
         if nbytes is None:
             nbytes = estimate_nbytes(value)
         with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._bytes -= old.nbytes
+            if key in self._entries:
+                self._unlink(key)
             self._entries[key] = CacheEntry(value, int(nbytes))
             self._bytes += int(nbytes)
+            if key[:1] in INDEXED:
+                self._families.setdefault(key[:2], {})[key] = None
             self._evict()
 
     def get_or_build(self, key: tuple, builder, nbytes: int | None = None):
@@ -270,22 +277,38 @@ class QueryCache:
             latch.release()
         return value
 
-    def note_seen(self, key: tuple) -> bool:
-        """Record a sighting of ``key``; return whether it was seen
-        before.
+    def note_seen(self, key: tuple, tag=True):
+        """Record a sighting of ``key`` tagged ``tag``; return the tag of
+        its previous sighting, or None for a first sighting.
 
         The memory is an LRU of the last :data:`MAX_SEEN_KEYS` keys,
-        independent of the entries, so a caller can decide to build an
-        artifact only for a key that repeats.  :meth:`clear` forgets it.
+        independent of the entries, so a caller can build an artifact
+        only for a key that comes back (the pyramid stores a block
+        family's blocks once its viewport tag moves).  :meth:`clear`
+        forgets it.
         """
         with self._lock:
-            if key in self._seen:
-                self._seen.move_to_end(key)
-                return True
-            self._seen[key] = None
+            last = self._seen.pop(key, None)
+            self._seen[key] = tag
             if len(self._seen) > MAX_SEEN_KEYS:
                 self._seen.popitem(last=False)
-            return False
+            return last
+
+    def family(self, prefix: str, owner) -> list[tuple]:
+        """``(key, value)`` of every entry keyed ``(prefix, owner, ...)``
+        for an :data:`INDEXED` prefix, in insertion order; peek only."""
+        with self._lock:
+            keys = self._families.get((prefix, owner), ())
+            return [(k, self._entries[k].value) for k in keys]
+
+    def _unlink(self, key: tuple) -> None:
+        # Drop an entry, its bytes and its index slot (lock held).
+        self._bytes -= self._entries.pop(key).nbytes
+        if key[:1] in INDEXED:
+            members = self._families[key[:2]]
+            del members[key]
+            if not members:
+                del self._families[key[:2]]
 
     def _evict(self) -> None:
         # Evict LRU-first until within budget; the newest entry always
@@ -294,8 +317,7 @@ class QueryCache:
         while len(self._entries) > 1 and (
                 self._bytes > self.max_bytes
                 or len(self._entries) > self.max_entries):
-            __, entry = self._entries.popitem(last=False)
-            self._bytes -= entry.nbytes
+            self._unlink(next(iter(self._entries)))
             self.evictions += 1
 
     # -- block-tier accounting ---------------------------------------------
@@ -333,13 +355,14 @@ class QueryCache:
             doomed = [k for k in dict.keys(self._entries)
                       if k and k[0] == prefix]
             for key in doomed:
-                self._bytes -= self._entries.pop(key).nbytes
+                self._unlink(key)
             return len(doomed)
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
             self._seen.clear()
+            self._families.clear()
             self._bytes = 0
 
     # -- introspection -----------------------------------------------------

@@ -130,10 +130,9 @@ class ExecutionContext:
     def cached_cubes(self, table: PointTable, regions: RegionSet) -> list:
         """Every cube already materialized for this (table, regions) pair
         — what the planner probes before it will ever pick ``cube``."""
-        tfp, rfp = fingerprint(table), fingerprint(regions)
-        return [cube for k in self.cache.keys()
-                if k[0] == "cube" and k[1] == tfp and k[2] == rfp
-                and (cube := self.cache.peek(k)) is not None]
+        rfp = fingerprint(regions)
+        return [cube for key, cube in self.cache.family(
+                    "cube", fingerprint(table)) if key[2] == rfp]
 
     def tcube_for(self, table: PointTable, spec: tuple, builder):
         """A temporal canvas cube for (table, build spec).
@@ -146,22 +145,9 @@ class ExecutionContext:
         key = ("tcube", fingerprint(table), spec)
         return self.cache.get_or_build(key, builder)
 
-    def saw_tcube_key(self, table: PointTable, spec: tuple) -> bool:
-        """Record a brush that could build the cube ``spec``; return
-        whether the same (table, spec) key was seen before.
-
-        The memory is the cache's bounded LRU of seen keys
-        (:meth:`~repro.core.cache.QueryCache.note_seen`), so server
-        threads sharing this context share it and ``clear()`` empties
-        it.
-        """
-        return self.cache.note_seen(("tcube", fingerprint(table), spec))
-
     def cached_tcubes(self, table: PointTable) -> list:
         """Every temporal canvas cube materialized for this table —
         what the planner probes before paying a build or a
         re-scatter."""
-        tfp = fingerprint(table)
-        return [cube for k in self.cache.keys()
-                if k[0] == "tcube" and k[1] == tfp
-                and (cube := self.cache.peek(k)) is not None]
+        return [cube for __, cube in self.cache.family(
+                    "tcube", fingerprint(table))]

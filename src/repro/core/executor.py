@@ -143,10 +143,10 @@ class SpatialAggregationEngine:
         and ``stats["cache"]`` (unified-cache counters, including this
         query's own hits/misses).
 
-        A request answered twice before (same data, regions, query,
-        method as requested and knobs) is an answer-tier hit: read-only
-        arrays, ``stats["answer"]`` and no work counters.  ``cache=False``
-        neither reads nor writes the tier.
+        A request answered before (same data, regions, query, method as
+        requested and knobs; every answer is stored on first sight) is
+        an answer-tier hit: read-only arrays, ``stats["answer"]`` and no
+        work counters.  ``cache=False`` neither reads nor writes it.
         """
         t0 = time.perf_counter()
         if resolution is not None and resolution < 1:
@@ -160,8 +160,6 @@ class SpatialAggregationEngine:
             hit = self.stored_answer(key)
             if hit is not None:
                 return hit
-            if not self.ctx.cache.note_seen(key):
-                key = None  # admitted on the second sighting only
         plan = ExecutionPlan(
             table=table, regions=regions, query=query, method=method,
             resolution=resolution, epsilon=epsilon, exact=exact,

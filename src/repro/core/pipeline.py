@@ -10,8 +10,8 @@ filtered points with blending" — and this module is its only copy.
   :data:`SCAN_FRACTION` of the table; :class:`DatasetSource` is a
   store's pruned partitions in manifest order, each mounted only when
   it can reach the sink.
-* :func:`project` maps a chunk's rows to the sink's pixel ids and
-  gathers their values.
+* :func:`project` maps a chunk's rows to the sink's pixel ids (on a
+  grid, from a table's cached pixel columns) and gathers their values.
 * :func:`fold` continues each canvas's element-sequential accumulation
   with one chunk.
 * A **sink** is where the pixels live: a :class:`Window` of a viewport
@@ -77,9 +77,9 @@ def _survivors(table, query, mask=None):
 class TableSource:
     """An in-memory table: one chunk, in row order.
 
-    With an execution context the filter mask and the point grid index
-    come from its cache, shared across gestures; without one each is
-    built at most once per source.
+    The filter mask is built at most once per source; with an execution
+    context the grid index, column facts and pixel columns come from
+    its cache, shared across gestures.
 
     When a sink passes boxes, the grid index counts the candidates they
     hold (:meth:`~repro.index.PointGridIndex.count_bbox`, no id array
@@ -109,14 +109,20 @@ class TableSource:
         """The query's filter mask over the whole table, or None."""
         if not query.filters:
             return None
-        if self.ctx is None:
-            key = repr(query.filters)
-            if key not in self._masks:
-                self._masks[key] = query.filter_mask(self.table)
-            return self._masks[key]
-        key = ("filter-mask", fingerprint(self.table), repr(query.filters))
+        key = repr(query.filters)
+        if key not in self._masks:
+            self._masks[key] = query.filter_mask(self.table)
+        return self._masks[key]
+
+    def pixel_columns(self, viewport):
+        """The table's level-0 pixel (col, row) on ``viewport``'s grid,
+        cached per (table, grid); None off a grid or without a context."""
+        grid = getattr(viewport, "grid", None)
+        if grid is None or self.ctx is None:
+            return None
+        key = ("pixel-column", fingerprint(self.table), grid)
         return self.ctx.cache.get_or_build(
-            key, lambda: query.filter_mask(self.table))
+            key, lambda: grid.level_pixel(self.table.x, self.table.y, 0))
 
     def filtered_count(self, query) -> int:
         mask = self.mask(query)
@@ -149,14 +155,20 @@ class TableSource:
 
         return self._column_fact("column-integral", column, probe)
 
-    def _column_fact(self, name: str, column: str, probe) -> bool:
+    def extent(self, column: str) -> tuple[int, int] | None:
+        """``(min, max)`` of ``column`` as ints; None for no rows."""
+        values = self.table.column(column).values
+        return self._column_fact("column-extent", column, lambda: (
+            (int(values.min()), int(values.max())) if len(values) else None))
+
+    def _column_fact(self, name: str, column: str, probe):
         """``probe()``, cached under ``(name, fingerprint(table),
         column)`` when there is a context: tables are immutable, so a
         fact about a column never goes stale."""
         if self.ctx is None:
             return probe()
         key = (name, fingerprint(self.table), column)
-        return bool(self.ctx.cache.get_or_build(key, probe))
+        return self.ctx.cache.get_or_build(key, probe)
 
     def _grid_index(self) -> PointGridIndex:
         if self.ctx is not None:
@@ -226,6 +238,9 @@ class DatasetSource:
     def integral(self, column: str) -> bool:
         return False  # no proof without reading every value
 
+    def pixel_columns(self, viewport):
+        return None  # partitions project through the float transform
+
     def chunks(self, query, boxes=None):
         infos = self.table.partitions
         for index in self.survivors:
@@ -276,10 +291,20 @@ class Window:
         self.size = self.width * self.height
 
     def locate(self, x, y) -> tuple[np.ndarray, np.ndarray]:
-        ix, iy = self.viewport.pixel_of(x, y)
-        if self.col0 or self.row0:
-            ix = ix - self.col0
-            iy = iy - self.row0
+        return self._place(*self.viewport.pixel_of(x, y), self.col0,
+                           self.row0)
+
+    def locate_columns(self, col, row) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`locate` from level-0 pixel columns on a grid viewport:
+        ``(col >> level) - col0`` is what its ``pixel_of`` computes."""
+        vp = self.viewport
+        return self._place(col >> vp.level, row >> vp.level,
+                           vp.col0 + self.col0, vp.row0 + self.row0)
+
+    def _place(self, ix, iy, col0, row0):
+        if col0 or row0:
+            ix = ix - col0
+            iy = iy - row0
         inside = (ix >= 0) & (ix < self.width) & (iy >= 0) & (iy < self.height)
         pix = iy * self.width + ix
         if self.needed is not None:
@@ -328,15 +353,18 @@ class Blocks(Window):
 # -- project, fold, fill -----------------------------------------------------
 
 
-def project(table, rows, query, sink):
+def project(table, rows, query, sink, columns=None):
     """Filter survivors → ``(rows, pixel ids, values)`` of the points
     inside ``sink``, in row order (``rows`` None: every row of
-    ``table``)."""
-    if rows is None:
-        x, y = table.x, table.y
+    ``table``).  ``columns``: ``table``'s cached base-pixel columns
+    (:meth:`TableSource.pixel_columns`), read instead of x and y."""
+    if columns is not None:
+        locate, (x, y) = sink.locate_columns, columns
     else:
-        x, y = table.x[rows], table.y[rows]
-    pix, inside = sink.locate(x, y)
+        locate, x, y = sink.locate, table.x, table.y
+    if rows is not None:
+        x, y = x[rows], y[rows]
+    pix, inside = locate(x, y)
     if not inside.all():
         keep = np.flatnonzero(inside)
         pix = pix[keep]
@@ -398,8 +426,9 @@ def fill(source, query, sink, kinds, keep: bool = False) -> PointPass:
     ``kinds`` laid out by ``sink``."""
     paged0 = source.paged
     result = PointPass(new_canvases(source, query, kinds, sink.size))
+    columns = source.pixel_columns(sink.viewport)
     for table, rows in source.chunks(query, sink.boxes):
-        rows, pix, values = project(table, rows, query, sink)
+        rows, pix, values = project(table, rows, query, sink, columns)
         fold(result.canvases, pix, values)
         result.points += len(pix)
         if keep:

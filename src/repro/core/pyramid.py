@@ -29,6 +29,8 @@ that reuse:
   *full* (never clipped to the viewport) under the unified cache's
   byte budget, so an edge block scattered for one frame serves
   complete for the next pan.
+* :func:`grid_bounded_join` — blocks are admitted on a viewport move:
+  a first sighting runs one direct point pass and installs nothing.
 
 Block keys embed ``fingerprint(table)``.  Tables and stores are
 immutable and a derived table gets a fresh token, so a cached block can
@@ -46,15 +48,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..geometry import BBox
-from ..obs.trace import span
+from ..obs.trace import NULL_SPAN, current_span, span
 from ..raster import FragmentTable, Viewport
 from ..raster.pyramid import PYRAMID_OPS, reduce2x2
 from ..table import PointTable
 from .aggregates import canvas_kinds
-from .bounded import join_with_bounds
+from .bounded import bounded_raster_join, join_with_bounds
 from .bounds import epsilon_for_viewport
 from .cache import fingerprint
-from .pipeline import FILLS, Blocks, as_source, fill
+from .pipeline import FILLS, Blocks, TableSource, as_source, fill
 from .query import SpatialAggregation
 from .regions import RegionSet
 from .result import AggregationResult
@@ -411,7 +413,7 @@ def assembled_bounded_join(
     round-off for AVG.
 
     ``table`` is a point source (a bare table is wrapped with the
-    context's cached filter masks and grid index).  Coarse SUM blocks
+    context's cached grid index and pixel columns).  Coarse SUM blocks
     derive by 2x2 reduction only where the source proves the value
     column integral; COUNT/MIN/MAX always derive.
     """
@@ -452,6 +454,7 @@ def assembled_bounded_join(
         "canvas_pixels": viewport.num_pixels,
         "epsilon_world_units": epsilon_for_viewport(viewport),
         "pyramid": {
+            "path": "assembled",
             "level": viewport.level,
             "block": viewport.grid.block,
             "blocks": info["blocks"],
@@ -473,3 +476,34 @@ def assembled_bounded_join(
         exact=False,
         stats=stats,
     )
+
+
+def grid_bounded_join(ctx, table, regions: RegionSet,
+                      query: SpatialAggregation, viewport: GridViewport,
+                      fragments: FragmentTable, cancel=None
+                      ) -> AggregationResult:
+    """The bounded join of an in-memory table on a grid viewport.
+
+    Blocks pay off only when the viewport moves under one (table,
+    filters, aggregate kinds, grid) family, so a frame assembles only
+    when a cached block serves part of it or the family was last seen
+    at another viewport; otherwise it runs the direct join on the same
+    viewport (bitwise the same answer) and installs nothing.  Either way
+    the method is ``pyramid-raster-join``; ``stats["pyramid"]["path"]``
+    and, traced, the span attr ``pyramid="direct"`` tell them apart.
+    """
+    source = TableSource(table, ctx, cancel)
+    family = ("blocks", fingerprint(table), repr(query.filters),
+              query.value_column, canvas_kinds(query.agg), viewport.grid)
+    last = ctx.cache.note_seen(family, viewport)
+    if last not in (None, viewport) or block_coverage(
+            ctx, table, query, viewport) > 0:
+        return assembled_bounded_join(ctx, source, regions, query,
+                                      viewport, fragments=fragments)
+    (current_span() or NULL_SPAN).set(pyramid="direct")
+    result = bounded_raster_join(source, regions, query, viewport,
+                                 fragments=fragments)
+    result.method = "pyramid-raster-join"
+    result.stats["pyramid"] = {"path": "direct", "level": viewport.level,
+                               "block": viewport.grid.block}
+    return result

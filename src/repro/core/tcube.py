@@ -37,9 +37,9 @@ Cube construction is the point pipeline's filter → project → fold
 cumsum, so the one-time build amortizes within a few brush steps.
 A built cube is immutable: its prefix planes are read-only, so a cube
 shared through the engine cache can never be written by a reader.
-:func:`cube_for_brush` is the one rule for which cube serves a brush,
-and :func:`cube_for_repeated_brush` builds one only for a brush key
-that repeats.
+:func:`cube_for_brush` is the one rule for which cube serves a brush;
+an :class:`~repro.urbane.InteractiveSession` builds one only when its
+previous brush asked for the same cube (a sweep).
 """
 
 from __future__ import annotations
@@ -528,8 +528,8 @@ def build_temporal_canvas_cube(
 
     The point pass is :mod:`repro.core.pipeline`'s: ``table`` — a point
     table or a source over one; the ``tcube-raster`` backend passes the
-    engine's :class:`~repro.core.pipeline.TableSource`, so the residual
-    filter mask is the one already cached — is filtered and projected
+    engine's :class:`~repro.core.pipeline.TableSource`, so a grid
+    viewport reads the cached pixel columns — is filtered and projected
     into ``viewport``, and each point folds into its (bucket, active
     pixel) cell.  The bucket grid starts at ``tmin // bucket_seconds *
     bucket_seconds``.  A ``mass`` plane is stored only when the source
@@ -553,7 +553,8 @@ def build_temporal_canvas_cube(
                 raise QueryError(
                     f"{time_column!r} is not a timestamp column (kind "
                     f"{col.kind!r})")
-            rows, pix, values = project(table, rows, query, Window(viewport))
+            rows, pix, values = project(table, rows, query, Window(viewport),
+                                        source.pixel_columns(viewport))
             tvals = col.values if rows is None else col.values[rows]
             origin = (int(tvals.min()) // bucket_seconds * bucket_seconds
                       if len(tvals) else None)
@@ -618,8 +619,8 @@ def build_temporal_canvas_cube(
 def find_answering_cube(ctx, table: PointTable, query: SpatialAggregation,
                         viewport: Viewport) -> TemporalCanvasCube | None:
     """The earliest-inserted cached cube that can answer (peek only, no
-    LRU touch): :meth:`~repro.core.cache.QueryCache.keys` lists entries
-    in insertion order, not recency order."""
+    LRU touch): :meth:`~repro.core.cache.QueryCache.family` lists a
+    table's cubes in insertion order, not recency order."""
     for cube in ctx.cached_tcubes(table):
         if cube is not None and cube.can_answer(query, viewport):
             return cube
@@ -651,11 +652,11 @@ def cube_for_brush(ctx, table: PointTable, query: SpatialAggregation,
     cube = find_answering_cube(ctx, table, query, viewport)
     if cube is not None:
         return cube
-    tvals = table.column(tr.column).values
-    if len(tvals) == 0:
+    extent = as_source(table, ctx).extent(tr.column)
+    if extent is None:
         bucket = max(1, int(tr.end) - int(tr.start))
     else:
-        tmin, tmax = int(tvals.min()), int(tvals.max())
+        tmin, tmax = extent
         bucket = infer_bucket_seconds(tr.start, tr.end, tmin, tmax)
         if bucket is None:
             return None
@@ -665,23 +666,3 @@ def cube_for_brush(ctx, table: PointTable, query: SpatialAggregation,
         if planes * (num_buckets + 1) * bound_active * 8 > MAX_TCUBE_BYTES:
             return None
     return (viewport, tr.column, int(bucket), value_column, residual)
-
-
-def cube_for_repeated_brush(ctx, table: PointTable,
-                            query: SpatialAggregation, viewport: Viewport):
-    """:func:`cube_for_brush`, building only for a brush key that repeats.
-
-    A cached cube that answers the brush still serves it.  Otherwise the
-    build spec comes back only when its key ``("tcube",
-    fingerprint(table), spec)`` was seen before
-    (:meth:`~repro.core.context.ExecutionContext.saw_tcube_key`); a
-    first sighting records the key and returns None, so the caller
-    re-scatters.  The steps of a sweep share one key: step 1
-    re-scatters, step 2 builds, later steps hit.  A one-off brush — the
-    single brush under a freshly drawn filter — never pays a build.
-    """
-    chosen = cube_for_brush(ctx, table, query, viewport)
-    if chosen is None or isinstance(chosen, TemporalCanvasCube):
-        return chosen
-    return chosen if ctx.saw_tcube_key(table, chosen) else None
-

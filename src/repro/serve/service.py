@@ -5,7 +5,7 @@ layer and the (synchronous, NumPy-bound) engine.  Each request flows
 through these stages:
 
 1. **Stored answers** — a request whose answer the engine's answer
-   tier holds (a query seen twice before, same data and knobs) is
+   tier holds (a query seen before, same data and knobs) is
    answered on the event loop, before coalescing, admission and the
    pool: it does no work, so it is never shed.  The ``cache`` knob set
    to false skips the probe.
@@ -20,7 +20,7 @@ through these stages:
 4. **Execution** — the manager's one engine runs on a thread pool
    (the event loop never blocks on NumPy).  Every query shares the
    engine's fragments, tcube cubes and pyramid blocks, and the
-   engine stores an answer on its key's second sighting; the
+   engine stores an answer on its key's first sighting; the
    ``cache`` knob set to false bypasses the answer tier.
 5. **Streaming** (:meth:`QueryService.stream`) — long queries route
    through the progressive tiled join and yield per-tile partials with

@@ -286,6 +286,8 @@ class InteractiveSession(GestureSession):
     def __init__(self, manager: DataManager, dataset: str, regions: str,
                  method: str = "bounded", resolution: int = 512):
         self.manager = manager
+        #: The cube spec the previous brush asked for (see _brush_method).
+        self._brush_spec = None
         super().__init__(dataset, regions, method, int(resolution))
 
     def set_region_level(self, regions: str) -> AggregationResult:
@@ -334,26 +336,29 @@ class InteractiveSession(GestureSession):
         A brush only changes the :class:`TimeRange` predicate, which is
         exactly what the temporal canvas cube answers in O(pixels).  The
         gesture runs ``tcube-raster`` when
-        :func:`~repro.core.tcube.cube_for_repeated_brush` finds a cached
-        cube, or a build within the caps whose key the engine has seen
-        before; otherwise it re-scatters with the configured method.  So
-        a sweep's first step re-scatters, its second builds the cube and
-        the rest hit it, while a one-off brush never pays a build.
+        :func:`~repro.core.tcube.cube_for_brush` finds a cached cube, or
+        a build within the caps that the session's previous brush asked
+        for too; otherwise it re-scatters with the configured method.
+        So a sweep's first step re-scatters, its second builds the cube
+        and the rest hit it, while a one-off brush never pays a build.
         """
-        from ..core.tcube import cube_for_repeated_brush
+        from ..core.tcube import TemporalCanvasCube, cube_for_brush
 
         engine = self.manager.engine
+        chosen = None
         try:
             table = self.manager.dataset(self.state.dataset)
             regions = self.manager.region_set(self.state.regions)
             viewport = self._viewport or engine.plan_viewport(
                 regions, self.resolution, None)
-            if cube_for_repeated_brush(engine.ctx, table, query,
-                                       viewport) is not None:
-                return "tcube-raster"
+            chosen = cube_for_brush(engine.ctx, table, query, viewport)
         except ReproError:
             pass
-        return self.method
+        cached = isinstance(chosen, TemporalCanvasCube)
+        spec = chosen.spec if cached else chosen
+        repeat = spec is not None and spec == self._brush_spec
+        self._brush_spec = spec
+        return "tcube-raster" if cached or repeat else self.method
 
 
 class RemoteSession(GestureSession):

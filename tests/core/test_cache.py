@@ -179,8 +179,8 @@ class TestContextCaching:
 
 
 class TestAnswerTier:
-    """``engine.execute``'s answer tier: admitted on a key's second
-    sighting, served from the third, frozen and per-call stats."""
+    """``engine.execute``'s answer tier: admitted on a key's first
+    sighting, served from the second, frozen and per-call stats."""
 
     def _run(self, engine, table, regions, **kwargs):
         return engine.execute(table, regions, SpatialAggregation.count(),
@@ -190,20 +190,18 @@ class TestAnswerTier:
     def _answers(engine):
         return [k for k in engine.ctx.cache.keys() if k[0] == "answer"]
 
-    def test_admitted_only_on_second_sighting(self, simple_regions):
+    def test_admitted_on_first_sighting(self, simple_regions):
         engine = SpatialAggregationEngine(default_resolution=64)
         t = _table(500, seed=21)
         first = self._run(engine, t, simple_regions)
-        assert "answer" not in first.stats and not self._answers(engine)
-        assert first.values.flags.writeable
-        second = self._run(engine, t, simple_regions)
-        assert "answer" not in second.stats  # built, then stored
+        assert "answer" not in first.stats  # built, then stored
         assert len(self._answers(engine)) == 1
-        third = self._run(engine, t, simple_regions)
-        assert third.stats["answer"] == {"hit": True}
-        assert third.values is second.values
-        assert third.stats["cache"]["query_hits"] == 1
-        assert third.stats["cache"]["query_misses"] == 0
+        assert not first.values.flags.writeable  # frozen when stored
+        second = self._run(engine, t, simple_regions)
+        assert second.stats["answer"] == {"hit": True}
+        assert second.values is first.values
+        assert second.stats["cache"]["query_hits"] == 1
+        assert second.stats["cache"]["query_misses"] == 0
 
     def test_hit_arrays_are_read_only(self, simple_regions):
         engine = SpatialAggregationEngine(default_resolution=64)
@@ -217,7 +215,7 @@ class TestAnswerTier:
     def test_hit_stats_are_per_call(self, simple_regions):
         engine = SpatialAggregationEngine(default_resolution=64)
         t = _table(500, seed=23)
-        built = [self._run(engine, t, simple_regions) for _ in range(2)]
+        built = [self._run(engine, t, simple_regions)]
         a = self._run(engine, t, simple_regions)
         b = self._run(engine, t, simple_regions)
         assert a.stats is not b.stats
@@ -240,9 +238,8 @@ class TestAnswerTier:
             off = self._run(engine, t, simple_regions, cache=False)
             assert "answer" not in off.stats
         assert not self._answers(engine)
-        # An answer stored by cached calls is not read with cache=False.
-        for _ in range(2):
-            self._run(engine, t, simple_regions)
+        # An answer stored by a cached call is not read with cache=False.
+        self._run(engine, t, simple_regions)
         assert len(self._answers(engine)) == 1
         off = self._run(engine, t, simple_regions, cache=False)
         assert "answer" not in off.stats and off.values.flags.writeable
@@ -507,6 +504,15 @@ class TestSeenKeys:
         assert not cache.note_seen(("b",))
         assert ("a",) not in cache  # remembered, never stored
 
+    def test_a_sighting_returns_the_previous_tag(self):
+        cache = QueryCache()
+        assert cache.note_seen(("f",), "v0") is None
+        assert cache.note_seen(("f",), "v0") == "v0"
+        assert cache.note_seen(("f",), "v1") == "v0"  # moved
+        assert cache.note_seen(("f",), "v1") == "v1"
+        cache.clear()
+        assert cache.note_seen(("f",), "v1") is None
+
     def test_bounded_lru(self):
         from repro.core.cache import MAX_SEEN_KEYS
 
@@ -521,15 +527,52 @@ class TestSeenKeys:
         assert len(cache._seen) == MAX_SEEN_KEYS
 
 
+class TestFamilyIndex:
+    """``QueryCache.family`` lists a table's cubes from an index that
+    puts, evictions, invalidation and clear keep in step."""
+
+    def test_index_follows_puts_evictions_and_invalidation(self):
+        cache = QueryCache(max_entries=3)
+        cache.put(("tcube", "t1", "a"), 1)
+        cache.put(("tcube", "t2", "b"), 2)
+        cache.put(("other", "t1"), 3)
+        assert cache.family("tcube", "t1") == [(("tcube", "t1", "a"), 1)]
+        cache.put(("tcube", "t1", "c"), 4)  # evicts ("tcube", "t1", "a")
+        assert cache.family("tcube", "t1") == [(("tcube", "t1", "c"), 4)]
+        cache.put(("tcube", "t1", "c"), 5)  # a replacement, not a second
+        assert cache.family("tcube", "t1") == [(("tcube", "t1", "c"), 5)]
+        assert cache.invalidate("tcube") == 2
+        assert cache.family("tcube", "t1") == cache.family("tcube", "t2") \
+            == []
+        cache.put(("cube", "t1", "r", "spec"), 6)
+        cache.clear()
+        assert cache.family("cube", "t1") == [] and not cache._families
+
+    def test_index_equals_a_key_scan_after_random_traffic(self):
+        gen = np.random.default_rng(4)
+        cache = QueryCache(max_bytes=4_000, max_entries=24)
+        for _ in range(2_000):
+            prefix = ("cube", "tcube", "canvas-block")[gen.integers(0, 3)]
+            key = (prefix, int(gen.integers(0, 4)), int(gen.integers(0, 9)))
+            if gen.random() < 0.9:
+                cache.put(key, None, nbytes=int(gen.integers(1, 400)))
+            else:
+                cache.invalidate(prefix)
+        for prefix in ("cube", "tcube"):
+            for owner in range(4):
+                want = [k for k in cache.keys()
+                        if k[0] == prefix and k[1] == owner]
+                assert [k for k, __ in cache.family(prefix, owner)] == want
+
+
 class TestDefensiveCopies:
     def test_cached_answer_is_frozen_and_stats_per_reader(
             self, simple_regions):
         engine = SpatialAggregationEngine(default_resolution=64)
         t = _table(500, seed=11)
         query = SpatialAggregation.count()
-        for _ in range(2):  # the second sighting stores the answer
-            built = engine.execute(t, simple_regions, query,
-                                   method="bounded")
+        # The first sighting stores the answer.
+        built = engine.execute(t, simple_regions, query, method="bounded")
         again = engine.execute(t, simple_regions, query, method="bounded")
         assert again is not built
         assert again.stats["answer"] == {"hit": True}

@@ -155,9 +155,10 @@ class TestCompare:
         out = engine.compare(table, simple_regions,
                              SpatialAggregation.count(),
                              methods=("bounded",), epsilon=5.0)
+        # cache=False: a recompute, not the stored answer compare made.
         direct = engine.execute(table, simple_regions,
                                 SpatialAggregation.count(),
-                                method="bounded", epsilon=5.0)
+                                method="bounded", epsilon=5.0, cache=False)
         assert (out["bounded"].stats["canvas_pixels"]
                 == direct.stats["canvas_pixels"])
         assert out["bounded"].stats["epsilon_world_units"] <= 5.0

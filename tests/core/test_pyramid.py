@@ -42,6 +42,15 @@ def _ladder(gv: GridViewport):
     yield gv  # revisits the second frame's window
 
 
+def _warm(engine, table, regions, query, gv: GridViewport):
+    """Cache every block of ``gv``: a first frame beside it runs direct,
+    so ``gv`` is the family's viewport move and assembles."""
+    engine.execute(table, regions, query, method="bounded",
+                   viewport=gv.pan(1, 0))
+    return engine.execute(table, regions, query, method="bounded",
+                          viewport=gv)
+
+
 def _assert_bitwise(a, b):
     np.testing.assert_array_equal(a.values, b.values)
     assert (a.lower is None) == (b.lower is None)
@@ -166,14 +175,23 @@ def test_warm_gesture_reuses_blocks(small_table, simple_regions):
     engine = SpatialAggregationEngine(default_resolution=256)
     gv = engine.plan_grid_viewport(simple_regions, 256)
     query = SpatialAggregation.count()
-    cold = engine.execute(small_table, simple_regions, query,
-                          method="bounded", viewport=gv)
-    cold_blocks = cold.stats["cache"]["blocks"]
+    first = engine.execute(small_table, simple_regions, query,
+                           method="bounded", viewport=gv)
+    # A first sighting runs one direct pass and installs no block.
+    assert first.method == "pyramid-raster-join"
+    assert first.stats["pyramid"]["path"] == "direct"
+    assert first.stats["cache"]["blocks"]["misses"] == 0
+    assert not [k for k in engine.ctx.cache.keys() if k[0] == "canvas-block"]
+
+    moved = engine.execute(small_table, simple_regions, query,
+                           method="bounded", viewport=gv.pan(32, 0))
+    cold_blocks = moved.stats["cache"]["blocks"]
+    assert moved.stats["pyramid"]["path"] == "assembled"
     assert cold_blocks["misses"] > 0 and cold_blocks["hits"] == 0
     assert cold_blocks["reuse_fraction"] == 0.0
 
     warm = engine.execute(small_table, simple_regions, query,
-                          method="bounded", viewport=gv.pan(32, 0))
+                          method="bounded", viewport=gv.pan(16, 0))
     blocks = warm.stats["cache"]["blocks"]
     assert blocks["hits"] > 0
     assert 0.0 < blocks["reuse_fraction"] <= 1.0
@@ -186,8 +204,7 @@ def test_zoom_out_derives_from_children(small_table, simple_regions):
     engine = SpatialAggregationEngine(default_resolution=256)
     gv = engine.plan_grid_viewport(simple_regions, 256)
     query = SpatialAggregation.count()
-    engine.execute(small_table, simple_regions, query,
-                   method="bounded", viewport=gv)
+    _warm(engine, small_table, simple_regions, query, gv)
     out = engine.execute(small_table, simple_regions, query,
                          method="bounded", viewport=gv.zoom(2.0))
     assert out.stats["cache"]["blocks"]["derived"] > 0
@@ -203,8 +220,9 @@ def test_planner_prices_block_coverage(small_table, simple_regions):
     cold = engine.execute(small_table, simple_regions, query,
                           method="auto", viewport=gv)
     assert cold.stats["plan"]["inputs"]["blocks_cached"] == 0.0
+    _warm(engine, small_table, simple_regions, query, gv)
     warm = engine.execute(small_table, simple_regions, query,
-                          method="auto", viewport=gv)
+                          method="auto", viewport=gv, cache=False)
     inputs = warm.stats["plan"]["inputs"]
     assert inputs["blocks_cached"] == 1.0
     costs = warm.stats["plan"]["decision"]["costs"]
@@ -223,8 +241,7 @@ def test_integral_sum_blocks_derive_on_zoom_out(simple_regions):
     query = SpatialAggregation.sum_of("riders")
     engine = SpatialAggregationEngine(default_resolution=256)
     gv = engine.plan_grid_viewport(simple_regions, 256)
-    engine.execute(table, simple_regions, query,
-                   method="bounded", viewport=gv)
+    _warm(engine, table, simple_regions, query, gv)
     out = engine.execute(table, simple_regions, query,
                          method="bounded", viewport=gv.zoom(2.0))
     assert out.stats["cache"]["blocks"]["derived"] > 0

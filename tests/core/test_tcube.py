@@ -326,8 +326,9 @@ class TestEngineIntegration:
                                method="tcube-raster")
         assert first.stats["tcube"]["built"]
         assert not first.stats["tcube"]["hit"]
+        # cache=False: the cube answers again, not the stored answer.
         second = engine.execute(cube_table, simple_regions, q,
-                                method="tcube-raster")
+                                method="tcube-raster", cache=False)
         assert second.stats["tcube"]["hit"]
         np.testing.assert_array_equal(first.values, second.values)
 
@@ -340,7 +341,9 @@ class TestEngineIntegration:
         assert not cold.stats["plan"]["inputs"]["tcube_cached"]
 
         engine.execute(cube_table, simple_regions, q, method="tcube-raster")
-        hot = engine.execute(cube_table, simple_regions, q, method="auto")
+        # cache=False: plan again rather than replay the stored answer.
+        hot = engine.execute(cube_table, simple_regions, q, method="auto",
+                             cache=False)
         assert hot.stats["plan"]["inputs"]["tcube_cached"]
         assert hot.stats["plan"]["decision"]["chosen"] == "tcube-raster"
 

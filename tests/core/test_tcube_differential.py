@@ -15,9 +15,10 @@ A second property drives drawn brush sequences through an
 ``InteractiveSession``: aggregates and residual filters from small
 pools (so keys repeat) and fresh ones (one-off keys), brushes on drawn
 bucket grids, and a ``clear_caches()`` at a drawn step.  Each step is a
-first-sighting re-scatter, a cube build or a cube hit; whichever it
-is, the answer equals the bounded raster join bitwise (AVG within
-1e-12), and the path is the one the repeat rule predicts.
+re-scatter, a cube build (the previous brush asked for the same cube)
+or a cube hit; whichever it is, the answer equals the bounded raster
+join bitwise (AVG within 1e-12), and the path is the one the sweep
+rule predicts.
 """
 
 from __future__ import annotations
@@ -190,11 +191,10 @@ def test_session_brushes_match_bounded_on_every_path(
     viewport = ctx.plan_viewport(simple_regions, resolution, None)
     fragments = build_fragment_table(list(simple_regions.geometries),
                                      viewport)
-    seen = set()  # the repeat rule's memory, modelled independently
+    previous = None  # the session's last cube spec, modelled independently
     for step, (agg, residual, brush) in enumerate(steps):
         if step == clear_at:
-            manager.clear_caches()
-            seen.clear()
+            manager.clear_caches()  # the session's memory outlives it
         session.state.agg = SpatialAggregation(agg[0], agg[1])
         session.state.filters = residual
         query = SpatialAggregation(agg[0], agg[1], residual + (brush,))
@@ -206,13 +206,13 @@ def test_session_brushes_match_bounded_on_every_path(
 
         backend = session.log[-1].backend
         if chosen is None or (isinstance(chosen, tuple)
-                              and chosen not in seen):
-            assert backend == "bounded"  # no cube, or a first sighting
+                              and chosen != previous):
+            assert backend == "bounded"  # no cube, or not a sweep
         else:
             assert backend == "tcube-raster"
             assert got.stats["tcube"]["built"] == isinstance(chosen, tuple)
-        if isinstance(chosen, tuple):
-            seen.add(chosen)
+        previous = chosen if isinstance(chosen, tuple) or chosen is None \
+            else chosen.spec
         want = bounded_raster_join(table, simple_regions, query, viewport,
                                    fragments=fragments)
         assert_match(got, want, agg[0])

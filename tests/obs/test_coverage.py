@@ -78,9 +78,10 @@ def test_cold_store_pyramid_trace_covers_wall_time(traced_store,
 
 def test_pyramid_scatter_says_whether_the_table_was_narrowed(
         simple_regions):
-    """A cold frame's blocks hold the whole table, so the scatter scans
-    it in row order; a one-block-column pan's delta holds a sliver, so
-    the scatter gathers it through the grid index."""
+    """A first frame runs direct, in row order; the first move's blocks
+    hold the whole table, so their scatter scans it in row order too; a
+    one-block-column pan's delta holds a sliver, so the scatter gathers
+    it through the grid index."""
     engine = SpatialAggregationEngine(default_resolution=256)
     table = make_store_table(30_000, seed=5)
     query = SpatialAggregation.count(F("fare") > 5)
@@ -96,13 +97,54 @@ def test_pyramid_scatter_says_whether_the_table_was_narrowed(
         assert len(scatters) == 1
         return scatters[0]["attrs"]
 
-    cold = scatter_attrs(gv)
+    assert scatter_attrs(gv) == {"narrowed": False}
+    side = gv.grid.block
+    cold = scatter_attrs(gv.pan(side, 0))
     assert cold["narrowed"] is False
     assert cold["points"] > 0
-    side = gv.grid.block
-    pan = scatter_attrs(gv.pan(side, 0))
+    pan = scatter_attrs(gv.pan(2 * side, 0))
     assert pan["narrowed"] is True
     assert pan["blocks"] == -(-gv.height // side)
+
+
+def test_a_frame_that_skips_the_block_tier_says_so(simple_regions):
+    """A first sighting on a grid viewport runs direct: its
+    ``backend.run`` span carries ``pyramid="direct"`` and no
+    ``pyramid.assemble`` opens.  The move that follows assembles, and
+    the session log's block columns, read from the stats, show no block
+    traffic for the direct frame and the reuse of the assembled ones."""
+    from repro.urbane.session import Interaction
+
+    engine = SpatialAggregationEngine(default_resolution=256)
+    table = make_store_table(30_000, seed=5)
+    query = SpatialAggregation.count(F("fare") > 5)
+    gv = engine.plan_grid_viewport(simple_regions, 256)
+
+    def traced(viewport):
+        root = Tracer().start("query")
+        with root:
+            result = engine.execute(table, simple_regions, query,
+                                    method="bounded", viewport=viewport)
+        spans = {n["name"]: n["attrs"] for n in _walk(root.to_dict(), [])}
+        row = Interaction.from_stats("pan", "", 0.0, result.stats,
+                                     result.method)
+        return spans, row
+
+    spans, direct = traced(gv)
+    assert spans["backend.run"] == {"backend": "bounded",
+                                    "pyramid": "direct"}
+    assert "pyramid.assemble" not in spans and "scatter" in spans
+    assert (direct.block_hits, direct.block_misses,
+            direct.block_reuse) == (0, 0, 0.0)
+
+    spans, moved = traced(gv.pan(gv.grid.block, 0))
+    assert spans["backend.run"] == {"backend": "bounded"}
+    assert spans["pyramid.assemble"]["scattered"] > 0
+    assert moved.block_misses > 0 and moved.block_reuse == 0.0
+
+    __, further = traced(gv.pan(2 * gv.grid.block, 0))  # one new column
+    assert further.block_hits == further.block_misses > 0
+    assert further.block_reuse == 0.5
 
 
 def test_untraced_query_records_nothing(traced_store, simple_regions):
@@ -268,7 +310,7 @@ def test_tcube_rows_span_names_the_lazy_gather(city, city_regions):
 
 
 def test_answer_hit_span_covers_a_hit(city, city_regions):
-    """From a request's third sighting on, the answer tier serves it:
+    """From a request's second sighting on, the answer tier serves it:
     the hit's trace is one ``answer.hit`` span (lookup, result wrapper
     and stats) with no planning or backend below it, and it covers most
     of the hit's execute.  A miss opens no ``answer.hit`` span."""
@@ -282,10 +324,8 @@ def test_answer_hit_span_covers_a_hit(city, city_regions):
             result = engine.execute(table, city_regions, query)
         return root.to_dict(), result
 
-    for _ in range(2):
-        tree, result = traced()
-        assert [c["name"] for c in tree["children"]] == [
-            "plan", "backend.run"]
+    tree, result = traced()
+    assert [c["name"] for c in tree["children"]] == ["plan", "backend.run"]
     coverage = []
     for _ in range(5):
         tree, result = traced()

@@ -68,7 +68,7 @@ class TestStoredAnswersOnTheLoop:
             self, live, service, monkeypatch):
         query = SpatialAggregation.sum_of("fare", F("fare") > 3)
         with ServeClient(live.server.url) as client:
-            # First sighting, then built and stored: both on the pool.
+            # The first sighting runs on the pool and stores the answer.
             client.query("trips", "simple", query=query)
             pooled = client.query("trips", "simple", query=query)
             leaders = service.flight.leaders

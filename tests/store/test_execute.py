@@ -13,6 +13,7 @@ from repro.core import (
     ParallelConfig,
     SpatialAggregation,
     SpatialAggregationEngine,
+    assembled_bounded_join,
 )
 from repro.errors import QueryCancelled, QueryError
 from repro.obs import Tracer
@@ -193,10 +194,11 @@ class TestPointCounters:
                    resolution=1_500))
         engine = SpatialAggregationEngine()
         gv = engine.plan_grid_viewport(regions, 256)
+        # The store assembles every frame from blocks; its twin is the
+        # in-memory assembly (an engine's first frame would run direct).
         yield (engine.execute(store, regions, self.QUERY, viewport=gv),
-               SpatialAggregationEngine().execute(
-                   reference, regions, self.QUERY, method="bounded",
-                   viewport=gv))
+               assembled_bounded_join(SpatialAggregationEngine().ctx,
+                                      reference, regions, self.QUERY, gv))
 
     def test_counters_equal_in_memory_twin(self, store, reference,
                                            simple_regions):

@@ -50,8 +50,11 @@ def direct(store, regions, query, viewport):
 
 
 def check_frame(engine, store, reference, regions, query, viewport):
-    """Run one store frame and hold it to both references."""
-    got = engine.execute(store, regions, query, viewport=viewport)
+    """Run one store frame and hold it to both references.  The frame
+    skips the answer tier (``cache=False``), so a revisit is assembled
+    from blocks rather than replayed."""
+    got = engine.execute(store, regions, query, viewport=viewport,
+                         cache=False)
     assert got.method == "store-pyramid-raster-join"
     assert_match(got, direct(store, regions, query, viewport), query.agg)
     memory = SpatialAggregationEngine().execute(

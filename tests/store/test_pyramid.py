@@ -106,8 +106,10 @@ class TestStoreAssembledParity:
         assert blocks["misses"] > 0
         assert blocks["hits"] == 0
         # Pan back and forth: the revisited window is fully resident.
+        # cache=False: the blocks answer, not the stored answer.
         back = engine.execute(store, simple_regions, query,
-                              viewport=gv.pan(48, 0).pan(-48, 0))
+                              viewport=gv.pan(48, 0).pan(-48, 0),
+                              cache=False)
         blocks = back.stats["cache"]["blocks"]
         assert blocks["hits"] > 0
         assert blocks["reuse_fraction"] == 1.0

@@ -90,9 +90,9 @@ class TestGestureMechanics:
 
 class TestGestureReuse:
     def test_revisit_reuses_blocks(self, session):
-        session.pan(0, 0)  # pin the grid, scatter the cold frame
-        session.pan(16, 0)
-        session.pan(-16, 0)  # back to a fully-resident window
+        session.pan(0, 0)  # pin the grid: a first frame runs direct
+        session.pan(16, 0)  # the view moved: scatter its blocks
+        session.pan(-8, 0)  # a new window inside the resident blocks
         back = session.log[-1]
         assert back.block_hits > 0
         assert back.block_misses == 0
@@ -104,6 +104,7 @@ class TestGestureReuse:
         session = InteractiveSession(manager, "taxi", "boroughs",
                                      resolution=512)
         session.pan(0, 0)
+        session.pan(16, 0)  # the first move caches the level-0 blocks
         session.zoom(2.0)
         out = session.log[-1]
         # COUNT zoom-out derives coarse blocks from the cached frame.
@@ -126,7 +127,7 @@ class TestGestureReuse:
     def test_summary_and_report_surface_reuse(self, session):
         session.pan(0, 0)
         session.pan(16, 0)
-        session.pan(-16, 0)
+        session.pan(-8, 0)
         stats = session.summary()
         assert stats["block_hits"] > 0
         assert 0.0 < stats["block_reuse_rate"] <= 1.0

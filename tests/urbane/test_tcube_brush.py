@@ -263,39 +263,68 @@ class TestSessionBrush:
         assert not tcube_keys(manager)
 
     def test_sessions_on_one_manager_share_seen_keys(self, manager):
+        """The engine's seen keys (block families) are shared; the cube
+        memory is each session's own."""
         one = InteractiveSession(manager, "pts", "simple",
                                  method="bounded", resolution=256)
         two = InteractiveSession(manager, "pts", "simple",
                                  method="bounded", resolution=256)
+        one.pan(0, 0)
+        two.pan(8, 0)
         one.brush_time(T0 + 2 * HOUR, T0 + 9 * HOUR)
-        assert one.log[-1].backend == "bounded"
-        # The other analyst's brush on the same key is the repeat.
-        two.brush_time(T0 + 5 * HOUR, T0 + 8 * HOUR)
-        assert two.log[-1].backend == "tcube-raster"
-        assert two.last_result.stats["tcube"]["built"]
+        assert one.last_result.stats["pyramid"]["path"] == "direct"
+        # The other analyst's brush on the same key is a move of it.
+        two.brush_time(T0 + 2 * HOUR, T0 + 9 * HOUR)
+        assert two.last_result.stats["pyramid"]["path"] == "assembled"
+        # ... but not the second step of a sweep: two brushed once.
+        assert two.log[-1].backend == "bounded"
 
     def test_clear_caches_forgets_seen_keys(self, manager):
+        """``clear_caches`` empties the engine's memory, not the
+        session's: the sweep goes on and builds its cube."""
         session = InteractiveSession(manager, "pts", "simple",
                                      method="bounded", resolution=256)
+        session.pan(0, 0)
         session.brush_time(T0 + 2 * HOUR, T0 + 9 * HOUR)
+        assert manager.engine.ctx.cache._seen
         manager.clear_caches()
         assert not manager.engine.ctx.cache._seen
         session.brush_time(T0 + 3 * HOUR, T0 + 10 * HOUR)
-        assert session.log[-1].backend == "bounded"
+        assert session.log[-1].backend == "tcube-raster"
+        assert session.last_result.stats["tcube"]["built"]
 
     def test_seen_keys_stay_within_capacity(self, manager):
         from repro.core.cache import MAX_SEEN_KEYS
 
         session = InteractiveSession(manager, "pts", "simple",
                                      method="bounded", resolution=256)
+        session.pan(0, 0)
         cache = manager.engine.ctx.cache
-        # Every threshold is a new residual filter, so a new key.
+        # Every threshold is a new residual filter, so a new block
+        # family and a new cube spec: one-offs that leave no blocks
+        # and build no cube.
         for i in range(MAX_SEEN_KEYS + 8):
             session.state.filters = (F("fare") > float(i),)
             session.brush_time(T0 + 2 * HOUR, T0 + 9 * HOUR)
+            assert session.log[-1].backend == "bounded"
             assert len(cache._seen) <= MAX_SEEN_KEYS
         assert len(cache._seen) == MAX_SEEN_KEYS
         assert not tcube_keys(manager)
+        assert not [k for k in cache.keys() if k[0] == "canvas-block"]
+
+    def test_an_interleaved_brush_breaks_the_sweep(self, manager):
+        session = InteractiveSession(manager, "pts", "simple",
+                                     method="bounded", resolution=256)
+        session.brush_time(T0 + 2 * HOUR, T0 + 9 * HOUR)
+        session.state.filters = (F("fare") > 3,)  # another cube spec
+        session.brush_time(T0 + 2 * HOUR, T0 + 9 * HOUR)
+        session.state.filters = ()
+        session.brush_time(T0 + 3 * HOUR, T0 + 10 * HOUR)
+        assert [i.backend for i in session.log[-3:]] == ["bounded"] * 3
+        session.brush_time(T0 + 4 * HOUR, T0 + 11 * HOUR)
+        assert session.log[-1].backend == "tcube-raster"
+        assert not [k for k in manager.engine.ctx.cache.keys()
+                    if k[0] == "tcube" and k[2][4]]  # no filtered cube
 
     def test_explicit_method_builds_on_first_call(self, manager,
                                                   simple_regions):
