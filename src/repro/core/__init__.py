@@ -62,7 +62,7 @@ from .pyramid import (
     block_coverage,
     grid_viewport_for,
 )
-from .query import SpatialAggregation
+from .query import SpatialAggregation, split_time_filter
 from .regions import RegionSet
 from .result import AggregationResult
 from .sql import ParsedQuery, parse_query, to_sql, tokenize
@@ -73,7 +73,6 @@ from .tcube import (
     build_temporal_canvas_cube,
     cube_for_brush,
     infer_bucket_seconds,
-    split_time_filter,
 )
 from .tiling import (
     TilePartial,

@@ -51,8 +51,8 @@ def gather_partial(part: PartialAggregate, canvases: dict,
     ``covered`` its covered runs (center-covered boundary pixels) — into
     the per-region partial ``part``.
 
-    Each run family folds through one :func:`~repro.raster.gather_runs`
-    per canvas; every raster path (bounded, pyramid, tiled, store, the
+    Each run family folds every canvas through the one plan the table
+    keeps for it; every raster path (bounded, pyramid, tiled, store, the
     accurate join's interior) joins here, so they all fold the same
     values in the same order.  ``memo``: see
     :meth:`~repro.raster.IntervalSet.gather`.
@@ -62,7 +62,8 @@ def gather_partial(part: PartialAggregate, canvases: dict,
 
     def gather(kind, ufunc, fill):
         out = [fragments.intervals.gather(f, canvases[kind], n, ufunc, fill,
-                                          memo) for f in families]
+                                          memo, fragments.plans)
+               for f in families]
         return out[0] if len(out) == 1 else ufunc(*out)
 
     if part.counts is not None:
@@ -124,6 +125,8 @@ def bounded_raster_join(
                       canvas_kinds(query.agg))
     if source.narrowed is not None:
         sp.set(narrowed=source.narrowed)
+    if source.sliced is not None:
+        sp.set(sliced=source.sliced)
     canvases = points.canvases
     t_points = time.perf_counter() - t1
 

@@ -80,7 +80,7 @@ def boundary_mass(fragments: FragmentTable, mass_canvas: np.ndarray,
     """
     mass_in, mass_all = (
         fragments.intervals.gather(f, mass_canvas, fragments.num_polygons,
-                                   memo=memo)
+                                   memo=memo, plans=fragments.plans)
         for f in ("covered", "partial"))
     return mass_in, mass_all - mass_in
 

@@ -57,7 +57,9 @@ MAX_SEEN_KEYS = 64
 
 #: Key prefixes (as 1-tuples) :meth:`QueryCache.family` indexes by
 #: ``key[:2]``: a table's cubes are found without walking every key.
-INDEXED = frozenset({("cube",), ("tcube",)})
+#: A fragment table's gather plans, keyed ``("gather-plan", table key,
+#: ...)``, are indexed too: they leave the cache with their table.
+INDEXED = frozenset({("cube",), ("tcube",), ("gather-plan",)})
 
 _TOKEN_ATTR = "_repro_cache_token"
 
@@ -116,9 +118,9 @@ def estimate_nbytes(value, _depth: int = 0, _seen: set | None = None) -> int:
     """Approximate resident size of a cached artifact.
 
     Sums ndarray buffers reachable through attributes/containers (two
-    levels deep), preferring an object's own ``memory_bytes()`` when it
-    has one.  An estimate, not an audit — the cache budget only needs
-    the right order of magnitude.
+    levels deep), preferring an object's own ``memory_bytes()`` (or
+    integer ``nbytes``) when it has one.  An estimate, not an audit —
+    the cache budget only needs the right order of magnitude.
 
     Arrays sharing one buffer are charged **once**: each ndarray is
     resolved to its buffer-owning root through the ``.base`` chain, and
@@ -149,6 +151,8 @@ def estimate_nbytes(value, _depth: int = 0, _seen: set | None = None) -> int:
     mem = getattr(value, "memory_bytes", None)
     if callable(mem):
         return int(mem())
+    if isinstance(getattr(value, "nbytes", None), int):
+        return value.nbytes  # a prepared run gather
     if _depth >= 2:
         return 0
     if isinstance(value, (list, tuple, set, frozenset)):
@@ -302,13 +306,17 @@ class QueryCache:
             return [(k, self._entries[k].value) for k in keys]
 
     def _unlink(self, key: tuple) -> None:
-        # Drop an entry, its bytes and its index slot (lock held).
+        # Drop an entry, its bytes, its index slot and, for a fragment
+        # table, its gather plans (lock held).
         self._bytes -= self._entries.pop(key).nbytes
         if key[:1] in INDEXED:
             members = self._families[key[:2]]
             del members[key]
             if not members:
                 del self._families[key[:2]]
+        if key[:1] == ("fragments",):
+            for plan in list(self._families.get(("gather-plan", key), ())):
+                self._unlink(plan)
 
     def _evict(self) -> None:
         # Evict LRU-first until within budget; the newest entry always

@@ -11,6 +11,9 @@ keys are content fingerprints (see :mod:`repro.core.cache`), never raw
 
 from __future__ import annotations
 
+import weakref
+from dataclasses import replace
+
 from .. import kernels
 from ..errors import QueryError
 from ..index import PointGridIndex
@@ -105,7 +108,20 @@ class ExecutionContext:
                    runs=(table.intervals.num_full_runs
                          + table.intervals.num_partial_runs),
                    edge_rows=edge_rows)
-            return table
+            return replace(table, plans=plans)
+
+        # The table holds its cache weakly: a strong reference would be
+        # a cycle that keeps a dropped engine's cache alive until the
+        # garbage collector runs.
+        cache = weakref.ref(self.cache)
+
+        def plans(plan_key, prepare):
+            # A plan is cached next to its table, and evicted with it.
+            live = cache()
+            if live is None or key not in live:
+                return prepare()
+            return live.get_or_build(("gather-plan", key, *plan_key),
+                                     prepare)
 
         return self.cache.get_or_build(key, build)
 

@@ -7,9 +7,10 @@ filtered points with blending" — and this module is its only copy.
   checks ``cancel`` before each one.  :class:`TableSource` is an
   in-memory table, one chunk: every survivor, or only those the grid
   index finds in the sink's boxes when those hold under
-  :data:`SCAN_FRACTION` of the table; :class:`DatasetSource` is a
-  store's pruned partitions in manifest order, each mounted only when
-  it can reach the sink.
+  :data:`SCAN_FRACTION` of the table; a time brush on a sorted column
+  selects its row slice without a pass over the table.
+  :class:`DatasetSource` is a store's pruned partitions in manifest
+  order, each mounted only when it can reach the sink.
 * :func:`project` maps a chunk's rows to the sink's pixel ids (on a
   grid, from a table's cached pixel columns) and gathers their values.
 * :func:`fold` continues each canvas's element-sequential accumulation
@@ -29,11 +30,18 @@ fold partition by partition in manifest order, which is
 which pixels receive points, never the order they arrive in.  COUNT
 adds exact small integers and MIN/MAX are order-free (a NaN poisons its
 pixel either way), so those match under any chunking.
+
+**Why a sorted slice gives the same rows.**  On an ascending column the
+rows with ``start <= t < end`` are exactly ``[lo, hi)`` for ``lo, hi``
+the left ``searchsorted`` positions of ``start`` and ``end``.  A
+conjunction holds on a row only if every term does, so the survivors
+are that slice's rows on which the other terms hold: ascending, and
+the ones the whole-table mask selects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,7 +49,9 @@ from .. import kernels
 from ..errors import QueryCancelled
 from ..index import PointGridIndex
 from ..obs.trace import span
+from ..table import TIMESTAMP, combine_filters
 from .cache import fingerprint
+from .query import split_time_filter
 
 #: Canvas fill where no point landed, per kind.
 FILLS = {"count": 0.0, "sum": 0.0, "mass": 0.0,
@@ -61,14 +71,19 @@ def _check(cancel) -> None:
         raise QueryCancelled("point pass cancelled between chunks")
 
 
-def _survivors(table, query, mask=None):
-    """Ascending ids of the rows passing ``query``'s filters; None when
-    there are no filters (every row survives)."""
-    if not query.filters:
-        return None
-    if mask is None:
-        mask = query.filter_mask(table)
-    return np.flatnonzero(mask)
+class _Slice:
+    """Rows ``[lo, hi)`` of a table as filter expressions read them:
+    each column a view of its slice, nothing copied."""
+
+    def __init__(self, table, lo: int, hi: int):
+        self.table, self.rows = table, slice(lo, hi)
+
+    def __len__(self) -> int:
+        return self.rows.stop - self.rows.start
+
+    def column(self, name: str):
+        column = self.table.column(name)
+        return replace(column, values=column.values[self.rows])
 
 
 # -- sources -----------------------------------------------------------------
@@ -77,9 +92,10 @@ def _survivors(table, query, mask=None):
 class TableSource:
     """An in-memory table: one chunk, in row order.
 
-    The filter mask is built at most once per source; with an execution
-    context the grid index, column facts and pixel columns come from
-    its cache, shared across gestures.
+    A query's survivors are selected at most once per source (see
+    :meth:`survivors`); with an execution context the grid index,
+    column facts and pixel columns come from its cache, shared across
+    gestures.
 
     When a sink passes boxes, the grid index counts the candidates they
     hold (:meth:`~repro.index.PointGridIndex.count_bbox`, no id array
@@ -90,7 +106,8 @@ class TableSource:
     more than they save, so the chunk is every filter survivor in row
     order and the sink's locate drops the points outside.  Both
     branches yield ascending rows, so the fold is the same either way;
-    ``narrowed`` records which one the last pass took.
+    ``narrowed`` records which one the last pass took, and ``sliced``
+    whether its time brush selected a row slice (see :meth:`survivors`).
     """
 
     def __init__(self, table, ctx=None, cancel=None):
@@ -99,20 +116,43 @@ class TableSource:
         self.cancel = cancel
         self.paged = 0
         self.narrowed = False
-        self._masks: dict = {}
+        self.sliced = None
+        self._survivors: dict = {}
         self._index = None
 
     def span(self):
         return span("scatter")
 
-    def mask(self, query):
-        """The query's filter mask over the whole table, or None."""
+    def survivors(self, query):
+        """Ascending ids of the rows passing ``query``'s filters (None
+        without filters), selected at most once per source.
+
+        With a context, the query's time brush (its one
+        :class:`~repro.table.TimeRange` filter, see
+        :func:`~repro.core.query.split_time_filter`) on a sorted
+        timestamp column is the row slice two ``searchsorted`` calls
+        find, and only the other filters are evaluated, on that slice.
+        ``sliced`` says whether the brush was sliced (None: no brush).
+        """
         if not query.filters:
+            self.sliced = None
             return None
-        key = repr(query.filters)
-        if key not in self._masks:
-            self._masks[key] = query.filter_mask(self.table)
-        return self._masks[key]
+        if query.filter_key not in self._survivors:
+            brush, rest = split_time_filter(query)
+            sliced = brush and self.ascending(brush.column)
+            if sliced:
+                lo, hi = np.searchsorted(
+                    self.table.column(brush.column).values,
+                    (int(brush.start), int(brush.end)))
+                rows = np.arange(lo, max(lo, hi))
+                if rest:
+                    rows = rows[combine_filters(rest).mask(
+                        _Slice(self.table, lo, lo + len(rows)))]
+            else:
+                rows = np.flatnonzero(query.filter_mask(self.table))
+            self._survivors[query.filter_key] = rows, sliced
+        rows, self.sliced = self._survivors[query.filter_key]
+        return rows
 
     def pixel_columns(self, viewport):
         """The table's level-0 pixel (col, row) on ``viewport``'s grid,
@@ -125,9 +165,8 @@ class TableSource:
             key, lambda: grid.level_pixel(self.table.x, self.table.y, 0))
 
     def filtered_count(self, query) -> int:
-        mask = self.mask(query)
-        return len(self.table) if mask is None else int(
-            np.count_nonzero(mask))
+        rows = self.survivors(query)
+        return len(self.table) if rows is None else len(rows)
 
     def nonnegative(self, query) -> bool:
         """Every value is >= 0 and not NaN, so ``|v| == v``."""
@@ -155,6 +194,16 @@ class TableSource:
 
         return self._column_fact("column-integral", column, probe)
 
+    def ascending(self, column: str) -> bool:
+        """Whether ``column`` is a timestamp column in ascending order;
+        never without a context, which keeps the fact."""
+        if self.ctx is None or not self.table.has_column(column):
+            return False
+        col = self.table.column(column)
+        return col.kind == TIMESTAMP and self._column_fact(
+            "column-sorted", column,
+            lambda: bool(np.all(col.values[:-1] <= col.values[1:])))
+
     def extent(self, column: str) -> tuple[int, int] | None:
         """``(min, max)`` of ``column`` as ints; None for no rows."""
         values = self.table.column(column).values
@@ -181,7 +230,7 @@ class TableSource:
     def chunks(self, query, boxes=None):
         _check(self.cancel)
         self.paged += 1
-        mask = self.mask(query)
+        survivors = self.survivors(query)
         index = self._grid_index() if boxes and len(self.table) else None
         self.narrowed = index is not None and (
             sum(index.count_bbox(b) for b in boxes)
@@ -189,12 +238,13 @@ class TableSource:
         if not self.narrowed:
             # Every survivor, in row order; a sink with boxes drops the
             # points outside them in its locate.
-            yield self.table, _survivors(self.table, query, mask)
+            yield self.table, survivors
             return
         rows = np.sort(np.concatenate([index.query_bbox(b) for b in boxes]))
         if len(boxes) > 1:  # overlapping boxes share grid cells
             rows = rows[np.diff(rows, prepend=-1) != 0]
-        yield self.table, rows if mask is None else rows[mask[rows]]
+        yield self.table, rows if survivors is None else rows[
+            np.isin(rows, survivors, kind="table")]
 
 
 class DatasetSource:
@@ -205,8 +255,9 @@ class DatasetSource:
     page it, so ``filtered_count`` is over the partitions actually read.
     """
 
-    #: A store narrows by skipping partitions, not through a grid index.
-    narrowed = None
+    #: A store narrows by skipping partitions, not through a grid index,
+    #: and brushes time by zone maps, not by a row slice.
+    narrowed = sliced = None
 
     def __init__(self, dataset, survivors: list[int], cancel=None):
         self.table = dataset
@@ -251,7 +302,8 @@ class DatasetSource:
             _check(self.cancel)
             self.paged += 1
             table = self.table.partition_table(index)
-            rows = _survivors(table, query)
+            rows = (np.flatnonzero(query.filter_mask(table))
+                    if query.filters else None)
             self._filtered[index] = len(table) if rows is None else len(rows)
             yield table, rows
 

@@ -227,8 +227,11 @@ def block_key(table_fp: tuple, query: SpatialAggregation, kind: str,
 
     ``table_fp`` is the table's never-reused :func:`fingerprint`; the
     table is immutable, so the key alone decides the block's values.
+    The filters enter as the query's :attr:`~repro.core.query
+    .SpatialAggregation.filter_key`, rendered once per query, not once
+    per block and kind.
     """
-    return ("canvas-block", table_fp, repr(query.filters),
+    return ("canvas-block", table_fp, query.filter_key,
             query.value_column, kind, grid, level, bx, by)
 
 
@@ -493,7 +496,7 @@ def grid_bounded_join(ctx, table, regions: RegionSet,
     and, traced, the span attr ``pyramid="direct"`` tell them apart.
     """
     source = TableSource(table, ctx, cancel)
-    family = ("blocks", fingerprint(table), repr(query.filters),
+    family = ("blocks", fingerprint(table), query.filter_key,
               query.value_column, canvas_kinds(query.agg), viewport.grid)
     last = ctx.cache.note_seen(family, viewport)
     if last not in (None, viewport) or block_coverage(

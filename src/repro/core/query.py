@@ -14,6 +14,7 @@ descriptions; execution lives in the executor/backends.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +69,12 @@ class SpatialAggregation:
 
     # -- evaluation helpers --------------------------------------------------
 
+    @cached_property
+    def filter_key(self) -> str:
+        """``repr(filters)``, computed once per query: the filter part
+        of its cache keys."""
+        return repr(self.filters)
+
     def filter_mask(self, table: PointTable) -> np.ndarray:
         """Boolean mask of rows passing every filter condition."""
         return combine_filters(self.filters).mask(table)
@@ -91,3 +98,21 @@ class SpatialAggregation:
         target = "*" if self.value_column is None else self.value_column
         where = f" with {len(self.filters)} filter(s)" if self.filters else ""
         return f"SELECT {self.agg.upper()}({target}) GROUP BY region{where}"
+
+
+def split_time_filter(query: SpatialAggregation,
+                      time_column: str | None = None
+                      ) -> tuple[TimeRange | None, tuple]:
+    """Split a query's filters into (the TimeRange, everything else).
+
+    Returns ``(None, query.filters)`` unless exactly one
+    :class:`TimeRange` (on ``time_column``, when given) is present —
+    the temporal cube and a table source's row slice each replace one
+    time brush, not arbitrary temporal algebra.
+    """
+    times = [f for f in query.filters if isinstance(f, TimeRange)
+             and (time_column is None or f.column == time_column)]
+    if len(times) != 1:
+        return None, query.filters
+    residual = tuple(f for f in query.filters if f is not times[0])
+    return times[0], residual

@@ -56,12 +56,12 @@ from ..obs.trace import span
 from ..raster import FragmentTable, Viewport
 from ..raster.canvas import run_gather
 from ..raster.pyramid import reduce2x2
-from ..table import TIMESTAMP, PointTable, TimeRange
+from ..table import TIMESTAMP, PointTable
 from .aggregates import AVG, COUNT, SUM
 from .bounded import join_with_bounds
 from .bounds import epsilon_for_viewport
 from .pipeline import Window, as_source, fold, new_canvases, project
-from .query import SpatialAggregation
+from .query import SpatialAggregation, split_time_filter
 from .regions import RegionSet
 from .result import AggregationResult
 
@@ -82,24 +82,6 @@ MAX_TCUBE_BYTES = 256 * 1024 * 1024
 #: quarter-day, hour, 15 min, minute, second.  Coarsest-aligned wins, so
 #: repeated brushes at the UI's granularity all hit one cube.
 BUCKET_LADDER = (7 * 86_400, 86_400, 6 * 3_600, 3_600, 900, 60, 1)
-
-
-def split_time_filter(query: SpatialAggregation,
-                      time_column: str | None = None
-                      ) -> tuple[TimeRange | None, tuple]:
-    """Split a query's filters into (the TimeRange, everything else).
-
-    Returns ``(None, query.filters)`` unless exactly one
-    :class:`TimeRange` (on ``time_column``, when given) is present —
-    the cube replaces one changing time predicate, not arbitrary
-    temporal algebra.
-    """
-    times = [f for f in query.filters if isinstance(f, TimeRange)
-             and (time_column is None or f.column == time_column)]
-    if len(times) != 1:
-        return None, query.filters
-    residual = tuple(f for f in query.filters if f is not times[0])
-    return times[0], residual
 
 
 def _same_filters(a, b) -> bool:

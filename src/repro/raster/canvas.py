@@ -84,7 +84,9 @@ def run_gather(size: int, starts: np.ndarray, stops: np.ndarray,
                group_ids: np.ndarray, num_groups: int,
                order: np.ndarray | None = None):
     """:func:`gather_runs` prepared once, as ``gather(canvas, ufunc,
-    fill)`` for canvases of ``size`` pixels.
+    fill)`` for canvases of ``size`` pixels; ``gather.nbytes`` is what
+    the plan holds (a fragment table keeps its plans, see
+    :meth:`~repro.raster.FragmentTable.gather`).
 
     Long runs: one ``ufunc.reduceat`` at the interleaved (start, stop)
     bounds in ascending start order (``order``, or as given), whose odd
@@ -113,6 +115,7 @@ def run_gather(size: int, starts: np.ndarray, stops: np.ndarray,
             with np.errstate(invalid="ignore"):  # NaN poisons its group
                 out[live] = ufunc.reduceat(canvas[pix], heads)
             return out
+        gather.nbytes = pix.nbytes + heads.nbytes + live.nbytes
         return gather
     if order is not None:
         starts, stops, lengths, group_ids = (
@@ -136,4 +139,5 @@ def run_gather(size: int, starts: np.ndarray, stops: np.ndarray,
             out = np.full(num_groups, fill)
             ufunc.at(out, group_ids, per_run)
         return out
+    gather.nbytes = bounds.nbytes + tail.nbytes + group_ids.nbytes
     return gather

@@ -7,23 +7,24 @@ per-polygon FULL, PARTIAL and covered interval runs
 raster join: one batched sweep over the whole region set
 (:mod:`repro.raster.scanline` has the stages).  Every reader works on
 the runs — the joins and boundary-mass bounds gather them
-(:func:`repro.raster.canvas.gather_runs`), the accurate join marks its
+(:func:`repro.raster.canvas.run_gather`), the accurate join marks its
 candidates from them, label canvases are painted from them — so no
 pixel pair is expanded unless a caller asks for one.  Since Urbane
 re-queries the same region sets while the user brushes filters, the
-tables are cached per (regions, viewport) by the executor; a table is
-complete when it is returned, so the cache can size it once.
+tables are cached per (regions, viewport) by the executor, and each
+run family's gather plan next to its table; a table is complete when
+it is returned, so the cache can size it once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .. import kernels
 from ..geometry.polygon import Geometry
-from .canvas import gather_runs
+from .canvas import run_gather
 from .scanline import (
     _boundary_runs,
     _classify_spans,
@@ -94,18 +95,26 @@ class IntervalSet:
                 getattr(self, f"{family}_lengths"), _run_owners(offsets))
 
     def gather(self, family: str, canvas: np.ndarray, num_groups: int,
-               ufunc=np.add, fill: float = 0.0,
-               memo: dict | None = None) -> np.ndarray:
-        """One run family's join step: :func:`~repro.raster.canvas.gather_runs`
-        over its runs (``reduceat`` takes them in start order).  ``memo``
-        keeps the results by (family, canvas) across one join."""
+               ufunc=np.add, fill: float = 0.0, memo: dict | None = None,
+               plans=None) -> np.ndarray:
+        """One run family's join step: its runs'
+        :func:`~repro.raster.canvas.run_gather` plan (``reduceat`` takes
+        them in start order) applied to ``canvas``.  ``memo`` keeps the
+        results by (family, canvas) across one join; ``plans(plan_key,
+        prepare)``, when given, keeps the plans by (family, canvas size,
+        ``num_groups``) across joins (see :attr:`FragmentTable.plans`)."""
         memo = {} if memo is None else memo
         key = (family, id(canvas), ufunc)
         if key not in memo:
-            starts, lengths, polys = self.runs(family)
-            memo[key] = gather_runs(canvas, starts, starts + lengths, polys,
-                                    num_groups, ufunc, fill,
-                                    order=getattr(self, f"{family}_order"))
+            def prepare():
+                starts, lengths, polys = self.runs(family)
+                return run_gather(len(canvas), starts, starts + lengths,
+                                  polys, num_groups,
+                                  order=getattr(self, f"{family}_order"))
+
+            plan_key = (family, len(canvas), num_groups)
+            plan = prepare() if plans is None else plans(plan_key, prepare)
+            memo[key] = plan(canvas, ufunc, fill)
         return memo[key]
 
 
@@ -142,6 +151,10 @@ class FragmentTable:
     intervals: IntervalSet  # runs per polygon (:class:`IntervalSet`)
     num_polygons: int
     viewport: Viewport
+    #: Where the gather plans are kept (``plans`` of
+    #: :meth:`IntervalSet.gather`): set on a cached table, so each plan
+    #: is prepared once and charged to the cache next to the table.
+    plans: object = field(default=None, compare=False, repr=False)
 
     def memory_bytes(self) -> int:
         """Resident bytes: the run arrays (the cache's byte ledger)."""

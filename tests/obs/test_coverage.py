@@ -4,6 +4,7 @@ explain >=90% of its wall time, the block scatter included."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -18,7 +19,7 @@ from repro.obs.trace import leaf_coverage
 from repro.raster import Viewport, build_fragment_table
 from repro.raster.fragments import polygon_pass
 from repro.store import build_store
-from repro.table import F
+from repro.table import F, TimeRange
 
 from tests.store.conftest import HOUR, make_store_table
 
@@ -105,6 +106,38 @@ def test_pyramid_scatter_says_whether_the_table_was_narrowed(
     pan = scatter_attrs(gv.pan(2 * side, 0))
     assert pan["narrowed"] is True
     assert pan["blocks"] == -(-gv.height // side)
+
+
+def test_direct_scatter_says_whether_the_time_brush_was_sliced(
+        simple_regions):
+    """A first sighting's direct scatter carries ``sliced``: True for a
+    time brush on a sorted column (a row slice, no mask over the
+    table), False on an unsorted one, absent without a time brush."""
+    engine = SpatialAggregationEngine(default_resolution=256)
+    shuffled = make_store_table(30_000, seed=5)
+    order = np.argsort(shuffled.column("t").values, kind="stable")
+    ordered = shuffled.take(order)
+    gv = engine.plan_grid_viewport(simple_regions, 256)
+
+    def scatter_attrs(table, *filters):
+        root = Tracer().start("query")
+        with root:
+            result = engine.execute(
+                table, simple_regions,
+                SpatialAggregation.count(F("fare") > 5, *filters),
+                method="bounded", viewport=gv)
+        assert result.stats["pyramid"]["path"] == "direct"
+        scatters = [n for n in _walk(root.to_dict(), [])
+                    if n["name"] == "scatter"]
+        assert len(scatters) == 1
+        return scatters[0]["attrs"]
+
+    brush = TimeRange("t", HOUR, 2 * HOUR)
+    assert scatter_attrs(ordered, brush) == {"narrowed": False,
+                                             "sliced": True}
+    assert scatter_attrs(shuffled, brush) == {"narrowed": False,
+                                              "sliced": False}
+    assert scatter_attrs(ordered) == {"narrowed": False}
 
 
 def test_a_frame_that_skips_the_block_tier_says_so(simple_regions):
